@@ -50,19 +50,22 @@
 //       coupling-realizability audit, and a full DRAT re-check of every
 //       stored optimality proof against its fingerprinted premise.
 //       Exits nonzero if any artifact fails.
-//   ftsp_cli serve   --store DIR [--threads N] [--socket PATH]
-//                    [--tcp HOST:PORT] [--reload] [--cache-mb N]
-//                    [--max-connections N] [--idle-timeout-ms N]
-//                    [--request-timeout-ms N]
+//   ftsp_cli serve   --store DIR [--threads N]
+//                    [--socket PATH | --tcp HOST:PORT] [--reload]
+//                    [--cache-mb N] [--max-connections N]
+//                    [--idle-timeout-ms N] [--request-timeout-ms N]
 //                    [--metrics HOST:PORT] [--access-log FILE]
 //       Loads every artifact and answers newline-delimited JSON requests
-//       on stdin, a unix socket file, or a multi-client TCP endpoint —
-//       zero SAT work. The TCP tier adds hot store reload (--reload
+//       — zero SAT work — through one server on one of three
+//       transports: stdin/stdout (the default; exits 0 once stdin hits
+//       EOF and every answer is written), a unix socket file
+//       (--socket), or a multi-client TCP endpoint (--tcp). Every other
+//       flag works on every transport: hot store reload (--reload
 //       watches index.tsv and swaps atomically; the `reload` op forces
 //       a swap), cross-request coalescing, and an LRU response cache
 //       (--cache-mb). --metrics serves a Prometheus plaintext scrape
-//       endpoint on a second port; --access-log appends one JSONL line
-//       per request (rotate by rename, see src/serve/access_log.hpp).
+//       endpoint on a TCP port; --access-log appends one JSONL line per
+//       request (rotate by rename, see src/serve/access_log.hpp).
 //       --request-timeout-ms bounds every request from arrival to
 //       answer (expired requests get a `deadline_exceeded` error and
 //       cancel cooperatively mid-compute). SIGTERM/SIGINT drain
@@ -87,9 +90,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "compile/artifact.hpp"
@@ -257,7 +262,7 @@ int usage() {
                "[--max-cache-age-days N],\n"
                "       ftsp_cli audit [--store DIR | --artifact FILE],\n"
                "       ftsp_cli serve --store DIR [--threads N] "
-               "[--socket PATH] [--tcp HOST:PORT] [--reload] "
+               "[--socket PATH | --tcp HOST:PORT] [--reload] "
                "[--cache-mb N] [--max-connections N] "
                "[--idle-timeout-ms N] [--request-timeout-ms N] "
                "[--metrics HOST:PORT] [--access-log FILE],\n"
@@ -642,18 +647,14 @@ int run_serve(const std::vector<std::string>& args) {
   std::string socket_path;
   std::string tcp_spec;
   std::string metrics_spec;
-  std::string access_log_path;
   bool reload = false;
-  std::size_t cache_mb = 0;
-  std::size_t max_connections = 256;
-  std::size_t idle_timeout_ms = 0;
-  std::size_t request_timeout_ms = 0;
-  compile::ServeOptions serve_options;
+  serve::ReloadableService::Options reload_options;
+  serve::TcpServerOptions server_options;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--store") {
       store_dir = flag_value(args, i);
     } else if (args[i] == "--threads") {
-      serve_options.num_threads =
+      server_options.num_threads =
           parse_size("--threads", flag_value(args, i));
     } else if (args[i] == "--socket") {
       socket_path = flag_value(args, i);
@@ -662,22 +663,24 @@ int run_serve(const std::vector<std::string>& args) {
     } else if (args[i] == "--metrics") {
       metrics_spec = flag_value(args, i);
     } else if (args[i] == "--access-log") {
-      access_log_path = flag_value(args, i);
+      reload_options.access_log = flag_value(args, i);
     } else if (args[i] == "--reload") {
       reload = true;
     } else if (args[i] == "--cache-mb") {
-      cache_mb = parse_size("--cache-mb", flag_value(args, i));
+      reload_options.cache_bytes =
+          parse_size("--cache-mb", flag_value(args, i)) << 20;
     } else if (args[i] == "--max-connections") {
-      max_connections = parse_size("--max-connections", flag_value(args, i));
-      if (max_connections == 0) {
+      server_options.max_connections =
+          parse_size("--max-connections", flag_value(args, i));
+      if (server_options.max_connections == 0) {
         throw UsageError("--max-connections must be at least 1");
       }
     } else if (args[i] == "--idle-timeout-ms") {
-      idle_timeout_ms =
-          parse_size("--idle-timeout-ms", flag_value(args, i));
+      server_options.idle_timeout = std::chrono::milliseconds(
+          parse_size("--idle-timeout-ms", flag_value(args, i)));
     } else if (args[i] == "--request-timeout-ms") {
-      request_timeout_ms =
-          parse_size("--request-timeout-ms", flag_value(args, i));
+      server_options.request_timeout = std::chrono::milliseconds(
+          parse_size("--request-timeout-ms", flag_value(args, i)));
     } else {
       throw UsageError("unknown argument '" + args[i] + "'");
     }
@@ -687,13 +690,6 @@ int run_serve(const std::vector<std::string>& args) {
   }
   if (!tcp_spec.empty() && !socket_path.empty()) {
     throw UsageError("--tcp and --socket are mutually exclusive");
-  }
-  if (!metrics_spec.empty() && tcp_spec.empty()) {
-    throw UsageError("--metrics needs --tcp (the sidecar rides the TCP "
-                     "event loop)");
-  }
-  if (!access_log_path.empty() && tcp_spec.empty()) {
-    throw UsageError("--access-log needs --tcp");
   }
   require_store_exists(store_dir);
 
@@ -714,110 +710,93 @@ int run_serve(const std::vector<std::string>& args) {
     return {spec.substr(0, colon), static_cast<std::uint16_t>(port)};
   };
 
+  // One server for every transport: --tcp listens on IPv4, --socket on
+  // a unix socket file, and otherwise stdin/stdout is the one
+  // connection (no listener at all).
   if (!tcp_spec.empty()) {
-    const auto [host, port] = parse_host_port("--tcp", tcp_spec);
+    std::tie(server_options.host, server_options.port) =
+        parse_host_port("--tcp", tcp_spec);
+  } else {
+    server_options.host.clear();
+    server_options.unix_path = socket_path;
+  }
+  if (!metrics_spec.empty()) {
+    server_options.metrics_enabled = true;
+    std::tie(server_options.metrics_host, server_options.metrics_port) =
+        parse_host_port("--metrics", metrics_spec);
+  }
 
-    // The TCP tier always serves through a ReloadableService: request
-    // counters, the store generation, and the (possibly zero-byte)
-    // payload cache live there, and the `reload` protocol op works even
-    // without the background watcher. --reload additionally starts the
-    // index.tsv poller for automatic swaps.
-    serve::ReloadableService::Options reload_options;
-    reload_options.cache_bytes = cache_mb << 20;
-    reload_options.num_threads = serve_options.num_threads;
-    reload_options.access_log = access_log_path;
-    serve::ReloadableService reloadable(store_dir, reload_options);
-    if (reload) {
-      reloadable.start_watcher();
-    }
-
-    serve::TcpServerOptions tcp_options;
-    tcp_options.host = host;
-    tcp_options.port = port;
-    tcp_options.num_threads = serve_options.num_threads;
-    tcp_options.max_connections = max_connections;
-    tcp_options.idle_timeout = std::chrono::milliseconds(idle_timeout_ms);
-    tcp_options.request_timeout =
-        std::chrono::milliseconds(request_timeout_ms);
-    if (!metrics_spec.empty()) {
-      const auto [metrics_host, metrics_port] =
-          parse_host_port("--metrics", metrics_spec);
-      tcp_options.metrics_enabled = true;
-      tcp_options.metrics_host = metrics_host;
-      tcp_options.metrics_port = metrics_port;
-    }
-    serve::TcpServer server([&] { return reloadable.service(); },
-                            tcp_options);
-    server.start();
+  // The `reload` op works without --reload, which only adds the
+  // index.tsv watcher.
+  serve::ReloadableService reloadable(store_dir, reload_options);
+  if (reload) {
+    reloadable.start_watcher();
+  }
+  serve::TcpServer server([&] { return reloadable.service(); },
+                          server_options);
+  std::optional<serve::StdioBridge> stdio;
+  if (tcp_spec.empty() && socket_path.empty()) {
+    stdio.emplace(server, /*in_fd=*/0, /*out_fd=*/1);
+  }
+  server.start();
 #ifndef _WIN32
-    if (::pipe(g_shutdown_pipe) != 0) {
-      throw std::runtime_error("serve: cannot create shutdown pipe");
+  if (::pipe(g_shutdown_pipe) != 0) {
+    throw std::runtime_error("serve: cannot create shutdown pipe");
+  }
+  struct sigaction shutdown_action {};
+  shutdown_action.sa_handler = &handle_shutdown_signal;
+  ::sigemptyset(&shutdown_action.sa_mask);
+  ::sigaction(SIGTERM, &shutdown_action, nullptr);
+  ::sigaction(SIGINT, &shutdown_action, nullptr);
+  std::thread shutdown_waiter([&server] {
+    char byte = 0;
+    while (::read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
     }
-    struct sigaction shutdown_action {};
-    shutdown_action.sa_handler = &handle_shutdown_signal;
-    ::sigemptyset(&shutdown_action.sa_mask);
-    ::sigaction(SIGTERM, &shutdown_action, nullptr);
-    ::sigaction(SIGINT, &shutdown_action, nullptr);
-    std::thread shutdown_waiter([&server] {
-      char byte = 0;
-      while (::read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-      }
+    if (byte != 0) {
       std::fprintf(stderr, "ftsp-serve: shutdown signal received; draining "
                            "in-flight requests\n");
-      server.stop();
-    });
+    }
+    server.stop();
+  });
 #endif
-    std::fprintf(stderr,
-                 "serving %zu protocol(s) from %s on %s:%u (reload=%s, "
-                 "cache=%zuMB)\n",
-                 reloadable.service()->size(), store_dir.c_str(),
-                 tcp_options.host.c_str(), server.port(),
-                 reload ? "on" : "off", cache_mb);
-    if (tcp_options.metrics_enabled) {
-      std::fprintf(stderr, "metrics on http://%s:%u/metrics\n",
-                   tcp_options.metrics_host.c_str(), server.metrics_port());
-    }
-    if (!access_log_path.empty()) {
-      std::fprintf(stderr, "access log: %s\n", access_log_path.c_str());
-    }
-    server.wait();
+  const std::string endpoint =
+      !tcp_spec.empty()
+          ? server_options.host + ":" + std::to_string(server.port())
+          : socket_path.empty() ? "stdin/stdout" : socket_path;
+  std::fprintf(stderr,
+               "serving %zu protocol(s) from %s on %s (reload=%s, "
+               "cache=%zuMB)\n",
+               reloadable.service()->size(), store_dir.c_str(),
+               endpoint.c_str(), reload ? "on" : "off",
+               reload_options.cache_bytes >> 20);
+  if (server_options.metrics_enabled) {
+    std::fprintf(stderr, "metrics on http://%s:%u/metrics\n",
+                 server_options.metrics_host.c_str(), server.metrics_port());
+  }
+  if (!reload_options.access_log.empty()) {
+    std::fprintf(stderr, "access log: %s\n",
+                 reload_options.access_log.c_str());
+  }
+  server.wait();
 #ifndef _WIN32
-    // wait() can also return on a fatal event-loop error: poke the pipe
-    // so the waiter always wakes, join it, then restore default signal
-    // dispositions for the rest of the process.
-    handle_shutdown_signal(0);
-    shutdown_waiter.join();
-    std::signal(SIGTERM, SIG_DFL);
-    std::signal(SIGINT, SIG_DFL);
-    ::close(g_shutdown_pipe[0]);
-    ::close(g_shutdown_pipe[1]);
-    g_shutdown_pipe[0] = g_shutdown_pipe[1] = -1;
+  // wait() also returns when stdin is answered in full or on a fatal
+  // event-loop error: wake the waiter quietly (a zero byte), join it,
+  // then restore default signal dispositions for the rest of the
+  // process.
+  const char quiet = 0;
+  [[maybe_unused]] const ssize_t n = ::write(g_shutdown_pipe[1], &quiet, 1);
+  shutdown_waiter.join();
+  std::signal(SIGTERM, SIG_DFL);
+  std::signal(SIGINT, SIG_DFL);
+  ::close(g_shutdown_pipe[0]);
+  ::close(g_shutdown_pipe[1]);
+  g_shutdown_pipe[0] = g_shutdown_pipe[1] = -1;
 #endif
-    if (reloadable.access_log() != nullptr) {
-      reloadable.access_log()->flush();
-    }
-    std::fprintf(stderr, "ftsp-serve: drained; exiting cleanly\n");
-    return 0;
+  stdio.reset();
+  if (reloadable.access_log() != nullptr) {
+    reloadable.access_log()->flush();
   }
-
-  if (reload) {
-    throw UsageError("--reload needs --tcp (stdin/socket serving loads "
-                     "the store once)");
-  }
-  compile::ArtifactStore store(store_dir);
-  compile::ProtocolService service;
-  if (cache_mb != 0) {
-    service.set_payload_cache(
-        std::make_shared<serve::PayloadCache>(cache_mb << 20));
-  }
-  const std::size_t loaded = service.load_store(store);
-  std::fprintf(stderr, "serving %zu protocol(s) from %s\n", loaded,
-               store_dir.c_str());
-  if (!socket_path.empty()) {
-    compile::serve_socket(service, socket_path, serve_options);
-  } else {
-    compile::serve_lines(service, std::cin, std::cout, serve_options);
-  }
+  std::fprintf(stderr, "ftsp-serve: drained; exiting cleanly\n");
   return 0;
 }
 

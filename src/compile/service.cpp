@@ -1,18 +1,11 @@
 #include "compile/service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <functional>
-#include <istream>
 #include <mutex>
-#include <ostream>
-#include <sstream>
-#include <thread>
 
 #include "compile/format.hpp"
 #include "compile/json.hpp"
@@ -25,12 +18,6 @@
 #include "serve/access_log.hpp"
 #include "serve/cache.hpp"
 #include "serve/wire.hpp"
-
-#ifndef _WIN32
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
 
 namespace ftsp::compile {
 
@@ -913,272 +900,5 @@ std::string ProtocolService::handle_request(
   }
   return response;
 }
-
-namespace {
-
-/// Shared engine of both servers: a worker pool computing responses
-/// concurrently while a writer thread emits them strictly in submission
-/// order — output is deterministic for a given request sequence at any
-/// thread count, mirroring the sampler's shard contract.
-class OrderedRequestPipeline {
- public:
-  /// Backpressure bound: submit() blocks once this many requests are in
-  /// flight (queued, computing, or awaiting ordered write-out), so a
-  /// client that streams requests without draining responses stalls its
-  /// own reader instead of growing server memory without bound.
-  static constexpr std::size_t kMaxBacklog = 1024;
-
-  OrderedRequestPipeline(const ProtocolService& service, std::size_t threads,
-                         std::function<void(const std::string&)> write)
-      : service_(service), write_(std::move(write)) {
-    if (threads == 0) {
-      threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
-    pool_.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool_.emplace_back([this] { work(); });
-    }
-    writer_ = std::thread([this] { drain(); });
-  }
-
-  ~OrderedRequestPipeline() { finish(); }
-
-  void submit(std::string line) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      backlog_free_.wait(lock, [&] {
-        return submitted_ - next_to_write_ < kMaxBacklog;
-      });
-      pending_.emplace_back(submitted_++, std::move(line));
-    }
-    work_ready_.notify_one();
-  }
-
-  /// Stops accepting work, waits until every submitted request has been
-  /// computed and written, and joins all threads. Idempotent.
-  void finish() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (done_) {
-        return;
-      }
-      done_ = true;
-    }
-    work_ready_.notify_all();
-    for (auto& thread : pool_) {
-      thread.join();
-    }
-    result_ready_.notify_all();
-    writer_.join();
-  }
-
-  std::size_t submitted() const { return submitted_; }
-
- private:
-  void work() {
-    for (;;) {
-      std::pair<std::size_t, std::string> job;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_ready_.wait(lock, [&] { return !pending_.empty() || done_; });
-        if (pending_.empty()) {
-          return;
-        }
-        job = std::move(pending_.front());
-        pending_.pop_front();
-        ++in_flight_;
-      }
-      std::string response = service_.handle_request(job.second);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        completed_.emplace(job.first, std::move(response));
-        --in_flight_;
-      }
-      result_ready_.notify_one();
-    }
-  }
-
-  void drain() {
-    for (;;) {
-      std::string response;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        result_ready_.wait(lock, [&] {
-          return completed_.count(next_to_write_) != 0 ||
-                 (done_ && pending_.empty() && in_flight_ == 0 &&
-                  completed_.empty());
-        });
-        const auto it = completed_.find(next_to_write_);
-        if (it == completed_.end()) {
-          return;  // Fully drained after finish().
-        }
-        response = std::move(it->second);
-        completed_.erase(it);
-        ++next_to_write_;
-      }
-      backlog_free_.notify_one();
-      write_(response);
-    }
-  }
-
-  const ProtocolService& service_;
-  std::function<void(const std::string&)> write_;
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable result_ready_;
-  std::condition_variable backlog_free_;
-  std::deque<std::pair<std::size_t, std::string>> pending_;
-  std::map<std::size_t, std::string> completed_;
-  std::size_t in_flight_ = 0;
-  std::size_t submitted_ = 0;
-  std::size_t next_to_write_ = 0;
-  bool done_ = false;
-  std::vector<std::thread> pool_;
-  std::thread writer_;
-};
-
-}  // namespace
-
-std::size_t serve_lines(const ProtocolService& service, std::istream& in,
-                        std::ostream& out, const ServeOptions& options) {
-  OrderedRequestPipeline pipeline(
-      service, options.num_threads,
-      [&out](const std::string& response) {
-        out << response << '\n' << std::flush;
-      });
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) {
-      pipeline.submit(std::move(line));
-      line.clear();
-    }
-  }
-  pipeline.finish();
-  return pipeline.submitted();
-}
-
-#ifndef _WIN32
-
-std::size_t serve_socket(const ProtocolService& service,
-                         const std::string& socket_path,
-                         const ServeOptions& options,
-                         std::size_t max_connections) {
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) {
-    throw std::runtime_error("serve_socket: socket() failed");
-  }
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(address.sun_path)) {
-    ::close(listener);
-    throw std::runtime_error("serve_socket: path too long");
-  }
-  socket_path.copy(address.sun_path, socket_path.size());
-  ::unlink(socket_path.c_str());
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&address),
-             sizeof(address)) != 0 ||
-      ::listen(listener, 64) != 0) {
-    ::close(listener);
-    throw std::runtime_error("serve_socket: cannot bind " + socket_path);
-  }
-
-  // Connection threads carry a done flag so the accept loop can reap
-  // finished ones as it goes — a long-lived server does not accumulate
-  // one zombie thread handle per connection ever served.
-  struct Connection {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<Connection> connections;
-  const auto reap = [&connections](bool all) {
-    for (auto it = connections.begin(); it != connections.end();) {
-      if (all || it->done->load()) {
-        it->thread.join();
-        it = connections.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  std::size_t handled = 0;
-  while (max_connections == 0 || handled < max_connections) {
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) {
-      break;
-    }
-    ++handled;
-    reap(/*all=*/false);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    Connection connection;
-    connection.done = done;
-    connection.thread = std::thread([&service, &options, fd, done] {
-      // Per-connection ordered pipeline: requests on one connection are
-      // answered concurrently (options.num_threads workers) but written
-      // back in arrival order.
-      OrderedRequestPipeline pipeline(
-          service, options.num_threads, [fd](const std::string& response) {
-            // MSG_NOSIGNAL: a peer that closed before reading must
-            // surface as EPIPE here (handled), not as a SIGPIPE that
-            // kills the whole server and every other connection.
-#ifdef MSG_NOSIGNAL
-            constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-            constexpr int kSendFlags = 0;
-#endif
-            std::string framed = response;
-            framed += '\n';
-            std::size_t written = 0;
-            while (written < framed.size()) {
-              const auto sent = ::send(fd, framed.data() + written,
-                                       framed.size() - written, kSendFlags);
-              if (sent <= 0) {
-                return;  // Peer went away; drop remaining output.
-              }
-              written += static_cast<std::size_t>(sent);
-            }
-          });
-      std::string buffer;
-      char chunk[4096];
-      for (;;) {
-        const auto got = ::read(fd, chunk, sizeof(chunk));
-        if (got <= 0) {
-          break;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(got));
-        std::size_t start = 0;
-        for (;;) {
-          const auto newline = buffer.find('\n', start);
-          if (newline == std::string::npos) {
-            break;
-          }
-          std::string line = buffer.substr(start, newline - start);
-          start = newline + 1;
-          if (!line.empty()) {
-            pipeline.submit(std::move(line));
-          }
-        }
-        buffer.erase(0, start);
-      }
-      pipeline.finish();
-      ::close(fd);
-      done->store(true);
-    });
-    connections.push_back(std::move(connection));
-  }
-  reap(/*all=*/true);
-  ::close(listener);
-  ::unlink(socket_path.c_str());
-  return handled;
-}
-
-#else
-
-std::size_t serve_socket(const ProtocolService&, const std::string&,
-                         const ServeOptions&, std::size_t) {
-  throw std::runtime_error("serve_socket: not supported on this platform");
-}
-
-#endif
 
 }  // namespace ftsp::compile

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,7 +66,7 @@ class ProtocolService {
     std::atomic<std::uint64_t> rejected{0};
     /// Set by the serve tier (see serve::ReloadableService): performs a
     /// synchronous store re-scan + swap and returns the new generation.
-    /// Null means the `reload` op is unsupported (batch/one-shot use).
+    /// Null means the `reload` op is unsupported (one-shot `query` use).
     /// Read and written under `hook_mutex` (the handler copies it out
     /// before invoking).
     std::function<std::uint64_t()> reload_hook;
@@ -215,29 +214,5 @@ class ProtocolService {
   std::uint64_t generation_ = 1;
   ArtifactStore::RecoveryReport store_recovery_;
 };
-
-struct ServeOptions {
-  /// Worker threads for the request loop; 0 = hardware concurrency.
-  std::size_t num_threads = 0;
-};
-
-/// Multi-threaded batch-request loop over newline-delimited JSON:
-/// requests are read from `in`, dispatched to a worker pool, and the
-/// responses written to `out` in request order (deterministic output
-/// for a given input stream regardless of thread count). Returns the
-/// number of requests served.
-std::size_t serve_lines(const ProtocolService& service, std::istream& in,
-                        std::ostream& out, const ServeOptions& options = {});
-
-/// Unix-domain-socket server: binds `socket_path` (unlinking a stale
-/// file first) and serves each connection with the line protocol above,
-/// one thread per connection, until the process is terminated or
-/// `max_connections` connections have been handled (0 = no limit —
-/// loop forever). Returns the number of connections handled, or throws
-/// std::runtime_error on socket errors.
-std::size_t serve_socket(const ProtocolService& service,
-                         const std::string& socket_path,
-                         const ServeOptions& options = {},
-                         std::size_t max_connections = 0);
 
 }  // namespace ftsp::compile

@@ -48,8 +48,6 @@ class ReloadableService {
     /// Serving-side payload-cache budget; 0 = coalescing only, no
     /// memoization.
     std::size_t cache_bytes = 0;
-    /// Batch-request worker threads per service (0 = hardware).
-    std::size_t num_threads = 0;
     /// JSONL access-log path; empty = no access log. The log object is
     /// shared across reload swaps (one file, one flusher thread).
     std::string access_log;

@@ -25,6 +25,8 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #ifdef __linux__
@@ -120,7 +122,10 @@ struct TcpServer::Impl {
   TcpServerOptions options;
   Stats* stats = nullptr;
 
-  int listener = -1;
+  int listener = -1;  ///< -1 when serving adopted connections only.
+  /// Identity of the unix socket file this server bound, so `stop()`
+  /// never unlinks a file that replaced it.
+  struct stat unix_socket_file {};
   int metrics_listener = -1;
   int wake_read = -1;
   int wake_write = -1;
@@ -165,48 +170,76 @@ struct TcpServer::Impl {
     }
   }
 
-  /// Binds one nonblocking IPv4 listener and returns {fd, bound port}.
-  static std::pair<int, std::uint16_t> bind_listener(const std::string& host,
-                                                     std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  /// Binds one nonblocking listener — AF_UNIX at `unix_path` when set,
+  /// else IPv4 on host:port — and returns {fd, bound IPv4 port}. A stale
+  /// socket file at `unix_path` is replaced; any other file there is
+  /// refused, so a mistyped path can never delete a user's file.
+  std::pair<int, std::uint16_t> bind_listener(
+      const std::string& host, std::uint16_t port,
+      const std::string& unix_path = {}) {
+    sockaddr_storage address{};
+    socklen_t size = sizeof(sockaddr_in);
+    auto& inet = reinterpret_cast<sockaddr_in&>(address);
+    if (!unix_path.empty()) {
+      auto& local = reinterpret_cast<sockaddr_un&>(address);
+      local.sun_family = AF_UNIX;
+      if (unix_path.size() >= sizeof(local.sun_path)) {
+        throw std::runtime_error("serve: socket path too long: " + unix_path);
+      }
+      unix_path.copy(local.sun_path, unix_path.size());
+      size = sizeof(sockaddr_un);
+      struct stat existing {};
+      if (::lstat(unix_path.c_str(), &existing) == 0) {
+        if (!S_ISSOCK(existing.st_mode)) {
+          throw std::runtime_error("serve: refusing to replace " +
+                                   unix_path + ": not a socket file");
+        }
+        ::unlink(unix_path.c_str());
+      }
+    } else {
+      inet.sin_family = AF_INET;
+      inet.sin_port = htons(port);
+      if (::inet_pton(AF_INET, host.c_str(), &inet.sin_addr) != 1) {
+        throw std::runtime_error("serve_tcp: bad IPv4 host '" + host + "'");
+      }
+    }
+    const int fd = ::socket(address.ss_family, SOCK_STREAM, 0);
     if (fd < 0) {
-      throw std::runtime_error("serve_tcp: socket() failed");
+      throw std::runtime_error("serve: socket() failed");
     }
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &address.sin_addr) != 1) {
+    auto* generic = reinterpret_cast<sockaddr*>(&address);
+    if (::bind(fd, generic, size) != 0 || ::listen(fd, 128) != 0 ||
+        ::getsockname(fd, generic, &size) != 0 ||
+        (!unix_path.empty() &&
+         ::lstat(unix_path.c_str(), &unix_socket_file) != 0)) {
       ::close(fd);
-      throw std::runtime_error("serve_tcp: bad IPv4 host '" + host + "'");
-    }
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
-               sizeof(address)) != 0) {
-      ::close(fd);
-      throw std::runtime_error("serve_tcp: cannot bind " + host + ":" +
-                               std::to_string(port));
-    }
-    if (::listen(fd, 128) != 0) {
-      ::close(fd);
-      throw std::runtime_error("serve_tcp: listen() failed");
+      throw std::runtime_error(
+          "serve: cannot bind " +
+          (unix_path.empty() ? host + ":" + std::to_string(port) : unix_path));
     }
     set_nonblocking(fd);
-
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-        0) {
-      ::close(fd);
-      throw std::runtime_error("serve_tcp: getsockname() failed");
-    }
-    return {fd, ntohs(bound.sin_port)};
+    return {fd, unix_path.empty() ? ntohs(inet.sin_port) : std::uint16_t{0}};
   }
 
-  /// Returns {request port, metrics port} (metrics port 0 = disabled).
+  void unlink_own_socket_file() {
+    struct stat current {};
+    if (!options.unix_path.empty() &&
+        ::lstat(options.unix_path.c_str(), &current) == 0 &&
+        current.st_dev == unix_socket_file.st_dev &&
+        current.st_ino == unix_socket_file.st_ino) {
+      ::unlink(options.unix_path.c_str());
+    }
+  }
+
+  /// Returns {request port, metrics port} (0 = no such IPv4 listener).
   std::pair<std::uint16_t, std::uint16_t> bind_and_listen() {
     std::uint16_t bound_port = 0;
-    std::tie(listener, bound_port) = bind_listener(options.host, options.port);
+    if (!options.unix_path.empty() || !options.host.empty()) {
+      std::tie(listener, bound_port) =
+          bind_listener(options.host, options.port, options.unix_path);
+    }
     std::uint16_t bound_metrics_port = 0;
     if (options.metrics_enabled) {
       std::tie(metrics_listener, bound_metrics_port) =
@@ -222,7 +255,9 @@ struct TcpServer::Impl {
     if (epoll_fd < 0) {
       throw std::runtime_error("serve_tcp: epoll_create1() failed");
     }
-    epoll_add(listener, kListenerId, /*read=*/true, /*write=*/false);
+    if (listener >= 0) {
+      epoll_add(listener, kListenerId, /*read=*/true, /*write=*/false);
+    }
     if (metrics_listener >= 0) {
       epoll_add(metrics_listener, kMetricsListenerId, /*read=*/true,
                 /*write=*/false);
@@ -296,8 +331,10 @@ struct TcpServer::Impl {
 #else
     std::vector<pollfd> fds;
     std::vector<std::uint64_t> ids;
-    fds.push_back({listener, POLLIN, 0});
-    ids.push_back(kListenerId);
+    if (listener >= 0) {
+      fds.push_back({listener, POLLIN, 0});
+      ids.push_back(kListenerId);
+    }
     if (metrics_listener >= 0) {
       fds.push_back({metrics_listener, POLLIN, 0});
       ids.push_back(kMetricsListenerId);
@@ -394,9 +431,12 @@ struct TcpServer::Impl {
   // Event-loop helpers
   // -------------------------------------------------------------------
 
-  void accept_ready() {
+  /// Accepts every pending connection on the request listener, or on
+  /// the metrics listener when `metrics`.
+  void accept_ready(bool metrics) {
     for (;;) {
-      const int fd = ::accept(listener, nullptr, nullptr);
+      const int fd = ::accept(metrics ? metrics_listener : listener,
+                              nullptr, nullptr);
       if (fd < 0) {
         return;  // EAGAIN (or transient error): back to the loop.
       }
@@ -404,7 +444,7 @@ struct TcpServer::Impl {
       // accepted connection, simulating fd exhaustion / transient accept
       // errors. (Delays are applied too, but keep them short — this is
       // the event-loop thread.)
-      if (util::fault::hit("serve.accept").fail) {
+      if (!metrics && util::fault::hit("serve.accept").fail) {
         ::close(fd);
         continue;
       }
@@ -413,63 +453,39 @@ struct TcpServer::Impl {
         // — a silent RST is indistinguishable from a network fault.
         stats->rejected_overloaded.fetch_add(1);
         count_connection_event("serve.conn.reject.count");
-        const std::string line = control_error_line(
-            error_code::kOverloaded,
-            "connection limit reached (" +
-                std::to_string(options.max_connections) + ")");
+        const std::string reply =
+            metrics ? "HTTP/1.0 503 Service Unavailable\r\n"
+                      "Content-Length: 0\r\nConnection: close\r\n\r\n"
+                    : control_error_line(
+                          error_code::kOverloaded,
+                          "connection limit reached (" +
+                              std::to_string(options.max_connections) + ")");
         [[maybe_unused]] const auto n =
-            ::send(fd, line.data(), line.size(), kSendFlags);
+            ::send(fd, reply.data(), reply.size(), kSendFlags);
         ::close(fd);
         continue;
       }
-      set_nonblocking(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      stats->accepted.fetch_add(1);
-      count_connection_event("serve.conn.accept.count");
-      const std::uint64_t id = next_conn_id++;
-      Connection conn;
-      conn.fd = fd;
-      conn.last_activity = std::chrono::steady_clock::now();
-#ifdef __linux__
-      epoll_add(fd, id, /*read=*/true, /*write=*/false);
-#endif
-      conns.emplace(id, std::move(conn));
+      if (metrics || options.unix_path.empty()) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
+      add_connection(fd, metrics);
     }
   }
 
-  void accept_metrics_ready() {
-    for (;;) {
-      const int fd = ::accept(metrics_listener, nullptr, nullptr);
-      if (fd < 0) {
-        return;  // EAGAIN (or transient error): back to the loop.
-      }
-      if (conns.size() >= options.max_connections) {
-        stats->rejected_overloaded.fetch_add(1);
-        count_connection_event("serve.conn.reject.count");
-        static constexpr char k503[] =
-            "HTTP/1.0 503 Service Unavailable\r\n"
-            "Content-Length: 0\r\nConnection: close\r\n\r\n";
-        [[maybe_unused]] const auto n =
-            ::send(fd, k503, sizeof(k503) - 1, kSendFlags);
-        ::close(fd);
-        continue;
-      }
-      set_nonblocking(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      stats->accepted.fetch_add(1);
-      count_connection_event("serve.conn.accept.count");
-      const std::uint64_t id = next_conn_id++;
-      Connection conn;
-      conn.fd = fd;
-      conn.metrics = true;
-      conn.last_activity = std::chrono::steady_clock::now();
+  void add_connection(int fd, bool metrics) {
+    set_nonblocking(fd);
+    stats->accepted.fetch_add(1);
+    count_connection_event("serve.conn.accept.count");
+    const std::uint64_t id = next_conn_id++;
+    Connection conn;
+    conn.fd = fd;
+    conn.metrics = metrics;
+    conn.last_activity = std::chrono::steady_clock::now();
 #ifdef __linux__
-      epoll_add(fd, id, /*read=*/true, /*write=*/false);
+    epoll_add(fd, id, /*read=*/true, /*write=*/false);
 #endif
-      conns.emplace(id, std::move(conn));
-    }
+    conns.emplace(id, std::move(conn));
   }
 
   /// Reads the (ignored) HTTP request off a metrics connection, then
@@ -518,13 +534,23 @@ struct TcpServer::Impl {
     }
   }
 
+  /// Input backpressure: a connection takes new request lines only
+  /// while its pipeline is short and its unsent responses stay under
+  /// half the output cap, so a slow reader stalls its own requests
+  /// instead of being closed at `max_output_bytes`.
+  bool has_capacity(const Connection& conn) const {
+    return conn.inflight < options.max_inflight_per_connection &&
+           conn.out.size() < options.max_output_bytes / 2;
+  }
+
   /// Parses complete lines out of `conn.in` and queues them as compute
-  /// tasks. Returns false when the connection violated the protocol
-  /// (oversized line) and must die.
+  /// tasks while the connection has capacity; the rest wait in `conn.in`
+  /// for `update_connection_states`. Returns false when the connection
+  /// violated the protocol (oversized line) and must die.
   bool queue_lines(std::uint64_t id, Connection& conn) {
     std::size_t start = 0;
     std::size_t queued = 0;
-    for (;;) {
+    while (has_capacity(conn)) {
       const auto newline = conn.in.find('\n', start);
       if (newline == std::string::npos) {
         break;
@@ -547,7 +573,9 @@ struct TcpServer::Impl {
       ++queued;
     }
     conn.in.erase(0, start);
-    if (conn.in.size() > options.max_line_bytes) {
+    // With capacity left every complete line was taken: `in` holds one
+    // partial line.
+    if (has_capacity(conn) && conn.in.size() > options.max_line_bytes) {
       std::fprintf(stderr,
                    "ftsp-serve: closing connection %llu: request line "
                    "exceeds %zu bytes\n",
@@ -565,7 +593,7 @@ struct TcpServer::Impl {
 
   void read_ready(std::uint64_t id, Connection& conn) {
     char chunk[16384];
-    for (;;) {
+    while (has_capacity(conn)) {
       const auto got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
       if (got > 0) {
         conn.last_activity = std::chrono::steady_clock::now();
@@ -586,6 +614,7 @@ struct TcpServer::Impl {
       conn.dead = true;  // Hard error (ECONNRESET, ...): nothing left
       return;            // to drain to this peer.
     }
+    // Out of capacity: the kernel buffers the rest until we resume.
   }
 
   /// Pushes `conn.out` into the kernel until it blocks. Returns false
@@ -634,9 +663,10 @@ struct TcpServer::Impl {
     }
   }
 
-  /// Recomputes per-connection readiness interest and enforces the
-  /// output-overflow and drained-EOF close conditions.
-  void update_connection_states() {
+  /// Recomputes per-connection readiness interest, resumes lines held
+  /// back by backpressure, and enforces the output-overflow and
+  /// drained-EOF close conditions.
+  void update_connection_states(bool draining) {
     for (auto& [id, conn] : conns) {
       if (conn.dead) {
         continue;
@@ -655,15 +685,17 @@ struct TcpServer::Impl {
         conn.dead = true;
         continue;
       }
+      if (!draining && !conn.metrics && has_capacity(conn) &&
+          conn.in.find('\n') != std::string::npos && !queue_lines(id, conn)) {
+        conn.dead = true;
+        continue;
+      }
       if (conn.eof && conn.inflight == 0 && conn.ready.empty() &&
           conn.out.empty()) {
         conn.dead = true;  // Fully drained after peer half-close.
         continue;
       }
-      // Input backpressure: stop reading while this connection has a
-      // full pipeline; resume as responses drain.
-      const bool read = !conn.eof &&
-                        conn.inflight < options.max_inflight_per_connection;
+      const bool read = !draining && !conn.eof && has_capacity(conn);
       set_interest(id, conn, read, !conn.out.empty());
     }
   }
@@ -713,13 +745,13 @@ struct TcpServer::Impl {
         }
         if (event.id == kListenerId) {
           if (!draining) {
-            accept_ready();
+            accept_ready(/*metrics=*/false);
           }
           continue;
         }
         if (event.id == kMetricsListenerId) {
           if (!draining) {
-            accept_metrics_ready();
+            accept_ready(/*metrics=*/true);
           }
           continue;
         }
@@ -740,16 +772,10 @@ struct TcpServer::Impl {
       apply_completions();
       close_idle();
 
-      if (!draining && is_stopping()) {
-        // Graceful drain: no new connections, no new request lines —
-        // existing in-flight work runs to completion and flushes.
-        draining = true;
-        for (auto& [id, conn] : conns) {
-          set_interest(id, conn, /*read=*/false, !conn.out.empty());
-        }
-      }
-
-      update_connection_states();
+      // Graceful drain: no new connections, no new request lines —
+      // existing in-flight work runs to completion and flushes.
+      draining = draining || is_stopping();
+      update_connection_states(draining);
       reap_dead();
 
       if (draining) {
@@ -791,6 +817,14 @@ TcpServer::TcpServer(ServiceSnapshotFn service, TcpServerOptions options)
 
 TcpServer::~TcpServer() { stop(); }
 
+void TcpServer::adopt(int fd) {
+  if (impl_->started) {
+    ::close(fd);
+    throw std::logic_error("serve_tcp: adopt() after start()");
+  }
+  impl_->add_connection(fd, /*metrics=*/false);
+}
+
 void TcpServer::start() {
   if (impl_->started) {
     return;
@@ -826,7 +860,14 @@ void TcpServer::stop() {
     for (auto& worker : impl_->workers) {
       worker.join();
     }
+  } else {
+    // Never served: close adopted connections so their peers see EOF.
+    for (auto& [id, conn] : impl_->conns) {
+      conn.dead = true;
+    }
+    impl_->reap_dead();
   }
+  impl_->unlink_own_socket_file();
   {
     std::lock_guard<std::mutex> lock(impl_->stop_mutex);
     impl_->stopped = true;
@@ -837,6 +878,94 @@ void TcpServer::stop() {
 void TcpServer::wait() {
   std::unique_lock<std::mutex> lock(impl_->stop_mutex);
   impl_->stop_cv.wait(lock, [&] { return impl_->stopped; });
+}
+
+namespace {
+
+/// Writes all of `data` to `fd` (a socket when `socket`); false once
+/// the other side is gone.
+bool write_all(int fd, const char* data, std::size_t size, bool socket) {
+  while (size > 0) {
+    const auto n = socket ? ::send(fd, data, size, kSendFlags)
+                          : ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
+StdioBridge::StdioBridge(TcpServer& server, int in_fd, int out_fd)
+    : server_(server) {
+  int ends[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, ends) != 0) {
+    throw std::runtime_error("serve_stdio: socketpair() failed");
+  }
+  socket_ = ends[0];
+  try {
+    server.adopt(ends[1]);
+  } catch (...) {
+    ::close(socket_);
+    throw;
+  }
+  // in_fd -> server. poll() also watches the socket so the pump quits
+  // when the server closes its end (stop() drained it) even while in_fd
+  // is a terminal with nothing to read.
+  input_ = std::thread([this, in_fd] {
+    char chunk[16384];
+    for (;;) {
+      pollfd watch[2] = {{in_fd, POLLIN, 0}, {socket_, 0, 0}};
+      if ((::poll(watch, 2, -1) < 0 && errno != EINTR) ||
+          watch[1].revents != 0) {
+        break;
+      }
+      if (watch[0].revents == 0) {
+        continue;  // EINTR.
+      }
+      const auto got = ::read(in_fd, chunk, sizeof(chunk));
+      if (got <= 0 ||
+          !write_all(socket_, chunk, static_cast<std::size_t>(got), true)) {
+        break;
+      }
+    }
+    // Half-close: the server answers everything already sent, then
+    // closes its end.
+    ::shutdown(socket_, SHUT_WR);
+  });
+  // server -> out_fd, until the server closes its end. A failed write
+  // (out_fd gone) shuts the socket both ways so the server drops the
+  // connection instead of waiting on a reader that never comes.
+  output_ = std::thread([this, out_fd] {
+    char chunk[16384];
+    for (;;) {
+      const auto got = ::recv(socket_, chunk, sizeof(chunk), 0);
+      if (got < 0 && errno == EINTR) {
+        continue;
+      }
+      if (got <= 0) {
+        break;
+      }
+      if (!write_all(out_fd, chunk, static_cast<std::size_t>(got), false)) {
+        ::shutdown(socket_, SHUT_RDWR);
+        break;
+      }
+    }
+    server_.stop();
+  });
+}
+
+StdioBridge::~StdioBridge() {
+  server_.stop();  // Drains a running server; closes an unstarted one.
+  input_.join();
+  output_.join();
+  ::close(socket_);
 }
 
 }  // namespace ftsp::serve
@@ -851,9 +980,15 @@ TcpServer::TcpServer(ServiceSnapshotFn, TcpServerOptions) {
   throw std::runtime_error("serve_tcp: not supported on this platform");
 }
 TcpServer::~TcpServer() = default;
+void TcpServer::adopt(int) {}
 void TcpServer::start() {}
 void TcpServer::stop() {}
 void TcpServer::wait() {}
+
+StdioBridge::StdioBridge(TcpServer& server, int, int) : server_(server) {
+  throw std::runtime_error("serve_stdio: not supported on this platform");
+}
+StdioBridge::~StdioBridge() = default;
 
 }  // namespace ftsp::serve
 

@@ -13,9 +13,17 @@
 namespace ftsp::serve {
 
 struct TcpServerOptions {
+  /// IPv4 listener address. Empty = no request listener at all: the
+  /// server then answers only connections handed to it by `adopt()`
+  /// (see StdioBridge).
   std::string host = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port; read back via `port()`.
   std::uint16_t port = 0;
+  /// When set, the request listener is an AF_UNIX socket at this path
+  /// instead of IPv4 (`host`/`port` are ignored). A stale socket file
+  /// there is replaced; any other file is refused. The server unlinks
+  /// its own socket file on `stop()`.
+  std::string unix_path;
   /// Accepted-connection cap. A connection beyond the cap receives one
   /// v2 `overloaded` error line and is closed immediately.
   std::size_t max_connections = 256;
@@ -30,8 +38,9 @@ struct TcpServerOptions {
   /// cooperatively cancels mid-estimate, freeing its worker. 0 disables;
   /// a v2 request's `deadline_ms` field can tighten (never extend) it.
   std::chrono::milliseconds request_timeout{0};
-  /// Backpressure, output side: a connection whose un-flushed response
-  /// bytes exceed this (client not reading) is closed loudly.
+  /// Backpressure, output side: reading from a connection pauses while
+  /// its un-flushed response bytes exceed half of this; a connection
+  /// whose pending bytes still exceed all of it is closed loudly.
   std::size_t max_output_bytes = 8u << 20;
   /// A single request line longer than this is rejected (connection
   /// closed) — bounds per-connection input memory.
@@ -52,13 +61,13 @@ struct TcpServerOptions {
   std::uint16_t metrics_port = 0;
 };
 
-/// Multi-client TCP front-end for the line protocol: one event-loop
-/// thread multiplexing every connection via epoll (Linux; poll(2)
-/// elsewhere), plus a pool of compute workers.
+/// The request server for the line protocol, on every transport: an
+/// IPv4 or unix-socket listener, or stdin/stdout through StdioBridge.
+/// One event-loop thread multiplexes every connection via epoll (Linux;
+/// poll(2) elsewhere), in front of a pool of compute workers.
 ///
 /// Responses to one connection are written in request arrival order
-/// (per-connection sequence numbers), matching the stdin and unix-
-/// socket servers' ordering contract, while requests from different
+/// (per-connection sequence numbers), while requests from different
 /// connections compute concurrently.
 ///
 /// The service is taken as a *snapshot provider* rather than a
@@ -86,11 +95,16 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// Actual bound port (resolves port 0 requests).
+  /// Actual bound port (resolves port 0 requests); 0 without an IPv4
+  /// request listener.
   std::uint16_t port() const { return port_; }
 
   /// Actual bound metrics-sidecar port; 0 when the sidecar is disabled.
   std::uint16_t metrics_port() const { return metrics_port_; }
+
+  /// Serves an already-connected stream socket as one more connection
+  /// (the server takes ownership of `fd`). Call before `start()`.
+  void adopt(int fd);
 
   /// Starts the event loop and worker threads (idempotent).
   void start();
@@ -114,6 +128,29 @@ class TcpServer {
   Stats stats_;
   std::uint16_t port_ = 0;
   std::uint16_t metrics_port_ = 0;
+};
+
+/// Serves newline-delimited requests read from `in_fd` and writes the
+/// responses, in request order, to `out_fd` (typically stdin/stdout).
+/// Any fd works, regular files included: the bridge adopts one end of a
+/// socketpair into `server` and pumps `in_fd` -> socket (half-closing
+/// at EOF) and socket -> `out_fd` on two threads. Once the server has
+/// answered everything and closed its end, the bridge calls
+/// `server.stop()`, so `server.wait()` returns. Construct before
+/// `server.start()`; destroy before `server`. Neither fd is closed.
+class StdioBridge {
+ public:
+  StdioBridge(TcpServer& server, int in_fd, int out_fd);
+  ~StdioBridge();
+
+  StdioBridge(const StdioBridge&) = delete;
+  StdioBridge& operator=(const StdioBridge&) = delete;
+
+ private:
+  TcpServer& server_;
+  int socket_ = -1;
+  std::thread input_;
+  std::thread output_;
 };
 
 }  // namespace ftsp::serve

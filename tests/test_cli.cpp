@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -22,9 +23,9 @@ struct CliResult {
   std::string output;  ///< Combined stdout + stderr.
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string command = std::string(FTSP_CLI_PATH) + " " + args +
-                              " 2>&1";
+/// Runs a shell command line, capturing its stdout + stderr.
+CliResult run_shell(const std::string& command_line) {
+  const std::string command = command_line + " 2>&1";
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) {
     ADD_FAILURE() << "popen failed for: " << command;
@@ -39,6 +40,20 @@ CliResult run_cli(const std::string& args) {
   const int status = ::pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CliResult run_cli(const std::string& args) {
+  return run_shell(std::string(FTSP_CLI_PATH) + " " + args);
+}
+
+/// Lines of `text` that start with '{' (JSON responses, not banners).
+std::size_t count_json_lines(const std::string& text) {
+  std::istringstream lines(text);
+  std::size_t count = 0;
+  for (std::string line; std::getline(lines, line);) {
+    count += !line.empty() && line.front() == '{';
+  }
+  return count;
 }
 
 struct TempDir {
@@ -187,6 +202,41 @@ TEST(Cli, DeviceTargetedCompileAndQuery) {
   EXPECT_EQ(malformed.exit_code, 0) << malformed.output;
   EXPECT_NE(malformed.output.find("\"ok\":false"), std::string::npos)
       << malformed.output;
+}
+
+TEST(Cli, ServeAnswersPipedStdinWithAccessLog) {
+  TempDir dir("serve-stdin");
+  const std::string store = (dir.path / "store").string();
+  const auto compiled = run_cli("compile Steane --store " + store);
+  ASSERT_EQ(compiled.exit_code, 0) << compiled.output;
+  constexpr std::size_t kRequests = 5;
+  const fs::path requests = dir.path / "requests.jsonl";
+  {
+    std::ofstream out(requests);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      out << R"({"id":)" << i << R"(,"v":2,"op":"health"})" << '\n';
+    }
+  }
+  const fs::path log = dir.path / "access.jsonl";
+  const auto piped = run_shell("cat " + requests.string() + " | " +
+                               FTSP_CLI_PATH + " serve --store " + store +
+                               " --access-log " + log.string());
+  EXPECT_EQ(piped.exit_code, 0) << piped.output;
+  EXPECT_EQ(count_json_lines(piped.output), kRequests) << piped.output;
+  std::ifstream access(log);
+  std::size_t logged = 0;
+  for (std::string line; std::getline(access, line);) {
+    ++logged;
+  }
+  EXPECT_EQ(logged, kRequests);
+
+  // A regular file on stdin works too (epoll cannot watch one, so this
+  // exercises the bridge's pump).
+  const auto redirected =
+      run_cli("serve --store " + store + " < " + requests.string());
+  EXPECT_EQ(redirected.exit_code, 0) << redirected.output;
+  EXPECT_EQ(count_json_lines(redirected.output), kRequests)
+      << redirected.output;
 }
 
 }  // namespace

@@ -1,16 +1,10 @@
-// The serving front-end: JSON parsing, request handling, the ordered
-// multi-threaded line loop, and the unix-socket server.
+// The protocol service: JSON parsing, request handling, and the frozen
+// v1 / structured v2 wire envelopes. Transports live in
+// test_serve_tcp.cpp.
 #include "compile/service.hpp"
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
-
-#include <sstream>
 #include <thread>
 
 #include "compile/json.hpp"
@@ -162,33 +156,6 @@ TEST_F(ServiceTest, PlusBasisServedUnderQualifiedName) {
   EXPECT_NE(info.find(R"("basis":"plus")"), std::string::npos);
   const auto zero = service.handle_request(R"({"op":"info","code":"Steane"})");
   EXPECT_NE(zero.find(R"("basis":"zero")"), std::string::npos);
-}
-
-TEST_F(ServiceTest, ServeLinesPreservesOrderAcrossThreads) {
-  std::ostringstream requests;
-  constexpr int kRequests = 24;
-  for (int i = 0; i < kRequests; ++i) {
-    requests << R"({"id":)" << i
-             << R"(,"op":"sample","code":"Steane","p":0.02,"shots":512,)"
-             << R"("seed":)" << i << "}\n";
-  }
-  std::istringstream in(requests.str());
-  std::ostringstream out;
-  ServeOptions options;
-  options.num_threads = 8;
-  EXPECT_EQ(serve_lines(*service_, in, out, options),
-            static_cast<std::size_t>(kRequests));
-
-  std::istringstream lines(out.str());
-  std::string line;
-  int expected = 0;
-  while (std::getline(lines, line)) {
-    const std::string prefix = "{\"id\":" + std::to_string(expected);
-    EXPECT_EQ(line.rfind(prefix, 0), 0u)
-        << "line " << expected << " out of order: " << line;
-    ++expected;
-  }
-  EXPECT_EQ(expected, kRequests);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,68 +496,6 @@ TEST(PayloadCacheTest, ComputeExceptionsPropagateAndAreNotCached) {
       cache.get_or_compute("k", true, [] { return std::string("fine"); });
   EXPECT_EQ(ok.payload, "fine");
 }
-
-#ifndef _WIN32
-int connect_with_retry(const std::string& path) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return -1;
-    }
-    sockaddr_un address{};
-    address.sun_family = AF_UNIX;
-    path.copy(address.sun_path, path.size());
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                  sizeof(address)) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return -1;
-}
-
-TEST_F(ServiceTest, SocketServerSurvivesEarlyDisconnectAndAnswers) {
-  const std::string path =
-      "/tmp/ftsp-test-sock-" + std::to_string(::getpid());
-  std::thread server([&] {
-    serve_socket(*service_, path, {}, /*max_connections=*/2);
-  });
-
-  // Connection 1: send a request and hang up WITHOUT reading the
-  // response. The server's write hits a closed peer — it must shrug
-  // (EPIPE), not die of SIGPIPE taking every connection with it.
-  {
-    const int fd = connect_with_retry(path);
-    ASSERT_GE(fd, 0) << "could not connect to " << path;
-    const std::string request =
-        R"({"op":"sample","code":"Steane","p":0.02,"shots":2048})"
-        "\n";
-    ASSERT_EQ(::write(fd, request.data(), request.size()),
-              static_cast<ssize_t>(request.size()));
-    ::close(fd);
-  }
-
-  // Connection 2: the server must still be alive and correct.
-  const int fd = connect_with_retry(path);
-  ASSERT_GE(fd, 0) << "server died after the rude client";
-  const std::string request = R"({"op":"info","code":"Steane"})"
-                              "\n";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[4096];
-  while (response.find('\n') == std::string::npos) {
-    const auto got = ::read(fd, buffer, sizeof(buffer));
-    ASSERT_GT(got, 0);
-    response.append(buffer, static_cast<std::size_t>(got));
-  }
-  ::close(fd);
-  server.join();
-  EXPECT_NE(response.find(R"("ok":true)"), std::string::npos);
-  EXPECT_NE(response.find(R"("n":7)"), std::string::npos);
-}
-#endif
 
 }  // namespace
 }  // namespace ftsp::compile

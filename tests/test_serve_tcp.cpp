@@ -1,6 +1,7 @@
-// The TCP serving tier: the epoll event loop, per-connection response
-// ordering, admission control, idle reaping, hot store reload, and
-// coalesced/cached serving determinism.
+// The serving tier: the epoll event loop on its three transports (TCP,
+// unix socket, stdin/stdout through StdioBridge), per-connection
+// response ordering, admission control, backpressure, idle reaping, hot
+// store reload, and coalesced/cached serving determinism.
 #include "serve/tcp_server.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -57,9 +59,19 @@ struct TempDir {
   }
 };
 
-/// Blocking line-oriented TCP client for driving the server under test.
+/// Blocking line-oriented TCP or unix-socket client for driving the
+/// server under test.
 class Client {
  public:
+  explicit Client(const std::string& unix_path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    unix_path.copy(address.sun_path, sizeof(address.sun_path) - 1);
+    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
+                           sizeof(address)) == 0;
+  }
+
   explicit Client(std::uint16_t port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in address{};
@@ -212,6 +224,168 @@ TEST_F(ServeTcpTest, ConcurrentClientsGetOrderedResponses) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.stats().requests.load(),
             static_cast<std::uint64_t>(kClients * kRequests));
+  server.stop();
+}
+
+TEST_F(ServeTcpTest, StdioBridgeAnswersPipedRequestsInOrder) {
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.host.clear();  // No listener: the bridge is the only client.
+  options.num_threads = 8;
+  TcpServer server([&] { return service; }, options);
+  EXPECT_EQ(server.port(), 0u);
+
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  constexpr int kRequests = 24;
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests += R"({"id":)" + std::to_string(i) +
+                R"(,"op":"sample","code":"Steane","p":0.02,"shots":512,)" +
+                R"("seed":)" + std::to_string(i) + "}\n";
+  }
+  ASSERT_EQ(::write(in_pipe[1], requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  ::close(in_pipe[1]);  // EOF after the batch, like `serve < file`.
+
+  std::string output;
+  std::thread reader([&] {
+    char chunk[4096];
+    for (ssize_t got; (got = ::read(out_pipe[0], chunk, sizeof(chunk))) > 0;) {
+      output.append(chunk, static_cast<std::size_t>(got));
+    }
+  });
+  {
+    StdioBridge bridge(server, in_pipe[0], out_pipe[1]);
+    server.start();
+    server.wait();  // Returns once every answer is out: the bridge stops.
+  }
+  ::close(out_pipe[1]);
+  reader.join();
+  ::close(in_pipe[0]);
+  ::close(out_pipe[0]);
+
+  std::istringstream lines(output);
+  std::string line;
+  int expected = 0;
+  while (std::getline(lines, line)) {
+    const std::string prefix =
+        "{\"id\":" + std::to_string(expected) + ",\"ok\":true";
+    EXPECT_EQ(line.rfind(prefix, 0), 0u)
+        << "line " << expected << " out of order: " << line;
+    ++expected;
+  }
+  EXPECT_EQ(expected, kRequests);
+  EXPECT_EQ(server.stats().requests.load(),
+            static_cast<std::uint64_t>(kRequests));
+}
+
+TEST_F(ServeTcpTest, UnixListenerSurvivesEarlyDisconnectAndAnswers) {
+  TempDir dir;
+  const std::string path = (dir.path / "s.sock").string();
+  {
+    // A stale socket file from a crashed server is replaced.
+    const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    path.copy(address.sun_path, sizeof(address.sun_path) - 1);
+    ASSERT_EQ(::bind(stale, reinterpret_cast<const sockaddr*>(&address),
+                     sizeof(address)),
+              0);
+    ::close(stale);
+  }
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = path;
+  options.num_threads = 2;
+  TcpServer server([&] { return service; }, options);
+  EXPECT_EQ(server.port(), 0u);
+  server.start();
+
+  // Connection 1: send a request and hang up WITHOUT reading the
+  // response. The server's write hits a closed peer — it must shrug
+  // (EPIPE), not die of SIGPIPE taking every connection with it.
+  {
+    Client rude(path);
+    ASSERT_TRUE(rude.connected());
+    ASSERT_TRUE(rude.send_line(
+        R"({"op":"sample","code":"Steane","p":0.02,"shots":2048})"));
+  }
+
+  // Connection 2: the server must still be alive and correct.
+  Client client(path);
+  ASSERT_TRUE(client.connected()) << "server died after the rude client";
+  ASSERT_TRUE(client.send_line(R"({"op":"info","code":"Steane"})"));
+  const std::string response = client.read_line();
+  EXPECT_NE(response.find(R"("ok":true)"), std::string::npos) << response;
+  EXPECT_NE(response.find(R"("n":7)"), std::string::npos) << response;
+  client.close();
+  server.stop();
+  EXPECT_FALSE(fs::exists(path)) << "socket file left behind after stop()";
+}
+
+TEST_F(ServeTcpTest, UnixListenerRefusesToReplaceARegularFile) {
+  TempDir dir;
+  const fs::path path = dir.path / "notes.txt";
+  {
+    std::ofstream notes(path);
+    notes << "not a socket\n";
+  }
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = path.string();
+  EXPECT_THROW(TcpServer([&] { return service; }, options),
+               std::runtime_error);
+  std::ifstream notes(path);
+  std::string content;
+  ASSERT_TRUE(std::getline(notes, content)) << "regular file was deleted";
+  EXPECT_EQ(content, "not a socket");
+}
+
+TEST_F(ServeTcpTest, SlowReaderGetsEveryReplyInsteadOfAnOverflowClose) {
+  // The replies total ~3 MB, far beyond max_output_bytes plus the
+  // kernel's unix-socket buffers. Reading must pause while replies pile
+  // up, so the slow client still gets all of them, in order.
+  TempDir dir;
+  const std::string path = (dir.path / "s.sock").string();
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = path;
+  options.num_threads = 2;
+  options.max_output_bytes = 64u << 10;
+  options.max_inflight_per_connection = 8;
+  TcpServer server([&] { return service; }, options);
+  server.start();
+
+  Client client(path);
+  ASSERT_TRUE(client.connected());
+  constexpr int kRequests = 4000;
+  std::thread writer([&] {
+    for (int i = 0; i < kRequests; ++i) {
+      if (!client.send_line(R"({"id":)" + std::to_string(i) +
+                            R"(,"op":"circuit","code":"Steane",)"
+                            R"("format":"qasm"})")) {
+        return;
+      }
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  int answered = 0;
+  for (; answered < kRequests; ++answered) {
+    const std::string line = client.read_line();
+    const std::string prefix =
+        "{\"id\":" + std::to_string(answered) + ",\"ok\":true";
+    if (line.rfind(prefix, 0) != 0) {
+      ADD_FAILURE() << "reply " << answered << ": " << line.substr(0, 80);
+      break;
+    }
+  }
+  EXPECT_EQ(answered, kRequests);
+  client.close();  // Unblocks the writer if the server closed on us.
+  writer.join();
+  EXPECT_EQ(server.stats().closed_overflow.load(), 0u);
   server.stop();
 }
 
