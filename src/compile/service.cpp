@@ -23,8 +23,12 @@ namespace ftsp::compile {
 
 namespace {
 
-/// Hard per-request shot cap: bounds a request's trajectory buffer to
-/// ~200 MB so no client can OOM the server with one line.
+/// Hard per-request shot cap, so no single line can ask for unbounded
+/// work. The memory bound it implies is loose: the sampler keeps one
+/// trajectory per shot, and a Steane `sample` at this cap (threads=1)
+/// peaked at 447 MB max RSS in `ftsp_cli query`, against 25 MB at 100k
+/// shots (x86-64 Linux, Release). ROADMAP's streaming-sampler item
+/// ("Bounded by construction") replaces that buffer.
 constexpr std::uint64_t kMaxShotsPerRequest = std::uint64_t{1} << 22;
 constexpr std::uint64_t kMaxThreadsPerRequest = 256;
 

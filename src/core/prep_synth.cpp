@@ -480,230 +480,12 @@ void record_prep_outcome(ProofSink& sink, const std::string& stage,
         make_checked_proof(stage, claim, last_unsat_gates, *last_unsat));
   } else {
     sink.record_absent(stage, claim,
-                       "cube-split portfolio solving keeps no "
-                       "single-solver proof log");
+                       "the SAT backend kept no proof log for this "
+                       "refutation");
   }
 }
 
-/// Incremental reverse-synthesis search: one solver holds up to
-/// `max_cnots` optional op slots, grown lazily as the gate-count sweep
-/// advances. Slot k is governed by an activation literal act[k]
-/// (monotone: act[k] -> act[k-1]); an inactive slot selects no op and
-/// leaves the matrix unchanged, so "exactly G gates" is just an
-/// assumption set — the CNF skeleton is shared and learned clauses carry
-/// across the whole sweep.
-class IncrementalPrepSearch {
- public:
-  IncrementalPrepSearch(const BitMatrix& start, std::size_t n,
-                        const PrepSynthOptions& options)
-      : n_(n),
-        r_(start.rows()),
-        map_(options.coupling.get()),
-        constrained_(qec::coupling_constrained(map_)) {
-    solver_ = sat::make_engine_solver(options.engine,
-                                      options.sat_conflict_budget);
-    if (options.proof_sink != nullptr) {
-      // On before any clause lands, so the logged premise is verbatim.
-      solver_->set_proof_logging(true);
-    }
-    cnf_ = std::make_unique<CnfBuilder>(*solver_);
-    m_.emplace_back(r_, std::vector<Lit>(n_));
-    for (std::size_t i = 0; i < r_; ++i) {
-      for (std::size_t q = 0; q < n_; ++q) {
-        m_[0][i][q] = cnf_->constant(start.get(i, q));
-      }
-    }
-  }
-
-  sat::SolverBase& solver() { return *solver_; }
-
-  /// The assumption set defining the "exactly `gates` CNOTs" query: the
-  /// active-slot prefix, the product-state condition, and the
-  /// progress-pruning ladder bounds. Requires `grow(gates)` to have run.
-  std::vector<Lit> assumptions_for(std::size_t gates) const {
-    std::vector<Lit> assumptions;
-    for (std::size_t k = 0; k < gates; ++k) {
-      assumptions.push_back(act_[k]);
-    }
-    if (gates < act_.size()) {
-      assumptions.push_back(~act_[gates]);
-    }
-    if (gates > 0 && r_ < ladders_[gates - 1].max_bound()) {
-      assumptions.push_back(ladders_[gates - 1].at_most(r_));
-    }
-    // Progress ladder: each op can zero at most one column, so after
-    // slot j (j < gates-1) at most r + (gates-1-j) columns may remain
-    // nonzero.
-    for (std::size_t j = 0; j + 1 < gates; ++j) {
-      const std::size_t bound = r_ + (gates - 1 - j);
-      if (bound < n_ && bound < ladders_[j].max_bound()) {
-        assumptions.push_back(ladders_[j].at_most(bound));
-      }
-    }
-    return assumptions;
-  }
-
-  /// Solves for a circuit of exactly `gates` CNOTs.
-  bool solve_for(std::size_t gates) {
-    grow(gates);
-    return solver_->solve(assumptions_for(gates));
-  }
-
-  circuit::Circuit decode(std::size_t gates) const {
-    circuit::Circuit prep(n_);
-    BitVec plus(n_);
-    const auto& final_m = m_[gates];
-    for (std::size_t q = 0; q < n_; ++q) {
-      for (std::size_t i = 0; i < r_; ++i) {
-        if (solver_->model_value(final_m[i][q])) {
-          plus.set(q);
-          break;
-        }
-      }
-    }
-    for (std::size_t q = 0; q < n_; ++q) {
-      if (plus.get(q)) {
-        prep.prep_x(q);
-      } else {
-        prep.prep_z(q);
-      }
-    }
-    for (std::size_t k = gates; k-- > 0;) {
-      for (std::size_t c = 0; c < n_; ++c) {
-        for (std::size_t t = 0; t < n_; ++t) {
-          if (sel_[k][c][t] != Lit::undef &&
-              solver_->model_value(sel_[k][c][t])) {
-            prep.cnot(c, t);
-          }
-        }
-      }
-    }
-    return prep;
-  }
-
- private:
-  void grow(std::size_t slots) {
-    while (act_.size() < slots) {
-      const std::size_t k = act_.size();
-      const Lit act = cnf_->fresh();
-      if (k > 0) {
-        solver_->add_binary(~act, act_[k - 1]);  // Active prefix.
-      }
-      act_.push_back(act);
-
-      std::vector<std::vector<Lit>> sel(n_, std::vector<Lit>(n_));
-      std::vector<Lit> all;
-      for (std::size_t c = 0; c < n_; ++c) {
-        for (std::size_t t = 0; t < n_; ++t) {
-          // Coupling-constrained slots never even encode the illegal
-          // pairs — the allowed-pair mask shrinks the CNF instead of
-          // adding clauses.
-          if (c == t || (constrained_ && !map_->allows(c, t))) {
-            continue;
-          }
-          sel[c][t] = cnf_->fresh();
-          all.push_back(sel[c][t]);
-          solver_->add_binary(~sel[c][t], act);  // Op implies active.
-          // Pruning: adding a zero column is a no-op, and a minimal
-          // circuit has none.
-          std::vector<Lit> source_nonzero;
-          source_nonzero.reserve(r_ + 1);
-          source_nonzero.push_back(~sel[c][t]);
-          for (std::size_t i = 0; i < r_; ++i) {
-            source_nonzero.push_back(m_[k][i][c]);
-          }
-          solver_->add_clause(source_nonzero);
-          // Pruning: two identical adjacent ops cancel; a minimal
-          // circuit has none.
-          if (k > 0) {
-            solver_->add_binary(~sel_[k - 1][c][t], ~sel[c][t]);
-          }
-        }
-      }
-      // An active slot selects exactly one op; an inactive one selects
-      // none (each op already implies act).
-      std::vector<Lit> one_if_active;
-      one_if_active.reserve(all.size() + 1);
-      one_if_active.push_back(~act);
-      one_if_active.insert(one_if_active.end(), all.begin(), all.end());
-      solver_->add_clause(one_if_active);
-      for (std::size_t a = 0; a < all.size(); ++a) {
-        for (std::size_t b = a + 1; b < all.size(); ++b) {
-          solver_->add_binary(~all[a], ~all[b]);
-        }
-      }
-
-      // Symmetry breaking: adjacent ops (c,t), (c',t') commute iff
-      // t != c' and t' != c; force commuting adjacent pairs into
-      // lexicographically non-decreasing order.
-      if (k > 0) {
-        for (std::size_t c = 0; c < n_; ++c) {
-          for (std::size_t t = 0; t < n_; ++t) {
-            if (sel_[k - 1][c][t] == Lit::undef) {
-              continue;
-            }
-            for (std::size_t c2 = 0; c2 < n_; ++c2) {
-              for (std::size_t t2 = 0; t2 < n_; ++t2) {
-                if (sel[c2][t2] == Lit::undef) {
-                  continue;
-                }
-                const bool commute = (t != c2) && (t2 != c);
-                const bool decreasing =
-                    std::make_pair(c2, t2) < std::make_pair(c, t);
-                if (commute && decreasing) {
-                  solver_->add_binary(~sel_[k - 1][c][t], ~sel[c2][t2]);
-                }
-              }
-            }
-          }
-        }
-      }
-
-      // State after this slot: col t += col c when (c,t) is selected.
-      std::vector<std::vector<Lit>> next(r_, std::vector<Lit>(n_));
-      for (std::size_t q = 0; q < n_; ++q) {
-        for (std::size_t i = 0; i < r_; ++i) {
-          std::vector<Lit> adds;
-          adds.reserve(n_ - 1);
-          for (std::size_t c = 0; c < n_; ++c) {
-            if (c != q && sel[c][q] != Lit::undef) {
-              adds.push_back(cnf_->and_of({sel[c][q], m_[k][i][c]}));
-            }
-          }
-          next[i][q] = cnf_->xor_of({m_[k][i][q], cnf_->or_of(adds)});
-        }
-      }
-      sel_.push_back(std::move(sel));
-      m_.push_back(std::move(next));
-
-      // Column-count ladder over the post-slot state, swept via
-      // assumptions (product condition and progress pruning).
-      std::vector<Lit> nonzero;
-      nonzero.reserve(n_);
-      for (std::size_t q = 0; q < n_; ++q) {
-        std::vector<Lit> column(r_);
-        for (std::size_t i = 0; i < r_; ++i) {
-          column[i] = m_[k + 1][i][q];
-        }
-        nonzero.push_back(cnf_->or_of(column));
-      }
-      ladders_.push_back(cnf_->make_cardinality_ladder(nonzero, n_));
-    }
-  }
-
-  std::size_t n_;
-  std::size_t r_;
-  const qec::CouplingMap* map_;
-  bool constrained_;
-  std::unique_ptr<sat::SolverBase> solver_;
-  std::unique_ptr<CnfBuilder> cnf_;
-  std::vector<Lit> act_;
-  std::vector<std::vector<std::vector<Lit>>> sel_;  // [slot][c][t]
-  std::vector<std::vector<std::vector<Lit>>> m_;    // [k][row][q]
-  std::vector<sat::CardinalityLadder> ladders_;     // [slot]
-};
-
-std::optional<circuit::Circuit> optimal_prep_fresh(
+std::optional<circuit::Circuit> optimal_prep_sat(
     const qec::StateContext& state, const BitMatrix& start,
     std::size_t lower_bound, const PrepSynthOptions& options) {
   const std::size_t n = state.num_qubits();
@@ -745,7 +527,9 @@ std::optional<circuit::Circuit> optimal_prep_fresh(
       std::vector<Lit> all;
       for (std::size_t c = 0; c < n; ++c) {
         for (std::size_t t = 0; t < n; ++t) {
-          // Illegal pairs are never encoded (see IncrementalPrepSearch).
+          // Coupling-constrained slots never even encode the illegal
+          // pairs — the allowed-pair mask shrinks the CNF instead of
+          // adding clauses.
           if (c == t || (constrained && !map->allows(c, t))) {
             continue;
           }
@@ -987,42 +771,8 @@ std::optional<circuit::Circuit> synthesize_prep_optimal(
     return finish(std::move(prep));
   }
 
-  if (options.engine.incremental) {
-    IncrementalPrepSearch search(start, n, options);
-    std::optional<circuit::Circuit> result;
-    std::size_t found_gates = 0;
-    std::optional<sat::UnsatProof> last_unsat;
-    std::size_t last_unsat_gates = 0;
-    bool saw_unsat = false;
-    try {
-      for (std::size_t gates = lower_bound;
-           gates <= options.max_cnots && !result.has_value(); ++gates) {
-        if (search.solve_for(gates)) {
-          result = search.decode(gates);
-          found_gates = gates;
-        } else if (options.proof_sink != nullptr) {
-          saw_unsat = true;
-          last_unsat = search.solver().last_unsat_proof();
-          last_unsat_gates = gates;
-        }
-      }
-    } catch (const sat::SolverBase::SolveInterrupted&) {
-      return std::nullopt;  // Budget exhausted: fall back, do not cache.
-    }
-    if (options.proof_sink != nullptr && result.has_value()) {
-      record_prep_outcome(*options.proof_sink, options.proof_label,
-                          found_gates, saw_unsat, last_unsat,
-                          last_unsat_gates);
-    }
-    if (options.engine.use_cache && result.has_value()) {
-      SynthCache::instance().dump_cnf(key, search.solver(),
-                                      search.assumptions_for(found_gates));
-    }
-    return finish(std::move(result));
-  }
-
   try {
-    return finish(optimal_prep_fresh(state, start, lower_bound, options));
+    return finish(optimal_prep_sat(state, start, lower_bound, options));
   } catch (const sat::SolverBase::SolveInterrupted&) {
     return std::nullopt;  // Budget exhausted: fall back, do not cache.
   }

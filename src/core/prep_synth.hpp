@@ -38,8 +38,8 @@ struct PrepSynthOptions {
   std::size_t shuffle_tries = 64;
   std::uint64_t seed = 0xf7e9u;
 
-  /// Optimal: conflict budget per gate-count query (0 = unlimited; both
-  /// engines re-arm it for each queried gate count) and the CNOT count
+  /// Optimal: conflict budget per gate-count query (0 = unlimited;
+  /// re-armed for each queried gate count) and the CNOT count
   /// at which the search gives up and falls back to the heuristic
   /// result.
   std::uint64_t sat_conflict_budget = 400000;
@@ -49,14 +49,9 @@ struct PrepSynthOptions {
   /// spaces. Disable to force the SAT path (mainly for tests/benches).
   bool allow_bfs = true;
 
-  /// SAT engine selection (gate-count sweeps, portfolio, cache) for the
-  /// Optimal method. `incremental` defaults to false here — unlike the
-  /// verification/correction weight sweeps (pure cardinality bounds,
-  /// where skeleton reuse wins outright), the gate-count bound changes
-  /// the formula structure, and measurements show the activation-gated
-  /// incremental encoding proves the intermediate UNSAT bounds ~5x
-  /// slower than per-bound re-encoding. The incremental path stays
-  /// available for experimentation.
+  /// SAT engine selection (portfolio, cache) for the Optimal method. The
+  /// gate-count sweep re-encodes per gate count and ignores
+  /// `incremental`; its false default only keeps the cache key stable.
   sat::EngineOptions engine{.incremental = false};
 
   /// Device coupling map over the data qubits; null (or a structurally

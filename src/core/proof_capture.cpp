@@ -64,8 +64,8 @@ void record_sweep_outcome(ProofSink& sink, const std::string& stage,
       sink.record(make_checked_proof(stage, claim, u, *last_unsat));
     } else {
       sink.record_absent(stage, claim,
-                         "cube-split portfolio solving keeps no "
-                         "single-solver proof log");
+                         "the SAT backend kept no proof log for this "
+                         "refutation");
     }
     return;
   }
@@ -85,8 +85,8 @@ void record_sweep_outcome(ProofSink& sink, const std::string& stage,
                                    *last_unsat));
   } else {
     sink.record_absent(stage, claim,
-                       "cube-split portfolio solving keeps no "
-                       "single-solver proof log");
+                       "the SAT backend kept no proof log for this "
+                       "refutation");
   }
 }
 

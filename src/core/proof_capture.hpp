@@ -13,7 +13,7 @@ namespace ftsp::core {
 /// a checked DRAT refutation of "a better solution exists" (present), or
 /// an honest statement of why no machine-checkable proof exists for this
 /// stage (absent — heuristic paths, cache hits, structural lower bounds,
-/// cube-split portfolio solving).
+/// backends that keep no proof log).
 ///
 /// The premise ships as self-contained DIMACS with the query assumptions
 /// baked in as unit clauses, so re-checking needs no solver state: parse

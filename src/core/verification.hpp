@@ -29,7 +29,7 @@ struct VerificationSynthOptions {
   std::uint64_t conflict_budget = 0;   ///< Per SAT query; 0 = unlimited.
   std::size_t enumerate_limit = 128;   ///< Cap for all-optimal enumeration.
   /// SAT engine selection: incremental bound sweeps, portfolio size,
-  /// thread count, cube splitting, cache use.
+  /// thread count, cache use.
   sat::EngineOptions engine;
   /// Optional sink recording one entry per bound query with the solver
   /// statistics delta attributable to it.

@@ -122,26 +122,6 @@ void ParallelSolver::sync_worker(std::size_t index) {
   w.interrupt.store(false, std::memory_order_relaxed);
 }
 
-std::vector<Var> ParallelSolver::pick_cube_vars(std::size_t count) const {
-  std::vector<std::uint64_t> occurrences(
-      static_cast<std::size_t>(num_vars_), 0);
-  for (const auto& clause : clauses_) {
-    for (const Lit l : clause) {
-      ++occurrences[static_cast<std::size_t>(l.var())];
-    }
-  }
-  std::vector<Var> vars(static_cast<std::size_t>(num_vars_));
-  for (Var v = 0; v < num_vars_; ++v) {
-    vars[static_cast<std::size_t>(v)] = v;
-  }
-  std::stable_sort(vars.begin(), vars.end(), [&](Var a, Var b) {
-    return occurrences[static_cast<std::size_t>(a)] >
-           occurrences[static_cast<std::size_t>(b)];
-  });
-  vars.resize(std::min(count, vars.size()));
-  return vars;
-}
-
 bool ParallelSolver::solve(std::span<const Lit> assumptions) {
   model_.clear();
   if (!ok_) {
@@ -153,39 +133,15 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
     last_proof_.reset();
   }
 
-  // Build the per-problem assumption vectors: every portfolio member gets
-  // the caller's assumptions; cube mode appends one sign pattern over the
-  // most frequent variables per problem (the cubes partition the space).
-  const bool cube_mode = opts_.cube_vars > 0 && num_vars_ > 0;
-  std::vector<std::vector<Lit>> problem_assumptions;
-  if (cube_mode) {
-    const std::vector<Var> cube_vars =
-        pick_cube_vars(std::min<std::size_t>(opts_.cube_vars, 16));
-    const std::size_t cubes = std::size_t{1} << cube_vars.size();
-    problem_assumptions.resize(cubes);
-    for (std::size_t cube = 0; cube < cubes; ++cube) {
-      auto& a = problem_assumptions[cube];
-      a.assign(assumptions.begin(), assumptions.end());
-      for (std::size_t b = 0; b < cube_vars.size(); ++b) {
-        a.push_back(Lit(cube_vars[b], ((cube >> b) & 1U) == 0));
-      }
-    }
-  } else {
-    problem_assumptions.assign(
-        opts_.num_configs,
-        std::vector<Lit>(assumptions.begin(), assumptions.end()));
-  }
-  const std::size_t problems = problem_assumptions.size();
-
-  for (std::size_t i = 0; i < problems; ++i) {
+  const std::size_t configs = opts_.num_configs;
+  for (std::size_t i = 0; i < configs; ++i) {
     sync_worker(i);
   }
 
-  // Single problem: no race to referee, run inline and unlimited.
-  if (problems == 1) {
+  // Single configuration: no race to referee, run inline and unlimited.
+  if (configs == 1) {
     Worker& w = *workers_[0];
-    const LBool r =
-        w.solver->solve_limited(problem_assumptions[0], conflict_budget_);
+    const LBool r = w.solver->solve_limited(assumptions, conflict_budget_);
     if (r == LBool::Undef) {
       throw SolveInterrupted{};
     }
@@ -198,17 +154,16 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
         model_[static_cast<std::size_t>(v)] = w.solver->model_value(v);
       }
     } else {
-      if (proof_logging_ && !cube_mode) {
+      if (proof_logging_) {
         last_proof_ = w.solver->last_unsat_proof();
       }
-      if (assumptions.empty() && !cube_mode) {
+      if (assumptions.empty()) {
         ok_ = false;
       }
     }
     return sat;
   }
 
-  std::vector<LBool> results(problems, LBool::Undef);
   std::uint64_t round_budget = opts_.round_conflicts;
   std::uint64_t spent = 0;
 
@@ -224,50 +179,36 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
             ? std::min(round_budget, conflict_budget_ - spent)
             : round_budget;
 
+    std::vector<LBool> results(configs, LBool::Undef);
     std::atomic<std::size_t> next{0};
-    // Lowest problem index whose verdict makes every higher index
-    // irrelevant (any verdict in portfolio mode, SAT in cube mode).
-    // Seeded from earlier rounds' recorded verdicts, which are
-    // deterministic, so the skip set is too.
-    std::size_t initial_cancel = problems;
-    for (std::size_t i = 0; i < problems; ++i) {
-      if (results[i] == LBool::True) {
-        initial_cancel = i;
-        break;
-      }
-    }
-    std::atomic<std::size_t> cancel_above{initial_cancel};
+    // Lowest configuration index with a verdict: every higher index is
+    // irrelevant to the referee.
+    std::atomic<std::size_t> cancel_above{configs};
 
     const auto job_loop = [&]() {
       for (;;) {
         const std::size_t i =
             next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= problems) {
+        if (i >= configs) {
           return;
         }
         Worker& w = *workers_[i];
-        if (results[i] != LBool::Undef) {
-          continue;  // Decided in an earlier round (cube mode).
-        }
         if (i > cancel_above.load(std::memory_order_acquire)) {
           w.tainted = true;  // Skipped: state would be schedule-dependent.
           continue;
         }
-        const LBool r =
-            w.solver->solve_limited(problem_assumptions[i], effective_budget);
+        const LBool r = w.solver->solve_limited(assumptions, effective_budget);
         if (w.interrupt.load(std::memory_order_relaxed)) {
           w.tainted = true;  // Cancelled mid-run; discard partial state.
           continue;
         }
         results[i] = r;
-        const bool decisive =
-            cube_mode ? (r == LBool::True) : (r != LBool::Undef);
-        if (decisive) {
+        if (r != LBool::Undef) {
           std::size_t expected = cancel_above.load();
           while (i < expected &&
                  !cancel_above.compare_exchange_weak(expected, i)) {
           }
-          for (std::size_t j = i + 1; j < problems; ++j) {
+          for (std::size_t j = i + 1; j < configs; ++j) {
             workers_[j]->interrupt.store(true, std::memory_order_relaxed);
           }
         }
@@ -276,7 +217,7 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
 
     record_portfolio_round();
     const std::size_t thread_count =
-        std::min(opts_.num_threads, problems);
+        std::min(opts_.num_threads, configs);
     if (thread_count <= 1) {
       job_loop();
     } else {
@@ -290,35 +231,17 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
       }
     }
 
-    // Referee. Portfolio: lowest index with any verdict wins. Cube:
-    // scanning ascending, the first non-UNSAT cube wins if it is SAT
-    // (all earlier cubes refuted); an undecided cube blocks.
-    std::size_t winner = problems;
-    bool unsat_everywhere = true;
-    for (std::size_t i = 0; i < problems; ++i) {
-      if (results[i] == LBool::Undef) {
-        unsat_everywhere = false;
-        if (!cube_mode) {
-          continue;
-        }
-        break;
-      }
-      if (results[i] == LBool::True) {
+    // Referee: the lowest index with any verdict wins (an UNSAT verdict
+    // is configuration-independent).
+    std::size_t winner = configs;
+    for (std::size_t i = 0; i < configs; ++i) {
+      if (results[i] != LBool::Undef) {
         winner = i;
-        unsat_everywhere = false;
         break;
       }
-      if (!cube_mode) {
-        winner = i;  // UNSAT verdict: configuration-independent.
-        unsat_everywhere = false;
-        break;
-      }
-    }
-    if (cube_mode && unsat_everywhere) {
-      winner = 0;  // Every cube refuted: the formula is UNSAT.
     }
 
-    if (winner != problems || (cube_mode && unsat_everywhere)) {
+    if (winner != configs) {
       last_winner_ = winner;
       record_portfolio_winner(winner);
       const bool sat = results[winner] == LBool::True;
@@ -329,14 +252,14 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
           model_[static_cast<std::size_t>(v)] = s.model_value(v);
         }
       } else {
-        if (proof_logging_ && !cube_mode) {
+        if (proof_logging_) {
           last_proof_ = workers_[winner]->solver->last_unsat_proof();
         }
         if (assumptions.empty()) {
           ok_ = false;
         }
       }
-      for (std::size_t i = 0; i < problems; ++i) {
+      for (std::size_t i = 0; i < configs; ++i) {
         if (i != winner) {
           workers_[i]->tainted = true;
         }
@@ -381,11 +304,12 @@ std::string EngineOptions::fingerprint() const {
   std::string f = "inc=";
   f += incremental ? '1' : '0';
   f += ",cfg=" + std::to_string(num_configs);
-  f += ",cube=" + std::to_string(cube_vars);
+  // Retired field kept verbatim: store and satcache keys embed it.
+  f += ",cube=0";
   // The sequential solver ignores the racing knobs; leaving them out of
   // the fingerprint lets configurations that compute identical results
   // share cache entries.
-  if (num_configs > 1 || cube_vars > 0) {
+  if (num_configs > 1) {
     f += ",seed=" + std::to_string(seed);
     f += ",rc=" + std::to_string(round_conflicts);
   }
@@ -408,13 +332,12 @@ std::unique_ptr<SolverBase> make_engine_solver(
     const EngineOptions& engine, std::uint64_t conflict_budget) {
   g_engine_invocations.fetch_add(1, std::memory_order_relaxed);
   std::unique_ptr<SolverBase> solver;
-  if (engine.num_configs <= 1 && engine.cube_vars == 0) {
+  if (engine.num_configs <= 1) {
     solver = std::make_unique<Solver>();
   } else {
     ParallelSolverOptions options;
     options.num_threads = engine.num_threads;
     options.num_configs = engine.num_configs;
-    options.cube_vars = engine.cube_vars;
     options.seed = engine.seed;
     options.round_conflicts = engine.round_conflicts;
     solver = std::make_unique<ParallelSolver>(options);

@@ -16,29 +16,24 @@ struct ParallelSolverOptions {
   /// only — never the result (see class comment).
   std::size_t num_threads = 1;
   /// Portfolio size: number of diversified solver configurations raced
-  /// per query. Ignored when `cube_vars > 0` (cubes define the split).
+  /// per query.
   std::size_t num_configs = 4;
   /// Diversification seed; equal seeds give bit-identical results at any
   /// thread count.
   std::uint64_t seed = 1;
   /// Per-configuration conflict budget of round 0; doubles every round.
   std::uint64_t round_conflicts = 4096;
-  /// Cube-and-conquer: split the query into 2^cube_vars subproblems by
-  /// fixing the most frequent variables. 0 = plain portfolio.
-  std::size_t cube_vars = 0;
 };
 
 /// A deterministic parallel SAT engine racing diversified `Solver`
-/// configurations (portfolio mode) or splitting on a small cube set
-/// (cube-and-conquer mode) over a thread pool.
+/// configurations (a portfolio) over a thread pool.
 ///
 /// Determinism contract: for a fixed seed, `solve()` returns the same
 /// verdict AND the same model regardless of `num_threads`. This is
 /// achieved by budgeted rounds — every configuration gets the same
 /// conflict budget per round, the winner is the lowest-index
-/// configuration that decides in the earliest deciding round (cube mode:
-/// the lowest SAT cube once every lower cube is refuted), and the states
-/// of all non-winning workers are discarded after each query so no
+/// configuration that decides in the earliest deciding round, and the
+/// states of all non-winning workers are discarded after each query so no
 /// timing-dependent learned clauses survive. First-winner cancellation
 /// runs through `Solver::set_interrupt_flag`; an interrupted worker is
 /// always discarded, which is what makes cancellation invisible to the
@@ -75,12 +70,11 @@ class ParallelSolver final : public SolverBase {
   void reset_stats() override;
   std::vector<std::vector<Lit>> problem_clauses() const override;
 
-  /// DRAT proof logging. In portfolio mode the winning worker's log is
-  /// the proof (UNSAT verdicts are configuration-independent, and the
-  /// deterministic referee makes the winner reproducible). Cube mode
-  /// splits the refutation across cubes, so no single proof exists and
-  /// `last_unsat_proof()` stays empty. Enabling taints live workers so
-  /// every premise is recorded from the first clause of the rebuild.
+  /// DRAT proof logging. The winning worker's log is the proof (UNSAT
+  /// verdicts are configuration-independent, and the deterministic
+  /// referee makes the winner reproducible). Enabling taints live
+  /// workers so every premise is recorded from the first clause of the
+  /// rebuild.
   void set_proof_logging(bool enable) override;
   bool proof_logging() const override { return proof_logging_; }
   std::optional<UnsatProof> last_unsat_proof() const override {
@@ -89,8 +83,8 @@ class ParallelSolver final : public SolverBase {
 
   const ParallelSolverOptions& options() const { return opts_; }
 
-  /// Index of the configuration (portfolio) or cube that produced the
-  /// last verdict. Deterministic for a fixed seed.
+  /// Index of the configuration that produced the last verdict.
+  /// Deterministic for a fixed seed.
   std::size_t last_winner() const { return last_winner_; }
 
  private:
@@ -106,7 +100,6 @@ class ParallelSolver final : public SolverBase {
 
   SolverConfig config_for(std::size_t index) const;
   void sync_worker(std::size_t index);
-  std::vector<Var> pick_cube_vars(std::size_t count) const;
 
   ParallelSolverOptions opts_;
   int num_vars_ = 0;
@@ -127,15 +120,14 @@ struct EngineOptions {
   /// Encode the query skeleton once and sweep bounds via assumptions
   /// (learned clauses are reused across the sweep). When false, each
   /// bound re-encodes from scratch — the historical single-shot path.
+  /// Read by the verification/correction sweeps only; preparation always
+  /// re-encodes per gate count.
   bool incremental = true;
   /// Worker threads for the portfolio race; 1 keeps everything on the
   /// calling thread. Never affects results.
   std::size_t num_threads = 1;
-  /// Portfolio size; 1 (with cube_vars == 0) selects the plain
-  /// sequential `Solver`.
+  /// Portfolio size; 1 selects the plain sequential `Solver`.
   std::size_t num_configs = 1;
-  /// Cube-and-conquer split (2^cube_vars cubes); 0 = off.
-  std::size_t cube_vars = 0;
   std::uint64_t seed = 1;
   std::uint64_t round_conflicts = 4096;
   /// Consult/populate the process-wide `core::SynthCache`.

@@ -76,7 +76,7 @@ struct SweepTelemetry {
 
 /// Abstract SAT backend: the narrow surface the synthesis layer programs
 /// against. Implemented by the sequential CDCL `Solver` and by the
-/// portfolio/cube `ParallelSolver`, so every CNF built through
+/// portfolio `ParallelSolver`, so every CNF built through
 /// `CnfBuilder` can be decided by either engine.
 class SolverBase {
  public:
@@ -134,8 +134,7 @@ class SolverBase {
 
   /// The refutation of the most recent `solve()` that returned false,
   /// or nullopt when logging is off, no UNSAT verdict has been produced
-  /// since logging was enabled, or the backend cannot attribute a single
-  /// refutation (cube-and-conquer mode).
+  /// since logging was enabled, or the backend keeps no proof log.
   virtual std::optional<UnsatProof> last_unsat_proof() const {
     return std::nullopt;
   }

@@ -304,16 +304,6 @@ TEST(ProofLogging, ParallelSolverVerdictIdenticalOnOff) {
   EXPECT_EQ(stats[0].propagations, stats[1].propagations);
 }
 
-TEST(ProofLogging, CubeModeReportsNoProof) {
-  ParallelSolverOptions options;
-  options.cube_vars = 2;
-  ParallelSolver s(options);
-  s.set_proof_logging(true);
-  add_pigeonhole(s, 4, 3);
-  EXPECT_FALSE(s.solve());
-  EXPECT_FALSE(s.last_unsat_proof().has_value());
-}
-
 TEST(ProofLogging, DisabledReportsNoProof) {
   Solver s;
   add_pigeonhole(s, 4, 3);

@@ -1,7 +1,6 @@
 // ParallelSolver: correctness against the sequential solver and brute
 // force, and the determinism contract — for a fixed seed, verdict AND
-// model are identical at any thread count (1, 2, 8), in both portfolio
-// and cube-and-conquer modes.
+// model are identical at any thread count (1, 2, 8).
 #include "sat/parallel_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -111,61 +110,51 @@ TEST(ParallelSolver, AgreesWithBruteForceAcrossSeeds) {
   }
 }
 
-TEST(ParallelSolver, PigeonholeUnsatAnyMode) {
-  for (const std::size_t cube_vars : {std::size_t{0}, std::size_t{3}}) {
-    ParallelSolverOptions options;
-    options.num_threads = 4;
-    options.num_configs = 4;
-    options.cube_vars = cube_vars;
-    options.round_conflicts = 256;
-    ParallelSolver solver(options);
-    add_pigeonhole(solver, 7, 6);
-    EXPECT_FALSE(solver.solve());
-    EXPECT_FALSE(solver.okay());
-    EXPECT_GT(solver.stats().conflicts, 0u);
-  }
+TEST(ParallelSolver, PigeonholeUnsat) {
+  ParallelSolverOptions options;
+  options.num_threads = 4;
+  options.num_configs = 4;
+  options.round_conflicts = 256;
+  ParallelSolver solver(options);
+  add_pigeonhole(solver, 7, 6);
+  EXPECT_FALSE(solver.solve());
+  EXPECT_FALSE(solver.okay());
+  EXPECT_GT(solver.stats().conflicts, 0u);
 }
 
 /// The determinism contract: identical model bits at 1, 2 and 8 threads.
 TEST(ParallelSolver, ModelIsIdenticalAcrossThreadCounts) {
-  for (const std::size_t cube_vars : {std::size_t{0}, std::size_t{2}}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const CnfFormula f = random_3sat(seed * 977 + 5, 14, 56);
-      std::vector<std::vector<bool>> models;
-      std::vector<bool> verdicts;
-      std::vector<std::size_t> winners;
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        ParallelSolverOptions options;
-        options.num_threads = threads;
-        options.num_configs = 4;
-        options.cube_vars = cube_vars;
-        options.seed = seed;
-        options.round_conflicts = 128;  // Small: force multiple rounds.
-        ParallelSolver solver(options);
-        f.load_into(solver);
-        const bool sat = solver.solve();
-        verdicts.push_back(sat);
-        winners.push_back(solver.last_winner());
-        std::vector<bool> model;
-        if (sat) {
-          for (Var v = 0; v < solver.num_vars(); ++v) {
-            model.push_back(solver.model_value(v));
-          }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const CnfFormula f = random_3sat(seed * 977 + 5, 14, 56);
+    std::vector<std::vector<bool>> models;
+    std::vector<bool> verdicts;
+    std::vector<std::size_t> winners;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ParallelSolverOptions options;
+      options.num_threads = threads;
+      options.num_configs = 4;
+      options.seed = seed;
+      options.round_conflicts = 128;  // Small: force multiple rounds.
+      ParallelSolver solver(options);
+      f.load_into(solver);
+      const bool sat = solver.solve();
+      verdicts.push_back(sat);
+      winners.push_back(solver.last_winner());
+      std::vector<bool> model;
+      if (sat) {
+        for (Var v = 0; v < solver.num_vars(); ++v) {
+          model.push_back(solver.model_value(v));
         }
-        models.push_back(std::move(model));
       }
-      EXPECT_EQ(verdicts[0], verdicts[1]);
-      EXPECT_EQ(verdicts[0], verdicts[2]);
-      EXPECT_EQ(winners[0], winners[1])
-          << "cube=" << cube_vars << " seed " << seed;
-      EXPECT_EQ(winners[0], winners[2])
-          << "cube=" << cube_vars << " seed " << seed;
-      EXPECT_EQ(models[0], models[1])
-          << "cube=" << cube_vars << " seed " << seed;
-      EXPECT_EQ(models[0], models[2])
-          << "cube=" << cube_vars << " seed " << seed;
+      models.push_back(std::move(model));
     }
+    EXPECT_EQ(verdicts[0], verdicts[1]);
+    EXPECT_EQ(verdicts[0], verdicts[2]);
+    EXPECT_EQ(winners[0], winners[1]) << "seed " << seed;
+    EXPECT_EQ(winners[0], winners[2]) << "seed " << seed;
+    EXPECT_EQ(models[0], models[1]) << "seed " << seed;
+    EXPECT_EQ(models[0], models[2]) << "seed " << seed;
   }
 }
 
@@ -225,23 +214,17 @@ TEST(ParallelSolver, ConflictBudgetThrows) {
   EXPECT_THROW(solver.solve(), SolverBase::SolveInterrupted);
 }
 
-TEST(ParallelSolver, CubeModeFindsModelsEquivalentToPortfolio) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const CnfFormula f = random_3sat(seed * 31 + 2, 12, 48);
-    ParallelSolverOptions cube_options;
-    cube_options.num_threads = 4;
-    cube_options.cube_vars = 3;
-    cube_options.seed = seed;
-    ParallelSolver cube_solver(cube_options);
-    f.load_into(cube_solver);
-    Solver reference;
-    f.load_into(reference);
-    const bool cube_sat = cube_solver.solve();
-    EXPECT_EQ(cube_sat, reference.solve()) << "seed " << seed;
-    if (cube_sat) {
-      EXPECT_TRUE(model_satisfies(cube_solver, f));
-    }
-  }
+/// `EngineOptions::fingerprint()` is embedded in persisted store and
+/// satcache keys, so its bytes are pinned.
+TEST(EngineOptions, FingerprintBytesArePinned) {
+  EXPECT_EQ(EngineOptions{}.fingerprint(), "inc=1,cfg=1,cube=0");
+  EXPECT_EQ(EngineOptions{.incremental = false}.fingerprint(),
+            "inc=0,cfg=1,cube=0");
+  EXPECT_EQ(EngineOptions{.num_configs = 4}.fingerprint(),
+            "inc=1,cfg=4,cube=0,seed=1,rc=4096");
+  EXPECT_EQ((EngineOptions{.incremental = false, .num_configs = 4})
+                .fingerprint(),
+            "inc=0,cfg=4,cube=0,seed=1,rc=4096");
 }
 
 TEST(SolverStatsOps, ResetAndDeltas) {

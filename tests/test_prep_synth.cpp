@@ -110,6 +110,45 @@ TEST(OptimalPrep, NeverWorseThanHeuristic) {
   }
 }
 
+/// The SAT gate-count search (BFS shortcut disabled) finds the same
+/// minimal CNOT count as the exact subspace BFS, on states small enough
+/// for both; the proof sink's entry shows which path each leg took.
+TEST(OptimalPrep, SatPathMatchesBfsOracle) {
+  const auto four_two_two = qec::CssCode(
+      "[[4,2,2]]", f2::BitMatrix::from_strings({"1111"}),
+      f2::BitMatrix::from_strings({"1111"}));
+  const auto line = std::make_shared<const qec::CouplingMap>(
+      qec::CouplingMap::linear(4));
+  const std::pair<qec::CssCode, std::shared_ptr<const qec::CouplingMap>>
+      cases[] = {{four_two_two, nullptr},
+                 {qec::library_code_by_name("Shor"), nullptr},
+                 {four_two_two, line}};
+  for (const auto& [code, coupling] : cases) {
+    const std::string label =
+        code.name() + (coupling != nullptr ? "@linear" : "");
+    const qec::StateContext state(code, LogicalBasis::Zero);
+    std::optional<circuit::Circuit> preps[2];
+    for (const bool bfs : {false, true}) {
+      ProofSink sink;
+      PrepSynthOptions options;
+      options.method = PrepSynthOptions::Method::Optimal;
+      options.allow_bfs = bfs;
+      options.engine.use_cache = false;
+      options.coupling = coupling;
+      options.proof_sink = &sink;
+      preps[bfs] = synthesize_prep_optimal(state, options);
+      ASSERT_TRUE(preps[bfs].has_value()) << label << " bfs=" << bfs;
+      ASSERT_EQ(sink.proofs.size(), 1u);
+      EXPECT_EQ(sink.proofs[0].absent_reason.find("breadth-first") !=
+                    std::string::npos,
+                bfs)
+          << label << ": " << sink.proofs[0].absent_reason;
+    }
+    EXPECT_EQ(preps[0]->cnot_count(), preps[1]->cnot_count()) << label;
+    expect_prepares_state(*preps[0], state);
+  }
+}
+
 TEST(OptimalPrep, MethodOptimalFallsBackGracefully) {
   // A tiny budget forces the SAT search to give up; synthesize_prep must
   // still return a correct (heuristic) circuit.

@@ -1,6 +1,6 @@
 // Stress tier: cross-checks the incremental sweep engine against
-// from-scratch encodes over the full code library, the SAT prep path
-// between engines, and protocol-level determinism at 1/2/8 threads.
+// from-scratch encodes over the full code library, and protocol-level
+// determinism at 1/2/8 threads.
 #include <gtest/gtest.h>
 
 #include "core/ft_check.hpp"
@@ -11,9 +11,6 @@
 #include "core/verification.hpp"
 #include "qec/code_library.hpp"
 #include "qec/state_context.hpp"
-#include "sim/tableau.hpp"
-
-#include <random>
 
 namespace ftsp::core {
 namespace {
@@ -104,39 +101,6 @@ TEST(SweepCrosscheck, ProtocolMetricsMatchAcrossEngines) {
     EXPECT_EQ(ma.total_verif_cnots, mb.total_verif_cnots) << name;
     EXPECT_TRUE(check_fault_tolerance(a).ok) << name;
   }
-}
-
-/// The SAT prep path (BFS shortcut disabled): both engines find the same
-/// minimal CNOT count and a correct circuit, on a code small enough for
-/// the gate-slot search.
-TEST(SweepCrosscheck, SatPrepPathEnginesAgree) {
-  const auto code = qec::CssCode(
-      "[[4,2,2]]", f2::BitMatrix::from_strings({"1111"}),
-      f2::BitMatrix::from_strings({"1111"}));
-  const qec::StateContext state(code, LogicalBasis::Zero);
-  std::optional<std::size_t> counts[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    PrepSynthOptions options;
-    options.method = PrepSynthOptions::Method::Optimal;
-    options.allow_bfs = false;
-    options.engine.incremental = mode == 1;
-    options.engine.use_cache = false;
-    const auto prep = synthesize_prep_optimal(state, options);
-    ASSERT_TRUE(prep.has_value()) << "mode " << mode;
-    counts[mode] = prep->cnot_count();
-    // Ground truth: the circuit prepares the target state.
-    sim::Tableau tableau(prep->num_qubits());
-    std::mt19937_64 rng(7);
-    tableau.run(*prep, rng);
-    const auto& xgens = state.stabilizer_generators(PauliType::X);
-    for (std::size_t i = 0; i < xgens.rows(); ++i) {
-      qec::Pauli p(state.num_qubits());
-      p.x = xgens.row(i);
-      EXPECT_TRUE(tableau.stabilizes(p));
-    }
-  }
-  EXPECT_EQ(*counts[0], *counts[1]);
-  EXPECT_EQ(*counts[0], 3u);  // |+> fan-out over the weight-4 stabilizer.
 }
 
 /// End-to-end determinism: the full protocol synthesized through the
