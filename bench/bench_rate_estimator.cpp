@@ -15,7 +15,7 @@
 // plus a bit-identity check of the u64 and 256-bit estimator paths.
 //
 // Plain chrono main (no Google Benchmark dependency), JSON-per-code
-// output consumed by the CI bench-smoke job (BENCH_pr4.json):
+// output consumed by the CI bench-smoke job (folded into BENCH_ci.json):
 //   bench_rate_estimator [--smoke] [--all] [--p RATE] [--naive-shots N]
 #include <algorithm>
 #include <chrono>

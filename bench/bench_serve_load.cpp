@@ -2,7 +2,8 @@
 // server, drives it with concurrent closed-loop clients over a
 // representative request mix (codes/info/sample/rate, v1 and v2
 // dialects), and reports latency percentiles + throughput as JSON
-// (BENCH_pr7.json, consumed by the CI serve-load job):
+// (bench_serve.json by default; the CI serve-load and bench-smoke jobs
+// gate on it):
 //
 //   bench_serve_load [--smoke] [--clients N] [--requests N]
 //                    [--cache-mb N] [--connect HOST:PORT] [--out FILE]
@@ -50,7 +51,7 @@ struct Options {
   std::size_t cache_mb = 16;
   std::string connect_host;
   std::uint16_t connect_port = 0;
-  std::string out_path = "BENCH_pr7.json";
+  std::string out_path = "bench_serve.json";
 };
 
 /// Blocking line client (one request in flight — closed loop, so

@@ -232,11 +232,9 @@ ProtocolArtifact ProtocolCompiler::compile(const qec::CssCode& code,
   const obs::TraceSpan compile_span("compile.protocol");
   const obs::ScopedTimer compile_timer(
       obs::Registry::instance().histogram("compile.total.duration_us"));
-  if (obs::enabled()) {
-    static obs::Counter& compiles =
-        obs::Registry::instance().counter("compile.protocol.count");
-    compiles.add(1);
-  }
+  static obs::Counter& compiles =
+      obs::Registry::instance().counter("compile.protocol.count");
+  compiles.add(1);
   auto& cache = core::SynthCache::instance();
   const std::uint64_t hits0 = cache.hits();
   const std::uint64_t misses0 = cache.misses();

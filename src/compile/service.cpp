@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <mutex>
 
 #include "compile/format.hpp"
@@ -172,8 +173,22 @@ struct ServiceOps {
     Handler handler;
   };
 
+  /// Registry handles for one op's serving series, resolved once so the
+  /// per-request path never builds a label or takes the registry lock.
+  struct OpMetrics {
+    obs::Counter* requests;
+    obs::Histogram* duration;
+    /// Coalescable ops (`key` set) only; null otherwise.
+    obs::Counter* cache_hit = nullptr;
+    obs::Counter* cache_miss = nullptr;
+    obs::Counter* cache_coalesce = nullptr;
+  };
+
   static const std::vector<OpSpec>& table();
   static const OpSpec* find_op(const std::string& name);
+  /// The metrics record of a `table()` entry.
+  static const OpMetrics& metrics_of(const OpSpec& spec);
+  static obs::Counter& unknown_ops();
   /// "codes|info|..." over every registered op, for v2 error hints.
   static std::string ops_hint();
 
@@ -225,6 +240,39 @@ const ServiceOps::OpSpec* ServiceOps::find_op(const std::string& name) {
     }
   }
   return nullptr;
+}
+
+const ServiceOps::OpMetrics& ServiceOps::metrics_of(const OpSpec& spec) {
+  static const std::vector<OpMetrics> kMetrics = [] {
+    auto& registry = obs::Registry::instance();
+    // Full literal metric names: the append-only name registry is
+    // extracted from source by ftsp_lint, so names are never composed
+    // at runtime.
+    const auto counter = [&](const char* metric, const char* op) {
+      return &registry.counter(obs::labeled(metric, "op", op));
+    };
+    std::vector<OpMetrics> metrics;
+    metrics.reserve(table().size());
+    for (const auto& op : table()) {
+      OpMetrics m{counter("serve.request.op.count", op.name),
+                  &registry.histogram(obs::labeled(
+                      "serve.request.duration_us", "op", op.name))};
+      if (op.key != nullptr) {
+        m.cache_hit = counter("serve.cache.hit.count", op.name);
+        m.cache_miss = counter("serve.cache.miss.count", op.name);
+        m.cache_coalesce = counter("serve.cache.coalesce.count", op.name);
+      }
+      metrics.push_back(m);
+    }
+    return metrics;
+  }();
+  return kMetrics[static_cast<std::size_t>(&spec - table().data())];
+}
+
+obs::Counter& ServiceOps::unknown_ops() {
+  static obs::Counter& counter =
+      obs::Registry::instance().counter("serve.request.unknown_op.count");
+  return counter;
 }
 
 std::string ServiceOps::ops_hint() {
@@ -498,15 +546,20 @@ std::string ServiceOps::health(const ProtocolService& service, const Entry*,
 std::string ServiceOps::stats(const ProtocolService& service, const Entry*,
                               const JsonObject& request,
                               const util::CancelToken*) {
-  const auto& runtime = *service.runtime();
   JsonWriter out;
-  out.field("generation", runtime.generation.load());
+  out.field("generation", service.runtime()->generation.load());
+  // Every registered op, zeros included, in name order: the frozen v1
+  // layout.
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& spec : table()) {
+    counts[spec.name] = metrics_of(spec).requests->value();
+  }
   JsonWriter ops;
-  for (const auto& [name, count] : runtime.op_counts) {
-    ops.field(name, count.load());
+  for (const auto& [name, count] : counts) {
+    ops.field(name, count);
   }
   out.raw_field("ops", "{" + ops.take_body() + "}");
-  out.field("rejected", runtime.rejected.load());
+  out.field("rejected", unknown_ops().value());
   if (const auto& cache = service.payload_cache()) {
     const auto stats = cache->stats();
     const std::uint64_t lookups = stats.hits + stats.misses;
@@ -538,11 +591,9 @@ std::string ServiceOps::stats(const ProtocolService& service, const Entry*,
                   vit->second.number >= 2.0;
   if (v2) {
     out.field("obs_enabled", obs::enabled());
-    auto& registry = obs::Registry::instance();
     JsonWriter latency;
     for (const auto& spec : table()) {
-      const auto& histogram = registry.histogram(
-          obs::labeled("serve.request.duration_us", "op", spec.name));
+      const obs::Histogram& histogram = *metrics_of(spec).duration;
       JsonWriter op_out;
       op_out.field("count", histogram.count());
       op_out.field("p50_us", histogram.percentile_us(0.50));
@@ -556,25 +607,11 @@ std::string ServiceOps::stats(const ProtocolService& service, const Entry*,
       if (spec.key == nullptr) {
         continue;  // Never cached or coalesced: no breakdown to report.
       }
+      const OpMetrics& metrics = metrics_of(spec);
       JsonWriter op_out;
-      // Full literal metric names: the append-only name registry is
-      // extracted from source by ftsp_lint, so names are never composed
-      // at runtime.
-      static constexpr struct {
-        const char* verb;
-        const char* metric;
-      } kCacheCounters[] = {
-          {"hit", "serve.cache.hit.count"},
-          {"miss", "serve.cache.miss.count"},
-          {"coalesce", "serve.cache.coalesce.count"},
-      };
-      for (const auto& counter : kCacheCounters) {
-        op_out.field(counter.verb,
-                     registry
-                         .counter(obs::labeled(counter.metric, "op",
-                                               spec.name))
-                         .value());
-      }
+      op_out.field("hit", metrics.cache_hit->value());
+      op_out.field("miss", metrics.cache_miss->value());
+      op_out.field("coalesce", metrics.cache_coalesce->value());
       cache_ops.raw_field(spec.name, "{" + op_out.take_body() + "}");
     }
     out.raw_field("cache_ops", "{" + cache_ops.take_body() + "}");
@@ -606,11 +643,9 @@ std::string ServiceOps::reload(const ProtocolService& service, const Entry*,
 std::string ServiceOps::metrics(const ProtocolService&, const Entry*,
                                 const JsonObject&,
                                 const util::CancelToken*) {
-  if (obs::enabled()) {
-    static obs::Counter& scrapes =
-        obs::Registry::instance().counter("serve.metrics.scrape.count");
-    scrapes.add(1);
-  }
+  static obs::Counter& scrapes =
+      obs::Registry::instance().counter("serve.metrics.scrape.count");
+  scrapes.add(1);
   JsonWriter out;
   out.field("format", "prometheus");
   out.field("body", obs::render_prometheus());
@@ -620,12 +655,6 @@ std::string ServiceOps::metrics(const ProtocolService&, const Entry*,
 // ---------------------------------------------------------------------------
 // ProtocolService
 // ---------------------------------------------------------------------------
-
-ProtocolService::Runtime::Runtime() {
-  for (const auto& spec : ServiceOps::table()) {
-    op_counts.emplace(spec.name, 0);
-  }
-}
 
 ProtocolService::ProtocolService() : runtime_(std::make_shared<Runtime>()) {}
 
@@ -726,23 +755,26 @@ std::string ProtocolService::handle_request(
     const std::string& json_line,
     std::chrono::steady_clock::time_point deadline) const {
   // Per-request telemetry, captured as dispatch runs and recorded after
-  // the response bytes are final — observation only, by construction
-  // incapable of changing them. Per-op registry series are keyed by the
-  // *registered* op name (never the client-supplied string), so a
-  // client spraying bogus op names cannot grow the append-only registry.
+  // the response bytes are final (only `stats` and `metrics` read it
+  // back). Per-op series belong to the *registered* op (never the
+  // client-supplied string), so a client spraying bogus op names cannot
+  // grow the append-only registry.
   struct Telemetry {
     std::string op;
     std::string code;
     int version = 1;
     std::string status = "ok";
-    bool known_op = false;
+    const ServiceOps::OpMetrics* metrics = nullptr;  ///< Known ops only.
     bool cacheable = false;
     bool cache_hit = false;
     bool coalesced = false;
   } telemetry;
-  const bool observing = obs::enabled() || access_log_ != nullptr;
-  const auto start = observing ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
+  // The clock is read only for the latency histogram (FTSP_OBS) and the
+  // access log.
+  const bool timing = obs::enabled();
+  const bool clocked = timing || access_log_ != nullptr;
+  const auto start = clocked ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
 
   const auto dispatch = [&]() -> std::string {
     serve::Envelope envelope;
@@ -777,7 +809,7 @@ std::string ProtocolService::handle_request(
       const std::string op = string_param(request, "op", "");
       const ServiceOps::OpSpec* spec = ServiceOps::find_op(op);
       if (spec == nullptr) {
-        runtime_->rejected.fetch_add(1);
+        ServiceOps::unknown_ops().add(1);
         // The v1 hint is frozen (see kV1OpsHint); v2 enumerates the
         // live table.
         throw serve::ServiceError(
@@ -788,8 +820,10 @@ std::string ProtocolService::handle_request(
                 ")");
       }
       telemetry.op = spec->name;
-      telemetry.known_op = true;
-      runtime_->op_counts.at(spec->name).fetch_add(1);
+      // Counted before the handler runs, so a `stats` reply counts
+      // itself.
+      telemetry.metrics = &ServiceOps::metrics_of(*spec);
+      telemetry.metrics->requests->add(1);
 
       const Entry* entry = nullptr;
       if (spec->needs_code) {
@@ -851,7 +885,22 @@ std::string ProtocolService::handle_request(
     }
   };
   std::string response = dispatch();
-  if (!observing) {
+  static obs::Counter& requests =
+      obs::Registry::instance().counter("serve.request.count");
+  static obs::Counter& errors =
+      obs::Registry::instance().counter("serve.request.error.count");
+  requests.add(1);
+  if (telemetry.status != "ok") {
+    errors.add(1);
+  }
+  if (telemetry.cacheable) {
+    const ServiceOps::OpMetrics& metrics = *telemetry.metrics;
+    obs::Counter* outcome = telemetry.cache_hit   ? metrics.cache_hit
+                            : telemetry.coalesced ? metrics.cache_coalesce
+                                                  : metrics.cache_miss;
+    outcome->add(1);
+  }
+  if (!clocked) {
     return response;
   }
 
@@ -860,28 +909,8 @@ std::string ProtocolService::handle_request(
                            .count();
   const auto latency_us =
       elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 0;
-  if (obs::enabled()) {
-    auto& registry = obs::Registry::instance();
-    static obs::Counter& requests = registry.counter("serve.request.count");
-    requests.add(1);
-    if (telemetry.status != "ok") {
-      static obs::Counter& errors =
-          registry.counter("serve.request.error.count");
-      errors.add(1);
-    }
-    if (telemetry.known_op) {
-      registry
-          .histogram(
-              obs::labeled("serve.request.duration_us", "op", telemetry.op))
-          .record(latency_us);
-      if (telemetry.cacheable) {
-        const char* metric = telemetry.cache_hit ? "serve.cache.hit.count"
-                             : telemetry.coalesced
-                                 ? "serve.cache.coalesce.count"
-                                 : "serve.cache.miss.count";
-        registry.counter(obs::labeled(metric, "op", telemetry.op)).add(1);
-      }
-    }
+  if (timing && telemetry.metrics != nullptr) {
+    telemetry.metrics->duration->record(latency_us);
   }
   if (access_log_ != nullptr) {
     serve::AccessLog::Record record;

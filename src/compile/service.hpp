@@ -28,9 +28,11 @@ namespace ftsp::compile {
 /// query after that is pure simulation/export with zero SAT work.
 ///
 /// `handle_request` is safe to call from many threads concurrently: all
-/// per-artifact state is immutable after load; the mutable slices
-/// (request counters, the optional payload cache) are internally
-/// synchronized.
+/// per-artifact state is immutable after load; the mutable slices (the
+/// runtime, the optional payload cache) are internally synchronized.
+/// Request counts live in the process-wide obs registry
+/// (`serve.request.op.count{op}`, `serve.request.unknown_op.count`),
+/// which `stats` reads.
 ///
 /// Requests are dispatched through a table of registered ops (op name
 /// -> handler + dispatch traits), so a new op registers in exactly one
@@ -53,17 +55,14 @@ class ProtocolService {
 
   /// Mutable serving-tier state shared across hot-reload swaps: a
   /// reloaded service is a *fresh* ProtocolService, but its runtime
-  /// (request counters, store generation, the reload hook) carries
-  /// over so `stats` survives the swap. Created lazily per service;
-  /// inject one via `set_runtime` to share it.
+  /// (store generation, the reload hook, the degraded flag) carries
+  /// over. Request counts are not here: they are process-wide registry
+  /// counters, so they survive swaps without sharing anything. Created
+  /// per service; inject one via `set_runtime` to share it.
   struct Runtime {
     /// Monotonic store generation: 1 at first load, bumped by every
     /// hot-reload swap. Reported by `health` and `stats`.
     std::atomic<std::uint64_t> generation{1};
-    /// Per-op request counts (op name -> count), indexed in lockstep
-    /// with the op table. Unknown-op requests land in `rejected`.
-    std::map<std::string, std::atomic<std::uint64_t>> op_counts;
-    std::atomic<std::uint64_t> rejected{0};
     /// Set by the serve tier (see serve::ReloadableService): performs a
     /// synchronous store re-scan + swap and returns the new generation.
     /// Null means the `reload` op is unsupported (one-shot `query` use).
@@ -77,8 +76,6 @@ class ProtocolService {
     std::atomic<bool> degraded{false};
     std::string last_reload_error;  ///< Guarded by hook_mutex.
     std::mutex hook_mutex;
-
-    Runtime();  ///< Pre-populates op_counts from the op table.
   };
 
   ProtocolService();
@@ -121,9 +118,10 @@ class ProtocolService {
   ///   {"op":"rate","code":"Steane","p_min":1e-4,"p_max":1e-2,"p_points":7}
   ///   {"op":"circuit","code":"Steane","format":"qasm"}
   ///   {"op":"health"}            loaded-artifact count + store generation
-  ///   {"op":"stats"}             per-op request counts + cache hit rates
-  ///                              (v2 adds latency percentiles and the
-  ///                              per-op cache breakdown; v1 bytes frozen)
+  ///   {"op":"stats"}             process-wide per-op request counts +
+  ///                              cache hit rates (v2 adds latency
+  ///                              percentiles and the per-op cache
+  ///                              breakdown; v1 bytes frozen)
   ///   {"op":"reload"}            re-scan the store (serve tier only)
   ///   {"op":"metrics"}           Prometheus text rendering of the
   ///                              process metric registry (src/obs/)

@@ -1,16 +1,15 @@
 #include "core/rate_estimator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <random>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "core/frame_runner.hpp"
 #include "obs/registry.hpp"
+#include "util/parallel.hpp"
 
 namespace ftsp::core {
 
@@ -76,9 +75,6 @@ struct Wave {
 /// estimator's telemetry series. Observation-only: the estimate math
 /// never reads these.
 void record_wave_batch(const std::vector<Wave>& waves) {
-  if (!obs::enabled()) {
-    return;
-  }
   static obs::Counter& wave_count =
       obs::Registry::instance().counter("rate.wave.count");
   static obs::Counter& shot_count =
@@ -139,8 +135,8 @@ class WaveRunner {
       options_.cancel->throw_if_cancelled("rate estimate cancelled");
     }
     record_wave_batch(waves);
-    detail::run_indexed_parallel(waves.size(), options_.num_threads,
-                                 [&](std::size_t i) { run_wave(waves[i]); });
+    util::run_indexed_parallel(waves.size(), options_.num_threads,
+                               [&](std::size_t i) { run_wave(waves[i]); });
   }
 
  private:
@@ -615,14 +611,12 @@ std::vector<RateEstimate> run_estimator(
     spent += chunk;
   }
 
-  if (obs::enabled()) {
-    static obs::Counter& sector_count =
-        obs::Registry::instance().counter("rate.sector.count");
-    static obs::Counter& estimate_count =
-        obs::Registry::instance().counter("rate.estimate.count");
-    sector_count.add(sectors.size());
-    estimate_count.add(1);
-  }
+  static obs::Counter& sector_count =
+      obs::Registry::instance().counter("rate.sector.count");
+  static obs::Counter& estimate_count =
+      obs::Registry::instance().counter("rate.estimate.count");
+  sector_count.add(sectors.size());
+  estimate_count.add(1);
 
   // --- Final combination per target.
   std::vector<RateEstimate> estimates;

@@ -1,14 +1,13 @@
 #include "core/samplers.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <random>
 #include <stdexcept>
-#include <thread>
 
 #include "core/frame_runner.hpp"
 #include "sim/frame_batch.hpp"
+#include "util/parallel.hpp"
 
 namespace ftsp::core {
 
@@ -74,7 +73,7 @@ void run_batched(const Executor& executor,
     runner.run();
   };
 
-  detail::run_indexed_parallel(num_shards, options.num_threads, run_shard);
+  util::run_indexed_parallel(num_shards, options.num_threads, run_shard);
 }
 
 }  // namespace

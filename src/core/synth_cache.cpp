@@ -54,11 +54,9 @@ std::optional<std::string> SynthCache::lookup(const std::string& key) {
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled()) {
-        static obs::Counter& hits =
-            synth_cache_counter("core.synthcache.hit.count");
-        hits.add(1);
-      }
+      static obs::Counter& hits =
+          synth_cache_counter("core.synthcache.hit.count");
+      hits.add(1);
       touch_locked(it->second, key);
       return it->second.value;
     }
@@ -74,31 +72,25 @@ std::optional<std::string> SynthCache::lookup(const std::string& key) {
     if (auto value = load(key)) {
       backing_hits_.fetch_add(1, std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled()) {
-        static obs::Counter& backing_hits =
-            synth_cache_counter("core.synthcache.backing_hit.count");
-        backing_hits.add(1);
-      }
+      static obs::Counter& backing_hits =
+          synth_cache_counter("core.synthcache.backing_hit.count");
+      backing_hits.add(1);
       std::lock_guard<std::mutex> lock(mutex_);
       store_locked(key, *value);
       return value;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::enabled()) {
-    static obs::Counter& misses =
-        synth_cache_counter("core.synthcache.miss.count");
-    misses.add(1);
-  }
+  static obs::Counter& misses =
+      synth_cache_counter("core.synthcache.miss.count");
+  misses.add(1);
   return std::nullopt;
 }
 
 void SynthCache::store(const std::string& key, std::string value) {
-  if (obs::enabled()) {
-    static obs::Counter& stores =
-        synth_cache_counter("core.synthcache.store.count");
-    stores.add(1);
-  }
+  static obs::Counter& stores =
+      synth_cache_counter("core.synthcache.store.count");
+  stores.add(1);
   BackingSave save;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -138,11 +130,9 @@ void SynthCache::evict_to_cap_locked() {
     entries_.erase(lru_.back());
     lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      static obs::Counter& evictions =
-          synth_cache_counter("core.synthcache.evict.count");
-      evictions.add(1);
-    }
+    static obs::Counter& evictions =
+        synth_cache_counter("core.synthcache.evict.count");
+    evictions.add(1);
   }
 }
 

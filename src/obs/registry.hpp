@@ -9,31 +9,31 @@
 
 namespace ftsp::obs {
 
-/// Process-wide telemetry switch. Defaults to on; the environment
-/// variable FTSP_OBS=off|0|false disables every counter, gauge,
-/// histogram and trace span at the recording site (reads, renders and
-/// the `metrics` op keep working — they just see frozen zeros).
+/// Process-wide switch for the timing half of telemetry. Defaults to
+/// on; the environment variable FTSP_OBS=off|0|false stops histogram
+/// recording, trace spans and the clock reads that feed them.
 /// `set_enabled` overrides the environment for tests and benches.
 ///
-/// Telemetry is observation-only by construction: no recorded value
-/// ever feeds back into synthesis, sampling, caching or response
-/// rendering, so artifacts, cache keys and wire bytes are identical
-/// whether it is on or off (gated by tests/test_obs.cpp and
-/// bench/bench_obs_overhead.cpp).
+/// Counters and gauges ignore the switch and always record: they are
+/// the one count of each event, and the `stats` and `metrics` ops
+/// render them. Apart from those two documented readers, telemetry is
+/// observation-only: no recorded value feeds back into synthesis,
+/// sampling, caching or response rendering, so artifacts, cache keys
+/// and wire bytes are identical whether the switch is on or off (gated
+/// by tests/test_obs.cpp and bench/bench_obs_overhead.cpp).
 bool enabled();
 void set_enabled(bool on);
 /// Drops any `set_enabled` override, returning to the environment.
 void clear_enabled_override();
 
 /// Monotonically increasing event count (requests served, conflicts
-/// derived, bytes logged). Lock-free; relaxed ordering — telemetry
-/// tolerates momentarily torn cross-counter views.
+/// derived, bytes logged). Always records, whatever `enabled()` says.
+/// Lock-free; relaxed ordering — telemetry tolerates momentarily torn
+/// cross-counter views.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    if (enabled()) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -45,13 +45,10 @@ class Counter {
 };
 
 /// Last-written level (store generation, portfolio winner index).
+/// Always records, like Counter.
 class Gauge {
  public:
-  void set(std::int64_t v) {
-    if (enabled()) {
-      value_.store(v, std::memory_order_relaxed);
-    }
-  }
+  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
@@ -66,7 +63,8 @@ class Gauge {
 /// overflow bucket. All state is integer bucket counts plus an integer
 /// sum, so percentiles derive exactly by a cumulative walk — no
 /// floating-point accumulation, no drift, and a p50 can never exceed a
-/// p99 computed from the same snapshot.
+/// p99 computed from the same snapshot. `record` is a no-op while
+/// `enabled()` is false.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 28;
@@ -109,12 +107,20 @@ class Histogram {
 };
 
 /// RAII wall-clock timer: records the enclosing scope's duration into a
-/// histogram in microseconds.
+/// histogram in microseconds. Reads the clock only when `enabled()` was
+/// true at construction.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& histogram)
-      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
+      : histogram_(histogram), timing_(enabled()) {
+    if (timing_) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
   ~ScopedTimer() {
+    if (!timing_) {
+      return;
+    }
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
@@ -125,7 +131,8 @@ class ScopedTimer {
 
  private:
   Histogram& histogram_;
-  std::chrono::steady_clock::time_point start_;
+  const bool timing_;
+  std::chrono::steady_clock::time_point start_{};
 };
 
 /// The process-wide metric registry. Names follow the

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 #include "obs/registry.hpp"
+#include "util/parallel.hpp"
 
 namespace ftsp::sat {
 
@@ -12,9 +12,6 @@ namespace {
 
 /// Records the deterministic referee's verdict for one portfolio race.
 void record_portfolio_winner(std::size_t winner) {
-  if (!obs::enabled()) {
-    return;
-  }
   static obs::Counter& races =
       obs::Registry::instance().counter("sat.portfolio.race.count");
   static obs::Gauge& winner_index =
@@ -24,9 +21,6 @@ void record_portfolio_winner(std::size_t winner) {
 }
 
 void record_portfolio_round() {
-  if (!obs::enabled()) {
-    return;
-  }
   static obs::Counter& rounds =
       obs::Registry::instance().counter("sat.portfolio.round.count");
   rounds.add(1);
@@ -180,56 +174,35 @@ bool ParallelSolver::solve(std::span<const Lit> assumptions) {
             : round_budget;
 
     std::vector<LBool> results(configs, LBool::Undef);
-    std::atomic<std::size_t> next{0};
     // Lowest configuration index with a verdict: every higher index is
     // irrelevant to the referee.
     std::atomic<std::size_t> cancel_above{configs};
 
-    const auto job_loop = [&]() {
-      for (;;) {
-        const std::size_t i =
-            next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= configs) {
-          return;
+    const auto run_config = [&](std::size_t i) {
+      Worker& w = *workers_[i];
+      if (i > cancel_above.load(std::memory_order_acquire)) {
+        w.tainted = true;  // Skipped: state would be schedule-dependent.
+        return;
+      }
+      const LBool r = w.solver->solve_limited(assumptions, effective_budget);
+      if (w.interrupt.load(std::memory_order_relaxed)) {
+        w.tainted = true;  // Cancelled mid-run; discard partial state.
+        return;
+      }
+      results[i] = r;
+      if (r != LBool::Undef) {
+        std::size_t expected = cancel_above.load();
+        while (i < expected &&
+               !cancel_above.compare_exchange_weak(expected, i)) {
         }
-        Worker& w = *workers_[i];
-        if (i > cancel_above.load(std::memory_order_acquire)) {
-          w.tainted = true;  // Skipped: state would be schedule-dependent.
-          continue;
-        }
-        const LBool r = w.solver->solve_limited(assumptions, effective_budget);
-        if (w.interrupt.load(std::memory_order_relaxed)) {
-          w.tainted = true;  // Cancelled mid-run; discard partial state.
-          continue;
-        }
-        results[i] = r;
-        if (r != LBool::Undef) {
-          std::size_t expected = cancel_above.load();
-          while (i < expected &&
-                 !cancel_above.compare_exchange_weak(expected, i)) {
-          }
-          for (std::size_t j = i + 1; j < configs; ++j) {
-            workers_[j]->interrupt.store(true, std::memory_order_relaxed);
-          }
+        for (std::size_t j = i + 1; j < configs; ++j) {
+          workers_[j]->interrupt.store(true, std::memory_order_relaxed);
         }
       }
     };
 
     record_portfolio_round();
-    const std::size_t thread_count =
-        std::min(opts_.num_threads, configs);
-    if (thread_count <= 1) {
-      job_loop();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(thread_count);
-      for (std::size_t t = 0; t < thread_count; ++t) {
-        pool.emplace_back(job_loop);
-      }
-      for (auto& t : pool) {
-        t.join();
-      }
-    }
+    util::run_indexed_parallel(configs, opts_.num_threads, run_config);
 
     // Referee: the lowest index with any verdict wins (an UNSAT verdict
     // is configuration-independent).

@@ -19,9 +19,6 @@ class SolveStatsObs {
   explicit SolveStatsObs(const SolverStats& stats)
       : stats_(stats), start_(stats) {}
   ~SolveStatsObs() {
-    if (!obs::enabled()) {
-      return;
-    }
     auto& registry = obs::Registry::instance();
     static obs::Counter& solves = registry.counter("sat.solve.count");
     static obs::Counter& conflicts = registry.counter("sat.conflict.count");
@@ -625,11 +622,9 @@ void Solver::proof_log_clause(std::span<const Lit> lits, bool deletion) {
 }
 
 void Solver::proof_snapshot(std::span<const Lit> assumptions) {
-  if (obs::enabled()) {
-    static obs::Counter& proof_bytes =
-        obs::Registry::instance().counter("sat.proof.bytes");
-    proof_bytes.add(proof_drat_.size());
-  }
+  static obs::Counter& proof_bytes =
+      obs::Registry::instance().counter("sat.proof.bytes");
+  proof_bytes.add(proof_drat_.size());
   UnsatProof proof;
   proof.premise = proof_premise_;
   proof.assumptions.assign(assumptions.begin(), assumptions.end());

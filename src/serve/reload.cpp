@@ -13,6 +13,17 @@ namespace ftsp::serve {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Publishes the store generation now serving.
+void publish_generation(std::uint64_t generation) {
+  static obs::Gauge& gauge =
+      obs::Registry::instance().gauge("serve.reload.generation");
+  gauge.set(static_cast<std::int64_t>(generation));
+}
+
+}  // namespace
+
 ReloadableService::ReloadableService(std::string store_dir,
                                      const Options& options)
     : store_dir_(std::move(store_dir)),
@@ -24,6 +35,7 @@ ReloadableService::ReloadableService(std::string store_dir,
   }
   current_ = build(runtime_->generation.load());
   fingerprint_ = index_fingerprint();
+  publish_generation(runtime_->generation.load());
   // The reload op routes back here. The hook captures `this`; the dtor
   // clears it before tearing anything down so a request racing the
   // shutdown sees "unsupported" instead of a dangling pointer.
@@ -99,7 +111,9 @@ std::uint64_t ReloadableService::force_reload() {
   // health and codes answered by one snapshot agree on the generation
   // even for requests racing the swap.
   std::lock_guard<std::mutex> reload_lock(reload_mutex_);
-  const auto swap_start = std::chrono::steady_clock::now();
+  const bool timing = obs::enabled();
+  const auto swap_start = timing ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{};
   const std::uint64_t generation = runtime_->generation.load() + 1;
   std::shared_ptr<const compile::ProtocolService> fresh;
   try {
@@ -127,15 +141,13 @@ std::uint64_t ReloadableService::force_reload() {
     current_ = std::move(fresh);
     fingerprint_ = fingerprint;
   }
-  if (obs::enabled()) {
-    auto& registry = obs::Registry::instance();
-    static obs::Counter& reloads = registry.counter("serve.reload.count");
-    static obs::Gauge& generation_gauge =
-        registry.gauge("serve.reload.generation");
+  static obs::Counter& reloads =
+      obs::Registry::instance().counter("serve.reload.count");
+  reloads.add(1);
+  publish_generation(generation);
+  if (timing) {
     static obs::Histogram& swap_duration =
-        registry.histogram("serve.reload.swap_duration_us");
-    reloads.add(1);
-    generation_gauge.set(static_cast<std::int64_t>(generation));
+        obs::Registry::instance().histogram("serve.reload.swap_duration_us");
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - swap_start)
                         .count();

@@ -26,8 +26,10 @@ namespace ftsp::serve {
 /// when its last in-flight request drops the reference.
 ///
 /// Two pieces of state deliberately survive swaps:
-///   - the shared `ProtocolService::Runtime` (request counters, store
-///     generation, the reload hook), so `stats` is cumulative;
+///   - the shared `ProtocolService::Runtime` (store generation, the
+///     reload hook, the degraded flag). The request counts `stats`
+///     reports are process-wide registry counters, so they are
+///     cumulative across swaps without being shared here;
 ///   - the shared `PayloadCache`, whose keys embed the artifact store
 ///     key — a recompiled artifact gets a new key and therefore never
 ///     serves stale cached bytes, while untouched artifacts keep their

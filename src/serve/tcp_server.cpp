@@ -64,9 +64,7 @@ std::string control_error_line(const char* code, const std::string& message) {
 /// — spelled out at every call site so the append-only metric-name
 /// registry stays greppable and ftsp_lint can extract it.
 void count_connection_event(const char* metric, std::uint64_t n = 1) {
-  if (obs::enabled()) {
-    obs::Registry::instance().counter(metric).add(n);
-  }
+  obs::Registry::instance().counter(metric).add(n);
 }
 
 }  // namespace
@@ -120,7 +118,6 @@ struct TcpServer::Impl {
 
   ServiceSnapshotFn snapshot;
   TcpServerOptions options;
-  Stats* stats = nullptr;
 
   int listener = -1;  ///< -1 when serving adopted connections only.
   /// Identity of the unix socket file this server bound, so `stop()`
@@ -451,7 +448,6 @@ struct TcpServer::Impl {
       if (conns.size() >= options.max_connections) {
         // Over the admission cap: tell the client *why* before closing
         // — a silent RST is indistinguishable from a network fault.
-        stats->rejected_overloaded.fetch_add(1);
         count_connection_event("serve.conn.reject.count");
         const std::string reply =
             metrics ? "HTTP/1.0 503 Service Unavailable\r\n"
@@ -475,7 +471,6 @@ struct TcpServer::Impl {
 
   void add_connection(int fd, bool metrics) {
     set_nonblocking(fd);
-    stats->accepted.fetch_add(1);
     count_connection_event("serve.conn.accept.count");
     const std::uint64_t id = next_conn_id++;
     Connection conn;
@@ -524,11 +519,9 @@ struct TcpServer::Impl {
         conn.in.find("\n\n") != std::string::npos;
     if ((have_request || conn.eof) && !conn.metrics_responded) {
       conn.metrics_responded = true;
-      if (obs::enabled()) {
-        static obs::Counter& scrapes =
-            obs::Registry::instance().counter("serve.metrics.scrape.count");
-        scrapes.add(1);
-      }
+      static obs::Counter& scrapes =
+          obs::Registry::instance().counter("serve.metrics.scrape.count");
+      scrapes.add(1);
       conn.out = obs::render_http_metrics_response();
       conn.eof = true;  // Write-and-close (HTTP/1.0, Connection: close).
     }
@@ -563,7 +556,6 @@ struct TcpServer::Impl {
       if (line.empty()) {
         continue;
       }
-      stats->requests.fetch_add(1);
       ++conn.inflight;
       {
         std::lock_guard<std::mutex> lock(task_mutex);
@@ -681,7 +673,6 @@ struct TcpServer::Impl {
                      "bytes pending, client not reading (limit %zu)\n",
                      static_cast<unsigned long long>(id), conn.out.size(),
                      options.max_output_bytes);
-        stats->closed_overflow.fetch_add(1);
         conn.dead = true;
         continue;
       }
@@ -724,7 +715,6 @@ struct TcpServer::Impl {
     for (auto& [id, conn] : conns) {
       if (!conn.dead && conn.inflight == 0 && conn.ready.empty() &&
           conn.out.empty() && now - conn.last_activity > options.idle_timeout) {
-        stats->closed_idle.fetch_add(1);
         conn.dead = true;
       }
     }
@@ -811,7 +801,6 @@ TcpServer::TcpServer(ServiceSnapshotFn service, TcpServerOptions options)
   }
   impl_->snapshot = std::move(service);
   impl_->options = options;
-  impl_->stats = &stats_;
   std::tie(port_, metrics_port_) = impl_->bind_and_listen();
 }
 

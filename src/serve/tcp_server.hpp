@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -79,14 +78,6 @@ class TcpServer {
   using ServiceSnapshotFn =
       std::function<std::shared_ptr<const compile::ProtocolService>()>;
 
-  struct Stats {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected_overloaded{0};
-    std::atomic<std::uint64_t> closed_idle{0};
-    std::atomic<std::uint64_t> closed_overflow{0};
-    std::atomic<std::uint64_t> requests{0};
-  };
-
   /// Binds and listens (throws std::runtime_error on failure) but does
   /// not serve until `start()`.
   TcpServer(ServiceSnapshotFn service, TcpServerOptions options);
@@ -120,12 +111,9 @@ class TcpServer {
   /// event-loop error).
   void wait();
 
-  const Stats& stats() const { return stats_; }
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  Stats stats_;
   std::uint16_t port_ = 0;
   std::uint16_t metrics_port_ = 0;
 };

@@ -58,7 +58,7 @@ TEST(ObsRegistry, CounterGaugeBasics) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
-TEST(ObsRegistry, DisabledRecordingIsFrozen) {
+TEST(ObsRegistry, SwitchOffFreezesTimingsWhileCountersRecord) {
   const ObsOverride off(false);
   auto& registry = Registry::instance();
   Counter& counter = registry.counter("test.obs.frozen.counter");
@@ -67,6 +67,7 @@ TEST(ObsRegistry, DisabledRecordingIsFrozen) {
   counter.reset();
   gauge.reset();
   histogram.reset();
+  TraceRing::instance().clear();
 
   counter.add(5);
   gauge.set(5);
@@ -74,15 +75,18 @@ TEST(ObsRegistry, DisabledRecordingIsFrozen) {
   { const ScopedTimer timer(histogram); }
   { const TraceSpan span("test.obs.frozen.span"); }
 
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_EQ(gauge.value(), 0);
+  // Counters and gauges are the one count of each event: they record
+  // whatever the switch says.
+  EXPECT_EQ(counter.value(), 5u);
+  EXPECT_EQ(gauge.value(), 5);
+  // Histograms, timers and spans are what the switch turns off.
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_EQ(histogram.sum_us(), 0u);
   EXPECT_EQ(histogram.percentile_us(0.99), 0u);
+  EXPECT_EQ(TraceRing::instance().size(), 0u);
 
-  // Reads and renders still work while disabled — they just see the
-  // frozen state.
-  EXPECT_NE(render_prometheus().find("test_obs_frozen_counter"),
+  // Reads and renders work either way.
+  EXPECT_NE(render_prometheus().find("test_obs_frozen_counter 5"),
             std::string::npos);
 }
 

@@ -285,6 +285,8 @@ TEST_F(ServiceTest, HealthReportsCountsAndGeneration) {
 }
 
 TEST_F(ServiceTest, StatsCountsRequestsPerOp) {
+  // Request counts are process-wide registry counters: start from zero.
+  obs::Registry::instance().reset_for_tests();
   const ProtocolCompiler compiler;
   ProtocolService service;
   service.add(compiler.compile(qec::steane()));
@@ -298,6 +300,45 @@ TEST_F(ServiceTest, StatsCountsRequestsPerOp) {
   EXPECT_NE(stats.find(R"("rejected":1)"), std::string::npos) << stats;
   // No cache attached: explicit null, not absent.
   EXPECT_NE(stats.find(R"("cache":null)"), std::string::npos) << stats;
+}
+
+TEST_F(ServiceTest, StatsV1BytesAreFrozen) {
+  // The whole v1 `stats` response, byte for byte: every registered op
+  // (zeros included) in alphabetical order, the unknown-op count, and
+  // the cache block or null. The counts are process-wide, so each run
+  // starts from a reset registry, and they record whether or not
+  // telemetry is enabled.
+  const ProtocolCompiler compiler;
+  const ProtocolArtifact steane = compiler.compile(qec::steane());
+  const auto run = [&](bool with_cache) {
+    obs::Registry::instance().reset_for_tests();
+    ProtocolService service;
+    service.add(steane);
+    if (with_cache) {
+      service.set_payload_cache(
+          std::make_shared<serve::PayloadCache>(1u << 20));
+    }
+    service.handle_request(R"({"op":"codes"})");
+    service.handle_request(R"({"op":"codes"})");
+    service.handle_request(R"({"op":"info","code":"Steane"})");
+    service.handle_request(R"({"op":"nope"})");
+    return service.handle_request(R"({"op":"stats"})");
+  };
+  const std::string head =
+      R"({"ok":true,"generation":1,"ops":{"circuit":0,"codes":2,)"
+      R"("health":0,"info":1,"metrics":0,"rate":0,"reload":0,"sample":0,)"
+      R"("stats":1},"rejected":1,)";
+  const std::string without_cache = head + R"("cache":null})";
+  const std::string with_cache =
+      head +
+      R"("cache":{"hits":0,"misses":0,"hit_rate":0,"coalesced":0,)"
+      R"("evictions":0,"entries":0,"bytes":0,"capacity_bytes":1048576}})";
+  for (const bool on : {true, false}) {
+    obs::set_enabled(on);
+    EXPECT_EQ(run(false), without_cache) << "telemetry on=" << on;
+    EXPECT_EQ(run(true), with_cache) << "telemetry on=" << on;
+  }
+  obs::clear_enabled_override();
 }
 
 TEST_F(ServiceTest, ShadowedArtifactsAreSurfacedLoudly) {
