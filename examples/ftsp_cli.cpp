@@ -35,8 +35,9 @@
 //       Compiles capture optimality proofs by default: every
 //       optimality-anchoring UNSAT leg of the SAT sweeps is logged as a
 //       DRAT refutation, checked in-process, fingerprinted into the
-//       artifact and persisted as a .proof sidecar. --no-proofs opts
-//       out (artifact bytes then match pre-proof builds exactly).
+//       artifact and persisted as a .proof sidecar, which only `audit`
+//       reads (serving never opens it). --no-proofs opts out (artifact
+//       bytes then match pre-proof builds exactly).
 //   ftsp_cli store   --store DIR --prune [--dry-run]
 //                    [--max-cache-age-days N]
 //       Store garbage collection: removes orphaned .ftsa containers
@@ -568,14 +569,10 @@ int run_audit(const std::vector<std::string>& args) {
     bytes << in.rdbuf();
     compile::ProtocolArtifact artifact =
         compile::decode_artifact(bytes.str());
-    const std::filesystem::path sidecar_path =
-        std::filesystem::path(artifact_file).replace_extension(".proof");
-    std::ifstream sidecar(sidecar_path, std::ios::binary);
-    if (sidecar) {
-      std::ostringstream sidecar_bytes;
-      sidecar_bytes << sidecar.rdbuf();
-      compile::rehydrate_proof_bytes(artifact, sidecar_bytes.str());
-    }
+    compile::read_proof_sidecar(
+        artifact, std::filesystem::path(artifact_file)
+                      .replace_extension(".proof")
+                      .string());
     ++artifacts;
     failures += audit_artifact(artifact_file, artifact);
   } else {
@@ -585,16 +582,18 @@ int run_audit(const std::vector<std::string>& args) {
     }
     const compile::ArtifactStore store(store_dir);
     for (const auto& key : store.keys()) {
-      // get() re-verifies the container CRCs and rehydrates proof bytes
-      // from the sidecar; structural corruption surfaces here.
+      // get() re-verifies the container CRCs (structural corruption
+      // surfaces here) and returns metadata-only proof entries;
+      // load_proofs() then rehydrates their bytes from the sidecar.
       try {
-        const auto artifact = store.get(key);
+        auto artifact = store.get(key);
         if (!artifact.has_value()) {
           std::printf("%-40s FAIL\n    vanished from index\n", key.c_str());
           ++failures;
           ++artifacts;
           continue;
         }
+        store.load_proofs(*artifact);
         ++artifacts;
         failures += audit_artifact(
             artifact->protocol.code->name() + " (" +

@@ -67,9 +67,10 @@ struct ProtocolArtifact {
   /// section). The `.ftsa` container stores only the metadata
   /// (claims, sizes, CRC fingerprints, checker verdicts); the premise
   /// and DRAT bytes travel in a `.proof` sidecar written by
-  /// `ArtifactStore::put` and rehydrated by `ArtifactStore::get` — a
-  /// decoded artifact without its sidecar has `present` entries whose
-  /// byte fields are empty.
+  /// `ArtifactStore::put` and read back only on demand by
+  /// `ArtifactStore::load_proofs` (for an audit) — a decoded artifact,
+  /// including every `ArtifactStore::get` result, has `present` entries
+  /// whose byte fields are empty until then.
   std::vector<core::CapturedProof> proofs;
 };
 

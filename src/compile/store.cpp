@@ -16,6 +16,7 @@
 
 #include "compile/format.hpp"
 #include "core/synth_cache.hpp"
+#include "obs/registry.hpp"
 #include "util/binio.hpp"
 #include "util/fault_inject.hpp"
 
@@ -373,16 +374,29 @@ std::optional<ProtocolArtifact> ArtifactStore::get(
   if (artifact.key != key) {
     throw ArtifactFormatError("store: key mismatch in " + filename);
   }
-  if (!artifact.proofs.empty()) {
-    std::ifstream sidecar(artifact_path(hash_name(key, ".proof")),
-                          std::ios::binary);
-    if (sidecar) {
-      std::ostringstream proof_bytes;
-      proof_bytes << sidecar.rdbuf();
-      rehydrate_proof_bytes(artifact, proof_bytes.str());
-    }
-  }
   return artifact;
+}
+
+void ArtifactStore::load_proofs(ProtocolArtifact& artifact) const {
+  read_proof_sidecar(artifact,
+                     artifact_path(hash_name(artifact.key, ".proof")));
+}
+
+void read_proof_sidecar(ProtocolArtifact& artifact, const std::string& path) {
+  if (artifact.proofs.empty()) {
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return;
+  }
+  static obs::Counter& read_bytes =
+      obs::Registry::instance().counter("store.proof.read.bytes");
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const std::string sidecar = bytes.str();
+  read_bytes.add(sidecar.size());
+  rehydrate_proof_bytes(artifact, sidecar);
 }
 
 bool ArtifactStore::contains(const std::string& key) const {

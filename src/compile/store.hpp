@@ -17,6 +17,7 @@ namespace ftsp::compile {
 /// Layout (all paths under the store directory):
 ///   index.tsv         one line per artifact: "<filename>\t<key>"
 ///   <keyhash>.ftsa    artifact container files (see format.md)
+///   <keyhash>.proof   proof-bytes sidecars (read only by `load_proofs`)
 ///   satcache/         persisted SynthCache entries (read/write-through)
 ///   quarantine/       artifacts moved aside as corrupt (see quarantine)
 ///
@@ -55,15 +56,23 @@ class ArtifactStore {
   /// artifact carries any, land in a `<keyhash>.proof` sidecar next to
   /// the container; an artifact with *no* proof entries removes a stale
   /// sidecar, while a metadata-only artifact (present entries whose
-  /// bytes were never rehydrated) leaves an existing sidecar untouched.
+  /// bytes were never loaded, e.g. straight from `get`) leaves an
+  /// existing sidecar untouched.
   void put(const ProtocolArtifact& artifact);
 
   /// Loads and fully decodes the artifact for `key`; nullopt when the
-  /// key is not in the index. Decode/integrity failures throw. Proof
-  /// bytes are rehydrated from the `.proof` sidecar when present (a
-  /// missing or mismatched sidecar degrades to empty byte fields — see
-  /// `rehydrate_proof_bytes` — never to a load failure).
+  /// key is not in the index. Decode/integrity failures throw. Reads the
+  /// `.ftsa` container only, never the `.proof` sidecar: proof entries
+  /// come back metadata-only (stage, claim, sizes, CRCs, verdicts) with
+  /// empty `premise_dimacs` and `drat`, which is all serving needs.
+  /// Call `load_proofs` for the bytes.
   std::optional<ProtocolArtifact> get(const std::string& key) const;
+
+  /// Rehydrates the proof bytes of an artifact returned by `get` from
+  /// its `<keyhash>.proof` sidecar (see `read_proof_sidecar`). A
+  /// missing or mismatched sidecar leaves the byte fields empty, never
+  /// throws; a no-op for an artifact without proof entries.
+  void load_proofs(ProtocolArtifact& artifact) const;
 
   bool contains(const std::string& key) const;
   std::vector<std::string> keys() const;
@@ -132,5 +141,12 @@ class ArtifactStore {
   std::map<std::string, std::string> index_;  ///< key -> filename.
   RecoveryReport recovery_;                   ///< guarded by mutex_.
 };
+
+/// The one reader of `.proof` sidecar files: reads `path` and restores
+/// the bytes of `artifact`'s proof entries via `rehydrate_proof_bytes`,
+/// which verifies stage names, sizes and CRCs. A missing file leaves the
+/// byte fields empty. Does not open the file when the artifact has no
+/// proof entries. Counts the bytes read in `store.proof.read.bytes`.
+void read_proof_sidecar(ProtocolArtifact& artifact, const std::string& path);
 
 }  // namespace ftsp::compile

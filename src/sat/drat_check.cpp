@@ -137,6 +137,11 @@ class DratChecker {
         }
         continue;
       }
+      // A lemma may name a variable no earlier clause mentions (a RAT
+      // lemma's fresh pivot); size the assignment before reading it.
+      for (const Lit l : clause) {
+        ensure_var(l.var());
+      }
       if (!check_rup(clause)) {
         if (!check_rat(clause)) {
           return fail("lemma " + std::to_string(result_.lemmas_checked + 1) +

@@ -1,8 +1,8 @@
 // ftsp_cli end-to-end: argument-parsing robustness (malformed numbers
 // and trailing value flags exit 2 with a usage message instead of
-// aborting on an uncaught exception) and the device-targeted
-// compile/query flow. Drives the real binary, whose path CMake injects
-// as FTSP_CLI_PATH.
+// aborting on an uncaught exception), the device-targeted
+// compile/query flow, and `audit` on damaged proof sidecars. Drives the
+// real binary, whose path CMake injects as FTSP_CLI_PATH.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -237,6 +238,82 @@ TEST(Cli, ServeAnswersPipedStdinWithAccessLog) {
   EXPECT_EQ(redirected.exit_code, 0) << redirected.output;
   EXPECT_EQ(count_json_lines(redirected.output), kRequests)
       << redirected.output;
+}
+
+/// The one `.proof` sidecar in a single-artifact store directory.
+fs::path only_sidecar(const fs::path& store) {
+  fs::path found;
+  for (const auto& entry : fs::directory_iterator(store)) {
+    if (entry.path().extension() == ".proof") {
+      EXPECT_TRUE(found.empty()) << "more than one sidecar in " << store;
+      found = entry.path();
+    }
+  }
+  EXPECT_FALSE(found.empty()) << "no sidecar in " << store;
+  return found;
+}
+
+TEST(Cli, AuditFlagsDamagedSidecarsThatServingNeverReads) {
+  TempDir dir("damaged-sidecars");
+  const fs::path pristine = dir.path / "pristine";
+  const fs::path linear = dir.path / "linear";
+  const auto compiled = run_cli("compile Steane --store " + pristine.string());
+  ASSERT_EQ(compiled.exit_code, 0) << compiled.output;
+  const auto linear_compiled = run_cli("compile Steane --store " +
+                                       linear.string() + " --coupling linear");
+  ASSERT_EQ(linear_compiled.exit_code, 0) << linear_compiled.output;
+  const fs::path sidecar = only_sidecar(pristine);
+  const fs::path linear_sidecar = only_sidecar(linear);
+  ASSERT_FALSE(sidecar.empty());
+  ASSERT_FALSE(linear_sidecar.empty());
+
+  const auto damaged_copy = [&](const std::string& name) {
+    const fs::path copy = dir.path / name;
+    fs::copy(pristine, copy, fs::copy_options::recursive);
+    return copy;
+  };
+  const fs::path missing = damaged_copy("missing");
+  fs::remove(missing / sidecar.filename());
+  const fs::path truncated = damaged_copy("truncated");
+  fs::resize_file(truncated / sidecar.filename(), fs::file_size(sidecar) / 2);
+  const fs::path stale = damaged_copy("stale");
+  fs::copy_file(linear_sidecar, stale / sidecar.filename(),
+                fs::copy_options::overwrite_existing);
+
+  const auto audit_pristine = run_cli("audit --store " + pristine.string());
+  EXPECT_EQ(audit_pristine.exit_code, 0) << audit_pristine.output;
+  EXPECT_EQ(audit_pristine.output.find("proof bytes missing"),
+            std::string::npos)
+      << audit_pristine.output;
+
+  const std::string requests[] = {
+      R"('{"op":"info","code":"Steane"}')",
+      R"('{"op":"circuit","code":"Steane","format":"qasm"}')",
+      R"('{"v":2,"op":"health"}')",
+  };
+  std::vector<std::string> pristine_replies;
+  for (const auto& request : requests) {
+    const auto reply =
+        run_cli("query --store " + pristine.string() + " " + request);
+    EXPECT_EQ(reply.exit_code, 0) << reply.output;
+    EXPECT_NE(reply.output.find(R"("ok":true)"), std::string::npos)
+        << reply.output;
+    pristine_replies.push_back(reply.output);
+  }
+
+  for (const fs::path& copy : {missing, truncated, stale}) {
+    const auto audit = run_cli("audit --store " + copy.string());
+    EXPECT_EQ(audit.exit_code, 1) << copy.filename() << ": " << audit.output;
+    EXPECT_NE(audit.output.find("proof bytes missing"), std::string::npos)
+        << copy.filename() << ": " << audit.output;
+    for (std::size_t i = 0; i < std::size(requests); ++i) {
+      const auto reply =
+          run_cli("query --store " + copy.string() + " " + requests[i]);
+      EXPECT_EQ(reply.exit_code, 0) << reply.output;
+      EXPECT_EQ(reply.output, pristine_replies[i])
+          << copy.filename() << ": " << requests[i];
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "compile/artifact.hpp"
 #include "compile/store.hpp"
 #include "core/synth_cache.hpp"
+#include "obs/registry.hpp"
 #include "qec/code_library.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/parallel_solver.hpp"
@@ -400,21 +402,70 @@ TEST(ProofCapture, ArtifactAndStoreRoundTripProofs) {
     EXPECT_TRUE(decoded.proofs[i].drat.empty());
   }
 
-  // Store round-trip rehydrates the bytes from the sidecar.
+  // Store round-trip: `get` reads the container only, so every present
+  // entry comes back metadata-only; `load_proofs` restores the bytes
+  // from the sidecar exactly.
   const auto dir = std::filesystem::temp_directory_path() /
                    ("ftsp-proof-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   {
     compile::ArtifactStore store(dir.string());
     store.put(artifact);
-    const auto loaded = store.get(artifact.key);
+    const auto read_file = [](const std::filesystem::path& path) {
+      std::ifstream in(path, std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      return bytes.str();
+    };
+    std::filesystem::path sidecar_path;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".proof") {
+        sidecar_path = entry.path();
+      }
+    }
+    ASSERT_FALSE(sidecar_path.empty());
+    const std::string sidecar_bytes = read_file(sidecar_path);
+
+    auto loaded = store.get(artifact.key);
     ASSERT_TRUE(loaded.has_value());
     ASSERT_EQ(loaded->proofs.size(), artifact.proofs.size());
+    for (std::size_t i = 0; i < loaded->proofs.size(); ++i) {
+      const auto& got = loaded->proofs[i];
+      const auto& want = artifact.proofs[i];
+      EXPECT_EQ(got.stage, want.stage);
+      EXPECT_EQ(got.claim, want.claim);
+      EXPECT_EQ(got.present, want.present);
+      EXPECT_EQ(got.checked, want.checked);
+      EXPECT_EQ(got.premise_size, want.premise_size);
+      EXPECT_EQ(got.premise_crc, want.premise_crc);
+      EXPECT_EQ(got.drat_size, want.drat_size);
+      EXPECT_EQ(got.drat_crc, want.drat_crc);
+      EXPECT_TRUE(got.premise_dimacs.empty()) << got.stage;
+      EXPECT_TRUE(got.drat.empty()) << got.stage;
+    }
+
+    // get -> put of the metadata-only artifact keeps the good sidecar.
+    store.put(*loaded);
+    EXPECT_EQ(read_file(sidecar_path), sidecar_bytes);
+
+    store.load_proofs(*loaded);
     for (std::size_t i = 0; i < loaded->proofs.size(); ++i) {
       EXPECT_EQ(loaded->proofs[i].premise_dimacs,
                 artifact.proofs[i].premise_dimacs);
       EXPECT_EQ(loaded->proofs[i].drat, artifact.proofs[i].drat);
     }
+
+    // No proof entries: the sidecar is not even opened, and the
+    // artifact is left exactly as it was.
+    compile::ProtocolArtifact no_proofs = *loaded;
+    no_proofs.proofs.clear();
+    const std::string before = compile::encode_artifact(no_proofs);
+    const obs::Counter& read_bytes =
+        obs::Registry::instance().counter("store.proof.read.bytes");
+    const std::uint64_t read_before = read_bytes.value();
+    store.load_proofs(no_proofs);
+    EXPECT_EQ(compile::encode_artifact(no_proofs), before);
+    EXPECT_EQ(read_bytes.value(), read_before);
   }
   std::filesystem::remove_all(dir);
 }

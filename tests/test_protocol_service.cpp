@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <thread>
 
 #include "compile/json.hpp"
+#include "compile/store.hpp"
+#include "core/synth_cache.hpp"
 #include "obs/registry.hpp"
 #include "qec/code_library.hpp"
 #include "serve/cache.hpp"
@@ -460,6 +465,53 @@ TEST_F(ServiceTest, StatsV2CarriesLatencyAndCacheBreakdown) {
   EXPECT_EQ(v1.find("obs_enabled"), std::string::npos) << v1;
   EXPECT_EQ(v1.find("latency"), std::string::npos) << v1;
   EXPECT_EQ(v1.find("cache_ops"), std::string::npos) << v1;
+}
+
+TEST(ServiceStoreTest, ServingNeverReadsProofSidecars) {
+  core::SynthCache::instance().clear();  // Force a proof-capturing solve.
+  core::SynthesisOptions options;
+  options.capture_proofs = true;
+  const ProtocolArtifact artifact =
+      ProtocolCompiler(options).compile(qec::steane());
+  ASSERT_FALSE(artifact.proofs.empty());
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ftsp-service-proofs-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ArtifactStore store(dir.string());
+  store.put(artifact);
+  std::uintmax_t sidecar_size = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".proof") {
+      sidecar_size = entry.file_size();
+    }
+  }
+  ASSERT_GT(sidecar_size, 0u);
+
+  obs::Counter& read_bytes =
+      obs::Registry::instance().counter("store.proof.read.bytes");
+  read_bytes.reset();
+  {
+    ArtifactStore reopened(dir.string());
+    ProtocolService service;
+    EXPECT_EQ(service.load_store(reopened), 1u);
+    for (const char* request :
+         {R"({"op":"info","code":"Steane"})",
+          R"({"op":"circuit","code":"Steane","format":"qasm"})",
+          R"({"op":"sample","code":"Steane","p":0.02,"shots":512,"seed":1})"}) {
+      const auto response = service.handle_request(request);
+      EXPECT_NE(response.find(R"("ok":true)"), std::string::npos)
+          << response;
+    }
+  }
+  EXPECT_EQ(read_bytes.value(), 0u) << "a serving path read a sidecar";
+
+  // Only an explicit load_proofs reads the sidecar, all of it, once.
+  auto loaded = store.get(artifact.key);
+  ASSERT_TRUE(loaded.has_value());
+  store.load_proofs(*loaded);
+  EXPECT_EQ(read_bytes.value(), sidecar_size);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PayloadCacheTest, EvictsLruAndTracksBytes) {
