@@ -10,7 +10,7 @@
 //
 // Without --connect it serves in-process: compiles Steane once, then
 // serves it through a real TcpServer on an ephemeral loopback port —
-// the full epoll + worker-pool + coalescing path, minus only process
+// the full event-loop + worker-pool + coalescing path, minus only process
 // isolation. With --connect it targets a running `ftsp_cli serve
 // --tcp` instance. Exits nonzero if any request fails or throughput is
 // zero, so CI can gate on it.

@@ -1,5 +1,7 @@
 #include "serve/tcp_server.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -29,11 +31,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#endif
-
 namespace ftsp::serve {
 
 namespace {
@@ -60,13 +57,6 @@ std::string control_error_line(const char* code, const std::string& message) {
   return render_error(envelope, code, message) + "\n";
 }
 
-/// `metric` is the full registered name ("serve.conn.accept.count", ...)
-/// — spelled out at every call site so the append-only metric-name
-/// registry stays greppable and ftsp_lint can extract it.
-void count_connection_event(const char* metric, std::uint64_t n = 1) {
-  obs::Registry::instance().counter(metric).add(n);
-}
-
 }  // namespace
 
 struct TcpServer::Impl {
@@ -83,7 +73,9 @@ struct TcpServer::Impl {
     std::uint64_t next_seq = 0;
     std::uint64_t next_flush = 0;
     std::map<std::uint64_t, std::string> ready;  ///< Out-of-order done.
-    std::size_t inflight = 0;  ///< Parsed, response not yet in `ready`.
+    /// Parsed, response not yet in `out`: replies waiting in `ready`
+    /// for an earlier one still count against the in-flight cap.
+    std::size_t inflight = 0;
     std::chrono::steady_clock::time_point last_activity;
     bool want_read = true;
     bool want_write = false;
@@ -111,7 +103,7 @@ struct TcpServer::Impl {
     std::string response;
   };
 
-  // Reserved event ids (connection ids start above them).
+  // Reserved poll ids (connection ids start above them).
   static constexpr std::uint64_t kListenerId = 0;
   static constexpr std::uint64_t kWakeId = 1;
   static constexpr std::uint64_t kMetricsListenerId = 2;
@@ -124,11 +116,14 @@ struct TcpServer::Impl {
   /// never unlinks a file that replaced it.
   struct stat unix_socket_file {};
   int metrics_listener = -1;
+  /// Self-pipe: workers and `stop()` write a byte to wake `poll(2)`.
   int wake_read = -1;
   int wake_write = -1;
-#ifdef __linux__
-  int epoll_fd = -1;
-#endif
+  /// The poll set, rebuilt in place every iteration: `poll_ids[i]` names
+  /// the listener, wake pipe or connection behind `poll_fds[i]`. Members,
+  /// so a steady loop reuses their capacity instead of allocating.
+  std::vector<pollfd> poll_fds;
+  std::vector<std::uint64_t> poll_ids;
 
   std::uint64_t next_conn_id = 3;
   std::unordered_map<std::uint64_t, Connection> conns;
@@ -158,10 +153,7 @@ struct TcpServer::Impl {
     if (listener >= 0) ::close(listener);
     if (metrics_listener >= 0) ::close(metrics_listener);
     if (wake_read >= 0) ::close(wake_read);
-    if (wake_write >= 0 && wake_write != wake_read) ::close(wake_write);
-#ifdef __linux__
-    if (epoll_fd >= 0) ::close(epoll_fd);
-#endif
+    if (wake_write >= 0) ::close(wake_write);
     for (auto& [id, conn] : conns) {
       if (conn.fd >= 0) ::close(conn.fd);
     }
@@ -206,8 +198,14 @@ struct TcpServer::Impl {
     }
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    // The accept queue must hold a full house: a connect burst of
+    // `max_connections` clients that overflowed it would wait out a SYN
+    // retransmit (~1 s). At least 128, so a small cap still answers an
+    // over-cap burst promptly. The kernel clamps it to somaxconn.
+    const int backlog = static_cast<int>(
+        std::clamp<std::size_t>(options.max_connections, 128, INT_MAX));
     auto* generic = reinterpret_cast<sockaddr*>(&address);
-    if (::bind(fd, generic, size) != 0 || ::listen(fd, 128) != 0 ||
+    if (::bind(fd, generic, size) != 0 || ::listen(fd, backlog) != 0 ||
         ::getsockname(fd, generic, &size) != 0 ||
         (!unix_path.empty() &&
          ::lstat(unix_path.c_str(), &unix_socket_file) != 0)) {
@@ -243,24 +241,6 @@ struct TcpServer::Impl {
           bind_listener(options.metrics_host, options.metrics_port);
     }
 
-#ifdef __linux__
-    wake_read = wake_write = ::eventfd(0, EFD_NONBLOCK);
-    if (wake_read < 0) {
-      throw std::runtime_error("serve_tcp: eventfd() failed");
-    }
-    epoll_fd = ::epoll_create1(0);
-    if (epoll_fd < 0) {
-      throw std::runtime_error("serve_tcp: epoll_create1() failed");
-    }
-    if (listener >= 0) {
-      epoll_add(listener, kListenerId, /*read=*/true, /*write=*/false);
-    }
-    if (metrics_listener >= 0) {
-      epoll_add(metrics_listener, kMetricsListenerId, /*read=*/true,
-                /*write=*/false);
-    }
-    epoll_add(wake_read, kWakeId, /*read=*/true, /*write=*/false);
-#else
     int pipe_fds[2];
     if (::pipe(pipe_fds) != 0) {
       throw std::runtime_error("serve_tcp: pipe() failed");
@@ -269,102 +249,44 @@ struct TcpServer::Impl {
     wake_write = pipe_fds[1];
     set_nonblocking(wake_read);
     set_nonblocking(wake_write);
-#endif
     return {bound_port, bound_metrics_port};
   }
 
   // -------------------------------------------------------------------
-  // Readiness plumbing (epoll on Linux, poll(2) elsewhere)
+  // Readiness plumbing (poll(2) + self-pipe)
   // -------------------------------------------------------------------
 
-#ifdef __linux__
-  void epoll_add(int fd, std::uint64_t id, bool read, bool write) {
-    epoll_event event{};
-    event.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-    event.data.u64 = id;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event);
+  void watch(int fd, short events, std::uint64_t id) {
+    poll_fds.push_back({fd, events, 0});
+    poll_ids.push_back(id);
   }
 
-  void epoll_mod(int fd, std::uint64_t id, bool read, bool write) {
-    epoll_event event{};
-    event.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-    event.data.u64 = id;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &event);
-  }
-#endif
-
-  void set_interest(std::uint64_t id, Connection& conn, bool read,
-                    bool write) {
-    if (conn.want_read == read && conn.want_write == write) {
-      return;
-    }
-    conn.want_read = read;
-    conn.want_write = write;
-#ifdef __linux__
-    epoll_mod(conn.fd, id, read, write);
-#else
-    (void)id;  // poll(2) path rebuilds its fd set each iteration.
-#endif
-  }
-
-  struct Event {
-    std::uint64_t id;
-    bool readable;
-    bool writable;
-  };
-
-  std::vector<Event> wait_events(int timeout_ms) {
-    std::vector<Event> out;
-#ifdef __linux__
-    epoll_event events[64];
-    const int n = ::epoll_wait(epoll_fd, events, 64, timeout_ms);
-    out.reserve(n > 0 ? static_cast<std::size_t>(n) : 0);
-    for (int i = 0; i < n; ++i) {
-      const bool readable =
-          (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-      const bool writable = (events[i].events & EPOLLOUT) != 0;
-      out.push_back({events[i].data.u64, readable, writable});
-    }
-#else
-    std::vector<pollfd> fds;
-    std::vector<std::uint64_t> ids;
+  /// Rebuilds the poll set from the listeners, the wake pipe and every
+  /// connection's `want_read`/`want_write`, then waits up to
+  /// `timeout_ms`. Returns poll(2)'s count of ready fds.
+  int wait_ready(int timeout_ms) {
+    poll_fds.clear();
+    poll_ids.clear();
     if (listener >= 0) {
-      fds.push_back({listener, POLLIN, 0});
-      ids.push_back(kListenerId);
+      watch(listener, POLLIN, kListenerId);
     }
     if (metrics_listener >= 0) {
-      fds.push_back({metrics_listener, POLLIN, 0});
-      ids.push_back(kMetricsListenerId);
+      watch(metrics_listener, POLLIN, kMetricsListenerId);
     }
-    fds.push_back({wake_read, POLLIN, 0});
-    ids.push_back(kWakeId);
-    for (auto& [id, conn] : conns) {
-      short events = 0;
-      if (conn.want_read) events |= POLLIN;
-      if (conn.want_write) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
-      ids.push_back(id);
+    watch(wake_read, POLLIN, kWakeId);
+    for (const auto& [id, conn] : conns) {
+      watch(conn.fd,
+            static_cast<short>((conn.want_read ? POLLIN : 0) |
+                               (conn.want_write ? POLLOUT : 0)),
+            id);
     }
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n > 0) {
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        const bool readable =
-            (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-        const bool writable = (fds[i].revents & POLLOUT) != 0;
-        if (readable || writable) {
-          out.push_back({ids[i], readable, writable});
-        }
-      }
-    }
-#endif
-    return out;
+    return ::poll(poll_fds.data(), poll_fds.size(), timeout_ms);
   }
 
   void wake() {
-    const std::uint64_t one = 1;
-    // Best effort: a full pipe/eventfd already guarantees a wakeup.
-    [[maybe_unused]] const auto n =
-        ::write(wake_write, &one, sizeof(one));
+    const char byte = 1;
+    // Best effort: a full pipe already guarantees a wakeup.
+    [[maybe_unused]] const auto n = ::write(wake_write, &byte, 1);
   }
 
   void drain_wake_fd() {
@@ -448,7 +370,9 @@ struct TcpServer::Impl {
       if (conns.size() >= options.max_connections) {
         // Over the admission cap: tell the client *why* before closing
         // — a silent RST is indistinguishable from a network fault.
-        count_connection_event("serve.conn.reject.count");
+        static obs::Counter& rejects =
+            obs::Registry::instance().counter("serve.conn.reject.count");
+        rejects.add(1);
         const std::string reply =
             metrics ? "HTTP/1.0 503 Service Unavailable\r\n"
                       "Content-Length: 0\r\nConnection: close\r\n\r\n"
@@ -471,16 +395,14 @@ struct TcpServer::Impl {
 
   void add_connection(int fd, bool metrics) {
     set_nonblocking(fd);
-    count_connection_event("serve.conn.accept.count");
-    const std::uint64_t id = next_conn_id++;
+    static obs::Counter& accepts =
+        obs::Registry::instance().counter("serve.conn.accept.count");
+    accepts.add(1);
     Connection conn;
     conn.fd = fd;
     conn.metrics = metrics;
     conn.last_activity = std::chrono::steady_clock::now();
-#ifdef __linux__
-    epoll_add(fd, id, /*read=*/true, /*write=*/false);
-#endif
-    conns.emplace(id, std::move(conn));
+    conns.emplace(next_conn_id++, std::move(conn));
   }
 
   /// Reads the (ignored) HTTP request off a metrics connection, then
@@ -621,7 +543,7 @@ struct TcpServer::Impl {
         continue;
       }
       if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return true;  // Kernel buffer full; EPOLLOUT will resume us.
+        return true;  // Kernel buffer full; POLLOUT will resume us.
       }
       return false;  // Peer went away.
     }
@@ -640,7 +562,6 @@ struct TcpServer::Impl {
         continue;  // Connection closed while computing; drop response.
       }
       Connection& conn = it->second;
-      --conn.inflight;
       conn.ready.emplace(completion.seq, std::move(completion.response));
       // Append every response that is next in sequence — responses on
       // one connection always flush in request arrival order.
@@ -651,6 +572,7 @@ struct TcpServer::Impl {
         conn.out += '\n';
         conn.ready.erase(ready_it);
         ++conn.next_flush;
+        --conn.inflight;
       }
     }
   }
@@ -686,8 +608,8 @@ struct TcpServer::Impl {
         conn.dead = true;  // Fully drained after peer half-close.
         continue;
       }
-      const bool read = !draining && !conn.eof && has_capacity(conn);
-      set_interest(id, conn, read, !conn.out.empty());
+      conn.want_read = !draining && !conn.eof && has_capacity(conn);
+      conn.want_write = !conn.out.empty();
     }
   }
 
@@ -703,7 +625,9 @@ struct TcpServer::Impl {
       }
     }
     if (reaped > 0) {
-      count_connection_event("serve.conn.reap.count", reaped);
+      static obs::Counter& reaps =
+          obs::Registry::instance().counter("serve.conn.reap.count");
+      reaps.add(reaped);
     }
   }
 
@@ -727,33 +651,31 @@ struct TcpServer::Impl {
   void loop() {
     bool draining = false;
     for (;;) {
-      const int timeout_ms = draining ? 20 : 200;
-      for (const Event& event : wait_events(timeout_ms)) {
-        if (event.id == kWakeId) {
+      const int ready = wait_ready(draining ? 20 : 200);
+      for (std::size_t i = 0; ready > 0 && i < poll_fds.size(); ++i) {
+        const short revents = poll_fds[i].revents;
+        const std::uint64_t id = poll_ids[i];
+        if (revents == 0) {
+          continue;
+        }
+        if (id == kWakeId) {
           drain_wake_fd();
           continue;
         }
-        if (event.id == kListenerId) {
+        if (id == kListenerId || id == kMetricsListenerId) {
           if (!draining) {
-            accept_ready(/*metrics=*/false);
+            accept_ready(/*metrics=*/id == kMetricsListenerId);
           }
           continue;
         }
-        if (event.id == kMetricsListenerId) {
-          if (!draining) {
-            accept_ready(/*metrics=*/true);
-          }
-          continue;
-        }
-        const auto it = conns.find(event.id);
-        if (it == conns.end()) {
-          continue;  // Stale event for a just-closed connection.
-        }
-        if (event.readable && !it->second.dead && !draining) {
-          if (it->second.metrics) {
-            metrics_read_ready(it->second);
+        // Connections leave `conns` only in reap_dead(), after this loop.
+        Connection& conn = conns.at(id);
+        if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !conn.dead &&
+            !draining) {
+          if (conn.metrics) {
+            metrics_read_ready(conn);
           } else {
-            read_ready(event.id, it->second);
+            read_ready(id, conn);
           }
         }
         // Writes are retried for every connection below.

@@ -45,8 +45,8 @@ struct TcpServerOptions {
   /// closed) — bounds per-connection input memory.
   std::size_t max_line_bytes = 1u << 20;
   /// Backpressure, input side: reading from a connection pauses while
-  /// it has this many requests queued or computing; resumes as
-  /// responses flush.
+  /// it has this many requests queued, computing, or answered but held
+  /// back behind an earlier one; resumes as responses flush.
   std::size_t max_inflight_per_connection = 64;
   /// Optional plaintext metrics sidecar: when enabled, a second
   /// listener on metrics_host:metrics_port answers every HTTP request
@@ -62,8 +62,8 @@ struct TcpServerOptions {
 
 /// The request server for the line protocol, on every transport: an
 /// IPv4 or unix-socket listener, or stdin/stdout through StdioBridge.
-/// One event-loop thread multiplexes every connection via epoll (Linux;
-/// poll(2) elsewhere), in front of a pool of compute workers.
+/// One event-loop thread multiplexes every connection with poll(2), in
+/// front of a pool of compute workers.
 ///
 /// Responses to one connection are written in request arrival order
 /// (per-connection sequence numbers), while requests from different

@@ -231,8 +231,8 @@ TEST(Cli, ServeAnswersPipedStdinWithAccessLog) {
   }
   EXPECT_EQ(logged, kRequests);
 
-  // A regular file on stdin works too (epoll cannot watch one, so this
-  // exercises the bridge's pump).
+  // A regular file on stdin works too (it is no socket the server could
+  // adopt, so this exercises the bridge's pump).
   const auto redirected =
       run_cli("serve --store " + store + " < " + requests.string());
   EXPECT_EQ(redirected.exit_code, 0) << redirected.output;

@@ -1,4 +1,4 @@
-// The serving tier: the epoll event loop on its three transports (TCP,
+// The serving tier: the poll(2) event loop on its three transports (TCP,
 // unix socket, stdin/stdout through StdioBridge), per-connection
 // response ordering, admission control, backpressure, idle reaping, hot
 // store reload, and coalesced/cached serving determinism.
@@ -9,13 +9,17 @@
 #ifndef _WIN32
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -59,6 +63,11 @@ struct TempDir {
   }
 };
 
+void set_blocking(int fd, bool blocking) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, blocking ? flags & ~O_NONBLOCK : flags | O_NONBLOCK);
+}
+
 /// Blocking line-oriented TCP or unix-socket client for driving the
 /// server under test.
 class Client {
@@ -72,18 +81,24 @@ class Client {
                            sizeof(address)) == 0;
   }
 
-  explicit Client(std::uint16_t port) {
+  /// With `blocking` false the connect only starts (`connected()` means
+  /// it is in progress); wait for POLLOUT on `fd()`, then make the socket
+  /// blocking before sending.
+  explicit Client(std::uint16_t port, bool blocking = true) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    set_blocking(fd_, blocking);
     sockaddr_in address{};
     address.sin_family = AF_INET;
     address.sin_port = htons(port);
     ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
     connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
-                           sizeof(address)) == 0;
+                           sizeof(address)) == 0 ||
+                 (!blocking && errno == EINPROGRESS);
   }
   ~Client() { close(); }
 
   bool connected() const { return connected_; }
+  int fd() const { return fd_; }
 
   void close() {
     if (fd_ >= 0) {
@@ -396,6 +411,52 @@ TEST_F(ServeTcpTest, SlowReaderGetsEveryReplyInsteadOfAnOverflowClose) {
   server.stop();
 }
 
+TEST_F(ServeTcpTest, StalledRequestKeepsLaterRepliesWithinTheInflightCap) {
+  // The first request stalls 300 ms on one worker while the other
+  // answers the rest. Replies held back for response order must count
+  // against max_inflight_per_connection; otherwise they pile up, land
+  // in the output buffer at once when the stall ends, and overflow it.
+  util::fault::set_plan("serve.compute:delay=300ms@1");
+  TempDir dir;
+  const std::string path = (dir.path / "s.sock").string();
+  const auto service = make_service();
+  TcpServerOptions options;
+  options.unix_path = path;
+  options.num_threads = 2;
+  options.max_output_bytes = 64u << 10;
+  options.max_inflight_per_connection = 8;
+  TcpServer server([&] { return service; }, options);
+  server.start();
+
+  Client client(path);
+  ASSERT_TRUE(client.connected());
+  constexpr int kRequests = 2000;
+  std::thread writer([&] {
+    for (int i = 0; i < kRequests; ++i) {
+      if (!client.send_line(R"({"id":)" + std::to_string(i) +
+                            R"(,"op":"circuit","code":"Steane",)"
+                            R"("format":"qasm"})")) {
+        return;
+      }
+    }
+  });
+  int answered = 0;
+  for (; answered < kRequests; ++answered) {
+    const std::string line = client.read_line();
+    const std::string prefix =
+        "{\"id\":" + std::to_string(answered) + ",\"ok\":true";
+    if (line.rfind(prefix, 0) != 0) {
+      ADD_FAILURE() << "reply " << answered << ": " << line.substr(0, 80);
+      break;
+    }
+  }
+  EXPECT_EQ(answered, kRequests);
+  client.close();  // Unblocks the writer if the server closed on us.
+  writer.join();
+  util::fault::clear_plan();
+  server.stop();
+}
+
 TEST_F(ServeTcpTest, OverLimitConnectionIsRejectedWithCode) {
   const auto service = make_service();
   TcpServerOptions options;
@@ -424,6 +485,84 @@ TEST_F(ServeTcpTest, OverLimitConnectionIsRejectedWithCode) {
   // The admitted connection keeps working.
   ASSERT_TRUE(first.send_line(R"({"op":"codes"})"));
   EXPECT_NE(first.read_line().find(R"("ok":true)"), std::string::npos);
+  EXPECT_EQ(counter_value("serve.conn.reject.count") - rejects_before, 1u);
+  server.stop();
+}
+
+// A connect burst of exactly `max_connections` clients: every handshake
+// completes in the listen backlog before the loop accepts any, every
+// connection is served once the loop runs, and only the next one is
+// refused.
+TEST_F(ServeTcpTest, FullHouseBurstIsAcceptedServedAndTheNextRefused) {
+  TcpServerOptions options;  // The default admission cap.
+  options.num_threads = 2;
+  const std::size_t house = options.max_connections;
+  int somaxconn = 0;
+  std::ifstream("/proc/sys/net/core/somaxconn") >> somaxconn;
+  if (somaxconn < static_cast<int>(house)) {
+    GTEST_SKIP() << "somaxconn " << somaxconn << " cannot queue " << house
+                 << " handshakes";
+  }
+  const auto service = make_service();
+  TcpServer server([&] { return service; }, options);
+  const std::uint64_t accepts_before =
+      counter_value("serve.conn.accept.count");
+  const std::uint64_t rejects_before =
+      counter_value("serve.conn.reject.count");
+
+  // The loop is not running yet, so only the backlog holds the burst.
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<pollfd> handshakes;
+  for (std::size_t c = 0; c < house; ++c) {
+    clients.push_back(std::make_unique<Client>(server.port(), false));
+    ASSERT_TRUE(clients.back()->connected()) << "client " << c;
+    handshakes.push_back({clients.back()->fd(), POLLOUT, 0});
+  }
+  // A SYN the full backlog dropped is retried only after ~1 s.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  std::size_t completed = 0;
+  while (completed < house) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0 || ::poll(handshakes.data(), handshakes.size(),
+                            static_cast<int>(left)) <= 0) {
+      break;
+    }
+    for (auto& watch : handshakes) {
+      if (watch.fd >= 0 && watch.revents != 0) {
+        int error = 0;
+        socklen_t size = sizeof(error);
+        ::getsockopt(watch.fd, SOL_SOCKET, SO_ERROR, &error, &size);
+        EXPECT_EQ(error, 0) << std::strerror(error);
+        watch.fd = -1;  // poll(2) skips negative fds.
+        ++completed;
+      }
+    }
+  }
+  ASSERT_EQ(completed, house) << "handshakes completed within 500 ms";
+
+  server.start();
+  for (auto& client : clients) {
+    set_blocking(client->fd(), true);
+    ASSERT_TRUE(client->send_line(R"({"op":"health"})"));
+  }
+  for (auto& client : clients) {
+    const std::string reply = client->read_line();
+    EXPECT_NE(reply.find(R"("status":"serving")"), std::string::npos)
+        << reply;
+  }
+
+  Client next(server.port());
+  ASSERT_TRUE(next.connected());
+  const std::string rejection = next.read_line();
+  EXPECT_EQ(rejection.rfind(R"({"v":2,)", 0), 0u) << rejection;
+  EXPECT_NE(rejection.find(R"("code":"overloaded")"), std::string::npos)
+      << rejection;
+  EXPECT_TRUE(next.at_eof()) << "more than one line for a refused client";
+
+  EXPECT_EQ(counter_value("serve.conn.accept.count") - accepts_before, house);
   EXPECT_EQ(counter_value("serve.conn.reject.count") - rejects_before, 1u);
   server.stop();
 }
