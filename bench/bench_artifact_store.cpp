@@ -22,7 +22,7 @@
 #include "core/samplers.hpp"
 #include "core/synth_cache.hpp"
 #include "qec/code_library.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace {
 

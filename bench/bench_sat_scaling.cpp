@@ -9,8 +9,6 @@
 //   SeedPath     — from-scratch re-encode per bound, sequential solver
 //                  (the historical single-shot path).
 //   Incremental  — skeleton encoded once, bounds swept via assumptions.
-//   Parallel8    — incremental + 4-config portfolio raced on 8 threads
-//                  (deterministic; thread count never changes results).
 //   Cached       — incremental + synthesis cache, modeling repeated
 //                  code-library / code_search runs (all iterations after
 //                  the first are cache hits).
@@ -88,20 +86,6 @@ void BM_DepthSweepIncremental(benchmark::State& state) {
   run_depth_sweep(state, options);
 }
 BENCHMARK(BM_DepthSweepIncremental)
-    ->DenseRange(0, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_DepthSweepParallel8(benchmark::State& state) {
-  core::VerificationSynthOptions options;
-  options.engine.incremental = true;
-  options.engine.use_cache = false;
-  options.engine.num_configs = 4;
-  options.engine.num_threads = 8;
-  options.engine.seed = 1;
-  run_depth_sweep(state, options);
-}
-BENCHMARK(BM_DepthSweepParallel8)
     ->DenseRange(0, 8)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);

@@ -18,15 +18,12 @@
 //   ftsp_cli codes                     (list the built-in library)
 //
 //   ftsp_cli compile <code|--all> --store DIR [--basis zero|plus]
-//                    [--defer-flags] [--force] [--engine seq|portfolio]
+//                    [--defer-flags] [--force]
 //                    [--coupling <name|file>] [--gadget-reach N]
 //       Offline synthesis sweep: compiles protocols into artifact files
 //       under DIR (see src/compile/format.md). Already-compiled keys are
-//       skipped unless --force. `--all` defaults to the 4-config
-//       portfolio SAT engine (threads = cores, capped at 8; results and
-//       store keys are thread-count invariant) — the bulk sweep is where
-//       the portfolio pays off on multi-core machines. Single-code
-//       compiles default to the sequential engine.
+//       skipped unless --force. Every SAT query runs on the one CDCL
+//       solver (sat::Solver), single-threaded and deterministic.
 //       --coupling targets a device topology (builtin name or map file;
 //       implies SAT-optimal prep); --gadget-reach bounds measurement-
 //       ancilla transport (0 = unbounded, 1 = strict neighbor walk).
@@ -117,7 +114,6 @@
 #include "qec/code_library.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
-#include "sat/parallel_solver.hpp"
 #include "serve/cache.hpp"
 #include "serve/reload.hpp"
 #include "serve/tcp_server.hpp"
@@ -256,8 +252,7 @@ int usage() {
                "<code> [options], ftsp_cli codes,\n"
                "       ftsp_cli compile <code|--all> --store DIR "
                "[--basis zero|plus] [--defer-flags] [--force] "
-               "[--engine seq|portfolio] [--coupling <name|file>] "
-               "[--gadget-reach N],\n"
+               "[--coupling <name|file>] [--gadget-reach N],\n"
                "       ftsp_cli compile ... [--no-proofs],\n"
                "       ftsp_cli store --store DIR --prune [--dry-run] "
                "[--max-cache-age-days N],\n"
@@ -277,7 +272,6 @@ int usage() {
 int run_compile(const std::vector<std::string>& args) {
   std::string store_dir;
   std::string target;
-  std::string engine = "auto";
   qec::LogicalBasis basis = qec::LogicalBasis::Zero;
   core::SynthesisOptions options;
   // Proof-carrying compiles are the default: the capture costs a bounded
@@ -298,8 +292,6 @@ int run_compile(const std::vector<std::string>& args) {
       options.capture_proofs = false;
     } else if (args[i] == "--defer-flags") {
       options.flag_policy = core::FlagPolicy::DeferToNextLayer;
-    } else if (args[i] == "--engine") {
-      engine = flag_value(args, i);
     } else if (args[i] == "--coupling") {
       apply_coupling(options, flag_value(args, i));
     } else if (args[i] == "--gadget-reach") {
@@ -322,25 +314,6 @@ int run_compile(const std::vector<std::string>& args) {
   }
   if (store_dir.empty() || (target.empty() && !all)) {
     return usage();
-  }
-  if (engine != "auto" && engine != "seq" && engine != "portfolio") {
-    throw UsageError("--engine wants seq or portfolio, got '" + engine +
-                     "'");
-  }
-  // Default engine, validated on CI's multi-core runners (bench-smoke
-  // portfolio job): the bulk `--all` sweep races a 4-config portfolio on
-  // the machine's cores, single-code compiles stay sequential. The
-  // engine fingerprint (and hence every store key) excludes the thread
-  // count, so artifacts compiled anywhere remain interchangeable.
-  if (engine == "portfolio" || (engine == "auto" && all)) {
-    sat::EngineOptions portfolio;
-    portfolio.num_configs = 4;
-    portfolio.num_threads = std::min<std::size_t>(
-        std::max<std::size_t>(1, std::thread::hardware_concurrency()), 8);
-    options.verification.engine = portfolio;
-    options.correction.engine = portfolio;
-    options.prep.engine.num_configs = portfolio.num_configs;
-    options.prep.engine.num_threads = portfolio.num_threads;
   }
 
   compile::ArtifactStore store(store_dir);

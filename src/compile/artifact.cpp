@@ -1,7 +1,9 @@
 #include "compile/artifact.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
+#include <ostream>
 #include <tuple>
 #include <utility>
 
@@ -141,7 +143,7 @@ decode_coupling(std::string_view bytes) {
 
 /// Proof section payload: metadata only — claims, sizes, CRC
 /// fingerprints and checker verdicts. The premise/DRAT bytes live in the
-/// store's `.proof` sidecar (see `encode_proof_sidecar`), keeping the
+/// store's `.proof` sidecar (see `write_proof_sidecar`), keeping the
 /// container small and the serve path free of megabyte proof blobs.
 std::string encode_proofs(const std::vector<core::CapturedProof>& proofs) {
   util::ByteWriter out;
@@ -436,33 +438,46 @@ namespace {
 constexpr char kProofSidecarMagic[8] = {'F', 'T', 'S', 'P',
                                         'P', 'R', 'F', '\0'};
 constexpr std::uint16_t kProofSidecarVersion = 1;
+
+bool carries_bytes(const core::CapturedProof& p) {
+  return p.present && (!p.premise_dimacs.empty() || !p.drat.empty());
+}
 }  // namespace
 
-std::string encode_proof_sidecar(const ProtocolArtifact& artifact) {
-  std::uint32_t with_bytes = 0;
-  for (const auto& p : artifact.proofs) {
-    if (p.present && (!p.premise_dimacs.empty() || !p.drat.empty())) {
-      ++with_bytes;
-    }
-  }
-  if (with_bytes == 0) {
-    return {};
-  }
-  util::ByteWriter out;
-  out.raw(std::string_view(kProofSidecarMagic, sizeof(kProofSidecarMagic)));
-  out.u16(kProofSidecarVersion);
-  out.u16(0);  // Reserved.
-  out.u32(with_bytes);
+bool has_proof_bytes(const ProtocolArtifact& artifact) {
+  return std::any_of(artifact.proofs.begin(), artifact.proofs.end(),
+                     carries_bytes);
+}
+
+void write_proof_sidecar(const ProtocolArtifact& artifact,
+                         std::ostream& out) {
+  const auto put = [&out](const util::ByteWriter& bytes) {
+    out.write(bytes.bytes().data(),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+  util::ByteWriter header;
+  header.raw(
+      std::string_view(kProofSidecarMagic, sizeof(kProofSidecarMagic)));
+  header.u16(kProofSidecarVersion);
+  header.u16(0);  // Reserved.
+  header.u32(static_cast<std::uint32_t>(std::count_if(
+      artifact.proofs.begin(), artifact.proofs.end(), carries_bytes)));
+  put(header);
   // Present entries in artifact order — rehydration matches positionally
   // (stages repeat: one verification sweep records one entry per u).
+  // The payloads go straight to `out`, so the sidecar is never held in
+  // memory as a whole.
   for (const auto& p : artifact.proofs) {
-    if (p.present && (!p.premise_dimacs.empty() || !p.drat.empty())) {
-      out.str(p.stage);
-      out.str(p.premise_dimacs);
-      out.str(p.drat);
+    if (!carries_bytes(p)) {
+      continue;
+    }
+    for (const std::string* field : {&p.stage, &p.premise_dimacs, &p.drat}) {
+      util::ByteWriter length;
+      length.u32(static_cast<std::uint32_t>(field->size()));
+      put(length);
+      out.write(field->data(), static_cast<std::streamsize>(field->size()));
     }
   }
-  return out.take();
 }
 
 void rehydrate_proof_bytes(ProtocolArtifact& artifact,

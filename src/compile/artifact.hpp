@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,15 +114,16 @@ std::string encode_artifact(const ProtocolArtifact& artifact);
 ProtocolArtifact decode_artifact(std::string_view bytes);
 
 /// Proof-bytes sidecar codec (`<keyhash>.proof` next to the `.ftsa`).
-/// `encode_proof_sidecar` serializes the premise/DRAT bytes of every
-/// `present` proof entry, in artifact order; it returns an empty string
-/// when no present entry carries bytes (a metadata-only artifact — e.g.
-/// one decoded without its sidecar — must not clobber an existing good
-/// sidecar with an empty one). `rehydrate_proof_bytes` restores the
+/// `write_proof_sidecar` streams the premise/DRAT bytes of every
+/// `present` proof entry to `out`, in artifact order. Call it only when
+/// `has_proof_bytes` holds: a metadata-only artifact (e.g. one decoded
+/// without its sidecar) has no sidecar, and must not clobber an existing
+/// good one with an empty one. `rehydrate_proof_bytes` restores the
 /// bytes into matching entries, verifying stage names, sizes and CRCs as
 /// it goes; a torn or mismatched sidecar degrades to entries with empty
 /// bytes (which the audit flags) instead of failing the load.
-std::string encode_proof_sidecar(const ProtocolArtifact& artifact);
+bool has_proof_bytes(const ProtocolArtifact& artifact);
+void write_proof_sidecar(const ProtocolArtifact& artifact, std::ostream& out);
 void rehydrate_proof_bytes(ProtocolArtifact& artifact,
                            std::string_view sidecar_bytes);
 

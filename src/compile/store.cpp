@@ -322,15 +322,13 @@ void ArtifactStore::put(const ProtocolArtifact& artifact) {
   // must not clobber the good sidecar with an empty one).
   const std::string proof_path =
       artifact_path(hash_name(artifact.key, ".proof"));
-  const std::string sidecar = encode_proof_sidecar(artifact);
-  if (!sidecar.empty()) {
+  if (has_proof_bytes(artifact)) {
     const std::string proof_tmp = unique_tmp_path(proof_path);
     bool written = false;
     {
       std::ofstream out(proof_tmp, std::ios::binary | std::ios::trunc);
       if (out && !fault::should_fail("store.write")) {
-        out.write(sidecar.data(),
-                  static_cast<std::streamsize>(sidecar.size()));
+        write_proof_sidecar(artifact, out);
         out.flush();
         written = static_cast<bool>(out);
       }

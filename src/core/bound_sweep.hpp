@@ -5,14 +5,14 @@
 #include <utility>
 
 #include "sat/cnf_builder.hpp"
-#include "sat/solver_base.hpp"
+#include "sat/solver.hpp"
 
 namespace ftsp::core {
 
 /// Shared per-bound solve of the incremental sweeps: assumes
 /// `ladder.at_most(v)` when the bound is binding (vacuous bounds solve
 /// unbounded) and records one telemetry step when a sink is supplied.
-inline bool solve_with_ladder_bound(sat::SolverBase& solver,
+inline bool solve_with_ladder_bound(sat::Solver& solver,
                                     const sat::CardinalityLadder& ladder,
                                     std::size_t v,
                                     sat::SweepTelemetry* telemetry) {

@@ -8,7 +8,7 @@
 #include "core/stabilizer_select.hpp"
 #include "core/synth_cache.hpp"
 #include "sat/cnf_builder.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -152,7 +152,7 @@ std::optional<CorrectionPlan> finalize(const qec::StateContext& state,
 /// bound is either swept via a cardinality ladder (incremental mode) or
 /// fixed per instance (from-scratch mode).
 struct CorrectionContext {
-  std::unique_ptr<sat::SolverBase> solver;
+  std::unique_ptr<sat::Solver> solver;
   std::unique_ptr<CnfBuilder> cnf;
   std::unique_ptr<StabilizerSelection> selection;
   sat::CardinalityLadder ladder;

@@ -10,7 +10,7 @@
 #include "f2/bit_vec.hpp"
 #include "qec/coupling.hpp"
 #include "qec/state_context.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -35,7 +35,7 @@ struct CorrectionPlan {
 struct CorrectionSynthOptions {
   std::size_t max_measurements = 4;
   std::uint64_t conflict_budget = 0;  ///< Per SAT query; 0 = unlimited.
-  /// SAT engine selection (incremental weight sweeps, portfolio, cache).
+  /// SAT engine selection (incremental weight sweeps, cache).
   sat::EngineOptions engine;
   /// Optional per-bound solver-statistics sink.
   sat::SweepTelemetry* telemetry = nullptr;

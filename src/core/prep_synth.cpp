@@ -11,7 +11,7 @@
 #include "core/synth_cache.hpp"
 #include "f2/gauss.hpp"
 #include "sat/cnf_builder.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -503,7 +503,7 @@ std::optional<circuit::Circuit> optimal_prep_sat(
        ++num_gates) {
     auto solver_ptr = sat::make_engine_solver(options.engine,
                                               options.sat_conflict_budget);
-    sat::SolverBase& solver = *solver_ptr;
+    sat::Solver& solver = *solver_ptr;
     if (options.proof_sink != nullptr) {
       // On before any clause lands, so the logged premise is verbatim.
       solver.set_proof_logging(true);
@@ -773,7 +773,7 @@ std::optional<circuit::Circuit> synthesize_prep_optimal(
 
   try {
     return finish(optimal_prep_sat(state, start, lower_bound, options));
-  } catch (const sat::SolverBase::SolveInterrupted&) {
+  } catch (const sat::Solver::SolveInterrupted&) {
     return std::nullopt;  // Budget exhausted: fall back, do not cache.
   }
 }

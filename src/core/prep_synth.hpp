@@ -8,7 +8,7 @@
 #include "core/proof_capture.hpp"
 #include "qec/coupling.hpp"
 #include "qec/state_context.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -49,7 +49,7 @@ struct PrepSynthOptions {
   /// spaces. Disable to force the SAT path (mainly for tests/benches).
   bool allow_bfs = true;
 
-  /// SAT engine selection (portfolio, cache) for the Optimal method. The
+  /// SAT engine selection (cache use) for the Optimal method. The
   /// gate-count sweep re-encodes per gate count and ignores
   /// `incremental`; its false default only keeps the cache key stable.
   sat::EngineOptions engine{.incremental = false};

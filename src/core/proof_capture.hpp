@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "sat/solver_base.hpp"
+#include "sat/solver.hpp"
 
 namespace ftsp::core {
 

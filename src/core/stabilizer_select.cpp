@@ -143,7 +143,7 @@ void StabilizerSelection::restrict_supports(
   }
 }
 
-BitVec StabilizerSelection::extract(const sat::SolverBase& solver,
+BitVec StabilizerSelection::extract(const sat::Solver& solver,
                                     std::size_t i) const {
   BitVec support(num_qubits());
   BitVec combo(generators_->rows());
@@ -158,7 +158,7 @@ BitVec StabilizerSelection::extract(const sat::SolverBase& solver,
   return support;
 }
 
-void StabilizerSelection::block_model(sat::SolverBase& solver) {
+void StabilizerSelection::block_model(sat::Solver& solver) {
   std::vector<Lit> clause;
   for (std::size_t i = 0; i < u_; ++i) {
     for (std::size_t r = 0; r < generators_->rows(); ++r) {

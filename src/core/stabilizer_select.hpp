@@ -64,10 +64,10 @@ class StabilizerSelection {
   static constexpr std::size_t kMaxRestrictRows = 16;
 
   /// After a satisfying solve: the support of stabilizer i in the model.
-  f2::BitVec extract(const sat::SolverBase& solver, std::size_t i) const;
+  f2::BitVec extract(const sat::Solver& solver, std::size_t i) const;
 
   /// Blocks the current model's selection (for all-solution enumeration).
-  void block_model(sat::SolverBase& solver);
+  void block_model(sat::Solver& solver);
 
  private:
   sat::CnfBuilder* cnf_;

@@ -7,7 +7,7 @@
 
 #include "obs/registry.hpp"
 #include "sat/dimacs.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 #include "util/hash.hpp"
 
 namespace ftsp::core {
@@ -195,8 +195,7 @@ std::string SynthCache::dump_dir() const {
   return dump_dir_;
 }
 
-void SynthCache::dump_cnf(const std::string& key,
-                          const sat::SolverBase& solver,
+void SynthCache::dump_cnf(const std::string& key, const sat::Solver& solver,
                           std::span<const sat::Lit> assumptions) const {
   const std::string dir = dump_dir();
   if (dir.empty()) {

@@ -13,7 +13,7 @@
 
 #include "f2/bit_matrix.hpp"
 #include "f2/bit_vec.hpp"
-#include "sat/solver_base.hpp"
+#include "sat/solver.hpp"
 
 namespace ftsp::core {
 
@@ -106,7 +106,7 @@ class SynthCache {
   /// reproduces the solved query, not just the unconstrained skeleton.
   /// No-op when no dump directory is configured. Best effort: I/O errors
   /// are swallowed — triage dumps must never fail a synthesis run.
-  void dump_cnf(const std::string& key, const sat::SolverBase& solver,
+  void dump_cnf(const std::string& key, const sat::Solver& solver,
                 std::span<const sat::Lit> assumptions = {}) const;
 
  private:

@@ -8,7 +8,7 @@
 #include "core/stabilizer_select.hpp"
 #include "core/synth_cache.hpp"
 #include "sat/cnf_builder.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -31,7 +31,7 @@ namespace {
 /// assumptions, so the skeleton is encoded once per u and learned clauses
 /// carry across the whole (binary-search) weight sweep.
 struct QueryContext {
-  std::unique_ptr<sat::SolverBase> solver;
+  std::unique_ptr<sat::Solver> solver;
   std::unique_ptr<CnfBuilder> cnf;
   std::unique_ptr<StabilizerSelection> selection;
   sat::CardinalityLadder ladder;

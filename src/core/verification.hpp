@@ -9,7 +9,7 @@
 #include "f2/bit_matrix.hpp"
 #include "f2/bit_vec.hpp"
 #include "qec/coupling.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -28,8 +28,7 @@ struct VerificationSynthOptions {
   std::size_t max_measurements = 5;
   std::uint64_t conflict_budget = 0;   ///< Per SAT query; 0 = unlimited.
   std::size_t enumerate_limit = 128;   ///< Cap for all-optimal enumeration.
-  /// SAT engine selection: incremental bound sweeps, portfolio size,
-  /// thread count, cache use.
+  /// SAT engine selection: incremental bound sweeps, cache use.
   sat::EngineOptions engine;
   /// Optional sink recording one entry per bound query with the solver
   /// statistics delta attributable to it.

@@ -44,7 +44,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written level (store generation, portfolio winner index).
+/// Last-written level (store generation).
 /// Always records, like Counter.
 class Gauge {
  public:

@@ -4,7 +4,7 @@
 #include <span>
 #include <vector>
 
-#include "sat/solver_base.hpp"
+#include "sat/solver.hpp"
 #include "sat/types.hpp"
 
 namespace ftsp::sat {
@@ -33,9 +33,9 @@ struct CardinalityLadder {
 /// returned defined literals are exact.
 class CnfBuilder {
  public:
-  explicit CnfBuilder(SolverBase& solver) : solver_(&solver) {}
+  explicit CnfBuilder(Solver& solver) : solver_(&solver) {}
 
-  SolverBase& solver() { return *solver_; }
+  Solver& solver() { return *solver_; }
 
   /// A fresh variable as a positive literal.
   Lit fresh();
@@ -97,7 +97,7 @@ class CnfBuilder {
       const std::function<bool(std::size_t, std::size_t)>& allowed);
 
  private:
-  SolverBase* solver_;
+  Solver* solver_;
   Lit true_lit_ = Lit::undef;
 };
 

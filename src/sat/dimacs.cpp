@@ -1,5 +1,7 @@
 #include "sat/dimacs.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -7,7 +9,13 @@
 
 namespace ftsp::sat {
 
-bool CnfFormula::load_into(SolverBase& solver) const {
+namespace {
+bool fits_int32(long long count) {
+  return count >= 0 && count <= std::numeric_limits<std::int32_t>::max();
+}
+}  // namespace
+
+bool CnfFormula::load_into(Solver& solver) const {
   while (solver.num_vars() < num_vars) {
     solver.new_var();
   }
@@ -30,11 +38,14 @@ CnfFormula parse_dimacs(std::istream& in) {
     if (line[0] == 'p') {
       std::istringstream header(line);
       std::string p, cnf;
-      int clause_count = 0;
-      header >> p >> cnf >> formula.num_vars >> clause_count;
-      if (p != "p" || cnf != "cnf" || formula.num_vars < 0) {
+      long long num_vars = -1;
+      long long clause_count = -1;
+      header >> p >> cnf >> num_vars >> clause_count;
+      if (!header || p != "p" || cnf != "cnf" || !fits_int32(num_vars) ||
+          !fits_int32(clause_count)) {
         throw std::invalid_argument("parse_dimacs: malformed header");
       }
+      formula.num_vars = static_cast<int>(num_vars);
       header_seen = true;
       continue;
     }
@@ -49,11 +60,15 @@ CnfFormula parse_dimacs(std::istream& in) {
         current.clear();
         continue;
       }
-      const auto v = static_cast<Var>(std::abs(value) - 1);
-      if (v >= formula.num_vars) {
+      // Range-check the untrusted magnitude before narrowing it to Var.
+      if (value < -formula.num_vars || value > formula.num_vars) {
         throw std::invalid_argument("parse_dimacs: variable out of range");
       }
+      const auto v = static_cast<Var>((value < 0 ? -value : value) - 1);
       current.push_back(Lit(v, value < 0));
+    }
+    if (!tokens.eof()) {
+      throw std::invalid_argument("parse_dimacs: malformed literal");
     }
   }
   if (!current.empty()) {

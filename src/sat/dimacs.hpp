@@ -8,7 +8,7 @@
 
 namespace ftsp::sat {
 
-class SolverBase;
+class Solver;
 
 /// A CNF formula in portable form, convertible to/from DIMACS text.
 /// Used for solver regression tests and for exporting synthesis queries.
@@ -16,9 +16,9 @@ struct CnfFormula {
   int num_vars = 0;
   std::vector<std::vector<Lit>> clauses;
 
-  /// Loads all clauses into `solver` (any backend), creating variables as
-  /// needed. Returns false if the solver became trivially unsatisfiable.
-  bool load_into(SolverBase& solver) const;
+  /// Loads all clauses into `solver`, creating variables as needed.
+  /// Returns false if the solver became trivially unsatisfiable.
+  bool load_into(Solver& solver) const;
 };
 
 /// Parses DIMACS CNF ("p cnf <vars> <clauses>" header, clauses terminated

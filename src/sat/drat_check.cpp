@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sat/solver_base.hpp"
+#include "sat/solver.hpp"
 
 namespace ftsp::sat {
 

@@ -10,6 +10,8 @@ namespace ftsp::sat {
 
 namespace {
 constexpr double kActivityRescaleLimit = 1e100;
+/// Conflicts per Luby restart unit.
+constexpr std::uint64_t kRestartBase = 100;
 
 /// Publishes one solve call's search-effort deltas to the telemetry
 /// registry on scope exit — covers every return path of solve_limited.
@@ -59,28 +61,10 @@ std::uint64_t luby(std::uint64_t i) {
   }
 }
 
-Solver::Solver() : Solver(SolverConfig{}) {}
-
-Solver::Solver(const SolverConfig& config)
-    : config_(config),
-      // SplitMix-style scrambling; never zero so xorshift cannot stall.
-      rng_state_((config.seed + 0x9E3779B97F4A7C15ULL) | 1ULL) {}
-
-Solver::~Solver() = default;
-
-std::uint64_t Solver::rng_next() {
-  std::uint64_t x = rng_state_;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  rng_state_ = x;
-  return x;
-}
-
 Var Solver::new_var() {
   const Var v = num_vars();
   assigns_.push_back(LBool::Undef);
-  polarity_.push_back(!config_.initial_phase);
+  polarity_.push_back(true);  // Assign-false-first (MiniSat default).
   reason_.push_back(nullptr);
   level_.push_back(0);
   var_activity_.push_back(0.0);
@@ -367,17 +351,6 @@ void Solver::cancel_until(int level) {
 }
 
 Lit Solver::pick_branch_lit() {
-  if (config_.random_branch_freq > 0.0 && num_vars() > 0) {
-    const double draw =
-        static_cast<double>(rng_next() >> 11) * 0x1.0p-53;  // [0, 1)
-    if (draw < config_.random_branch_freq) {
-      const Var v = static_cast<Var>(rng_next() %
-                                     static_cast<std::uint64_t>(num_vars()));
-      if (value(v) == LBool::Undef) {
-        return Lit(v, polarity_[v]);
-      }
-    }
-  }
   while (!heap_empty()) {
     const Var v = heap_pop();
     if (value(v) == LBool::Undef) {
@@ -470,9 +443,6 @@ Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
         ok_ = false;
         return SearchStatus::Unsat;
       }
-      if ((conflict_count & 63) == 0 && interrupted()) {
-        return SearchStatus::Interrupted;
-      }
       std::vector<Lit> learnt;
       int backtrack_level = 0;
       int lbd = 0;
@@ -523,9 +493,6 @@ Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
       }
       if (next == Lit::undef) {
         ++stats_.decisions;
-        if ((stats_.decisions & 1023) == 0 && interrupted()) {
-          return SearchStatus::Interrupted;
-        }
         next = pick_branch_lit();
         if (next == Lit::undef) {
           return SearchStatus::Sat;  // Full assignment found.
@@ -560,11 +527,7 @@ LBool Solver::solve_limited(std::span<const Lit> assumptions,
   }
   const std::uint64_t conflicts_at_start = stats_.conflicts;
   for (std::uint64_t restart = 1;; ++restart) {
-    if (interrupted()) {
-      cancel_until(0);
-      return LBool::Undef;
-    }
-    std::uint64_t chunk = config_.restart_base * luby(restart);
+    std::uint64_t chunk = kRestartBase * luby(restart);
     if (max_conflicts != 0) {
       const std::uint64_t used = stats_.conflicts - conflicts_at_start;
       if (used >= max_conflicts) {
@@ -577,10 +540,6 @@ LBool Solver::solve_limited(std::span<const Lit> assumptions,
     if (status == SearchStatus::Restart) {
       ++stats_.restarts;
       continue;
-    }
-    if (status == SearchStatus::Interrupted) {
-      cancel_until(0);
-      return LBool::Undef;
     }
     const bool satisfiable = (status == SearchStatus::Sat);
     if (satisfiable) {

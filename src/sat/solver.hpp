@@ -1,31 +1,78 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "sat/solver_base.hpp"
 #include "sat/types.hpp"
 
 namespace ftsp::sat {
 
-/// Heuristic knobs of one solver instance. The defaults reproduce the
-/// historical (deterministic) behavior; a `ParallelSolver` portfolio
-/// diversifies these per worker. Every configuration is fully
-/// deterministic: `seed` drives a private xorshift generator, so equal
-/// configs on equal formulas always take identical search paths.
-struct SolverConfig {
-  std::uint64_t seed = 0;
-  /// Probability of a uniformly random branch variable per decision.
-  double random_branch_freq = 0.0;
-  /// Initial saved phase: false = assign-false-first (MiniSat default).
-  bool initial_phase = false;
-  /// Conflicts per Luby restart unit.
-  std::uint64_t restart_base = 100;
-  /// VSIDS decay factor (activity increment grows by 1/decay).
-  double var_activity_decay = 0.95;
+/// A DRAT refutation snapshot, taken at the moment a `solve()` call
+/// concluded UNSAT while proof logging was enabled.
+///
+/// `premise` is the formula the refutation is stated against: every
+/// clause handed to `add_clause` while logging was on, verbatim (clauses
+/// added before logging was enabled are represented by the solver's
+/// simplified database at enable time, which is a consequence of them).
+/// `assumptions` are the assumption literals of the refuted query; each
+/// acts as an additional premise unit clause, so the checked statement is
+/// "premise AND assumptions is unsatisfiable" — exactly the claim an
+/// assumption-based bound sweep makes. `drat` is the proof text, one
+/// clause per line in DIMACS numbering (var + 1, negative = negated):
+/// additions as "l1 .. lk 0", deletions as "d l1 .. lk 0", terminated by
+/// the empty clause "0".
+struct UnsatProof {
+  std::vector<std::vector<Lit>> premise;
+  std::vector<Lit> assumptions;
+  std::string drat;
+};
+
+/// Cumulative search statistics. Counters only ever increase between
+/// `reset_stats()` calls; per-sweep deltas are obtained by subtraction.
+struct SolverStats {
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  std::uint64_t conflicts = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t learned_clauses = 0;
+  std::uint64_t removed_clauses = 0;
+
+  SolverStats& operator+=(const SolverStats& o);
+  SolverStats& operator-=(const SolverStats& o);
+  friend SolverStats operator+(SolverStats a, const SolverStats& b) {
+    return a += b;
+  }
+  friend SolverStats operator-(SolverStats a, const SolverStats& b) {
+    return a -= b;
+  }
+};
+
+/// One step of an incremental bound sweep: the queried bound, the verdict,
+/// and the solver-statistics delta attributable to just this step.
+struct SweepStep {
+  std::size_t bound = 0;
+  bool sat = false;
+  SolverStats delta;
+};
+
+/// Telemetry sink for assumption-based bound sweeps. Synthesis routines
+/// append one `SweepStep` per `solve(assumptions)` call when a telemetry
+/// pointer is supplied in their options.
+struct SweepTelemetry {
+  std::vector<SweepStep> steps;
+
+  std::uint64_t total_conflicts() const {
+    std::uint64_t total = 0;
+    for (const auto& s : steps) {
+      total += s.delta.conflicts;
+    }
+    return total;
+  }
 };
 
 /// A CDCL SAT solver in the MiniSat lineage.
@@ -34,80 +81,86 @@ struct SolverConfig {
 /// analysis with recursive clause minimization, VSIDS variable activities
 /// with an indexed heap, phase saving, Luby restarts, activity/LBD-based
 /// learned-clause deletion, and incremental solving under assumptions.
+/// The search is fully deterministic: equal formulas and equal call
+/// sequences always take identical search paths.
 ///
 /// This is the substrate standing in for Z3 in the paper's synthesis flow:
 /// all verification- and correction-circuit synthesis queries are encoded
-/// as CNF (see `CnfBuilder`) and decided here (or raced across diversified
-/// configurations by `ParallelSolver`).
-class Solver final : public SolverBase {
+/// as CNF (see `CnfBuilder`) and decided here.
+class Solver {
  public:
-  Solver();
-  explicit Solver(const SolverConfig& config);
-  ~Solver() override;
+  Solver() = default;
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
-  using SolverBase::add_clause;
-  using SolverBase::model_value;
-  using SolverBase::solve;
+  /// Thrown by `solve()` when the conflict budget runs out first.
+  struct SolveInterrupted {};
 
   /// Creates a fresh variable and returns it.
-  Var new_var() override;
+  Var new_var();
 
-  int num_vars() const override { return static_cast<int>(assigns_.size()); }
+  int num_vars() const { return static_cast<int>(assigns_.size()); }
 
   /// Adds a clause. Returns false if the formula is now trivially
   /// unsatisfiable (adding to an UNSAT solver is a no-op).
-  bool add_clause(std::span<const Lit> lits) override;
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
+  bool add_unit(Lit a) { return add_clause({a}); }
+  bool add_binary(Lit a, Lit b) { return add_clause({a, b}); }
+  bool add_ternary(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
 
   /// Decides satisfiability under the given assumptions. Throws
-  /// `SolveInterrupted` when the conflict budget is exhausted or the
-  /// interrupt flag is raised before a verdict.
-  bool solve(std::span<const Lit> assumptions) override;
+  /// `SolveInterrupted` when the conflict budget is exhausted before a
+  /// verdict.
+  bool solve(std::span<const Lit> assumptions);
+  bool solve() { return solve(std::span<const Lit>{}); }
+  bool solve(std::initializer_list<Lit> assumptions) {
+    return solve(std::span<const Lit>(assumptions.begin(), assumptions.size()));
+  }
 
   /// Budgeted solve: decides the formula under `assumptions` within at
   /// most `max_conflicts` additional conflicts (0 = unlimited). Returns
-  /// `LBool::Undef` (without throwing) when the limit is hit or the
-  /// interrupt flag is raised. Learned clauses persist, so re-calling
-  /// with a larger budget resumes warm.
+  /// `LBool::Undef` (without throwing) when the limit is hit. Learned
+  /// clauses persist, so re-calling with a larger budget resumes warm.
   LBool solve_limited(std::span<const Lit> assumptions,
                       std::uint64_t max_conflicts);
 
   /// Model access; only valid after `solve()` returned true.
-  bool model_value(Var v) const override;
+  bool model_value(Var v) const;
+  bool model_value(Lit l) const { return model_value(l.var()) != l.sign(); }
 
   /// False once the clause database is known unsatisfiable at level 0.
-  bool okay() const override { return ok_; }
+  bool okay() const { return ok_; }
 
-  SolverStats stats() const override { return stats_; }
-  void reset_stats() override { stats_ = SolverStats{}; }
+  SolverStats stats() const { return stats_; }
+  /// Zeroes the statistics counters so subsequent queries report
+  /// per-sweep deltas instead of lifetime totals.
+  void reset_stats() { stats_ = SolverStats{}; }
 
   /// Optional hard limit on conflicts per `solve()` call; 0 = unlimited.
   /// When the budget is exhausted `solve()` throws `SolveInterrupted`.
-  void set_conflict_budget(std::uint64_t budget) override {
+  void set_conflict_budget(std::uint64_t budget) {
     conflict_budget_ = budget;
   }
 
-  /// Cooperative cancellation: while `*flag` is true, any in-flight
-  /// search returns as soon as it polls the flag (`solve()` throws
-  /// `SolveInterrupted`, `solve_limited()` returns `Undef`). Pass
-  /// nullptr to detach. The flag is polled every few conflicts, so
-  /// cancellation latency is bounded.
-  void set_interrupt_flag(const std::atomic<bool>* flag) {
-    interrupt_flag_ = flag;
-  }
+  /// Snapshot of the problem clauses (including level-0 units), suitable
+  /// for DIMACS export. Learned clauses are excluded.
+  std::vector<std::vector<Lit>> problem_clauses() const;
 
-  std::vector<std::vector<Lit>> problem_clauses() const override;
+  /// Enables DRAT proof logging. Off by default. Logging is pure
+  /// observation: search paths, models, and statistics are bit-identical
+  /// either way. Enable before adding clauses for a verbatim premise
+  /// (enabling later summarizes earlier clauses by the current
+  /// simplified database).
+  void set_proof_logging(bool enable);
+  bool proof_logging() const { return proof_logging_; }
 
-  /// DRAT proof logging (see `SolverBase`). Logging is pure observation:
-  /// search paths, models, and statistics are bit-identical either way.
-  void set_proof_logging(bool enable) override;
-  bool proof_logging() const override { return proof_logging_; }
-  std::optional<UnsatProof> last_unsat_proof() const override {
-    return last_proof_;
-  }
-
-  const SolverConfig& config() const { return config_; }
+  /// The refutation of the most recent `solve()` that returned false,
+  /// or nullopt when logging is off or no UNSAT verdict has been
+  /// produced since logging was enabled.
+  std::optional<UnsatProof> last_unsat_proof() const { return last_proof_; }
 
  private:
   struct Clause {
@@ -141,21 +194,20 @@ class Solver final : public SolverBase {
   double max_learnts_factor_ = 0.4;
 
   // --- Decision heuristic -----------------------------------------------
+  // VSIDS decay: the activity increment grows by 1/decay per conflict.
+  static constexpr double kVarActivityDecay = 0.95;
   std::vector<double> var_activity_;
   double var_inc_ = 1.0;
   std::vector<int> heap_;       // Binary max-heap of variables by activity.
   std::vector<int> heap_pos_;   // Position of each var in heap_, -1 if out.
 
   // --- Misc ---------------------------------------------------------------
-  SolverConfig config_;
   bool ok_ = true;
   std::vector<bool> model_;
   std::vector<bool> seen_;
   std::vector<Lit> analyze_toclear_;
   SolverStats stats_;
   std::uint64_t conflict_budget_ = 0;
-  const std::atomic<bool>* interrupt_flag_ = nullptr;
-  std::uint64_t rng_state_;
 
   // --- DRAT proof logging -------------------------------------------------
   bool proof_logging_ = false;
@@ -168,12 +220,6 @@ class Solver final : public SolverBase {
   LBool value(Var v) const { return assigns_[v]; }
   LBool value(Lit l) const { return assigns_[l.var()] ^ l.sign(); }
 
-  bool interrupted() const {
-    return interrupt_flag_ != nullptr &&
-           interrupt_flag_->load(std::memory_order_relaxed);
-  }
-  std::uint64_t rng_next();
-
   void attach_clause(ClauseRef c);
   void detach_clause(ClauseRef c);
   void unchecked_enqueue(Lit l, ClauseRef from);
@@ -185,7 +231,7 @@ class Solver final : public SolverBase {
   Lit pick_branch_lit();
   void new_decision_level() { trail_lim_.push_back(static_cast<int>(trail_.size())); }
   void var_bump_activity(Var v);
-  void var_decay_activity() { var_inc_ /= config_.var_activity_decay; }
+  void var_decay_activity() { var_inc_ /= kVarActivityDecay; }
   void clause_bump_activity(Clause& c);
   void clause_decay_activity() { clause_inc_ /= 0.999; }
   void rescale_var_activity();
@@ -205,10 +251,30 @@ class Solver final : public SolverBase {
     return var_activity_[a] > var_activity_[b];
   }
 
-  enum class SearchStatus { Sat, Unsat, Restart, Interrupted };
+  enum class SearchStatus { Sat, Unsat, Restart };
   SearchStatus search(std::uint64_t conflicts_allowed,
                       std::span<const Lit> assumptions);
 };
+
+inline SolverStats& SolverStats::operator+=(const SolverStats& o) {
+  decisions += o.decisions;
+  propagations += o.propagations;
+  conflicts += o.conflicts;
+  restarts += o.restarts;
+  learned_clauses += o.learned_clauses;
+  removed_clauses += o.removed_clauses;
+  return *this;
+}
+
+inline SolverStats& SolverStats::operator-=(const SolverStats& o) {
+  decisions -= o.decisions;
+  propagations -= o.propagations;
+  conflicts -= o.conflicts;
+  restarts -= o.restarts;
+  learned_clauses -= o.learned_clauses;
+  removed_clauses -= o.removed_clauses;
+  return *this;
+}
 
 /// Luby sequence value (1-indexed): 1 1 2 1 1 2 4 ...
 std::uint64_t luby(std::uint64_t i);

@@ -16,12 +16,8 @@ struct CancelledError : std::runtime_error {
 /// Compute loops poll `cancelled()` (or call `throw_if_cancelled()`) at
 /// natural chunk boundaries; nobody is interrupted mid-wave, so results
 /// already produced stay deterministic and a cancelled request simply
-/// stops scheduling more work.
-///
-/// The deadline is *latched* into the flag on first observation, so the
-/// raw `flag()` pointer — suitable for `sat::Solver::set_interrupt_flag`
-/// which only ever loads an atomic bool — also goes true once any
-/// `cancelled()` call has seen the deadline pass.
+/// stops scheduling more work. The deadline is latched into the flag on
+/// first observation.
 ///
 /// Thread-safe: `cancel()` and `cancelled()` may race freely.
 class CancelToken {
@@ -52,11 +48,6 @@ class CancelToken {
       throw CancelledError(what);
     }
   }
-
-  /// The raw flag, for interrupt-flag consumers (sat::Solver). Only
-  /// reflects a passed deadline after some `cancelled()` call latched
-  /// it — pair with periodic `cancelled()` polls on the driving loop.
-  const std::atomic<bool>* flag() const { return &cancelled_; }
 
   Clock::time_point deadline() const { return deadline_; }
 

@@ -8,12 +8,11 @@
 
 namespace ftsp::util {
 
-/// Work-stealing index loop behind the batched sampler (shards), the
-/// rate estimator (waves) and the SAT portfolio (configurations):
-/// invokes `fn(i)` for i in [0, tasks) over `threads` workers (0 =
-/// hardware concurrency). With one worker the indices run in order on
-/// the calling thread. Each task writes only its own slot, so results
-/// are thread-count invariant by construction.
+/// Work-stealing index loop behind the batched sampler (shards) and the
+/// rate estimator (waves): invokes `fn(i)` for i in [0, tasks) over
+/// `threads` workers (0 = hardware concurrency). With one worker the
+/// indices run in order on the calling thread. Each task writes only its
+/// own slot, so results are thread-count invariant by construction.
 template <typename Fn>
 void run_indexed_parallel(std::size_t tasks, std::size_t threads, Fn&& fn) {
   if (threads == 0) {

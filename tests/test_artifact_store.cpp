@@ -24,7 +24,7 @@
 #include "core/serialize.hpp"
 #include "core/synth_cache.hpp"
 #include "qec/code_library.hpp"
-#include "sat/parallel_solver.hpp"
+#include "sat/engine.hpp"
 #include "util/fault_inject.hpp"
 
 namespace ftsp::compile {
@@ -200,6 +200,50 @@ TEST(ArtifactStore, IndexAndContainsSurviveReopen) {
   EXPECT_TRUE(reopened.contains(a2.key));
   EXPECT_FALSE(reopened.contains("no-such-key"));
   EXPECT_FALSE(reopened.get("no-such-key").has_value());
+}
+
+/// A store compiled before the SAT portfolio was retired holds
+/// `compile --all` artifacts keyed by the portfolio fingerprint. Keys
+/// load in sorted order and the last one wins its serving name, and
+/// `cfg=4,...` sorts after `cfg=1,...`: a fresh sequential compile over
+/// such a store is shadowed by the legacy artifact, loudly. (Both
+/// engines produced identical protocols; migrate by compiling into a
+/// fresh store.)
+TEST(ArtifactStore, LegacyPortfolioKeyOutranksSequentialKeyInMixedStore) {
+  reset_cache();
+  const TempDir dir("store-mixed-engines");
+  const ProtocolCompiler compiler;
+  const auto current = compiler.compile(qec::steane());
+  const std::string current_engine = "eng=inc=1,cfg=1,cube=0";
+  const std::string legacy_engine = "eng=inc=1,cfg=4,cube=0,seed=1,rc=4096";
+  const std::size_t at = current.key.rfind(current_engine);
+  ASSERT_NE(at, std::string::npos) << current.key;
+  ASSERT_EQ(at + current_engine.size(), current.key.size());
+  auto legacy = current;
+  legacy.key = current.key.substr(0, at) + legacy_engine;
+  legacy.provenance.engine_fingerprint = "inc=1,cfg=4,cube=0,seed=1,rc=4096";
+  {
+    ArtifactStore store(dir.path.string());
+    store.put(current);  // Write order is irrelevant; key order decides.
+    store.put(legacy);
+  }
+
+  ArtifactStore reopened(dir.path.string());
+  ProtocolService service;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(service.load_store(reopened), 1u);
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(warning, "ftsp-serve: WARNING: serving name 'Steane' shadows "
+                     "artifact key '" + current.key + "' (replaced by '" +
+                         legacy.key + "'; last key in store order wins)\n");
+  ASSERT_EQ(service.shadowed_keys(), std::vector<std::string>{current.key});
+  EXPECT_EQ(service.handle_request(R"({"op":"codes"})"),
+            R"({"ok":true,"codes":["Steane"],"shadowed":[")" + current.key +
+                R"("]})");
+  const auto info = service.handle_request(R"({"op":"info","code":"Steane"})");
+  EXPECT_NE(info.find(R"("engine":"inc=1,cfg=4,cube=0,seed=1,rc=4096")"),
+            std::string::npos)
+      << info;
 }
 
 TEST(ArtifactStore, TwoConcurrentWritersBothSurvive) {

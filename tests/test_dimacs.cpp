@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sat/solver.hpp"
 
 namespace ftsp::sat {
@@ -39,9 +42,40 @@ TEST(Dimacs, RejectsVariableOutOfRange) {
                std::invalid_argument);
 }
 
+/// Literals whose magnitude exceeds the header must be rejected before
+/// they are narrowed to a 32-bit variable index: once wrapped they would
+/// alias x1, ~x2 or a negative variable.
+TEST(Dimacs, RejectsLiteralsThatWrapWhenNarrowed) {
+  for (const char* literal :
+       {"4294967297", "-4294967298", "2147483649", "-9223372036854775808"}) {
+    EXPECT_THROW(
+        parse_dimacs_string(std::string("p cnf 2 1\n") + literal + " 0\n"),
+        std::invalid_argument)
+        << literal;
+  }
+}
+
+TEST(Dimacs, RejectsMalformedLiteral) {
+  EXPECT_THROW(parse_dimacs_string("p cnf 2 1\n1 0 x\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_dimacs_string("p cnf 2 1\n99999999999999999999 0\n"),
+               std::invalid_argument);
+}
+
 TEST(Dimacs, RejectsBadHeader) {
   EXPECT_THROW(parse_dimacs_string("p sat 2 1\n1 0\n"),
                std::invalid_argument);
+}
+
+TEST(Dimacs, RejectsHeaderCountsOutsideInt32) {
+  for (const char* header :
+       {"p cnf -1 1\n", "p cnf 2 -1\n", "p cnf 4294967297 1\n",
+        "p cnf 2 2147483648\n", "p cnf 2\n", "p cnf x 1\n"}) {
+    EXPECT_THROW(parse_dimacs_string(header), std::invalid_argument)
+        << header;
+  }
+  EXPECT_EQ(parse_dimacs_string("p cnf 2147483647 0\n").num_vars,
+            2147483647);
 }
 
 TEST(Dimacs, RoundTrip) {

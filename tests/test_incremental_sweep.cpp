@@ -146,29 +146,6 @@ TEST(IncrementalSweep, TelemetryRecordsPerBoundDeltas) {
   }
 }
 
-TEST(IncrementalSweep, ParallelEngineIsThreadCountInvariant) {
-  const auto inst = library_instance("Steane");
-  std::vector<std::string> rendered;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    VerificationSynthOptions options;
-    options.engine.use_cache = false;
-    options.engine.num_configs = 4;
-    options.engine.num_threads = threads;
-    options.engine.seed = 12345;
-    const auto set =
-        synthesize_verification(inst.generators, inst.errors, options);
-    ASSERT_TRUE(set.has_value());
-    std::string text;
-    for (const auto& s : set->stabilizers) {
-      text += s.to_string() + "\n";
-    }
-    rendered.push_back(std::move(text));
-  }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(rendered[0], rendered[2]);
-}
-
 TEST(SynthCacheTest, SecondIdenticalCallHits) {
   auto& cache = SynthCache::instance();
   cache.clear();

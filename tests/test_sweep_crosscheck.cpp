@@ -1,13 +1,11 @@
 // Stress tier: cross-checks the incremental sweep engine against
-// from-scratch encodes over the full code library, and protocol-level
-// determinism at 1/2/8 threads.
+// from-scratch encodes over the full code library.
 #include <gtest/gtest.h>
 
 #include "core/ft_check.hpp"
 #include "core/metrics.hpp"
 #include "core/prep_synth.hpp"
 #include "core/protocol.hpp"
-#include "core/synth_cache.hpp"
 #include "core/verification.hpp"
 #include "qec/code_library.hpp"
 #include "qec/state_context.hpp"
@@ -101,40 +99,6 @@ TEST(SweepCrosscheck, ProtocolMetricsMatchAcrossEngines) {
     EXPECT_EQ(ma.total_verif_cnots, mb.total_verif_cnots) << name;
     EXPECT_TRUE(check_fault_tolerance(a).ok) << name;
   }
-}
-
-/// End-to-end determinism: the full protocol synthesized through the
-/// portfolio engine is bit-identical at 1, 2 and 8 threads.
-TEST(SweepCrosscheck, ProtocolIsThreadCountInvariant) {
-  std::vector<std::string> rendered;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    SynthCache::instance().clear();  // No cross-pollination between runs.
-    SynthesisOptions options;
-    for (auto* engine : {&options.verification.engine,
-                         &options.correction.engine}) {
-      engine->incremental = true;
-      engine->use_cache = false;
-      engine->num_configs = 4;
-      engine->num_threads = threads;
-      engine->seed = 99;
-    }
-    const auto protocol = synthesize_protocol(
-        qec::library_code_by_name("Surface_3"), LogicalBasis::Zero,
-        options);
-    std::string text = protocol.prep.to_text();
-    for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
-      if (layer->has_value()) {
-        text += "---\n" + (*layer)->verif.to_text();
-        for (const auto& [key, branch] : (*layer)->branches) {
-          text += "+" + key.to_string() + "\n" + branch.circ.to_text();
-        }
-      }
-    }
-    rendered.push_back(std::move(text));
-  }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(rendered[0], rendered[2]);
 }
 
 }  // namespace
