@@ -12,7 +12,7 @@
 //   * the equivalent-shot reduction — naive shots needed for the
 //     stratified std error, per lane the estimator actually simulated —
 //     is >= 50x at p = 1e-3,
-// plus a bit-identity check of the u64 and 256-bit estimator paths.
+// plus a bit-identity check of the estimate at 1 and 4 worker threads.
 //
 // Plain chrono main (no Google Benchmark dependency), JSON-per-code
 // output consumed by the CI bench-smoke job (folded into BENCH_ci.json):
@@ -120,17 +120,18 @@ int main(int argc, char** argv) {
     core::RateOptions options;
     options.rel_err = 0.05;
     options.seed = 42;
+    options.num_threads = 1;
     const auto t_strat = Clock::now();
     const auto estimate =
         core::estimate_logical_error_rate(executor, decoder, p, options);
     const double strat_ms = ms_since(t_strat);
 
-    // --- u64 path must agree bit for bit with the (default) wide path.
-    core::RateOptions narrow = options;
-    narrow.width = core::WordWidth::W64;
-    const bool widths_identical = identical(
+    // --- Four worker threads must agree bit for bit with one.
+    core::RateOptions threaded = options;
+    threaded.num_threads = 4;
+    const bool threads_identical = identical(
         estimate,
-        core::estimate_logical_error_rate(executor, decoder, p, narrow));
+        core::estimate_logical_error_rate(executor, decoder, p, threaded));
 
     // Equivalent-shot reduction: naive shots this std error is worth,
     // per lane the estimator actually simulated.
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
     const bool inside =
         naive_fails == 0 || (estimate.p_logical >= naive_interval.low &&
                              estimate.p_logical <= naive_interval.high);
-    if (!inside || !widths_identical) {
+    if (!inside || !threads_identical) {
       ok = false;
     }
 
@@ -154,13 +155,13 @@ int main(int argc, char** argv) {
         "\"mc_shots\": %" PRIu64 ", \"exhaustive_cases\": %" PRIu64
         ", \"strat_ms\": %.3f, \"equivalent_naive_shots\": %.6e, "
         "\"shot_reduction\": %.3e, \"inside_naive_ci\": %s, "
-        "\"widths_identical\": %s}%s\n",
+        "\"threads_identical\": %s}%s\n",
         names[c].c_str(), p, naive_shots, naive_fails, naive_interval.low,
         naive_interval.high, naive_ms, estimate.p_logical,
         estimate.std_error, estimate.mc_shots, estimate.exhaustive_cases,
         strat_ms, json_safe(estimate.equivalent_naive_shots),
         json_safe(reduction),
-        inside ? "true" : "false", widths_identical ? "true" : "false",
+        inside ? "true" : "false", threads_identical ? "true" : "false",
         c + 1 < names.size() ? "," : "");
     if (!inside) {
       std::fprintf(stderr,
@@ -169,8 +170,8 @@ int main(int argc, char** argv) {
                    names[c].c_str(), estimate.p_logical, naive_interval.low,
                    naive_interval.high);
     }
-    if (!widths_identical) {
-      std::fprintf(stderr, "FAIL: %s u64 and SIMD paths diverged\n",
+    if (!threads_identical) {
+      std::fprintf(stderr, "FAIL: %s 1- and 4-thread estimates diverged\n",
                    names[c].c_str());
     }
   }

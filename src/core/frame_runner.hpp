@@ -157,44 +157,25 @@ struct DecodeTables {
                              qec::PauliType::Z)) {}
 };
 
-template <typename Word>
-bool mask_any(const std::vector<Word>& mask) {
-  for (const Word& w : mask) {
-    if (sim::WordOps<Word>::any(w)) {
+inline bool mask_any(const std::vector<std::uint64_t>& mask) {
+  for (const std::uint64_t w : mask) {
+    if (w != 0) {
       return true;
     }
   }
   return false;
 }
 
-/// Iterates the set lanes of `mask` in ascending shot order (u64
-/// sub-word at a time, which is ascending-lane for every word width).
-template <typename Word, typename Fn>
-void for_each_lane(const std::vector<Word>& mask, Fn&& fn) {
-  constexpr std::size_t kSub = sim::WordOps<Word>::kU64PerWord;
+/// Iterates the set lanes of `mask` in ascending shot order.
+template <typename Fn>
+void for_each_lane(const std::vector<std::uint64_t>& mask, Fn&& fn) {
   for (std::size_t w = 0; w < mask.size(); ++w) {
-    for (std::size_t s = 0; s < kSub; ++s) {
-      std::uint64_t bits = sim::WordOps<Word>::sub(mask[w], s);
-      while (bits != 0) {
-        fn((w * kSub + s) * 64 +
-           static_cast<std::size_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-      }
+    std::uint64_t bits = mask[w];
+    while (bits != 0) {
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
     }
   }
-}
-
-/// Word whose lanes [0, tail) are set (tail in (0, kBits]).
-template <typename Word>
-Word tail_mask_word(std::size_t tail) {
-  Word word = sim::WordOps<Word>::zero();
-  for (std::size_t s = 0; s < sim::WordOps<Word>::kU64PerWord && tail != 0;
-       ++s) {
-    const std::size_t lanes = tail < 64 ? tail : 64;
-    sim::WordOps<Word>::sub(word, s) = ~std::uint64_t{0} >> (64 - lanes);
-    tail -= lanes;
-  }
-  return word;
 }
 
 /// One inverse-CDF Bernoulli-mask table per location kind, shared by all
@@ -211,9 +192,8 @@ struct KindMaskTables {
 };
 
 /// I.i.d. Bernoulli fault injection (the Monte-Carlo sampler): one mask
-/// draw per nonzero u64 sub-word per site, then a uniform op draw per
-/// faulted lane. The sub-word draw order is ascending for every word
-/// width, so the same seed produces the same faults at 64 and 256 bits.
+/// draw per nonzero batch word per site, in ascending word order, then
+/// a uniform op draw per faulted lane.
 struct BernoulliInjector {
   const sim::NoiseParams& q;
   const KindMaskTables& masks;
@@ -226,36 +206,30 @@ struct BernoulliInjector {
                     std::uint64_t seed)
       : q(q_in), masks(masks_in), out(out_in), rng(seed) {}
 
-  template <typename Word>
-  void inject(sim::BasicFrameBatch<Word>& frame, const circuit::Circuit&,
-              std::size_t, const sim::FaultSite& site,
-              const circuit::Gate& gate, const std::vector<Word>& mask,
-              std::size_t w0, std::size_t w1) {
+  void inject(sim::FrameBatch& frame, const circuit::Circuit&, std::size_t,
+              const sim::FaultSite& site, const circuit::Gate& gate,
+              const std::vector<std::uint64_t>& mask, std::size_t w0,
+              std::size_t w1) {
     const auto kind = static_cast<std::size_t>(sim::location_kind(gate.kind));
     if (q.rates[kind] <= 0.0) {
       return;  // No draws: the site can never fault.
     }
     const auto& ops = site.ops;
     const sim::BernoulliWordTable& table = masks.by_kind[kind];
-    constexpr std::size_t kSub = sim::WordOps<Word>::kU64PerWord;
     for (std::size_t w = w0; w < w1; ++w) {
-      for (std::size_t s = 0; s < kSub; ++s) {
-        const std::uint64_t m = sim::WordOps<Word>::sub(mask[w], s);
-        if (m == 0) {
-          continue;  // Sparse branch groups: skip fully inactive sub-words.
-        }
-        std::uint64_t faulted = table.draw(rng) & m;
-        while (faulted != 0) {
-          const auto lane =
-              static_cast<std::size_t>(std::countr_zero(faulted));
-          faulted &= faulted - 1;
-          const std::size_t shot = (w * kSub + s) * 64 + lane;
-          // Lemire's multiply-shift bounded draw (no division).
-          const auto op = static_cast<std::size_t>(
-              (static_cast<uint128>(rng()) * ops.size()) >> 64);
-          frame.apply_fault(ops[op], gate, shot);
-          ++out[shot].faults[kind];
-        }
+      if (mask[w] == 0) {
+        continue;  // Sparse branch groups: skip fully inactive words.
+      }
+      std::uint64_t faulted = table.draw(rng) & mask[w];
+      while (faulted != 0) {
+        const std::size_t shot =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(faulted));
+        faulted &= faulted - 1;
+        // Lemire's multiply-shift bounded draw (no division).
+        const auto op = static_cast<std::size_t>(
+            (static_cast<uint128>(rng()) * ops.size()) >> 64);
+        frame.apply_fault(ops[op], gate, shot);
+        ++out[shot].faults[kind];
       }
     }
   }
@@ -280,11 +254,11 @@ struct PlantedInjector {
   /// segment -> first global site index of that segment.
   const std::unordered_map<const circuit::Circuit*, std::uint32_t>& base;
 
-  template <typename Word>
-  void inject(sim::BasicFrameBatch<Word>& frame, const circuit::Circuit& c,
+  void inject(sim::FrameBatch& frame, const circuit::Circuit& c,
               std::size_t gate_index, const sim::FaultSite& site,
-              const circuit::Gate& gate, const std::vector<Word>& mask,
-              std::size_t, std::size_t) {
+              const circuit::Gate& gate,
+              const std::vector<std::uint64_t>& mask, std::size_t,
+              std::size_t) {
     const auto it =
         plan.find(base.at(&c) + static_cast<std::uint32_t>(gate_index));
     if (it == plan.end()) {
@@ -304,10 +278,11 @@ struct PlantedInjector {
 /// its correction branch word-parallel too. Mirrors `Executor::run`
 /// lane-for-lane (Fig. 3 control flow, hook termination included). Fault
 /// injection is delegated to the `Injector` policy after every gate.
-template <typename Word, typename Injector>
+template <typename Injector>
 class ShardRunner {
  public:
-  static constexpr std::size_t kLanesPerWord = sim::WordOps<Word>::kBits;
+  static constexpr std::size_t kLanesPerWord =
+      sim::FrameBatch::kLanesPerWord;
 
   ShardRunner(const Executor& executor, const SegmentCounts& counts,
               const DecodeTables& tables, std::size_t shots,
@@ -321,8 +296,8 @@ class ShardRunner {
         out_(out),
         injector_(injector),
         n_(executor.protocol().num_data_qubits()),
-        data_x_(n_ * words_, sim::WordOps<Word>::zero()),
-        data_z_(n_ * words_, sim::WordOps<Word>::zero()) {
+        data_x_(n_ * words_, 0),
+        data_z_(n_ * words_, 0) {
     if (layout != nullptr) {
       verif_frame_.reserve(layout->peak_qubits, layout->peak_cbits, shots);
       branch_frame_.reserve(layout->peak_qubits, layout->peak_cbits, shots);
@@ -331,9 +306,9 @@ class ShardRunner {
 
   void run() {
     const Protocol& protocol = executor_.protocol();
-    std::vector<Word> active(words_, sim::WordOps<Word>::ones());
+    std::vector<std::uint64_t> active(words_, ~std::uint64_t{0});
     if (const std::size_t tail = shots_ % kLanesPerWord; tail != 0) {
-      active[words_ - 1] = tail_mask_word<Word>(tail);
+      active[words_ - 1] = ~std::uint64_t{0} >> (kLanesPerWord - tail);
     }
 
     run_segment(protocol.prep, active, verif_frame_);
@@ -352,27 +327,28 @@ class ShardRunner {
   /// fault injection, then copies the data error back out — masked, so
   /// lanes outside `mask` are untouched (their word lanes compute garbage
   /// that is simply discarded).
-  void run_segment(const circuit::Circuit& c, const std::vector<Word>& mask,
-                   sim::BasicFrameBatch<Word>& frame) {
+  void run_segment(const circuit::Circuit& c,
+                   const std::vector<std::uint64_t>& mask,
+                   sim::FrameBatch& frame) {
     // Restrict all word loops (including the reset) to the nonzero span
     // of the lane mask: a correction branch taken by a handful of lanes
     // costs words proportional to where those lanes sit, not the whole
     // shard.
     std::size_t w0 = 0;
     std::size_t w1 = words_;
-    while (w0 < w1 && !sim::WordOps<Word>::any(mask[w0])) {
+    while (w0 < w1 && mask[w0] == 0) {
       ++w0;
     }
-    while (w1 > w0 && !sim::WordOps<Word>::any(mask[w1 - 1])) {
+    while (w1 > w0 && mask[w1 - 1] == 0) {
       --w1;
     }
     const std::size_t span = w1 - w0;
     frame.reset(c.num_qubits(), c.num_cbits(), shots_, w0, w1);
     for (std::size_t q = 0; q < n_; ++q) {
       std::memcpy(frame.x_row(q) + w0, data_x_.data() + q * words_ + w0,
-                  span * sizeof(Word));
+                  span * sizeof(std::uint64_t));
       std::memcpy(frame.z_row(q) + w0, data_z_.data() + q * words_ + w0,
-                  span * sizeof(Word));
+                  span * sizeof(std::uint64_t));
     }
 
     const auto& sites = executor_.fault_sites(c);
@@ -390,10 +366,10 @@ class ShardRunner {
     });
 
     for (std::size_t q = 0; q < n_; ++q) {
-      Word* dx = data_x_.data() + q * words_;
-      Word* dz = data_z_.data() + q * words_;
-      const Word* fx = frame.x_row(q);
-      const Word* fz = frame.z_row(q);
+      std::uint64_t* dx = data_x_.data() + q * words_;
+      std::uint64_t* dz = data_z_.data() + q * words_;
+      const std::uint64_t* fx = frame.x_row(q);
+      const std::uint64_t* fz = frame.z_row(q);
       for (std::size_t w = w0; w < w1; ++w) {
         dx[w] = (dx[w] & ~mask[w]) | (fx[w] & mask[w]);
         dz[w] = (dz[w] & ~mask[w]) | (fz[w] & mask[w]);
@@ -407,11 +383,12 @@ class ShardRunner {
   /// every realistic protocol, so the grouping key is a packed uint64
   /// (no per-lane heap traffic) with a BitVec fallback beyond 64 bits.
   template <typename Fn>
-  void for_each_outcome_group(const sim::BasicFrameBatch<Word>& frame,
-                              const std::vector<Word>& lanes, Fn&& fn) {
+  void for_each_outcome_group(const sim::FrameBatch& frame,
+                              const std::vector<std::uint64_t>& lanes,
+                              Fn&& fn) {
     const std::size_t cbits = frame.num_cbits();
     if (cbits <= 64) {
-      std::map<std::uint64_t, std::vector<Word>> groups;
+      std::map<std::uint64_t, std::vector<std::uint64_t>> groups;
       for_each_lane(lanes, [&](std::size_t shot) {
         std::uint64_t key = 0;
         for (std::size_t c = 0; c < cbits; ++c) {
@@ -419,7 +396,7 @@ class ShardRunner {
         }
         auto [it, inserted] = groups.try_emplace(key);
         if (inserted) {
-          it->second.assign(words_, sim::WordOps<Word>::zero());
+          it->second.assign(words_, 0);
         }
         sim::set_lane(it->second.data(), shot);
       });
@@ -433,7 +410,8 @@ class ShardRunner {
         fn(outcome, group_mask);
       }
     } else {
-      std::map<f2::BitVec, std::vector<Word>, f2::BitVecLexLess> groups;
+      std::map<f2::BitVec, std::vector<std::uint64_t>, f2::BitVecLexLess>
+          groups;
       for_each_lane(lanes, [&](std::size_t shot) {
         f2::BitVec outcome(cbits);
         for (std::size_t c = 0; c < cbits; ++c) {
@@ -443,7 +421,7 @@ class ShardRunner {
         }
         auto [it, inserted] = groups.try_emplace(std::move(outcome));
         if (inserted) {
-          it->second.assign(words_, sim::WordOps<Word>::zero());
+          it->second.assign(words_, 0);
         }
         sim::set_lane(it->second.data(), shot);
       });
@@ -453,14 +431,15 @@ class ShardRunner {
     }
   }
 
-  void run_layer(const CompiledLayer& layer, std::vector<Word>& active) {
-    sim::BasicFrameBatch<Word>& frame = verif_frame_;
+  void run_layer(const CompiledLayer& layer,
+                 std::vector<std::uint64_t>& active) {
+    sim::FrameBatch& frame = verif_frame_;
     run_segment(layer.verif, active, frame);
     const std::size_t cbits = layer.verif.num_cbits();
 
-    std::vector<Word> triggered(words_, sim::WordOps<Word>::zero());
+    std::vector<std::uint64_t> triggered(words_, 0);
     for (std::size_t c = 0; c < cbits; ++c) {
-      const Word* row = frame.outcome_row(c);
+      const std::uint64_t* row = frame.outcome_row(c);
       for (std::size_t w = 0; w < words_; ++w) {
         triggered[w] |= row[w];
       }
@@ -477,10 +456,11 @@ class ShardRunner {
     // executor's branch-table lookup. Group iteration is in
     // deterministic (lex) order, which keeps the shard's RNG stream
     // deterministic.
-    std::vector<Word> hooked(words_, sim::WordOps<Word>::zero());
+    std::vector<std::uint64_t> hooked(words_, 0);
     for_each_outcome_group(
         frame, triggered,
-        [&](const f2::BitVec& outcome, const std::vector<Word>& group_mask) {
+        [&](const f2::BitVec& outcome,
+            const std::vector<std::uint64_t>& group_mask) {
           const bool hook = (outcome & layer.flag_mask).any();
           if (const auto it = layer.branches.find(outcome);
               it != layer.branches.end()) {
@@ -503,20 +483,21 @@ class ShardRunner {
   }
 
   void run_branch(const CompiledBranch& branch,
-                  const std::vector<Word>& group_mask) {
-    sim::BasicFrameBatch<Word>& frame = branch_frame_;
+                  const std::vector<std::uint64_t>& group_mask) {
+    sim::FrameBatch& frame = branch_frame_;
     run_segment(branch.circ, group_mask, frame);
-    std::vector<Word>& data =
+    std::vector<std::uint64_t>& data =
         branch.corrected_type == qec::PauliType::X ? data_x_ : data_z_;
     // One recovery lookup per distinct extended syndrome, not per lane.
     for_each_outcome_group(
         frame, group_mask,
-        [&](const f2::BitVec& extended, const std::vector<Word>& mask) {
+        [&](const f2::BitVec& extended,
+            const std::vector<std::uint64_t>& mask) {
           if (const auto rec = branch.plan.recoveries.find(extended);
               rec != branch.plan.recoveries.end()) {
             // Word-parallel: XOR the recovery into every group lane.
             for (std::size_t q : rec->second.ones()) {
-              Word* row = data.data() + q * words_;
+              std::uint64_t* row = data.data() + q * words_;
               for (std::size_t w = 0; w < words_; ++w) {
                 row[w] ^= mask[w];
               }
@@ -530,24 +511,24 @@ class ShardRunner {
   /// per-lane work is gathering a handful of bits and one table lookup.
   template <typename Store>
   void compute_fails(const ErrorDecodeTables& tables,
-                     const std::vector<Word>& data, Store&& store) {
+                     const std::vector<std::uint64_t>& data, Store&& store) {
     const std::size_t checks = tables.check_support.size();
     const std::size_t logicals = tables.logical_support.size();
-    std::vector<Word> syndrome(checks * words_, sim::WordOps<Word>::zero());
-    std::vector<Word> parity(logicals * words_, sim::WordOps<Word>::zero());
+    std::vector<std::uint64_t> syndrome(checks * words_, 0);
+    std::vector<std::uint64_t> parity(logicals * words_, 0);
     for (std::size_t i = 0; i < checks; ++i) {
-      Word* row = syndrome.data() + i * words_;
+      std::uint64_t* row = syndrome.data() + i * words_;
       for (std::size_t q : tables.check_support[i]) {
-        const Word* src = data.data() + q * words_;
+        const std::uint64_t* src = data.data() + q * words_;
         for (std::size_t w = 0; w < words_; ++w) {
           row[w] ^= src[w];
         }
       }
     }
     for (std::size_t i = 0; i < logicals; ++i) {
-      Word* row = parity.data() + i * words_;
+      std::uint64_t* row = parity.data() + i * words_;
       for (std::size_t q : tables.logical_support[i]) {
-        const Word* src = data.data() + q * words_;
+        const std::uint64_t* src = data.data() + q * words_;
         for (std::size_t w = 0; w < words_; ++w) {
           row[w] ^= src[w];
         }
@@ -588,13 +569,13 @@ class ShardRunner {
   Injector& injector_;
   std::size_t n_;
   // Accumulated data-qubit error between segments, row per qubit.
-  std::vector<Word> data_x_;
-  std::vector<Word> data_z_;
+  std::vector<std::uint64_t> data_x_;
+  std::vector<std::uint64_t> data_z_;
   // Scratch batches recycled across segments (branch runs happen while
   // the verification frame's outcomes are still being consumed, hence
   // two).
-  sim::BasicFrameBatch<Word> verif_frame_{0, 0, 0};
-  sim::BasicFrameBatch<Word> branch_frame_{0, 0, 0};
+  sim::FrameBatch verif_frame_{0, 0, 0};
+  sim::FrameBatch branch_frame_{0, 0, 0};
 };
 
 }  // namespace ftsp::core::detail

@@ -103,11 +103,10 @@ class WaveRunner {
   void run_wave(Wave& wave) const {
     std::vector<Trajectory> out(wave.shots);
     detail::PlantedInjector injector{wave.plan, index_.base};
-    if (options_.width == WordWidth::W64) {
-      run_width<std::uint64_t>(injector, wave.shots, out.data());
-    } else {
-      run_width<sim::SimdWord>(injector, wave.shots, out.data());
-    }
+    detail::ShardRunner<detail::PlantedInjector> runner(
+        executor_, counts_, tables_, wave.shots, out.data(), injector,
+        options_.layout);
+    runner.run();
     for (std::size_t lane = 0; lane < wave.shots; ++lane) {
       const Trajectory& t = out[lane];
       const bool fail =
@@ -140,14 +139,6 @@ class WaveRunner {
   }
 
  private:
-  template <typename Word>
-  void run_width(detail::PlantedInjector& injector, std::size_t shots,
-                 Trajectory* out) const {
-    detail::ShardRunner<Word, detail::PlantedInjector> runner(
-        executor_, counts_, tables_, shots, out, injector, options_.layout);
-    runner.run();
-  }
-
   const Executor& executor_;
   const RateOptions& options_;
   detail::SegmentCounts counts_;

@@ -49,7 +49,6 @@ struct RateOptions {
   /// Paper's |0>_L criterion (logical X flips only) when true; any
   /// logical flip otherwise.
   bool x_criterion = true;
-  WordWidth width = WordWidth::Auto;
   /// Optional precomputed layout (artifact-driven serving), validated
   /// against the protocol exactly like `SamplerOptions::layout`.
   const FrameBatchLayout* layout = nullptr;
@@ -95,8 +94,8 @@ struct RateEstimate {
 };
 
 /// Estimates the logical error rate of the protocol at rates `p`. The
-/// result is deterministic for fixed options (thread count and word
-/// width never change sampled bits).
+/// result is deterministic for fixed options (the thread count never
+/// changes sampled bits).
 RateEstimate estimate_logical_error_rate(const Executor& executor,
                                          const decoder::PerfectDecoder& decoder,
                                          const sim::NoiseParams& p,

@@ -47,35 +47,6 @@ void validate_rates(const sim::NoiseParams& q) {
   }
 }
 
-/// Shard loop of the batched sampler at one word width. Shard seeding
-/// and output slicing are width-independent, and the Bernoulli injector
-/// consumes its RNG stream in ascending u64 sub-word order at every
-/// width — so the sampled batch is bit-identical across `Word` types.
-template <typename Word>
-void run_batched(const Executor& executor,
-                 const decoder::PerfectDecoder& decoder,
-                 const sim::NoiseParams& q, std::size_t shots,
-                 std::uint64_t seed, const SamplerOptions& options,
-                 TrajectoryBatch& batch) {
-  const detail::SegmentCounts counts(executor.protocol(), options.layout);
-  const detail::DecodeTables tables(decoder);
-  const detail::KindMaskTables masks(q);
-  const std::size_t shard = options.shard_shots;
-  const std::size_t num_shards = (shots + shard - 1) / shard;
-  const auto run_shard = [&](std::size_t index) {
-    const std::size_t begin = index * shard;
-    const std::size_t count = std::min(shard, shots - begin);
-    Trajectory* out = batch.trajectories.data() + begin;
-    detail::BernoulliInjector injector(q, masks, out,
-                                       detail::shard_seed(seed, index));
-    detail::ShardRunner<Word, detail::BernoulliInjector> runner(
-        executor, counts, tables, count, out, injector, options.layout);
-    runner.run();
-  };
-
-  util::run_indexed_parallel(num_shards, options.num_threads, run_shard);
-}
-
 }  // namespace
 
 FrameBatchLayout compute_frame_batch_layout(const Protocol& protocol) {
@@ -110,13 +81,23 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
     return batch;
   }
 
-  if (options.width == WordWidth::W64) {
-    run_batched<std::uint64_t>(executor, decoder, q, shots, seed, options,
-                               batch);
-  } else {
-    run_batched<sim::SimdWord>(executor, decoder, q, shots, seed, options,
-                               batch);
-  }
+  const detail::SegmentCounts counts(executor.protocol(), options.layout);
+  const detail::DecodeTables tables(decoder);
+  const detail::KindMaskTables masks(q);
+  const std::size_t shard = options.shard_shots;
+  // Ceiling division that cannot wrap, even for shard sizes near SIZE_MAX.
+  const std::size_t num_shards = shots / shard + (shots % shard != 0);
+  util::run_indexed_parallel(
+      num_shards, options.num_threads, [&](std::size_t index) {
+        const std::size_t begin = index * shard;
+        const std::size_t count = std::min(shard, shots - begin);
+        Trajectory* out = batch.trajectories.data() + begin;
+        detail::BernoulliInjector injector(q, masks, out,
+                                           detail::shard_seed(seed, index));
+        detail::ShardRunner<detail::BernoulliInjector> runner(
+            executor, counts, tables, count, out, injector, options.layout);
+        runner.run();
+      });
   return batch;
 }
 

@@ -63,13 +63,11 @@ struct FrameBatchLayout {
 
 FrameBatchLayout compute_frame_batch_layout(const Protocol& protocol);
 
-/// Batch word width of the word-parallel engines. The wide (256-bit)
-/// path moves 4x the shots per kernel op and is bit-identical to the
-/// u64 path for equal (seed, shard_shots) — the Bernoulli fault masks
-/// are drawn one u64 sub-word at a time in ascending lane order at
-/// every width (cross-checked in `test_samplers` / CI).
+/// Retired: the batch word is always u64 now. Kept only because
+/// `perfbench/estimate_workload.cpp` still names these values; nothing
+/// in the library reads them.
 enum class WordWidth {
-  Auto,  ///< Currently W256 (the fast path).
+  Auto,
   W64,
   W256,
 };
@@ -92,8 +90,9 @@ struct SamplerOptions {
   /// per-call gate walk, pre-sizing its scratch batches to the peak
   /// dimensions instead. Never changes sampled bits.
   const FrameBatchLayout* layout = nullptr;
-  /// Batch word width. Never changes sampled bits either — only how many
-  /// lanes each kernel op advances.
+  /// Retired no-op: the sampler ignores it. Kept only because
+  /// `perfbench/estimate_workload.cpp` still assigns it; set it nowhere
+  /// else.
   WordWidth width = WordWidth::Auto;
 };
 
@@ -101,11 +100,11 @@ struct SamplerOptions {
 /// `q`. This is the stand-in for the paper's Dynamic Subset Sampling: one
 /// batch serves a whole p-sweep via importance re-weighting.
 ///
-/// Runs on the bit-packed `sim::BasicFrameBatch` engine (256-bit words
-/// by default, see `WordWidth`): a full batch word of shots per kernel
-/// op through the always-executed segments, with triggered lanes
-/// regrouped per correction branch — orders of magnitude faster than
-/// the scalar reference below at equal statistics.
+/// Runs on the bit-packed `sim::FrameBatch` engine: 64 shots per u64
+/// word per kernel op through the always-executed segments, with
+/// triggered lanes regrouped per correction branch — orders of
+/// magnitude faster than the scalar reference below at equal
+/// statistics.
 TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       const decoder::PerfectDecoder& decoder,
                                       const sim::NoiseParams& q,

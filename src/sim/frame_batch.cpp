@@ -9,30 +9,26 @@ namespace ftsp::sim {
 using circuit::Gate;
 using circuit::GateKind;
 
-template <typename Word>
-BasicFrameBatch<Word>::BasicFrameBatch(std::size_t num_qubits,
-                                       std::size_t num_cbits,
-                                       std::size_t num_shots)
+FrameBatch::FrameBatch(std::size_t num_qubits, std::size_t num_cbits,
+                       std::size_t num_shots)
     : num_qubits_(num_qubits),
       num_cbits_(num_cbits),
       num_shots_(num_shots),
       words_((num_shots + kLanesPerWord - 1) / kLanesPerWord),
-      x_(num_qubits * words_, WordOps<Word>::zero()),
-      z_(num_qubits * words_, WordOps<Word>::zero()),
-      outcomes_(num_cbits * words_, WordOps<Word>::zero()) {}
+      x_(num_qubits * words_),
+      z_(num_qubits * words_),
+      outcomes_(num_cbits * words_) {}
 
-template <typename Word>
-void BasicFrameBatch<Word>::apply_gate(const Gate& gate,
-                                       std::size_t word_begin,
-                                       std::size_t word_end) {
+void FrameBatch::apply_gate(const Gate& gate, std::size_t word_begin,
+                            std::size_t word_end) {
   switch (gate.kind) {
     case GateKind::Cnot: {
       // X on the control copies to the target; Z on the target copies to
       // the control — for all lanes of each word at once.
-      const Word* xc = x_row(gate.q0);
-      Word* xt = x_row(gate.q1);
-      Word* zc = z_row(gate.q0);
-      const Word* zt = z_row(gate.q1);
+      const std::uint64_t* xc = x_row(gate.q0);
+      std::uint64_t* xt = x_row(gate.q1);
+      std::uint64_t* zc = z_row(gate.q0);
+      const std::uint64_t* zt = z_row(gate.q1);
       for (std::size_t w = word_begin; w < word_end; ++w) {
         xt[w] ^= xc[w];
         zc[w] ^= zt[w];
@@ -41,8 +37,8 @@ void BasicFrameBatch<Word>::apply_gate(const Gate& gate,
     }
     case GateKind::H: {
       // H exchanges X and Z: swap the two rows wordwise.
-      Word* x = x_row(gate.q0);
-      Word* z = z_row(gate.q0);
+      std::uint64_t* x = x_row(gate.q0);
+      std::uint64_t* z = z_row(gate.q0);
       for (std::size_t w = word_begin; w < word_end; ++w) {
         std::swap(x[w], z[w]);
       }
@@ -50,16 +46,16 @@ void BasicFrameBatch<Word>::apply_gate(const Gate& gate,
     }
     case GateKind::PrepZ:
     case GateKind::PrepX: {
-      Word* x = x_row(gate.q0);
-      Word* z = z_row(gate.q0);
-      std::fill(x + word_begin, x + word_end, WordOps<Word>::zero());
-      std::fill(z + word_begin, z + word_end, WordOps<Word>::zero());
+      std::uint64_t* x = x_row(gate.q0);
+      std::uint64_t* z = z_row(gate.q0);
+      std::fill(x + word_begin, x + word_end, 0);
+      std::fill(z + word_begin, z + word_end, 0);
       break;
     }
     case GateKind::MeasZ: {
       assert(gate.cbit >= 0);
-      const Word* x = x_row(gate.q0);
-      Word* out = outcome_row(static_cast<std::size_t>(gate.cbit));
+      const std::uint64_t* x = x_row(gate.q0);
+      std::uint64_t* out = outcome_row(static_cast<std::size_t>(gate.cbit));
       for (std::size_t w = word_begin; w < word_end; ++w) {
         out[w] ^= x[w];
       }
@@ -67,8 +63,8 @@ void BasicFrameBatch<Word>::apply_gate(const Gate& gate,
     }
     case GateKind::MeasX: {
       assert(gate.cbit >= 0);
-      const Word* z = z_row(gate.q0);
-      Word* out = outcome_row(static_cast<std::size_t>(gate.cbit));
+      const std::uint64_t* z = z_row(gate.q0);
+      std::uint64_t* out = outcome_row(static_cast<std::size_t>(gate.cbit));
       for (std::size_t w = word_begin; w < word_end; ++w) {
         out[w] ^= z[w];
       }
@@ -77,16 +73,14 @@ void BasicFrameBatch<Word>::apply_gate(const Gate& gate,
   }
 }
 
-template <typename Word>
-void BasicFrameBatch<Word>::apply_circuit(const circuit::Circuit& c) {
+void FrameBatch::apply_circuit(const circuit::Circuit& c) {
   for (const Gate& g : c.gates()) {
     apply_gate(g);
   }
 }
 
-template <typename Word>
-void BasicFrameBatch<Word>::apply_fault(const FaultOp& op, const Gate& gate,
-                                        std::size_t shot) {
+void FrameBatch::apply_fault(const FaultOp& op, const Gate& gate,
+                             std::size_t shot) {
   for (int t = 0; t < op.num_terms; ++t) {
     const auto& term = op.terms[static_cast<std::size_t>(t)];
     if (term.x) {
@@ -102,8 +96,7 @@ void BasicFrameBatch<Word>::apply_fault(const FaultOp& op, const Gate& gate,
   }
 }
 
-template <typename Word>
-PauliFrame BasicFrameBatch<Word>::extract_frame(std::size_t shot) const {
+PauliFrame FrameBatch::extract_frame(std::size_t shot) const {
   PauliFrame frame(num_qubits_, num_cbits_);
   for (std::size_t q = 0; q < num_qubits_; ++q) {
     frame.error.x.set(q, x_bit(q, shot));
@@ -115,9 +108,7 @@ PauliFrame BasicFrameBatch<Word>::extract_frame(std::size_t shot) const {
   return frame;
 }
 
-template <typename Word>
-void BasicFrameBatch<Word>::deposit_frame(const PauliFrame& frame,
-                                          std::size_t shot) {
+void FrameBatch::deposit_frame(const PauliFrame& frame, std::size_t shot) {
   for (std::size_t q = 0; q < num_qubits_; ++q) {
     if (frame.error.x.get(q) != x_bit(q, shot)) {
       flip_x_bit(q, shot);
@@ -133,12 +124,9 @@ void BasicFrameBatch<Word>::deposit_frame(const PauliFrame& frame,
   }
 }
 
-template <typename Word>
-void BasicFrameBatch<Word>::reset(std::size_t num_qubits,
-                                  std::size_t num_cbits,
-                                  std::size_t num_shots,
-                                  std::size_t word_begin,
-                                  std::size_t word_end) {
+void FrameBatch::reset(std::size_t num_qubits, std::size_t num_cbits,
+                       std::size_t num_shots, std::size_t word_begin,
+                       std::size_t word_end) {
   num_qubits_ = num_qubits;
   num_cbits_ = num_cbits;
   num_shots_ = num_shots;
@@ -147,36 +135,27 @@ void BasicFrameBatch<Word>::reset(std::size_t num_qubits,
   z_.resize(num_qubits * words_);
   outcomes_.resize(num_cbits * words_);
   for (std::size_t q = 0; q < num_qubits; ++q) {
-    std::fill(x_row(q) + word_begin, x_row(q) + word_end,
-              WordOps<Word>::zero());
-    std::fill(z_row(q) + word_begin, z_row(q) + word_end,
-              WordOps<Word>::zero());
+    std::fill(x_row(q) + word_begin, x_row(q) + word_end, 0);
+    std::fill(z_row(q) + word_begin, z_row(q) + word_end, 0);
   }
   for (std::size_t c = 0; c < num_cbits; ++c) {
-    std::fill(outcome_row(c) + word_begin, outcome_row(c) + word_end,
-              WordOps<Word>::zero());
+    std::fill(outcome_row(c) + word_begin, outcome_row(c) + word_end, 0);
   }
 }
 
-template <typename Word>
-void BasicFrameBatch<Word>::reserve(std::size_t num_qubits,
-                                    std::size_t num_cbits,
-                                    std::size_t num_shots) {
+void FrameBatch::reserve(std::size_t num_qubits, std::size_t num_cbits,
+                         std::size_t num_shots) {
   const std::size_t words = (num_shots + kLanesPerWord - 1) / kLanesPerWord;
   x_.reserve(num_qubits * words);
   z_.reserve(num_qubits * words);
   outcomes_.reserve(num_cbits * words);
 }
 
-template <typename Word>
-void BasicFrameBatch<Word>::clear() {
-  std::fill(x_.begin(), x_.end(), WordOps<Word>::zero());
-  std::fill(z_.begin(), z_.end(), WordOps<Word>::zero());
-  std::fill(outcomes_.begin(), outcomes_.end(), WordOps<Word>::zero());
+void FrameBatch::clear() {
+  std::fill(x_.begin(), x_.end(), 0);
+  std::fill(z_.begin(), z_.end(), 0);
+  std::fill(outcomes_.begin(), outcomes_.end(), 0);
 }
-
-template class BasicFrameBatch<std::uint64_t>;
-template class BasicFrameBatch<SimdWord>;
 
 std::uint64_t bernoulli_word(std::mt19937_64& rng, double p) {
   if (p <= 0.0) {

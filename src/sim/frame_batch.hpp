@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -7,33 +9,40 @@
 #include "circuit/circuit.hpp"
 #include "sim/faults.hpp"
 #include "sim/pauli_frame.hpp"
-#include "sim/simd_word.hpp"
 
 namespace ftsp::sim {
 
-/// Bit-packed batch of Pauli frames, Stim-style, templated on the batch
-/// word: `kLanesPerWord` shots share one machine word, and each qubit
-/// (resp. classical bit) owns a contiguous row of words. Lane `l` of
-/// word `w` is shot `w * kLanesPerWord + l`.
+/// Bit `lane` of a row of u64 words (lane `l` is bit `l % 64` of word
+/// `l / 64`).
+inline bool get_lane(const std::uint64_t* row, std::size_t lane) {
+  return (row[lane / 64] >> (lane % 64)) & 1;
+}
+inline void flip_lane(std::uint64_t* row, std::size_t lane) {
+  row[lane / 64] ^= std::uint64_t{1} << (lane % 64);
+}
+inline void set_lane(std::uint64_t* row, std::size_t lane) {
+  row[lane / 64] |= std::uint64_t{1} << (lane % 64);
+}
+
+/// Bit-packed batch of Pauli frames, Stim-style: 64 shots share one u64
+/// word, and each qubit (resp. classical bit) owns a contiguous row of
+/// words. Lane `l` of word `w` is shot `w * 64 + l`.
 ///
 /// Gate kernels are straight word-wise XOR/swap loops over the affected
 /// rows, so one `apply_gate` advances all shots of the batch at once —
-/// the same exact frame propagation as the scalar `PauliFrame`, just
-/// `kLanesPerWord` frames per instruction. The 256-bit `SimdWord`
-/// instantiation moves 4x the shots per op of the u64 one and is
-/// bit-identical to it (see `simd_word.hpp` for the lane layout
-/// contract). Fault injection is per-lane (faults are sparse) via
-/// `apply_fault`; batched samplers draw the lanes to fault with
-/// `bernoulli_word` one u64 sub-word at a time.
-template <typename Word>
-class BasicFrameBatch {
+/// the same exact frame propagation as the scalar `PauliFrame`, just 64
+/// frames per instruction (and the compiler vectorizes the row loops).
+/// Fault injection is per-lane (faults are sparse) via `apply_fault`;
+/// batched samplers draw the lanes to fault with `bernoulli_word` one
+/// word at a time.
+class FrameBatch {
  public:
-  static constexpr std::size_t kLanesPerWord = WordOps<Word>::kBits;
+  static constexpr std::size_t kLanesPerWord = 64;
 
-  BasicFrameBatch(std::size_t num_qubits, std::size_t num_cbits,
-                  std::size_t num_shots);
-  explicit BasicFrameBatch(const circuit::Circuit& c, std::size_t num_shots)
-      : BasicFrameBatch(c.num_qubits(), c.num_cbits(), num_shots) {}
+  FrameBatch(std::size_t num_qubits, std::size_t num_cbits,
+             std::size_t num_shots);
+  explicit FrameBatch(const circuit::Circuit& c, std::size_t num_shots)
+      : FrameBatch(c.num_qubits(), c.num_cbits(), num_shots) {}
 
   std::size_t num_qubits() const { return num_qubits_; }
   std::size_t num_cbits() const { return num_cbits_; }
@@ -42,12 +51,18 @@ class BasicFrameBatch {
   std::size_t num_words() const { return words_; }
 
   /// Row pointers (one word array per qubit / classical bit).
-  Word* x_row(std::size_t q) { return x_.data() + q * words_; }
-  Word* z_row(std::size_t q) { return z_.data() + q * words_; }
-  Word* outcome_row(std::size_t c) { return outcomes_.data() + c * words_; }
-  const Word* x_row(std::size_t q) const { return x_.data() + q * words_; }
-  const Word* z_row(std::size_t q) const { return z_.data() + q * words_; }
-  const Word* outcome_row(std::size_t c) const {
+  std::uint64_t* x_row(std::size_t q) { return x_.data() + q * words_; }
+  std::uint64_t* z_row(std::size_t q) { return z_.data() + q * words_; }
+  std::uint64_t* outcome_row(std::size_t c) {
+    return outcomes_.data() + c * words_;
+  }
+  const std::uint64_t* x_row(std::size_t q) const {
+    return x_.data() + q * words_;
+  }
+  const std::uint64_t* z_row(std::size_t q) const {
+    return z_.data() + q * words_;
+  }
+  const std::uint64_t* outcome_row(std::size_t c) const {
     return outcomes_.data() + c * words_;
   }
 
@@ -120,19 +135,10 @@ class BasicFrameBatch {
   std::size_t num_cbits_;
   std::size_t num_shots_;
   std::size_t words_;
-  std::vector<Word> x_;
-  std::vector<Word> z_;
-  std::vector<Word> outcomes_;
+  std::vector<std::uint64_t> x_;
+  std::vector<std::uint64_t> z_;
+  std::vector<std::uint64_t> outcomes_;
 };
-
-extern template class BasicFrameBatch<std::uint64_t>;
-extern template class BasicFrameBatch<SimdWord>;
-
-/// The historical u64 batch — the bit-for-bit oracle the wide batch is
-/// checked against.
-using FrameBatch = BasicFrameBatch<std::uint64_t>;
-/// 256-bit batch: 4x the shots per kernel op.
-using WideFrameBatch = BasicFrameBatch<SimdWord>;
 
 /// One word of 64 independent Bernoulli(p) draws (bit l set with
 /// probability p). Uses geometric gap sampling, so the cost is
@@ -150,8 +156,7 @@ std::uint64_t bernoulli_word_from_log1mp(std::mt19937_64& rng,
 /// inverse-CDF Binomial(64, p) table (one RNG draw, a short scan), then
 /// places the set bits uniformly — no transcendentals anywhere in the
 /// per-word path. Exactly the 64-fold Bernoulli(p) product distribution.
-/// Always draws one 64-lane sub-word; wide batch words consume one draw
-/// per u64 sub-word, in ascending sub-word order.
+/// Draws one 64-lane word, i.e. one batch word of the frame batch.
 class BernoulliWordTable {
  public:
   static constexpr std::size_t kLanes = 64;

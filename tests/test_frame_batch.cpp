@@ -339,79 +339,6 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
   }
 }
 
-// ------------------------------------------------- wide (SIMD) word batch
-
-TEST(WideFrameBatch, LaneLayoutMatchesU64View) {
-  // Lane l of a SimdWord row must live in sub-word l/64, bit l%64 —
-  // the contract that makes the wide sampler consume the same RNG
-  // stream as the u64 one.
-  WideFrameBatch batch(1, 1, 300);
-  EXPECT_EQ(batch.num_words(), 2u);  // ceil(300 / 256).
-  for (const std::size_t lane : {0u, 63u, 64u, 255u, 256u, 299u}) {
-    batch.flip_x_bit(0, lane);
-    EXPECT_TRUE(batch.x_bit(0, lane));
-    const SimdWord& word = batch.x_row(0)[lane / 256];
-    EXPECT_EQ((word.v[(lane % 256) / 64] >> (lane % 64)) & 1, 1u)
-        << "lane " << lane;
-    batch.flip_x_bit(0, lane);
-    EXPECT_FALSE(batch.x_bit(0, lane));
-  }
-}
-
-TEST(WideFrameBatch, BitIdenticalToU64BatchOnRandomCircuits) {
-  std::mt19937_64 rng(0x51D3);
-  constexpr std::size_t kShots = 530;  // > 2 SimdWords, partial tail.
-  for (int trial = 0; trial < 10; ++trial) {
-    const Circuit c = random_circuit(rng, 6, 40);
-    const auto sites = enumerate_fault_sites(c);
-    const auto plans = random_fault_plans(rng, sites, kShots, 0.1);
-
-    FrameBatch narrow(c, kShots);
-    WideFrameBatch wide(c, kShots);
-    for (std::size_t g = 0; g < c.gates().size(); ++g) {
-      narrow.apply_gate(c.gates()[g]);
-      wide.apply_gate(c.gates()[g]);
-      for (std::size_t shot = 0; shot < kShots; ++shot) {
-        if (const auto it = plans[shot].find(g); it != plans[shot].end()) {
-          narrow.apply_fault(sites[g].ops[it->second], c.gates()[g], shot);
-          wide.apply_fault(sites[g].ops[it->second], c.gates()[g], shot);
-        }
-      }
-    }
-    for (std::size_t shot = 0; shot < kShots; ++shot) {
-      for (std::size_t q = 0; q < c.num_qubits(); ++q) {
-        ASSERT_EQ(narrow.x_bit(q, shot), wide.x_bit(q, shot))
-            << "trial " << trial << " shot " << shot << " qubit " << q;
-        ASSERT_EQ(narrow.z_bit(q, shot), wide.z_bit(q, shot))
-            << "trial " << trial << " shot " << shot << " qubit " << q;
-      }
-      for (std::size_t b = 0; b < c.num_cbits(); ++b) {
-        ASSERT_EQ(narrow.outcome_bit(b, shot), wide.outcome_bit(b, shot))
-            << "trial " << trial << " shot " << shot << " cbit " << b;
-      }
-    }
-  }
-}
-
-TEST(WideFrameBatch, DepositExtractRoundTripsAcrossSubWords) {
-  Circuit c(3);
-  c.measure_z(0);
-  c.measure_x(1);
-  PauliFrame frame(c);
-  frame.error.x.set(1);
-  frame.error.z.set(2);
-  frame.outcomes[0] = true;
-  WideFrameBatch batch(c, 512);
-  for (const std::size_t shot : {0u, 70u, 130u, 200u, 511u}) {
-    batch.deposit_frame(frame, shot);
-    const PauliFrame out = batch.extract_frame(shot);
-    EXPECT_EQ(out.error.x, frame.error.x);
-    EXPECT_EQ(out.error.z, frame.error.z);
-    EXPECT_EQ(out.outcomes, frame.outcomes);
-  }
-  EXPECT_TRUE(batch.extract_frame(69).error.x.none());
-}
-
 // --------------------------------------------------------- bernoulli_word
 
 TEST(BernoulliWord, EdgeProbabilities) {

@@ -197,7 +197,7 @@ TEST(RateEstimator, AgreesWithPlainMonteCarloAtHighP) {
             static_cast<double>(stratified.mc_shots));
 }
 
-TEST(RateEstimator, DeterministicAcrossThreadsAndWidths) {
+TEST(RateEstimator, DeterministicAcrossThreads) {
   auto& fixture = steane();
   RateOptions base;
   base.seed = 99;
@@ -210,19 +210,12 @@ TEST(RateEstimator, DeterministicAcrossThreadsAndWidths) {
   const auto with_threads = estimate_logical_error_rate(
       fixture.executor, fixture.decoder, 0.005, threaded);
 
-  RateOptions narrow = base;
-  narrow.width = WordWidth::W64;
-  const auto with_u64 = estimate_logical_error_rate(
-      fixture.executor, fixture.decoder, 0.005, narrow);
-
-  for (const auto* other : {&with_threads, &with_u64}) {
-    EXPECT_DOUBLE_EQ(reference.p_logical, other->p_logical);
-    EXPECT_DOUBLE_EQ(reference.std_error, other->std_error);
-    ASSERT_EQ(reference.sectors.size(), other->sectors.size());
-    for (std::size_t i = 0; i < reference.sectors.size(); ++i) {
-      EXPECT_EQ(reference.sectors[i].fails, other->sectors[i].fails);
-      EXPECT_EQ(reference.sectors[i].shots, other->sectors[i].shots);
-    }
+  EXPECT_DOUBLE_EQ(reference.p_logical, with_threads.p_logical);
+  EXPECT_DOUBLE_EQ(reference.std_error, with_threads.std_error);
+  ASSERT_EQ(reference.sectors.size(), with_threads.sectors.size());
+  for (std::size_t i = 0; i < reference.sectors.size(); ++i) {
+    EXPECT_EQ(reference.sectors[i].fails, with_threads.sectors[i].fails);
+    EXPECT_EQ(reference.sectors[i].shots, with_threads.sectors[i].shots);
   }
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/protocol.hpp"
+#include "core/rate_estimator.hpp"
 #include "qec/code_library.hpp"
+#include "util/hash.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -134,62 +137,88 @@ bool same_trajectory(const Trajectory& a, const Trajectory& b) {
 
 TEST_F(SamplerTest, BatchedDeterministicAcrossThreadCounts) {
   // Shards are seeded by (seed, shard index) alone, so the batch must be
-  // bit-identical no matter how many workers ran it.
-  SamplerOptions one_thread;
-  one_thread.num_threads = 1;
-  one_thread.shard_shots = 256;  // Several shards even at modest shots.
-  SamplerOptions four_threads = one_thread;
-  four_threads.num_threads = 4;
+  // bit-identical no matter how many workers ran it. 256 fills whole
+  // words; 300 leaves a partial word at the end of every shard.
+  for (const std::size_t shard_shots : {256ul, 300ul}) {
+    SamplerOptions one_thread;
+    one_thread.num_threads = 1;
+    one_thread.shard_shots = shard_shots;
+    SamplerOptions four_threads = one_thread;
+    four_threads.num_threads = 4;
 
-  const auto a = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000, 77,
-                                       one_thread);
-  const auto b = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000, 77,
-                                       four_threads);
+    const auto a = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000,
+                                         77, one_thread);
+    const auto b = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000,
+                                         77, four_threads);
+    ASSERT_EQ(a.trajectories.size(), b.trajectories.size());
+    for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
+      ASSERT_TRUE(same_trajectory(a.trajectories[i], b.trajectories[i]))
+          << "shard_shots " << shard_shots << " shot " << i;
+    }
+    // And rerunning with the same seed reproduces the same counts.
+    const auto c = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000,
+                                         77, four_threads);
+    for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
+      ASSERT_TRUE(same_trajectory(a.trajectories[i], c.trajectories[i]))
+          << "shard_shots " << shard_shots << " shot " << i;
+    }
+  }
+}
+
+TEST_F(SamplerTest, BatchBitsArePinned) {
+  // Golden digests of the sampled bits. They were captured when the
+  // default batch word was 256 bits wide, so they also pin that the u64
+  // engine draws exactly the faults the wide engine drew.
+  const auto batch_digest = [&](double q, std::size_t shots,
+                                std::size_t shard_shots) {
+    SamplerOptions options;
+    options.num_threads = 1;
+    options.shard_shots = shard_shots;
+    const auto batch =
+        sample_protocol_batch(*executor_, *decoder_, q, shots, 5, options);
+    util::Fnv1a64 hash;
+    for (const Trajectory& t : batch.trajectories) {
+      for (std::size_t k = 0; k < sim::kNumLocationKinds; ++k) {
+        hash.word(t.sites[k]).word(t.faults[k]);
+      }
+      hash.word(std::uint64_t{t.x_fail} | std::uint64_t{t.z_fail} << 1 |
+                std::uint64_t{t.hook_terminated} << 2);
+    }
+    return hash.value();
+  };
+  // Partial words and several shards.
+  EXPECT_EQ(batch_digest(0.07, 1000, 300), 0x8bf55646ff19b32aULL);
+  // Few lanes take each correction branch, so branch masks have empty
+  // words between set ones, which must draw no fault mask.
+  EXPECT_EQ(batch_digest(0.001, 8192, 8192), 0x60ee3e78b5e3cbbfULL);
+
+  RateOptions rate_options;
+  rate_options.seed = 99;
+  const RateEstimate estimate = estimate_logical_error_rate(
+      *executor_, *decoder_, 0.005, rate_options);
+  util::Fnv1a64 rate_hash;
+  for (const SectorEstimate& sector : estimate.sectors) {
+    rate_hash.word(sector.fails).word(sector.shots);
+  }
+  EXPECT_EQ(rate_hash.value(), 0xde9d5c66a8f1991fULL);
+}
+
+TEST_F(SamplerTest, HugeShardShotsRunOneShard) {
+  // A shard size near SIZE_MAX once wrapped the shard-count ceiling to 0
+  // and returned all-default trajectories. It must behave like a single
+  // shard covering every shot.
+  SamplerOptions one_shard;
+  one_shard.shard_shots = 1000;
+  SamplerOptions huge = one_shard;
+  huge.shard_shots = std::numeric_limits<std::size_t>::max();
+  const auto a =
+      sample_protocol_batch(*executor_, *decoder_, 0.3, 1000, 7, one_shard);
+  const auto b =
+      sample_protocol_batch(*executor_, *decoder_, 0.3, 1000, 7, huge);
   ASSERT_EQ(a.trajectories.size(), b.trajectories.size());
   for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
     ASSERT_TRUE(same_trajectory(a.trajectories[i], b.trajectories[i]))
         << "shot " << i;
-  }
-  // And rerunning with the same seed reproduces the same counts.
-  const auto c = sample_protocol_batch(*executor_, *decoder_, 0.1, 1000, 77,
-                                       four_threads);
-  for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
-    ASSERT_TRUE(same_trajectory(a.trajectories[i], c.trajectories[i]));
-  }
-}
-
-TEST_F(SamplerTest, WideWordPathBitIdenticalToU64Path) {
-  // The 256-bit SimdWord engine must produce the exact same batch as
-  // the u64 oracle path for equal (seed, shard_shots): fault masks are
-  // drawn one u64 sub-word at a time in ascending lane order at every
-  // width. This is the runtime check CI leans on for the compile-time
-  // word dispatch.
-  SamplerOptions narrow;
-  narrow.width = WordWidth::W64;
-  narrow.num_threads = 1;
-  narrow.shard_shots = 300;  // Forces partial words at both widths.
-  SamplerOptions wide = narrow;
-  wide.width = WordWidth::W256;
-  for (const std::size_t shots : {1ul, 130ul, 1000ul}) {
-    const auto a =
-        sample_protocol_batch(*executor_, *decoder_, 0.07, shots, 5, narrow);
-    const auto b =
-        sample_protocol_batch(*executor_, *decoder_, 0.07, shots, 5, wide);
-    ASSERT_EQ(a.trajectories.size(), b.trajectories.size());
-    for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
-      ASSERT_TRUE(same_trajectory(a.trajectories[i], b.trajectories[i]))
-          << "shots " << shots << " shot " << i;
-    }
-  }
-  // The default (Auto) path is one of the two checked widths.
-  SamplerOptions auto_width = narrow;
-  auto_width.width = WordWidth::Auto;
-  const auto c =
-      sample_protocol_batch(*executor_, *decoder_, 0.07, 1000, 5, auto_width);
-  const auto a =
-      sample_protocol_batch(*executor_, *decoder_, 0.07, 1000, 5, narrow);
-  for (std::size_t i = 0; i < a.trajectories.size(); ++i) {
-    ASSERT_TRUE(same_trajectory(a.trajectories[i], c.trajectories[i]));
   }
 }
 

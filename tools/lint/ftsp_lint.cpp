@@ -1,7 +1,7 @@
 // ftsp_lint — in-tree contract checker for the ftsp codebase.
 //
 // The tree's most valuable properties are ones no compiler checks:
-// bit-identical artifacts across thread counts and SIMD widths, the
+// bit-identical artifacts across thread counts, the
 // byte-frozen v1 wire dialect, and the append-only error-slug /
 // metric-name / section-id / op-name registries. Runtime golden tests
 // catch violations only after they execute; this tool catches the
