@@ -5,18 +5,13 @@
 #include <unordered_map>
 #include <utility>
 
+#include "sat/clause_arena.hpp"
 #include "sat/solver.hpp"
+#include "util/hash.hpp"
 
 namespace ftsp::sat {
 
 namespace {
-
-constexpr std::uint32_t kNoClause = 0xFFFFFFFFU;
-
-struct CheckClause {
-  std::vector<Lit> lits;  // Watched literals kept at positions 0 and 1.
-  bool deleted = false;
-};
 
 /// Parses DRAT text: whitespace-separated DIMACS literals, clauses
 /// terminated by 0, deletions prefixed with a standalone "d".
@@ -130,7 +125,7 @@ class DratChecker {
       if (kind == ProofParser::Line::Error) {
         return fail("parse error: " + parser.error());
       }
-      std::vector<Lit> clause = normalize(lits);
+      const std::vector<Lit> clause = normalize(lits);
       if (kind == ProofParser::Line::Delete) {
         if (!handle_delete(clause)) {
           return result_;
@@ -143,14 +138,15 @@ class DratChecker {
         ensure_var(l.var());
       }
       if (!check_rup(clause)) {
-        if (!check_rat(clause)) {
+        // The RAT pivot is the first literal as written, not as sorted.
+        if (lits.empty() || !check_rat(clause, lits[0])) {
           return fail("lemma " + std::to_string(result_.lemmas_checked + 1) +
                       " is neither RUP nor RAT");
         }
         ++result_.rat_lemmas;
       }
       ++result_.lemmas_checked;
-      add_clause(std::move(clause));
+      add_clause(clause);
       if (done_) {
         result_.ok = true;
         return result_;
@@ -160,13 +156,15 @@ class DratChecker {
 
  private:
   // --- State ---------------------------------------------------------------
-  std::vector<CheckClause> clauses_;
+  ClauseArena arena_;  // Watched literals kept at positions 0 and 1.
   std::vector<LBool> assigns_;
-  std::vector<std::uint32_t> reason_;  // Propagating clause per variable.
+  std::vector<CRef> reason_;  // Propagating clause per variable.
   std::vector<Lit> trail_;
   std::size_t qhead_ = 0;
-  std::vector<std::vector<std::uint32_t>> watches_;  // By literal code.
-  std::unordered_map<std::string, std::vector<std::uint32_t>> index_;
+  std::vector<std::vector<Watcher>> watches_;  // By literal code.
+  // Deletion lookup: hash of the sorted literals -> clauses with that
+  // hash, matched exactly on lookup.
+  std::unordered_multimap<std::uint64_t, CRef> index_;
   bool done_ = false;  // Root-level conflict reached: refutation complete.
   DratCheckResult result_;
 
@@ -181,35 +179,32 @@ class DratChecker {
   void ensure_var(Var v) {
     while (static_cast<Var>(assigns_.size()) <= v) {
       assigns_.push_back(LBool::Undef);
-      reason_.push_back(kNoClause);
+      reason_.push_back(kNoCRef);
       watches_.emplace_back();
       watches_.emplace_back();
     }
   }
 
-  /// Sorted-by-code, deduplicated copy; the sorted form doubles as the
-  /// clause-identity key for deletions.
+  static bool by_code(Lit a, Lit b) { return a.code() < b.code(); }
+
+  /// Sorted-by-code, deduplicated copy; the sorted form is what the
+  /// deletion index hashes.
   static std::vector<Lit> normalize(const std::vector<Lit>& lits) {
     std::vector<Lit> out = lits;
-    std::sort(out.begin(), out.end(),
-              [](Lit a, Lit b) { return a.code() < b.code(); });
+    std::sort(out.begin(), out.end(), by_code);
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
-  static std::string key_of(const std::vector<Lit>& sorted) {
-    std::string key;
-    key.reserve(sorted.size() * 4);
+  static std::uint64_t key_of(std::span<const Lit> sorted) {
+    util::Fnv1a64 hash;
     for (const Lit l : sorted) {
-      const auto code = static_cast<std::uint32_t>(l.code());
-      for (int shift = 0; shift < 32; shift += 8) {
-        key.push_back(static_cast<char>((code >> shift) & 0xFFU));
-      }
+      hash.word(static_cast<std::uint32_t>(l.code()));
     }
-    return key;
+    return hash.value();
   }
 
-  void enqueue(Lit l, std::uint32_t reason) {
+  void enqueue(Lit l, CRef reason) {
     const Var v = l.var();
     assigns_[v] = lbool_from(!l.sign());
     reason_[v] = reason;
@@ -221,52 +216,11 @@ class DratChecker {
   /// the invariant qhead == trail size at the closure point).
   bool propagate() {
     while (qhead_ < trail_.size()) {
-      const Lit p = trail_[qhead_++];
-      auto& ws = watches_[p.code()];
-      std::size_t i = 0;
-      std::size_t j = 0;
-      bool conflict = false;
-      while (i < ws.size()) {
-        const std::uint32_t ci = ws[i];
-        CheckClause& c = clauses_[ci];
-        if (c.deleted) {
-          ++i;  // Lazily drop watch entries of deleted clauses.
-          continue;
-        }
-        const Lit false_lit = ~p;
-        if (c.lits[0] == false_lit) {
-          std::swap(c.lits[0], c.lits[1]);
-        }
-        ++i;
-        const Lit first = c.lits[0];
-        if (value(first) == LBool::True) {
-          ws[j++] = ci;
-          continue;
-        }
-        bool rewatched = false;
-        for (std::size_t k = 2; k < c.lits.size(); ++k) {
-          if (value(c.lits[k]) != LBool::False) {
-            std::swap(c.lits[1], c.lits[k]);
-            watches_[(~c.lits[1]).code()].push_back(ci);
-            rewatched = true;
-            break;
-          }
-        }
-        if (rewatched) {
-          continue;
-        }
-        ws[j++] = ci;
-        if (value(first) == LBool::False) {
-          conflict = true;
-          while (i < ws.size()) {
-            ws[j++] = ws[i++];
-          }
-          break;
-        }
-        enqueue(first, ci);
-      }
-      ws.resize(j);
-      if (conflict) {
+      const CRef conflict = propagate_watches(
+          arena_, watches_, trail_[qhead_++],
+          [this](Lit l) { return value(l); },
+          [this](Lit l, CRef from) { enqueue(l, from); });
+      if (conflict != kNoCRef) {
         qhead_ = trail_.size();
         return false;
       }
@@ -288,7 +242,7 @@ class DratChecker {
       if (value(l) == LBool::False) {
         continue;
       }
-      enqueue(~l, kNoClause);
+      enqueue(~l, kNoCRef);
     }
     if (!conflict) {
       conflict = !propagate();
@@ -296,26 +250,23 @@ class DratChecker {
     for (std::size_t k = trail_.size(); k > saved; --k) {
       const Var v = trail_[k - 1].var();
       assigns_[v] = LBool::Undef;
-      reason_[v] = kNoClause;
+      reason_[v] = kNoCRef;
     }
     trail_.resize(saved);
     qhead_ = saved;
     return conflict;
   }
 
-  /// RAT test on the first literal: every resolvent with a clause
-  /// containing its negation must be RUP. Resolvents are checked as
-  /// concatenations — duplicate and complementary literals are absorbed
-  /// by the assignment checks inside `check_rup`.
-  bool check_rat(const std::vector<Lit>& clause) {
-    if (clause.empty()) {
-      return false;
-    }
-    const Lit pivot = clause[0];
+  /// RAT test on `pivot`: every resolvent with a clause containing its
+  /// negation must be RUP. Resolvents are checked as concatenations —
+  /// duplicate and complementary literals are absorbed by the assignment
+  /// checks inside `check_rup`.
+  bool check_rat(std::span<const Lit> clause, Lit pivot) {
     std::vector<Lit> resolvent;
-    for (const CheckClause& d : clauses_) {
-      if (d.deleted ||
-          std::find(d.lits.begin(), d.lits.end(), ~pivot) == d.lits.end()) {
+    for (CRef d = 0; d != arena_.end(); d = arena_.next(d)) {
+      const std::span<const Lit> lits = arena_.clause(d);
+      if (arena_.deleted(d) ||
+          std::find(lits.begin(), lits.end(), ~pivot) == lits.end()) {
         continue;
       }
       resolvent.clear();
@@ -324,7 +275,7 @@ class DratChecker {
           resolvent.push_back(l);
         }
       }
-      for (const Lit l : d.lits) {
+      for (const Lit l : lits) {
         if (l != ~pivot) {
           resolvent.push_back(l);
         }
@@ -336,58 +287,88 @@ class DratChecker {
     return true;
   }
 
-  /// True when `ci` currently props a root-level assignment — such
+  /// True when `c` currently props a root-level assignment — such
   /// clauses must survive deletion or later RUP checks lose derivations
   /// the trail already depends on (the drat-trim convention).
-  bool is_reason(std::uint32_t ci) const {
-    for (const Lit l : clauses_[ci].lits) {
-      if (value(l) == LBool::True && reason_[l.var()] == ci) {
+  bool is_reason(CRef c) const {
+    for (const Lit l : arena_.clause(c)) {
+      if (value(l) == LBool::True && reason_[l.var()] == c) {
         return true;
       }
     }
     return false;
   }
 
-  bool handle_delete(const std::vector<Lit>& sorted) {
-    const auto it = index_.find(key_of(sorted));
-    if (it == index_.end() || it->second.empty()) {
+  /// Same literal set as the sorted, deduplicated `sorted`.
+  bool same_clause(CRef c, std::span<const Lit> sorted) const {
+    const std::span<const Lit> lits = arena_.clause(c);
+    return lits.size() == sorted.size() &&
+           std::all_of(lits.begin(), lits.end(), [&](Lit l) {
+             return std::binary_search(sorted.begin(), sorted.end(), l,
+                                       by_code);
+           });
+  }
+
+  /// Deletes the most recently added live copy of the clause. Refs grow
+  /// in addition order, so that copy is the largest matching ref.
+  bool handle_delete(std::span<const Lit> sorted) {
+    CRef target = kNoCRef;
+    const auto [first, last] = index_.equal_range(key_of(sorted));
+    auto entry = last;
+    for (auto it = first; it != last; ++it) {
+      if ((target == kNoCRef || it->second > target) &&
+          same_clause(it->second, sorted)) {
+        target = it->second;
+        entry = it;
+      }
+    }
+    if (target == kNoCRef) {
       fail("deletion of an unknown clause");
       return false;
     }
-    const std::uint32_t ci = it->second.back();
-    if (is_reason(ci)) {
+    if (is_reason(target)) {
       ++result_.deletions_skipped;
       return true;
     }
-    it->second.pop_back();
-    if (it->second.empty()) {
-      index_.erase(it);
-    }
-    clauses_[ci].deleted = true;
+    index_.erase(entry);
+    detach(target);
+    arena_.free(target);
     ++result_.deletions_applied;
     return true;
+  }
+
+  /// Unwatches a deleted clause. Erasing in place keeps every other
+  /// watcher in order. Unit and inert clauses have no watchers to find.
+  void detach(CRef c) {
+    if (arena_.size(c) < 2) {
+      return;
+    }
+    const Lit* lits = arena_.lits(c);
+    for (const Lit w : {lits[0], lits[1]}) {
+      std::erase_if(watches_[(~w).code()],
+                    [c](const Watcher& x) { return x.ref == c; });
+    }
   }
 
   /// Stores a clause, registers it for deletion lookup, and integrates it
   /// into the permanent state: falsified -> refutation complete, unit
   /// under the trail -> propagate, otherwise watch two non-false
   /// literals. Satisfied/unit clauses are stored inert (no watches).
-  void add_clause(std::vector<Lit> sorted) {
+  void add_clause(std::span<const Lit> sorted) {
     for (const Lit l : sorted) {
       ensure_var(l.var());
     }
-    const auto ci = static_cast<std::uint32_t>(clauses_.size());
-    index_[key_of(sorted)].push_back(ci);
-    clauses_.push_back(CheckClause{std::move(sorted), false});
-    CheckClause& c = clauses_.back();
-    if (c.lits.empty()) {
+    const CRef c = arena_.alloc(sorted, /*learnt=*/false);
+    index_.emplace(key_of(sorted), c);
+    if (sorted.empty()) {
       done_ = true;
       return;
     }
+    Lit* lits = arena_.lits(c);
     std::size_t non_false = 0;
-    for (std::size_t k = 0; k < c.lits.size() && non_false < 2; ++k) {
-      if (value(c.lits[k]) != LBool::False) {
-        std::swap(c.lits[non_false++], c.lits[k]);
+    for (std::size_t k = 0; k < sorted.size() && non_false < 2; ++k) {
+      if (value(lits[k]) != LBool::False) {
+        std::swap(lits[non_false++], lits[k]);
       }
     }
     if (non_false == 0) {
@@ -395,16 +376,16 @@ class DratChecker {
       return;
     }
     if (non_false == 1) {
-      if (value(c.lits[0]) == LBool::Undef) {
-        enqueue(c.lits[0], ci);
+      if (value(lits[0]) == LBool::Undef) {
+        enqueue(lits[0], c);
         if (!propagate()) {
           done_ = true;
         }
       }
       return;  // Unit or already satisfied: no watches needed.
     }
-    watches_[(~c.lits[0]).code()].push_back(ci);
-    watches_[(~c.lits[1]).code()].push_back(ci);
+    watches_[(~lits[0]).code()].push_back({c, lits[1]});
+    watches_[(~lits[1]).code()].push_back({c, lits[0]});
   }
 };
 

@@ -31,11 +31,12 @@ struct DratCheckResult {
 /// text with watched-literal unit propagation, no solver in the loop.
 ///
 /// Additions are verified RUP-first (assert the clause's negation, unit
-/// propagate, expect a conflict) with a RAT fallback on the first literal;
-/// the CDCL solver's learnt clauses are always RUP, so the fallback exists
-/// for generality. Deletions are matched by literal multiset; deleting a
-/// clause that currently props a root-level assignment is skipped (the
-/// drat-trim convention), and deleting an unknown clause is an error.
+/// propagate, expect a conflict) with a RAT fallback whose pivot is the
+/// first literal as written on the proof line; the CDCL solver's learnt
+/// clauses are always RUP, so the fallback exists for generality.
+/// Deletions are matched by literal set; deleting a clause that currently
+/// props a root-level assignment is skipped (the drat-trim convention),
+/// and deleting an unknown clause is an error.
 /// Checking stops successfully as soon as the empty clause is derived;
 /// later lines are not read.
 DratCheckResult check_drat(const std::vector<std::vector<Lit>>& premise,

@@ -65,8 +65,9 @@ Var Solver::new_var() {
   const Var v = num_vars();
   assigns_.push_back(LBool::Undef);
   polarity_.push_back(true);  // Assign-false-first (MiniSat default).
-  reason_.push_back(nullptr);
+  reason_.push_back(kNoCRef);
   level_.push_back(0);
+  level_stamp_.push_back(0);
   var_activity_.push_back(0.0);
   seen_.push_back(false);
   heap_pos_.push_back(-1);
@@ -115,29 +116,30 @@ bool Solver::add_clause(std::span<const Lit> lits) {
     return false;
   }
   if (simplified.size() == 1) {
-    unchecked_enqueue(simplified[0], nullptr);
-    ok_ = (propagate() == nullptr);
+    unchecked_enqueue(simplified[0], kNoCRef);
+    ok_ = (propagate() == kNoCRef);
     return ok_;
   }
 
-  auto clause = std::make_unique<Clause>();
-  clause->lits = std::move(simplified);
-  attach_clause(clause.get());
-  clauses_.push_back(std::move(clause));
+  const CRef clause = arena_.alloc(simplified, /*learnt=*/false);
+  attach_clause(clause);
+  clauses_.push_back(clause);
   return true;
 }
 
-void Solver::attach_clause(ClauseRef c) {
-  assert(c->lits.size() >= 2);
-  watches_[(~c->lits[0]).code()].push_back({c, c->lits[1]});
-  watches_[(~c->lits[1]).code()].push_back({c, c->lits[0]});
+void Solver::attach_clause(CRef c) {
+  assert(arena_.size(c) >= 2);
+  const Lit* lits = arena_.lits(c);
+  watches_[(~lits[0]).code()].push_back({c, lits[1]});
+  watches_[(~lits[1]).code()].push_back({c, lits[0]});
 }
 
-void Solver::detach_clause(ClauseRef c) {
-  for (Lit w : {c->lits[0], c->lits[1]}) {
+void Solver::detach_clause(CRef c) {
+  const Lit* lits = arena_.lits(c);
+  for (Lit w : {lits[0], lits[1]}) {
     auto& ws = watches_[(~w).code()];
     for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].clause == c) {
+      if (ws[i].ref == c) {
         ws[i] = ws.back();
         ws.pop_back();
         break;
@@ -146,7 +148,7 @@ void Solver::detach_clause(ClauseRef c) {
   }
 }
 
-void Solver::unchecked_enqueue(Lit l, ClauseRef from) {
+void Solver::unchecked_enqueue(Lit l, CRef from) {
   assert(value(l) == LBool::Undef);
   const Var v = l.var();
   assigns_[v] = lbool_from(!l.sign());
@@ -155,93 +157,53 @@ void Solver::unchecked_enqueue(Lit l, ClauseRef from) {
   trail_.push_back(l);
 }
 
-Solver::ClauseRef Solver::propagate() {
-  ClauseRef conflict = nullptr;
-  while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];
+CRef Solver::propagate() {
+  CRef conflict = kNoCRef;
+  while (conflict == kNoCRef && qhead_ < trail_.size()) {
     ++stats_.propagations;
-    auto& ws = watches_[p.code()];
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
-      if (value(w.blocker) == LBool::True) {
-        ws[j++] = ws[i++];
-        continue;
-      }
-      Clause& c = *w.clause;
-      const Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) {
-        std::swap(c.lits[0], c.lits[1]);
-      }
-      assert(c.lits[1] == false_lit);
-      ++i;
-
-      const Lit first = c.lits[0];
-      const Watcher keep{w.clause, first};
-      if (first != w.blocker && value(first) == LBool::True) {
-        ws[j++] = keep;
-        continue;
-      }
-
-      bool rewatched = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != LBool::False) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).code()].push_back(keep);
-          rewatched = true;
-          break;
-        }
-      }
-      if (rewatched) {
-        continue;
-      }
-
-      // Clause is unit under the assignment, or conflicting.
-      ws[j++] = keep;
-      if (value(first) == LBool::False) {
-        conflict = w.clause;
-        qhead_ = trail_.size();
-        while (i < ws.size()) {
-          ws[j++] = ws[i++];
-        }
-      } else {
-        unchecked_enqueue(first, w.clause);
-      }
-    }
-    ws.resize(j);
+    conflict = propagate_watches(
+        arena_, watches_, trail_[qhead_++], [this](Lit l) { return value(l); },
+        [this](Lit l, CRef from) { unchecked_enqueue(l, from); });
+  }
+  if (conflict != kNoCRef) {
+    qhead_ = trail_.size();
   }
   return conflict;
 }
 
 int Solver::compute_lbd(std::span<const Lit> lits) {
-  std::vector<int> levels;
-  levels.reserve(lits.size());
+  // Distinct decision levels, counted by stamping each level once.
+  ++lbd_stamp_;
+  int distinct = 0;
   for (Lit l : lits) {
-    levels.push_back(level_[l.var()]);
+    std::uint64_t& stamp =
+        level_stamp_[static_cast<std::size_t>(level_[l.var()])];
+    if (stamp != lbd_stamp_) {
+      stamp = lbd_stamp_;
+      ++distinct;
+    }
   }
-  std::sort(levels.begin(), levels.end());
-  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
-  return static_cast<int>(levels.size());
+  return distinct;
 }
 
-void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
-                     int& out_btlevel, int& out_lbd) {
+void Solver::analyze(CRef conflict, int& out_btlevel, int& out_lbd) {
+  std::vector<Lit>& out_learnt = learnt_clause_;
   int path_count = 0;
   Lit p = Lit::undef;
   out_learnt.clear();
   out_learnt.push_back(Lit::undef);  // Slot for the asserting literal.
   int index = static_cast<int>(trail_.size()) - 1;
-  ClauseRef c = conflict;
+  CRef c = conflict;
 
   do {
-    assert(c != nullptr);
-    if (c->learnt) {
-      clause_bump_activity(*c);
+    assert(c != kNoCRef);
+    if (arena_.learnt(c)) {
+      clause_bump_activity(c);
     }
+    const std::span<const Lit> lits = arena_.clause(c);
     const std::size_t start = (p == Lit::undef) ? 0 : 1;
-    for (std::size_t k = start; k < c->lits.size(); ++k) {
-      const Lit q = c->lits[k];
+    for (std::size_t k = start; k < lits.size(); ++k) {
+      const Lit q = lits[k];
       const Var qv = q.var();
       if (!seen_[qv] && level_[qv] > 0) {
         var_bump_activity(qv);
@@ -272,7 +234,7 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
   }
   std::size_t j = 1;
   for (std::size_t i = 1; i < out_learnt.size(); ++i) {
-    if (reason_[out_learnt[i].var()] == nullptr ||
+    if (reason_[out_learnt[i].var()] == kNoCRef ||
         !lit_redundant(out_learnt[i], abstract_levels)) {
       out_learnt[j++] = out_learnt[i];
     }
@@ -301,20 +263,21 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
 }
 
 bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
-  std::vector<Lit> stack{lit};
+  std::vector<Lit>& stack = analyze_stack_;
+  stack.assign(1, lit);
   const std::size_t top = analyze_toclear_.size();
   while (!stack.empty()) {
     const Lit q = stack.back();
     stack.pop_back();
-    assert(reason_[q.var()] != nullptr);
-    const Clause& c = *reason_[q.var()];
-    for (std::size_t k = 1; k < c.lits.size(); ++k) {
-      const Lit l = c.lits[k];
+    assert(reason_[q.var()] != kNoCRef);
+    const std::span<const Lit> lits = arena_.clause(reason_[q.var()]);
+    for (std::size_t k = 1; k < lits.size(); ++k) {
+      const Lit l = lits[k];
       const Var lv = l.var();
       if (!seen_[lv] && level_[lv] > 0) {
         const std::uint32_t abstract =
             std::uint32_t{1} << (level_[lv] & 31);
-        if (reason_[lv] != nullptr && (abstract & abstract_levels) != 0) {
+        if (reason_[lv] != kNoCRef && (abstract & abstract_levels) != 0) {
           seen_[lv] = true;
           stack.push_back(l);
           analyze_toclear_.push_back(l);
@@ -340,7 +303,7 @@ void Solver::cancel_until(int level) {
     const Var v = trail_[c].var();
     assigns_[v] = LBool::Undef;
     polarity_[v] = trail_[c].sign();
-    reason_[v] = nullptr;
+    reason_[v] = kNoCRef;
     if (heap_pos_[v] == -1) {
       heap_insert(v);
     }
@@ -377,11 +340,12 @@ void Solver::rescale_var_activity() {
   var_inc_ *= 1e-100;
 }
 
-void Solver::clause_bump_activity(Clause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > kActivityRescaleLimit) {
-    for (auto& learnt : learnts_) {
-      learnt->activity *= 1e-100;
+void Solver::clause_bump_activity(CRef c) {
+  const double activity = arena_.activity(c) + clause_inc_;
+  arena_.set_activity(c, activity);
+  if (activity > kActivityRescaleLimit) {
+    for (const CRef learnt : learnts_) {
+      arena_.set_activity(learnt, arena_.activity(learnt) * 1e-100);
     }
     clause_inc_ *= 1e-100;
   }
@@ -389,43 +353,61 @@ void Solver::clause_bump_activity(Clause& c) {
 
 void Solver::reduce_db() {
   // Order learned clauses worst-first: high LBD, then low activity.
-  std::vector<Clause*> ordered;
-  ordered.reserve(learnts_.size());
-  for (auto& c : learnts_) {
-    ordered.push_back(c.get());
-  }
-  std::sort(ordered.begin(), ordered.end(), [](const Clause* a,
-                                               const Clause* b) {
-    if (a->lbd != b->lbd) {
-      return a->lbd > b->lbd;
+  std::vector<CRef> ordered = learnts_;
+  std::sort(ordered.begin(), ordered.end(), [this](CRef a, CRef b) {
+    if (arena_.lbd(a) != arena_.lbd(b)) {
+      return arena_.lbd(a) > arena_.lbd(b);
     }
-    return a->activity < b->activity;
+    return arena_.activity(a) < arena_.activity(b);
   });
 
-  const auto locked = [&](const Clause* c) {
-    const Lit first = c->lits[0];
+  const auto locked = [&](CRef c) {
+    const Lit first = arena_.lits(c)[0];
     return reason_[first.var()] == c && value(first) == LBool::True;
   };
 
   std::size_t to_remove = ordered.size() / 2;
-  for (Clause* c : ordered) {
+  for (const CRef c : ordered) {
     if (to_remove == 0) {
       break;
     }
-    if (c->lbd <= 2 || c->lits.size() == 2 || locked(c)) {
+    if (arena_.lbd(c) <= 2 || arena_.size(c) == 2 || locked(c)) {
       continue;
     }
-    c->removed = true;
     if (proof_logging_) {
-      proof_log_clause(c->lits, /*deletion=*/true);
+      proof_log_clause(arena_.clause(c), /*deletion=*/true);
     }
     detach_clause(c);
+    arena_.free(c);
     --to_remove;
     ++stats_.removed_clauses;
   }
 
-  std::erase_if(learnts_,
-                [](const std::unique_ptr<Clause>& c) { return c->removed; });
+  std::erase_if(learnts_, [this](CRef c) { return arena_.deleted(c); });
+  if (arena_.wants_compaction()) {
+    compact_arena();
+  }
+}
+
+void Solver::compact_arena() {
+  arena_.compact([this](auto reloc) {
+    for (auto& ws : watches_) {
+      for (Watcher& w : ws) {
+        reloc(w.ref);
+      }
+    }
+    for (const Lit l : trail_) {
+      if (CRef& reason = reason_[l.var()]; reason != kNoCRef) {
+        reloc(reason);
+      }
+    }
+    for (CRef& c : clauses_) {
+      reloc(c);
+    }
+    for (CRef& c : learnts_) {
+      reloc(c);
+    }
+  });
 }
 
 Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
@@ -435,38 +417,34 @@ Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
       std::max<std::size_t>(5000, clauses_.size() * 2);
 
   for (;;) {
-    const ClauseRef conflict = propagate();
-    if (conflict != nullptr) {
+    const CRef conflict = propagate();
+    if (conflict != kNoCRef) {
       ++stats_.conflicts;
       ++conflict_count;
       if (decision_level() == 0) {
         ok_ = false;
         return SearchStatus::Unsat;
       }
-      std::vector<Lit> learnt;
       int backtrack_level = 0;
       int lbd = 0;
-      analyze(conflict, learnt, backtrack_level, lbd);
+      analyze(conflict, backtrack_level, lbd);
       if (proof_logging_) {
         // First-UIP clauses (with recursive minimization) are reverse unit
         // propagation consequences of the clause database at learn time,
         // so each logged addition passes a RUP check.
-        proof_log_clause(learnt, /*deletion=*/false);
+        proof_log_clause(learnt_clause_, /*deletion=*/false);
       }
       cancel_until(backtrack_level);
-      if (learnt.size() == 1) {
-        unchecked_enqueue(learnt[0], nullptr);
+      if (learnt_clause_.size() == 1) {
+        unchecked_enqueue(learnt_clause_[0], kNoCRef);
       } else {
-        auto clause = std::make_unique<Clause>();
-        clause->lits = std::move(learnt);
-        clause->learnt = true;
-        clause->lbd = lbd;
-        ClauseRef ref = clause.get();
+        const CRef ref = arena_.alloc(learnt_clause_, /*learnt=*/true);
+        arena_.set_lbd(ref, lbd);
         attach_clause(ref);
-        clause_bump_activity(*ref);
-        learnts_.push_back(std::move(clause));
+        clause_bump_activity(ref);
+        learnts_.push_back(ref);
         ++stats_.learned_clauses;
-        unchecked_enqueue(ref->lits[0], ref);
+        unchecked_enqueue(learnt_clause_[0], ref);
       }
       var_decay_activity();
       clause_decay_activity();
@@ -499,7 +477,7 @@ Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
         }
       }
       new_decision_level();
-      unchecked_enqueue(next, nullptr);
+      unchecked_enqueue(next, kNoCRef);
     }
   }
 }
@@ -606,8 +584,9 @@ std::vector<std::vector<Lit>> Solver::problem_clauses() const {
   for (std::size_t i = 0; i < level0_end; ++i) {
     out.push_back({trail_[i]});
   }
-  for (const auto& c : clauses_) {
-    out.push_back(c->lits);
+  for (const CRef c : clauses_) {
+    const std::span<const Lit> lits = arena_.clause(c);
+    out.emplace_back(lits.begin(), lits.end());
   }
   return out;
 }

@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "sat/clause_arena.hpp"
 #include "sat/types.hpp"
 
 namespace ftsp::sat {
@@ -163,35 +163,21 @@ class Solver {
   std::optional<UnsatProof> last_unsat_proof() const { return last_proof_; }
 
  private:
-  struct Clause {
-    std::vector<Lit> lits;
-    double activity = 0.0;
-    int lbd = 0;
-    bool learnt = false;
-    bool removed = false;
-  };
-  using ClauseRef = Clause*;
-
-  struct Watcher {
-    ClauseRef clause;
-    Lit blocker;
-  };
-
   // --- Assignment state -------------------------------------------------
   std::vector<LBool> assigns_;          // Current value per variable.
   std::vector<bool> polarity_;          // Saved phase per variable.
-  std::vector<ClauseRef> reason_;       // Implying clause per variable.
+  std::vector<CRef> reason_;            // Implying clause per variable.
   std::vector<int> level_;              // Decision level per variable.
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;          // Trail index at each decision level.
   std::size_t qhead_ = 0;               // Propagation queue head.
 
   // --- Clause database --------------------------------------------------
-  std::vector<std::unique_ptr<Clause>> clauses_;  // Problem clauses.
-  std::vector<std::unique_ptr<Clause>> learnts_;
-  std::vector<std::vector<Watcher>> watches_;     // Indexed by literal code.
+  ClauseArena arena_;
+  std::vector<CRef> clauses_;  // Problem clauses.
+  std::vector<CRef> learnts_;
+  std::vector<std::vector<Watcher>> watches_;  // Indexed by literal code.
   double clause_inc_ = 1.0;
-  double max_learnts_factor_ = 0.4;
 
   // --- Decision heuristic -----------------------------------------------
   // VSIDS decay: the activity increment grows by 1/decay per conflict.
@@ -206,6 +192,10 @@ class Solver {
   std::vector<bool> model_;
   std::vector<bool> seen_;
   std::vector<Lit> analyze_toclear_;
+  std::vector<Lit> analyze_stack_;          // lit_redundant's work list.
+  std::vector<Lit> learnt_clause_;          // The clause analyze() derives.
+  std::vector<std::uint64_t> level_stamp_;  // compute_lbd's seen levels.
+  std::uint64_t lbd_stamp_ = 0;
   SolverStats stats_;
   std::uint64_t conflict_budget_ = 0;
 
@@ -220,22 +210,22 @@ class Solver {
   LBool value(Var v) const { return assigns_[v]; }
   LBool value(Lit l) const { return assigns_[l.var()] ^ l.sign(); }
 
-  void attach_clause(ClauseRef c);
-  void detach_clause(ClauseRef c);
-  void unchecked_enqueue(Lit l, ClauseRef from);
-  ClauseRef propagate();
-  void analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
-               int& out_btlevel, int& out_lbd);
+  void attach_clause(CRef c);
+  void detach_clause(CRef c);
+  void unchecked_enqueue(Lit l, CRef from);
+  CRef propagate();
+  void analyze(CRef conflict, int& out_btlevel, int& out_lbd);
   bool lit_redundant(Lit l, std::uint32_t abstract_levels);
   void cancel_until(int level);
   Lit pick_branch_lit();
   void new_decision_level() { trail_lim_.push_back(static_cast<int>(trail_.size())); }
   void var_bump_activity(Var v);
   void var_decay_activity() { var_inc_ /= kVarActivityDecay; }
-  void clause_bump_activity(Clause& c);
+  void clause_bump_activity(CRef c);
   void clause_decay_activity() { clause_inc_ /= 0.999; }
   void rescale_var_activity();
   void reduce_db();
+  void compact_arena();
   int compute_lbd(std::span<const Lit> lits);
   void proof_log_clause(std::span<const Lit> lits, bool deletion);
   void proof_snapshot(std::span<const Lit> assumptions);

@@ -16,6 +16,7 @@
 #include "qec/code_library.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
+#include "util/hash.hpp"
 
 namespace ftsp::sat {
 namespace {
@@ -44,6 +45,28 @@ void add_pigeonhole(Solver& s, int pigeons, int holes) {
     }
   }
 }
+
+compile::ProtocolArtifact compile_with_proofs(const std::string& code) {
+  core::SynthCache::instance().clear();
+  core::SynthesisOptions options;
+  options.capture_proofs = true;
+  const compile::ProtocolCompiler compiler(options);
+  return compiler.compile(qec::library_code_by_name(code));
+}
+
+// Values pinned from the solver and the checker as they were before their
+// clauses moved into one arena: one heap vector per clause, a string-keyed
+// deletion index and no blockers in the checker. The verdict digests were
+// taken with the RAT pivot already read as written (see
+// RatPivotIsTheFirstLiteralAsWritten); that fix alone changes 69 of the
+// 448 pigeonhole outcomes.
+constexpr std::uint64_t kPigeonholeSearchDigest = 2599888991000676214ULL;
+constexpr std::size_t kPhpMutations = 448;
+constexpr std::size_t kPhpRejected = 329;
+constexpr std::uint64_t kPhpVerdictDigest = 17694772057555466052ULL;
+constexpr std::size_t kSynthMutations = 94;
+constexpr std::size_t kSynthRejected = 39;
+constexpr std::uint64_t kSynthVerdictDigest = 6474993417683301881ULL;
 
 UnsatProof pigeonhole_proof(int pigeons, int holes) {
   Solver s;
@@ -228,6 +251,157 @@ TEST(DratCheck, SkipsDeletionOfReasonClause) {
   EXPECT_EQ(result.deletions_applied, 0u);
 }
 
+TEST(DratCheck, RatPivotIsTheFirstLiteralAsWritten) {
+  // (-1 2)(4 5)(4 -5)(-4 5)(-4 -5). "3 1" is RAT on 3: variable 3 is
+  // fresh, so no clause contains -3. On 1 it is not: the resolvent with
+  // (-1 2) is "3 2", which is not RUP. The pivot is the literal written
+  // first, so only the first ordering checks.
+  const std::vector<std::vector<Lit>> premise = {{neg(0), pos(1)},
+                                                 {pos(3), pos(4)},
+                                                 {pos(3), neg(4)},
+                                                 {neg(3), pos(4)},
+                                                 {neg(3), neg(4)}};
+  const DratCheckResult result = check_drat(premise, "3 1 0\n4 0\n0\n");
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.rat_lemmas, 1u);
+  const DratCheckResult swapped = check_drat(premise, "1 3 0\n4 0\n0\n");
+  EXPECT_FALSE(swapped.ok);
+  EXPECT_NE(swapped.error.find("lemma 1"), std::string::npos)
+      << swapped.error;
+}
+
+TEST(SolverSearch, PigeonholeSearchIsPinned) {
+  // PHP(8,7) is the smallest pigeonhole instance on which reduce_db runs,
+  // and the clauses it frees make the solver compact its clause arena.
+  // The digest pins the whole search: every learnt clause in learning
+  // order with its literal order, every deletion, and the counts.
+  Solver s;
+  s.set_proof_logging(true);
+  add_pigeonhole(s, 8, 7);
+  ASSERT_FALSE(s.solve());
+  const auto proof = s.last_unsat_proof();
+  ASSERT_TRUE(proof.has_value());
+  const SolverStats stats = s.stats();
+  EXPECT_EQ(stats.conflicts, 5769u);
+  EXPECT_EQ(stats.removed_clauses, 2507u);
+  const std::uint64_t digest = util::Fnv1a64()
+                                   .text(proof->drat)
+                                   .word(stats.conflicts)
+                                   .word(stats.removed_clauses)
+                                   .value();
+  EXPECT_EQ(digest, kPigeonholeSearchDigest);
+}
+
+/// Deterministic single-line mutations of a DRAT text: for line i, delete
+/// it; flip the sign of its literal i mod k; and, on an addition line,
+/// drop that literal.
+std::vector<std::string> single_line_mutations(const std::string& drat) {
+  std::vector<std::string> lines;
+  std::istringstream in(drat);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  const auto join = [&](std::size_t skip, const std::string& replacement) {
+    std::string out;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      out += (i == skip) ? replacement : lines[i];
+      out += (i == skip && replacement.empty()) ? "" : "\n";
+    }
+    return out;
+  };
+  std::vector<std::string> mutations;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    mutations.push_back(join(i, ""));
+    std::istringstream tokens(lines[i]);
+    const bool deletion = lines[i].starts_with("d ");
+    std::vector<std::string> lits;
+    for (std::string token; tokens >> token;) {
+      if (token != "d" && token != "0") {
+        lits.push_back(token);
+      }
+    }
+    if (lits.empty()) {
+      continue;
+    }
+    const std::size_t k = i % lits.size();
+    const auto render = [&](std::size_t drop, bool flip) {
+      std::string out = deletion ? "d " : "";
+      for (std::size_t j = 0; j < lits.size(); ++j) {
+        if (j == drop) {
+          continue;
+        }
+        const std::string& lit = lits[j];
+        out += (j == k && flip)
+                   ? (lit[0] == '-' ? lit.substr(1) : "-" + lit)
+                   : lit;
+        out += ' ';
+      }
+      return out + "0";
+    };
+    mutations.push_back(join(i, render(lits.size(), /*flip=*/true)));
+    if (!deletion) {
+      mutations.push_back(join(i, render(k, /*flip=*/false)));
+    }
+  }
+  return mutations;
+}
+
+struct MutationVerdicts {
+  std::size_t mutations = 0;
+  std::size_t rejected = 0;
+  std::uint64_t digest = 0;  // Over ok and the three counts, in order.
+};
+
+MutationVerdicts check_mutations(const std::vector<std::vector<Lit>>& premise,
+                                 const std::string& drat) {
+  MutationVerdicts verdicts;
+  util::Fnv1a64 hash;
+  for (const std::string& mutated : single_line_mutations(drat)) {
+    const DratCheckResult result = check_drat(premise, mutated);
+    ++verdicts.mutations;
+    verdicts.rejected += result.ok ? 0 : 1;
+    hash.word(result.ok ? 1 : 0)
+        .word(result.lemmas_checked)
+        .word(result.deletions_applied)
+        .word(result.deletions_skipped);
+  }
+  verdicts.digest = hash.value();
+  return verdicts;
+}
+
+TEST(DratCheck, MutationVerdictsArePinned) {
+  // The checker's verdicts on a fixed mutation corpus, pinned as the
+  // previous clause layout computed them.
+  const UnsatProof php = pigeonhole_proof(6, 5);
+  ASSERT_TRUE(php.assumptions.empty());
+  const MutationVerdicts php_verdicts = check_mutations(php.premise, php.drat);
+  EXPECT_EQ(php_verdicts.mutations, kPhpMutations);
+  EXPECT_EQ(php_verdicts.rejected, kPhpRejected);
+  EXPECT_EQ(php_verdicts.digest, kPhpVerdictDigest);
+
+  // Every present proof of the Steane and Shor compiles: synthesis CNFs.
+  MutationVerdicts synth_verdicts;
+  util::Fnv1a64 synth_digest;
+  for (const char* code : {"Steane", "Shor"}) {
+    const compile::ProtocolArtifact artifact = compile_with_proofs(code);
+    for (const auto& proof : artifact.proofs) {
+      if (!proof.present) {
+        continue;
+      }
+      const CnfFormula premise = parse_dimacs_string(proof.premise_dimacs);
+      const MutationVerdicts verdicts =
+          check_mutations(premise.clauses, proof.drat);
+      synth_verdicts.mutations += verdicts.mutations;
+      synth_verdicts.rejected += verdicts.rejected;
+      synth_digest.word(verdicts.digest);
+    }
+  }
+  synth_verdicts.digest = synth_digest.value();
+  EXPECT_EQ(synth_verdicts.mutations, kSynthMutations);
+  EXPECT_EQ(synth_verdicts.rejected, kSynthRejected);
+  EXPECT_EQ(synth_verdicts.digest, kSynthVerdictDigest);
+}
+
 // --- Bit-identity: logging is pure observation ---------------------------
 
 SolverStats solve_pigeonhole_stats(bool logging, bool* sat_out) {
@@ -276,16 +450,8 @@ TEST(ProofLogging, DisabledReportsNoProof) {
 
 // --- End-to-end capture: weight-sweep legs through the compiler ----------
 
-compile::ProtocolArtifact compile_steane_with_proofs() {
-  core::SynthCache::instance().clear();
-  core::SynthesisOptions options;
-  options.capture_proofs = true;
-  const compile::ProtocolCompiler compiler(options);
-  return compiler.compile(qec::library_code_by_name("Steane"));
-}
-
 TEST(ProofCapture, SteaneWeightSweepLegsAccepted) {
-  const auto artifact = compile_steane_with_proofs();
+  const auto artifact = compile_with_proofs("Steane");
   ASSERT_FALSE(artifact.proofs.empty());
   std::size_t present = 0;
   for (const auto& proof : artifact.proofs) {
@@ -316,7 +482,7 @@ TEST(ProofCapture, CapturedDratIsLoadBearing) {
   // derivation: the captured DRAT content is load-bearing, not
   // decorative. (Line-level truncation/mutation rejection is covered by
   // the pigeonhole tests above.)
-  const auto artifact = compile_steane_with_proofs();
+  const auto artifact = compile_with_proofs("Steane");
   std::size_t nontrivial = 0;
   for (const auto& proof : artifact.proofs) {
     if (!proof.present) {
@@ -347,7 +513,7 @@ TEST(ProofCapture, CapturedDratIsLoadBearing) {
 }
 
 TEST(ProofCapture, ArtifactAndStoreRoundTripProofs) {
-  const auto artifact = compile_steane_with_proofs();
+  const auto artifact = compile_with_proofs("Steane");
 
   // Container round-trip carries the metadata (fingerprints, verdicts)
   // but not the bytes — those live in the sidecar.
@@ -431,7 +597,7 @@ TEST(ProofCapture, ArtifactAndStoreRoundTripProofs) {
 }
 
 TEST(ProofCapture, TornSidecarDegradesToEmptyBytes) {
-  const auto artifact = compile_steane_with_proofs();
+  const auto artifact = compile_with_proofs("Steane");
   ASSERT_TRUE(compile::has_proof_bytes(artifact));
   std::ostringstream encoded;
   compile::write_proof_sidecar(artifact, encoded);
