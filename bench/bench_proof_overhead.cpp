@@ -2,7 +2,8 @@
 // DRAT capture on vs off. This is the acceptance benchmark of the
 // proof-carrying-compile claim: logging enabled must stay within 25% of
 // the baseline compile, and logging *disabled* must be a true no-op —
-// same search, same stats, bit-identical artifact bytes.
+// same search, same stats, bit-identical artifact bytes. Every present
+// proof must also carry a passing compile-time check.
 //
 // Plain chrono main (no Google Benchmark dependency), JSON-per-code
 // output consumed by the CI bench-smoke job:
@@ -78,6 +79,7 @@ int main(int argc, char** argv) {
 
   double worst_ratio = 0.0;
   bool identical = true;
+  std::size_t unchecked = 0;
   std::printf("[\n");
   for (std::size_t c = 0; c < names.size(); ++c) {
     const auto code = qec::library_code_by_name(names[c]);
@@ -111,6 +113,11 @@ int main(int argc, char** argv) {
     std::size_t proofs_present = 0;
     for (const auto& proof : on_artifact.proofs) {
       proofs_present += proof.present ? 1 : 0;
+      if (proof.present && !proof.checked) {
+        ++unchecked;
+        std::fprintf(stderr, "FAIL: %s proof [%s] failed its check\n",
+                     names[c].c_str(), proof.stage.c_str());
+      }
     }
 
     const double ratio = on_ms / off_ms;
@@ -136,7 +143,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "worst proof-logging overhead: %.2fx (target <= 1.25x)\n",
                worst_ratio);
-  if (!identical) {
+  if (!identical || unchecked > 0) {
     return 1;
   }
   return worst_ratio <= 1.25 ? 0 : 1;

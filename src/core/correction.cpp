@@ -261,7 +261,7 @@ std::optional<CorrectionPlan> query_fresh(
   }
   if (!sat) {
     if (proof_out != nullptr) {
-      *proof_out = ctx.solver->last_unsat_proof();
+      *proof_out = ctx.solver->take_unsat_proof();
     }
     return std::nullopt;
   }
@@ -407,7 +407,7 @@ std::optional<CorrectionPlan> synthesize_correction(
             if (!ctx.solve_with_bound(v, options)) {
               if (sink != nullptr) {
                 saw_unsat = true;
-                last_unsat = ctx.solver->last_unsat_proof();
+                last_unsat = ctx.solver->take_unsat_proof();
                 last_unsat_bound = v;
               }
               return std::nullopt;

@@ -620,17 +620,11 @@ std::optional<circuit::Circuit> optimal_prep_sat(
     if (!solver.solve()) {
       if (options.proof_sink != nullptr) {
         saw_unsat = true;
-        last_unsat = solver.last_unsat_proof();
+        last_unsat = solver.take_unsat_proof();
         last_unsat_gates = num_gates;
       }
       continue;
     }
-    if (options.proof_sink != nullptr) {
-      record_prep_outcome(*options.proof_sink, options.proof_label,
-                          num_gates, saw_unsat, last_unsat,
-                          last_unsat_gates);
-    }
-
     // Decode: the reverse op sequence (c,t) per slot; the forward circuit
     // applies them in reverse order. |+> qubits are the final nonzero
     // columns.
@@ -660,6 +654,14 @@ std::optional<circuit::Circuit> optimal_prep_sat(
           }
         }
       }
+    }
+    if (options.proof_sink != nullptr) {
+      // The refutation is checked with this solver already gone, so the
+      // check never overlaps the search's memory.
+      solver_ptr.reset();
+      record_prep_outcome(*options.proof_sink, options.proof_label,
+                          num_gates, saw_unsat, last_unsat,
+                          last_unsat_gates);
     }
     return prep;
   }

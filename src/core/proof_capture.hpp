@@ -18,6 +18,9 @@ namespace ftsp::core {
 /// The premise ships as self-contained DIMACS with the query assumptions
 /// baked in as unit clauses, so re-checking needs no solver state: parse
 /// the premise, replay the DRAT lines through `sat::check_drat`, done.
+/// `checked` is the compile-time verdict of `sat::check_hinted`, which
+/// replays the solver's in-memory antecedents; the hints are never stored,
+/// and `audit` re-checks with the forward `sat::check_drat`.
 /// The byte payloads (`premise_dimacs`, `drat`) are stored out-of-band
 /// (the store's `.proof` side file); the artifact container carries only
 /// the metadata below, including fingerprints the audit verifies against
@@ -30,7 +33,7 @@ struct CapturedProof {
   std::uint32_t bound = 0;
   bool present = false;          ///< A refutation was captured.
   std::string absent_reason;     ///< Why not, when `present` is false.
-  bool checked = false;          ///< `sat::check_drat` verdict at capture.
+  bool checked = false;          ///< `sat::check_hinted` verdict at capture.
   std::string premise_dimacs;    ///< DIMACS CNF, assumptions as units.
   std::string drat;              ///< DRAT refutation of the premise.
   std::uint64_t premise_size = 0;
@@ -53,7 +56,7 @@ struct ProofSink {
 
 /// Renders a solver refutation into a checked `CapturedProof`: premise as
 /// DIMACS (assumptions baked in as unit clauses), verbatim DRAT log,
-/// `sat::check_drat` verdict, and CRC32 fingerprints of both payloads.
+/// `sat::check_hinted` verdict, and CRC32 fingerprints of both payloads.
 CapturedProof make_checked_proof(std::string stage, std::string claim,
                                  std::size_t bound,
                                  const sat::UnsatProof& proof);

@@ -104,7 +104,7 @@ std::optional<VerificationSet> query_fresh(
   }
   if (!sat) {
     if (proof_out != nullptr) {
-      *proof_out = ctx.solver->last_unsat_proof();
+      *proof_out = ctx.solver->take_unsat_proof();
     }
     return std::nullopt;
   }
@@ -150,7 +150,7 @@ std::optional<Optimum> find_optimum(const BitMatrix& generators,
             if (!ctx->solve_with_bound(v, options)) {
               if (sink != nullptr) {
                 saw_unsat = true;
-                last_unsat = ctx->solver->last_unsat_proof();
+                last_unsat = ctx->solver->take_unsat_proof();
                 last_unsat_bound = v;
               }
               return std::nullopt;

@@ -27,20 +27,22 @@ struct Watcher {
 
 /// The one flat clause store of the CDCL solver and the DRAT checker.
 ///
-/// A clause is one header word followed by its literals inline; a learnt
-/// clause also carries three trailing words (its LBD and the two halves of
-/// its activity). Every word is a `Lit` slot. The header and trailing words
+/// A clause is one header word followed by its literals inline and one
+/// trailing word, its ID (the solver's proof numbering; the DRAT checker
+/// leaves it 0). A learnt clause carries three more trailing words: its LBD
+/// and the two halves of its activity. Every word is a `Lit` slot. The header and trailing words
 /// keep their bits in the slot's code, so a clause's literals are a real
 /// `Lit` array and no storage is reinterpreted. `free` only flags a clause;
 /// its words stay in place until `compact`.
 class ClauseArena {
  public:
-  CRef alloc(std::span<const Lit> lits, bool learnt) {
-    assert(words_.size() + lits.size() + 4 < (std::size_t{1} << 31));
+  CRef alloc(std::span<const Lit> lits, bool learnt, std::uint32_t id = 0) {
+    assert(words_.size() + lits.size() + 5 < (std::size_t{1} << 31));
     const auto ref = static_cast<CRef>(words_.size());
     const auto size = static_cast<std::uint32_t>(lits.size());
     words_.push_back(word(size << kSizeShift | (learnt ? kLearnt : 0U)));
     words_.insert(words_.end(), lits.begin(), lits.end());
+    words_.push_back(word(id));
     if (learnt) {
       words_.resize(words_.size() + kLearntWords, word(0));
     }
@@ -61,6 +63,9 @@ class ClauseArena {
     words_[c] = word(header(c) | kDeleted);
     wasted_ += total_words(c);
   }
+
+  std::uint32_t id(CRef c) const { return bits(c + 1 + size(c)); }
+  void set_id(CRef c, std::uint32_t id) { words_[c + 1 + size(c)] = word(id); }
 
   int lbd(CRef c) const { return static_cast<int>(bits(extra(c))); }
   void set_lbd(CRef c, int lbd) {
@@ -124,9 +129,9 @@ class ClauseArena {
     return static_cast<std::uint32_t>(words_[i].code());
   }
   std::uint32_t header(CRef c) const { return bits(c); }
-  std::size_t extra(CRef c) const { return c + 1 + size(c); }
+  std::size_t extra(CRef c) const { return c + 2 + size(c); }
   std::uint32_t total_words(CRef c) const {
-    return 1 + size(c) + (learnt(c) ? kLearntWords : 0);
+    return 2 + size(c) + (learnt(c) ? kLearntWords : 0);
   }
 
   std::vector<Lit> words_;

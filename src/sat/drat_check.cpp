@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -389,6 +390,220 @@ class DratChecker {
   }
 };
 
+/// Hinted RUP checking: every step names its antecedents, so a lemma is
+/// verified by walking its chain once, with no watch lists, no
+/// propagation queue and no search.
+class HintedChecker {
+ public:
+  HintedChecker(const std::vector<std::vector<Lit>>& premise,
+                std::span<const Lit> assumptions)
+      : premise_(premise), assumptions_(assumptions) {}
+
+  DratCheckResult run(std::string_view drat, const ProofHints& hints,
+                      std::span<const std::uint32_t> refutation) {
+    for (const auto& clause : premise_) {
+      for (const Lit l : clause) {
+        ensure_var(l.var());
+      }
+    }
+    for (const Lit a : assumptions_) {
+      ensure_var(a.var());
+    }
+    lemma_end_.push_back(0);
+
+    ProofParser parser(drat);
+    std::vector<Lit> lits;
+    ProofHints::Reader reader(hints);
+    ProofHints::Step step;
+    for (std::size_t s = 1; reader.next(step); ++s) {
+      if (step.unit != Lit::undef) {
+        ensure_var(step.unit.var());
+        const Lit unit[] = {step.unit};
+        if (!check_chain(unit, step.chain)) {
+          return fail("root step " + std::to_string(s) + ": " + why_);
+        }
+        if (value(step.unit) == LBool::False) {
+          return fail("root step " + std::to_string(s) +
+                      " contradicts the root assignment");
+        }
+        assigns_[step.unit.var()] = lbool_from(!step.unit.sign());
+        continue;
+      }
+      if (!next_lemma(parser, lits)) {
+        return result_;
+      }
+      if (!check_chain(lits, step.chain)) {
+        return fail_lemma();
+      }
+      ++result_.lemmas_checked;
+      if (lits.empty()) {
+        result_.ok = true;
+        return result_;
+      }
+      lemma_lits_.insert(lemma_lits_.end(), lits.begin(), lits.end());
+      lemma_end_.push_back(static_cast<std::uint32_t>(lemma_lits_.size()));
+    }
+    // The empty clause closes the proof with its own chain.
+    if (!next_lemma(parser, lits)) {
+      return result_;
+    }
+    if (!lits.empty()) {
+      return fail("lemma " + std::to_string(result_.lemmas_checked + 1) +
+                  " has no hints");
+    }
+    if (!check_chain(lits, refutation)) {
+      return fail_lemma();
+    }
+    ++result_.lemmas_checked;
+    result_.ok = true;
+    return result_;
+  }
+
+ private:
+  const std::vector<std::vector<Lit>>& premise_;
+  std::span<const Lit> assumptions_;
+  std::vector<Lit> lemma_lits_;           // Checked lemmas, concatenated.
+  std::vector<std::uint32_t> lemma_end_;  // Lemma k is [end[k], end[k+1]).
+  std::vector<LBool> assigns_;  // Root assignment plus the current chain's.
+  std::vector<Var> chain_vars_;  // Variables the current chain assigned.
+  std::string why_;
+  DratCheckResult result_;
+
+  DratCheckResult fail(std::string message) {
+    result_.ok = false;
+    result_.error = std::move(message);
+    return result_;
+  }
+
+  DratCheckResult fail_lemma() {
+    return fail("lemma " + std::to_string(result_.lemmas_checked + 1) +
+                ": " + why_);
+  }
+
+  LBool value(Lit l) const { return assigns_[l.var()] ^ l.sign(); }
+
+  void ensure_var(Var v) {
+    if (static_cast<std::size_t>(v) >= assigns_.size()) {
+      assigns_.resize(static_cast<std::size_t>(v) + 1, LBool::Undef);
+    }
+  }
+
+  /// Reads the next addition line, skipping deletions: RUP never depends
+  /// on them.
+  bool next_lemma(ProofParser& parser, std::vector<Lit>& lits) {
+    ProofParser::Line kind = ProofParser::Line::Delete;
+    while (kind == ProofParser::Line::Delete) {
+      kind = parser.next(lits);
+    }
+    if (kind == ProofParser::Line::End) {
+      fail("proof ended without deriving the empty clause");
+      return false;
+    }
+    if (kind == ProofParser::Line::Error) {
+      fail("parse error: " + parser.error());
+      return false;
+    }
+    for (const Lit l : lits) {
+      ensure_var(l.var());
+    }
+    return true;
+  }
+
+  /// The clause `id` names, or nullopt when it names none derived yet:
+  /// only the premise, the assumptions and earlier lemmas may be cited.
+  std::optional<std::span<const Lit>> clause(std::uint32_t id) const {
+    const bool lemma = (id & ProofHints::kLemma) != 0;
+    const bool assumption = (id & ProofHints::kAssumption) != 0;
+    if (lemma && assumption) {
+      return std::nullopt;
+    }
+    if (lemma) {
+      const std::size_t k = id & ~ProofHints::kLemma;
+      if (k >= result_.lemmas_checked) {
+        return std::nullopt;
+      }
+      return std::span<const Lit>(lemma_lits_.data() + lemma_end_[k],
+                                  lemma_lits_.data() + lemma_end_[k + 1]);
+    }
+    if (assumption) {
+      const std::size_t j = id & ~ProofHints::kAssumption;
+      if (j >= assumptions_.size()) {
+        return std::nullopt;
+      }
+      return assumptions_.subspan(j, 1);
+    }
+    if (id >= premise_.size()) {
+      return std::nullopt;
+    }
+    return premise_[id];
+  }
+
+  /// RUP along the chain: under the root assignment and the negation of
+  /// `lemma`, each hint before the last must be unit (its one open literal
+  /// is then assigned) and the last must be falsified. A lemma the root
+  /// assignment already satisfies holds outright.
+  bool check_chain(std::span<const Lit> lemma,
+                   std::span<const std::uint32_t> chain) {
+    const bool ok = walk_chain(lemma, chain);
+    for (const Var v : chain_vars_) {
+      assigns_[v] = LBool::Undef;
+    }
+    chain_vars_.clear();
+    return ok;
+  }
+
+  void assign_in_chain(Lit l) {
+    assigns_[l.var()] = lbool_from(!l.sign());
+    chain_vars_.push_back(l.var());
+  }
+
+  bool walk_chain(std::span<const Lit> lemma,
+                  std::span<const std::uint32_t> chain) {
+    for (const Lit l : lemma) {
+      if (value(l) == LBool::True) {
+        return true;
+      }
+      if (value(l) == LBool::Undef) {
+        assign_in_chain(~l);
+      }
+    }
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+      const std::optional<std::span<const Lit>> hint = clause(chain[k]);
+      if (!hint.has_value()) {
+        return reject(k, "cites no clause derived so far");
+      }
+      Lit open = Lit::undef;
+      for (const Lit l : *hint) {
+        const LBool v = value(l);
+        if (v == LBool::True) {
+          return reject(k, "is satisfied");
+        }
+        if (v == LBool::Undef && open != l) {
+          if (open != Lit::undef) {
+            return reject(k, "is not unit");
+          }
+          open = l;
+        }
+      }
+      const bool last = k + 1 == chain.size();
+      if (open == Lit::undef) {
+        return last || reject(k, "is falsified before the last hint");
+      }
+      if (last) {
+        return reject(k, "is the last hint but not falsified");
+      }
+      assign_in_chain(open);
+    }
+    why_ = "the chain is empty";
+    return false;
+  }
+
+  bool reject(std::size_t hint, const char* what) {
+    why_ = "hint " + std::to_string(hint + 1) + " " + what;
+    return false;
+  }
+};
+
 }  // namespace
 
 DratCheckResult check_drat(const std::vector<std::vector<Lit>>& premise,
@@ -399,7 +614,20 @@ DratCheckResult check_drat(const std::vector<std::vector<Lit>>& premise,
 }
 
 DratCheckResult check_proof(const UnsatProof& proof) {
-  return check_drat(proof.premise, proof.assumptions, proof.drat);
+  return check_drat(proof.premise(), proof.assumptions, proof.drat());
+}
+
+DratCheckResult check_hinted(const std::vector<std::vector<Lit>>& premise,
+                             std::span<const Lit> assumptions,
+                             std::string_view drat, const ProofHints& hints,
+                             std::span<const std::uint32_t> refutation) {
+  HintedChecker checker(premise, assumptions);
+  return checker.run(drat, hints, refutation);
+}
+
+DratCheckResult check_hinted_proof(const UnsatProof& proof) {
+  return check_hinted(proof.premise(), proof.assumptions, proof.drat(),
+                      proof.hints(), proof.refutation);
 }
 
 }  // namespace ftsp::sat

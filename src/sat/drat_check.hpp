@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -10,12 +11,14 @@
 
 namespace ftsp::sat {
 
+class ProofHints;
 struct UnsatProof;
 
 /// Verdict of a forward DRAT check. `ok` means the proof derives the
 /// empty clause (equivalently: unit propagation over premise + accepted
 /// lemmas conflicts) with every addition line verified as RUP or RAT and
 /// every deletion line resolved. `error` pinpoints the first failure.
+/// A hinted check fills only `ok`, `lemmas_checked` and `error`.
 struct DratCheckResult {
   bool ok = false;
   std::size_t lemmas_checked = 0;    // Addition lines verified.
@@ -51,5 +54,26 @@ inline DratCheckResult check_drat(
 /// Convenience: checks a solver-emitted proof snapshot against its own
 /// recorded premise and assumptions.
 DratCheckResult check_proof(const UnsatProof& proof);
+
+/// Hinted RUP check of a refutation of `premise` under `assumptions`. The
+/// lemmas are the addition lines of `drat`; `hints` names the antecedents
+/// of each one and of the root-level literals (see `ProofHints` for the
+/// clause IDs), and `refutation` those of the terminating empty clause.
+/// Steps run in order. A root step's chain must derive its literal, which
+/// then stays assigned at the root. A lemma step pairs with the next
+/// addition line: under the root assignment, the lemma's negation and the
+/// earlier hints' units, every hint but the last must be unit and the last
+/// falsified. A hint may cite only the premise, the assumptions and the
+/// lemmas before it. No propagation, no search: a broken chain rejects the
+/// lemma. Deletion lines are skipped, since RUP never depends on them.
+/// This is the verdict compile stores; the forward `check_drat` stays the
+/// independent re-check of stored proofs, which carry no hints.
+DratCheckResult check_hinted(const std::vector<std::vector<Lit>>& premise,
+                             std::span<const Lit> assumptions,
+                             std::string_view drat, const ProofHints& hints,
+                             std::span<const std::uint32_t> refutation);
+
+/// Convenience: the hinted check of a solver-emitted proof snapshot.
+DratCheckResult check_hinted_proof(const UnsatProof& proof);
 
 }  // namespace ftsp::sat

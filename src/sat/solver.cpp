@@ -68,6 +68,7 @@ Var Solver::new_var() {
   reason_.push_back(kNoCRef);
   level_.push_back(0);
   level_stamp_.push_back(0);
+  trail_pos_.push_back(0);
   var_activity_.push_back(0.0);
   seen_.push_back(false);
   heap_pos_.push_back(-1);
@@ -82,13 +83,17 @@ bool Solver::add_clause(std::span<const Lit> lits) {
     return false;
   }
   assert(decision_level() == 0);
+  std::uint32_t id = ProofHints::kNone;
   if (proof_logging_) {
     // The premise records clauses verbatim, before simplification: the
     // stored (strengthened) form is a unit-propagation consequence of the
     // original plus the level-0 units, so checking against the verbatim
     // premise stays sound even when simplification drops an entire clause
-    // (e.g. one whose literals are all false at level 0).
-    proof_premise_.emplace_back(lits.begin(), lits.end());
+    // (e.g. one whose literals are all false at level 0). Its ID names the
+    // verbatim clause; the literals dropped here are false at the root.
+    std::vector<std::vector<Lit>>& premise = proof_log().premise;
+    id = static_cast<std::uint32_t>(premise.size());
+    premise.emplace_back(lits.begin(), lits.end());
   }
 
   // Simplify: sort, deduplicate, drop false literals, detect tautology and
@@ -113,15 +118,24 @@ bool Solver::add_clause(std::span<const Lit> lits) {
 
   if (simplified.empty()) {
     ok_ = false;
+    if (proof_logging_) {
+      proof_log_refutation(id);  // Every literal is false at the root.
+    }
     return false;
   }
   if (simplified.size() == 1) {
-    unchecked_enqueue(simplified[0], kNoCRef);
-    ok_ = (propagate() == kNoCRef);
+    enqueue_unit(simplified[0], id);
+    const CRef conflict = propagate();
+    if (conflict != kNoCRef) {
+      ok_ = false;
+      if (proof_logging_) {
+        proof_log_refutation(arena_.id(conflict));
+      }
+    }
     return ok_;
   }
 
-  const CRef clause = arena_.alloc(simplified, /*learnt=*/false);
+  const CRef clause = arena_.alloc(simplified, /*learnt=*/false, id);
   attach_clause(clause);
   clauses_.push_back(clause);
   return true;
@@ -154,7 +168,19 @@ void Solver::unchecked_enqueue(Lit l, CRef from) {
   assigns_[v] = lbool_from(!l.sign());
   level_[v] = decision_level();
   reason_[v] = from;
+  trail_pos_[v] = static_cast<int>(trail_.size());
   trail_.push_back(l);
+  if (proof_logging_ && from != kNoCRef && decision_level() == 0) {
+    proof_log_root(l, arena_.id(from));
+  }
+}
+
+void Solver::enqueue_unit(Lit l, std::uint32_t id) {
+  assert(decision_level() == 0);
+  unchecked_enqueue(l, kNoCRef);
+  if (proof_logging_) {
+    proof_log_root(l, id);
+  }
 }
 
 CRef Solver::propagate() {
@@ -195,8 +221,13 @@ void Solver::analyze(CRef conflict, int& out_btlevel, int& out_lbd) {
   int index = static_cast<int>(trail_.size()) - 1;
   CRef c = conflict;
 
+  lemma_chain_.clear();
+  lemma_implied_.clear();
   do {
     assert(c != kNoCRef);
+    if (proof_logging_) {
+      lemma_chain_.push_back(arena_.id(c));
+    }
     if (arena_.learnt(c)) {
       clause_bump_activity(c);
     }
@@ -232,14 +263,25 @@ void Solver::analyze(CRef conflict, int& out_btlevel, int& out_lbd) {
   for (std::size_t i = 1; i < out_learnt.size(); ++i) {
     abstract_levels |= std::uint32_t{1} << (level_[out_learnt[i].var()] & 31);
   }
+  const std::size_t derived = out_learnt.size();
   std::size_t j = 1;
   for (std::size_t i = 1; i < out_learnt.size(); ++i) {
     if (reason_[out_learnt[i].var()] == kNoCRef ||
         !lit_redundant(out_learnt[i], abstract_levels)) {
       out_learnt[j++] = out_learnt[i];
+    } else if (proof_logging_) {
+      lemma_implied_.push_back(out_learnt[i]);
     }
   }
   out_learnt.resize(j);
+  if (proof_logging_) {
+    // The literals the successful lit_redundant walks marked: their
+    // reasons justify the dropped literals.
+    lemma_implied_.insert(lemma_implied_.end(),
+                          analyze_toclear_.begin() +
+                              static_cast<std::ptrdiff_t>(derived),
+                          analyze_toclear_.end());
+  }
 
   // Find the backtrack level: highest level among the non-asserting lits.
   if (out_learnt.size() == 1) {
@@ -423,22 +465,24 @@ Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
       ++conflict_count;
       if (decision_level() == 0) {
         ok_ = false;
+        if (proof_logging_) {
+          proof_log_refutation(arena_.id(conflict));
+        }
         return SearchStatus::Unsat;
       }
       int backtrack_level = 0;
       int lbd = 0;
       analyze(conflict, backtrack_level, lbd);
-      if (proof_logging_) {
-        // First-UIP clauses (with recursive minimization) are reverse unit
-        // propagation consequences of the clause database at learn time,
-        // so each logged addition passes a RUP check.
-        proof_log_clause(learnt_clause_, /*deletion=*/false);
-      }
+      // First-UIP clauses (with recursive minimization) are reverse unit
+      // propagation consequences of the clause database at learn time,
+      // so each logged addition passes a RUP check.
+      const std::uint32_t id =
+          proof_logging_ ? proof_log_lemma() : ProofHints::kNone;
       cancel_until(backtrack_level);
       if (learnt_clause_.size() == 1) {
-        unchecked_enqueue(learnt_clause_[0], kNoCRef);
+        enqueue_unit(learnt_clause_[0], id);
       } else {
-        const CRef ref = arena_.alloc(learnt_clause_, /*learnt=*/true);
+        const CRef ref = arena_.alloc(learnt_clause_, /*learnt=*/true, id);
         arena_.set_lbd(ref, lbd);
         attach_clause(ref);
         clause_bump_activity(ref);
@@ -463,6 +507,9 @@ Solver::SearchStatus Solver::search(std::uint64_t conflicts_allowed,
         if (value(a) == LBool::True) {
           new_decision_level();  // Already implied; dummy level.
         } else if (value(a) == LBool::False) {
+          if (proof_logging_) {
+            proof_log_failed_assumption(a);
+          }
           return SearchStatus::Unsat;  // Assumptions are contradictory.
         } else {
           next = a;
@@ -539,39 +586,151 @@ void Solver::set_proof_logging(bool enable) {
     // Clauses added before logging began are summarized by the current
     // simplified database — a consequence of the originals, so a
     // refutation of it refutes the original formula too.
-    proof_premise_ = problem_clauses();
-    proof_drat_.clear();
+    proof_log_ = std::make_shared<ProofLog>();
+    proof_log_->premise = problem_clauses();
+    proof_terminated_ = false;
+    refutation_.clear();
     last_proof_.reset();
+    // The premise lists the root units first, then the stored clauses;
+    // learnt clauses have no place in the new proof.
+    const auto units = static_cast<std::uint32_t>(
+        proof_log_->premise.size() - clauses_.size());
+    for (std::uint32_t i = 0; i < units; ++i) {
+      proof_log_root(proof_log_->premise[i][0], i);
+    }
+    for (std::size_t j = 0; j < clauses_.size(); ++j) {
+      arena_.set_id(clauses_[j], units + static_cast<std::uint32_t>(j));
+    }
+    for (const CRef c : learnts_) {
+      arena_.set_id(c, ProofHints::kNone);
+    }
   }
   proof_logging_ = enable;
 }
 
+ProofLog& Solver::proof_log() {
+  if (proof_log_.use_count() > 1) {
+    // A snapshot holds the log: extend a copy, so the snapshot's proof
+    // stays as it was taken.
+    proof_log_ = std::make_shared<ProofLog>(*proof_log_);
+  }
+  if (proof_terminated_) {
+    proof_log_->drat.resize(proof_log_->drat.size() - 2);  // Drop "0\n".
+    proof_terminated_ = false;
+  }
+  return *proof_log_;
+}
+
 void Solver::proof_log_clause(std::span<const Lit> lits, bool deletion) {
+  std::string& drat = proof_log().drat;
   if (deletion) {
-    proof_drat_ += "d ";
+    drat += "d ";
   }
   for (Lit l : lits) {
     const int dimacs = l.sign() ? -(l.var() + 1) : (l.var() + 1);
-    proof_drat_ += std::to_string(dimacs);
-    proof_drat_ += ' ';
+    drat += std::to_string(dimacs);
+    drat += ' ';
   }
-  proof_drat_ += "0\n";
+  drat += "0\n";
+}
+
+std::uint32_t Solver::proof_log_lemma() {
+  proof_log_clause(learnt_clause_, /*deletion=*/false);
+  // The chain walks the implication graph forward: the reasons of the
+  // literals minimization dropped (all below the conflict level), then
+  // the reasons analyze resolved on, in trail order, then the conflict.
+  // Root-level literals need no hint: the checker keeps them assigned.
+  // analyze() collected the conflict first and then the reasons against
+  // the trail.
+  std::reverse(lemma_chain_.begin(), lemma_chain_.end());
+  std::sort(lemma_implied_.begin(), lemma_implied_.end(),
+            [this](Lit a, Lit b) {
+              return trail_pos_[a.var()] < trail_pos_[b.var()];
+            });
+  lemma_chain_.insert(lemma_chain_.begin(), lemma_implied_.size(), 0);
+  for (std::size_t i = 0; i < lemma_implied_.size(); ++i) {
+    lemma_chain_[i] = arena_.id(reason_[lemma_implied_[i].var()]);
+  }
+  ProofHints& hints = proof_log().hints;
+  const std::uint32_t id = ProofHints::kLemma | hints.lemmas();
+  hints.add_lemma(lemma_chain_);
+  return id;
+}
+
+void Solver::proof_log_root(Lit l, std::uint32_t id) {
+  proof_log().hints.add_root(l, std::span<const std::uint32_t>(&id, 1));
+}
+
+void Solver::proof_log_failed_assumption(Lit a) {
+  // The empty clause follows from the assumption units and the reasons
+  // that forced ~a, walked back from ~a to the assumptions it rests on.
+  // Every decision below the current level is an assumption: level L's
+  // decision is assumption L - 1.
+  refutation_.clear();
+  const std::size_t level1 =
+      trail_lim_.empty() ? trail_.size()
+                         : static_cast<std::size_t>(trail_lim_[0]);
+  if (level_[a.var()] > 0) {
+    seen_[a.var()] = true;
+  }
+  for (std::size_t i = trail_.size(); i > level1; --i) {
+    const Var v = trail_[i - 1].var();
+    if (!seen_[v]) {
+      continue;
+    }
+    seen_[v] = false;
+    const CRef reason = reason_[v];
+    if (reason == kNoCRef) {
+      refutation_.push_back(ProofHints::kAssumption |
+                            static_cast<std::uint32_t>(level_[v] - 1));
+      continue;
+    }
+    refutation_.push_back(arena_.id(reason));
+    const std::span<const Lit> lits = arena_.clause(reason);
+    for (std::size_t k = 1; k < lits.size(); ++k) {
+      if (level_[lits[k].var()] > 0) {
+        seen_[lits[k].var()] = true;
+      }
+    }
+  }
+  std::reverse(refutation_.begin(), refutation_.end());
+  refutation_.push_back(ProofHints::kAssumption |
+                        static_cast<std::uint32_t>(decision_level()));
 }
 
 void Solver::proof_snapshot(std::span<const Lit> assumptions) {
   static obs::Counter& proof_bytes =
       obs::Registry::instance().counter("sat.proof.bytes");
-  proof_bytes.add(proof_drat_.size());
+  // The terminating empty clause stays in the log only until the next
+  // append: for an assumption-based UNSAT it is a consequence of premise
+  // + assumptions, not of the formula alone, so the lemmas later queries
+  // add must not follow it.
+  if (!proof_terminated_) {
+    proof_log().drat += "0\n";
+    proof_terminated_ = true;
+  }
+  proof_bytes.add(proof_log_->drat.size() - 2);
   UnsatProof proof;
-  proof.premise = proof_premise_;
+  proof.log = proof_log_;
   proof.assumptions.assign(assumptions.begin(), assumptions.end());
-  proof.drat = proof_drat_;
-  // The terminating empty clause goes into the snapshot only: for an
-  // assumption-based UNSAT it is a consequence of premise + assumptions,
-  // not of the formula alone, so it must not pollute the persistent log
-  // that later queries keep extending.
-  proof.drat += "0\n";
+  proof.refutation = refutation_;
   last_proof_ = std::move(proof);
+}
+
+namespace {
+const ProofLog kEmptyProofLog;
+}  // namespace
+
+const std::vector<std::vector<Lit>>& UnsatProof::premise() const {
+  return (log ? *log : kEmptyProofLog).premise;
+}
+
+const std::string& UnsatProof::drat() const {
+  return (log ? *log : kEmptyProofLog).drat;
+}
+
+const ProofHints& UnsatProof::hints() const {
+  return (log ? *log : kEmptyProofLog).hints;
 }
 
 std::vector<std::vector<Lit>> Solver::problem_clauses() const {

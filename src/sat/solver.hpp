@@ -2,34 +2,56 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sat/clause_arena.hpp"
+#include "sat/proof_hints.hpp"
 #include "sat/types.hpp"
 
 namespace ftsp::sat {
 
+/// What a solver logs while proof logging is on, append-only: the premise
+/// (every clause handed to `add_clause`, verbatim; clauses added before
+/// logging was enabled are represented by the solver's simplified database
+/// at enable time, which is a consequence of them), the DRAT text and the
+/// hints of every step.
+struct ProofLog {
+  std::vector<std::vector<Lit>> premise;
+  std::string drat;
+  ProofHints hints;
+};
+
 /// A DRAT refutation snapshot, taken at the moment a `solve()` call
 /// concluded UNSAT while proof logging was enabled.
 ///
-/// `premise` is the formula the refutation is stated against: every
-/// clause handed to `add_clause` while logging was on, verbatim (clauses
-/// added before logging was enabled are represented by the solver's
-/// simplified database at enable time, which is a consequence of them).
+/// `premise()` is the formula the refutation is stated against.
 /// `assumptions` are the assumption literals of the refuted query; each
 /// acts as an additional premise unit clause, so the checked statement is
 /// "premise AND assumptions is unsatisfiable" — exactly the claim an
-/// assumption-based bound sweep makes. `drat` is the proof text, one
+/// assumption-based bound sweep makes. `drat()` is the proof text, one
 /// clause per line in DIMACS numbering (var + 1, negative = negated):
 /// additions as "l1 .. lk 0", deletions as "d l1 .. lk 0", terminated by
-/// the empty clause "0".
+/// the empty clause "0". `hints()` holds the antecedents of every other
+/// addition line and of the root-level literals, and `refutation` the
+/// chain that derives the empty clause.
+///
+/// The snapshot shares the solver's log instead of copying it. A solver
+/// that logs more while a snapshot holds its log copies the log first, so
+/// a snapshot never changes, and one that outlives its solver costs no
+/// copy at all.
 struct UnsatProof {
-  std::vector<std::vector<Lit>> premise;
+  std::shared_ptr<const ProofLog> log;
   std::vector<Lit> assumptions;
-  std::string drat;
+  std::vector<std::uint32_t> refutation;
+
+  const std::vector<std::vector<Lit>>& premise() const;
+  const std::string& drat() const;
+  const ProofHints& hints() const;
 };
 
 /// Cumulative search statistics. Counters only ever increase between
@@ -149,18 +171,22 @@ class Solver {
   /// for DIMACS export. Learned clauses are excluded.
   std::vector<std::vector<Lit>> problem_clauses() const;
 
-  /// Enables DRAT proof logging. Off by default. Logging is pure
-  /// observation: search paths, models, and statistics are bit-identical
-  /// either way. Enable before adding clauses for a verbatim premise
-  /// (enabling later summarizes earlier clauses by the current
-  /// simplified database).
+  /// Enables DRAT proof logging, with the antecedent hints of every lemma
+  /// and root-level literal. Off by default. Logging is pure observation:
+  /// search paths, models, and statistics are bit-identical either way.
+  /// Enable before adding clauses for a verbatim premise (enabling later
+  /// summarizes earlier clauses by the current simplified database), and
+  /// before the first solve: clauses learnt earlier have no place in the
+  /// proof, so a chain that cites one fails the hinted check.
   void set_proof_logging(bool enable);
   bool proof_logging() const { return proof_logging_; }
 
-  /// The refutation of the most recent `solve()` that returned false,
-  /// or nullopt when logging is off or no UNSAT verdict has been
-  /// produced since logging was enabled.
-  std::optional<UnsatProof> last_unsat_proof() const { return last_proof_; }
+  /// Moves out the refutation of the most recent `solve()` that returned
+  /// false, or nullopt when logging is off, no UNSAT verdict has been
+  /// produced since logging was enabled, or it was already taken.
+  std::optional<UnsatProof> take_unsat_proof() {
+    return std::exchange(last_proof_, std::nullopt);
+  }
 
  private:
   // --- Assignment state -------------------------------------------------
@@ -195,14 +221,20 @@ class Solver {
   std::vector<Lit> analyze_stack_;          // lit_redundant's work list.
   std::vector<Lit> learnt_clause_;          // The clause analyze() derives.
   std::vector<std::uint64_t> level_stamp_;  // compute_lbd's seen levels.
+  std::vector<int> trail_pos_;              // Trail index per variable.
   std::uint64_t lbd_stamp_ = 0;
   SolverStats stats_;
   std::uint64_t conflict_budget_ = 0;
 
   // --- DRAT proof logging -------------------------------------------------
+  // Every clause in the arena carries its proof ID (see ProofHints):
+  // kNone when it was added or learnt while logging was off.
   bool proof_logging_ = false;
-  std::vector<std::vector<Lit>> proof_premise_;  // Clauses as added.
-  std::string proof_drat_;  // Additions/deletions since logging began.
+  std::shared_ptr<ProofLog> proof_log_;  // Shared with live snapshots.
+  bool proof_terminated_ = false;  // The log's DRAT ends in the empty clause.
+  std::vector<std::uint32_t> refutation_;   // The empty clause's chain.
+  std::vector<std::uint32_t> lemma_chain_;  // The chain being assembled.
+  std::vector<Lit> lemma_implied_;  // Minimization's implied literals.
   std::optional<UnsatProof> last_proof_;
 
   // --- Internals ----------------------------------------------------------
@@ -213,6 +245,7 @@ class Solver {
   void attach_clause(CRef c);
   void detach_clause(CRef c);
   void unchecked_enqueue(Lit l, CRef from);
+  void enqueue_unit(Lit l, std::uint32_t id);
   CRef propagate();
   void analyze(CRef conflict, int& out_btlevel, int& out_lbd);
   bool lit_redundant(Lit l, std::uint32_t abstract_levels);
@@ -227,7 +260,12 @@ class Solver {
   void reduce_db();
   void compact_arena();
   int compute_lbd(std::span<const Lit> lits);
+  ProofLog& proof_log();
   void proof_log_clause(std::span<const Lit> lits, bool deletion);
+  std::uint32_t proof_log_lemma();
+  void proof_log_root(Lit l, std::uint32_t id);
+  void proof_log_refutation(std::uint32_t id) { refutation_.assign(1, id); }
+  void proof_log_failed_assumption(Lit a);
   void proof_snapshot(std::span<const Lit> assumptions);
 
   // Heap operations.

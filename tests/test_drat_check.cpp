@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,13 +72,18 @@ constexpr std::uint64_t kPhpVerdictDigest = 17694772057555466052ULL;
 constexpr std::size_t kSynthMutations = 94;
 constexpr std::size_t kSynthRejected = 39;
 constexpr std::uint64_t kSynthVerdictDigest = 6474993417683301881ULL;
+// The hint arm's counts, from the first hinted checker.
+constexpr std::size_t kPhpHintMutations = 865;
+constexpr std::size_t kPhpHintRejected = 743;
+constexpr std::size_t kAssumedHintMutations = 145;
+constexpr std::size_t kAssumedHintRejected = 123;
 
 UnsatProof pigeonhole_proof(int pigeons, int holes) {
   Solver s;
   s.set_proof_logging(true);
   add_pigeonhole(s, pigeons, holes);
   EXPECT_FALSE(s.solve());
-  const auto proof = s.last_unsat_proof();
+  const auto proof = s.take_unsat_proof();
   EXPECT_TRUE(proof.has_value());
   return proof.value_or(UnsatProof{});
 }
@@ -84,6 +94,8 @@ TEST(DratCheck, AcceptsPigeonholeProofs) {
     EXPECT_TRUE(proof.assumptions.empty());
     const DratCheckResult result = check_proof(proof);
     EXPECT_TRUE(result.ok) << "holes=" << holes << ": " << result.error;
+    const DratCheckResult hinted = check_hinted_proof(proof);
+    EXPECT_TRUE(hinted.ok) << "holes=" << holes << ": " << hinted.error;
   }
 }
 
@@ -98,13 +110,15 @@ TEST(DratCheck, AcceptsProofUnderAssumptions) {
   s.add_clause({neg(a), pos(b)});
   s.add_clause({neg(b), pos(c)});
   ASSERT_TRUE(s.solve());
-  EXPECT_FALSE(s.last_unsat_proof().has_value());
+  EXPECT_FALSE(s.take_unsat_proof().has_value());
   ASSERT_FALSE(s.solve({pos(a), neg(c)}));
-  const auto proof = s.last_unsat_proof();
+  const auto proof = s.take_unsat_proof();
   ASSERT_TRUE(proof.has_value());
   EXPECT_EQ(proof->assumptions.size(), 2u);
   const DratCheckResult result = check_proof(*proof);
   EXPECT_TRUE(result.ok) << result.error;
+  const DratCheckResult hinted = check_hinted_proof(*proof);
+  EXPECT_TRUE(hinted.ok) << hinted.error;
 }
 
 TEST(DratCheck, AcceptsProofAfterIncrementalAdditions) {
@@ -116,10 +130,12 @@ TEST(DratCheck, AcceptsProofAfterIncrementalAdditions) {
   ASSERT_TRUE(s.solve());
   add_pigeonhole(s, 5, 4);  // Fresh variables: an independent PHP(5,4).
   ASSERT_FALSE(s.solve());
-  const auto proof = s.last_unsat_proof();
+  const auto proof = s.take_unsat_proof();
   ASSERT_TRUE(proof.has_value());
   const DratCheckResult result = check_proof(*proof);
   EXPECT_TRUE(result.ok) << result.error;
+  const DratCheckResult hinted = check_hinted_proof(*proof);
+  EXPECT_TRUE(hinted.ok) << hinted.error;
 }
 
 TEST(DratCheck, AcceptsContradictionFoundWhileAddingClauses) {
@@ -134,19 +150,144 @@ TEST(DratCheck, AcceptsContradictionFoundWhileAddingClauses) {
   EXPECT_FALSE(s.add_clause({neg(a), neg(b)}));
   EXPECT_FALSE(s.okay());
   EXPECT_FALSE(s.solve());
-  const auto proof = s.last_unsat_proof();
+  const auto proof = s.take_unsat_proof();
   ASSERT_TRUE(proof.has_value());
   const DratCheckResult result = check_proof(*proof);
   EXPECT_TRUE(result.ok) << result.error;
+  const DratCheckResult hinted = check_hinted_proof(*proof);
+  EXPECT_TRUE(hinted.ok) << hinted.error;
+}
+
+// --- Hinted checking: the solver's antecedent chains ----------------------
+
+/// Both checkers accept the solver's refutation, and the hinted one walks
+/// every addition line, the empty clause included.
+void expect_both_checkers_accept(Solver& s) {
+  const auto proof = s.take_unsat_proof();
+  ASSERT_TRUE(proof.has_value());
+  const DratCheckResult forward = check_proof(*proof);
+  EXPECT_TRUE(forward.ok) << forward.error;
+  const DratCheckResult hinted = check_hinted_proof(*proof);
+  EXPECT_TRUE(hinted.ok) << hinted.error;
+  EXPECT_EQ(hinted.lemmas_checked,
+            static_cast<std::size_t>(std::count(proof->drat().begin(),
+                                                proof->drat().end(), '\n')));
+}
+
+TEST(HintedCheck, AcceptsRootConflictWhileAddingClauses) {
+  // The unit x propagates y through the first clause, and the second is
+  // then falsified: the empty clause's chain is that conflict.
+  Solver s;
+  s.set_proof_logging(true);
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  s.add_clause({neg(x), pos(y)});
+  s.add_clause({neg(x), neg(y)});
+  EXPECT_FALSE(s.add_unit(pos(x)));
+  EXPECT_FALSE(s.solve());
+  expect_both_checkers_accept(s);
+}
+
+TEST(HintedCheck, AcceptsContradictoryAssumptions) {
+  Solver s;
+  s.set_proof_logging(true);
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  s.add_clause({pos(x), pos(y)});
+  ASSERT_FALSE(s.solve({pos(x), neg(x)}));
+  expect_both_checkers_accept(s);
+  // The same contradiction with x already forced at the root.
+  s.add_unit(pos(x));
+  ASSERT_FALSE(s.solve({pos(y), neg(x)}));
+  expect_both_checkers_accept(s);
+  ASSERT_TRUE(s.solve({pos(y)}));
+}
+
+TEST(HintedCheck, AcceptsPremiseStrengthenedByRootUnits) {
+  // Every pigeonhole clause carries ~r, which the unit r falsifies at the
+  // root, so the solver stores the clauses without it. Chains still cite
+  // the verbatim premise clauses; the root assignment covers ~r.
+  Solver s;
+  s.set_proof_logging(true);
+  const Var r = s.new_var();
+  s.add_unit(pos(r));
+  const int pigeons = 5;
+  const int holes = 4;
+  std::vector<std::vector<Var>> var(pigeons, std::vector<Var>(holes));
+  for (auto& row : var) {
+    for (Var& v : row) {
+      v = s.new_var();
+    }
+  }
+  for (int p = 0; p < pigeons; ++p) {
+    std::vector<Lit> at_least_one = {neg(r)};
+    for (int h = 0; h < holes; ++h) {
+      at_least_one.push_back(pos(var[p][h]));
+    }
+    s.add_clause(at_least_one);
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p = 0; p < pigeons; ++p) {
+      for (int q = p + 1; q < pigeons; ++q) {
+        s.add_ternary(neg(var[p][h]), neg(var[q][h]), neg(r));
+      }
+    }
+  }
+  s.add_binary(pos(r), pos(var[0][0]));  // Satisfied at the root: dropped.
+  EXPECT_FALSE(s.solve());
+  expect_both_checkers_accept(s);
+}
+
+TEST(HintedCheck, AcceptsLoggingEnabledAfterClauses) {
+  // The premise is the simplified database at enable time: the root units
+  // first, then the stored clauses. The units become root steps.
+  Solver s;
+  const Var a = s.new_var();
+  const Var b = s.new_var();
+  s.add_unit(pos(a));
+  s.add_clause({neg(a), pos(b)});  // Propagates b at the root.
+  add_pigeonhole(s, 5, 4);
+  s.set_proof_logging(true);
+  EXPECT_FALSE(s.solve());
+  expect_both_checkers_accept(s);
+}
+
+TEST(HintedCheck, SnapshotsShareTheLogAndNeverChange) {
+  // An UNSAT leg's proof shares the solver's log. The next leg extends a
+  // copy, so the first proof stays as taken and still checks.
+  Solver s;
+  s.set_proof_logging(true);
+  add_pigeonhole(s, 5, 5);
+  const Var extra = s.new_var();
+  std::vector<Lit> pins;
+  for (Var p = 0; p < 5; ++p) {
+    pins.push_back(neg(p * 5 + 4));  // No pigeon in hole 4.
+  }
+  ASSERT_FALSE(s.solve(pins));
+  auto first = s.take_unsat_proof();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->log.use_count(), 2);  // The solver and this snapshot.
+  const std::string drat = first->drat();
+  ASSERT_TRUE(s.solve({pos(extra)}));
+  EXPECT_EQ(first->log.use_count(), 1);
+  EXPECT_EQ(first->drat(), drat);
+  EXPECT_TRUE(check_hinted_proof(*first).ok);
+  pins.push_back(neg(extra));
+  ASSERT_FALSE(s.solve(pins));
+  const auto second = s.take_unsat_proof();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->drat().starts_with(drat.substr(0, drat.size() - 2)));
+  EXPECT_TRUE(check_hinted_proof(*second).ok);
+  EXPECT_TRUE(check_proof(*second).ok);
 }
 
 TEST(DratCheck, RejectsTruncatedProof) {
   const UnsatProof proof = pigeonhole_proof(6, 5);
-  ASSERT_GT(proof.drat.size(), 2u);
+  ASSERT_GT(proof.drat().size(), 2u);
   // Keep only the first half of the lines: the refutation cannot
   // complete, and the checker must say so rather than accept.
   std::vector<std::string> lines;
-  std::istringstream in(proof.drat);
+  std::istringstream in(proof.drat());
   for (std::string line; std::getline(in, line);) {
     lines.push_back(line);
   }
@@ -157,7 +298,7 @@ TEST(DratCheck, RejectsTruncatedProof) {
     truncated += '\n';
   }
   const DratCheckResult result =
-      check_drat(proof.premise, proof.assumptions, truncated);
+      check_drat(proof.premise(), proof.assumptions, truncated);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
 }
@@ -167,7 +308,7 @@ TEST(DratCheck, RejectsProofWithDeletedDerivationLines) {
   // Delete every derivation, keep only the terminating empty clause: the
   // empty clause is not a unit-propagation consequence of the premise.
   const DratCheckResult result =
-      check_drat(proof.premise, proof.assumptions, "0\n");
+      check_drat(proof.premise(), proof.assumptions, "0\n");
   EXPECT_FALSE(result.ok);
 }
 
@@ -176,18 +317,18 @@ TEST(DratCheck, RejectsMutatedProof) {
   // Prepend a bogus lemma: "pigeon 0 sits in hole 0" is neither RUP nor
   // RAT against the pigeonhole premise (its resolvents with the
   // exclusivity clauses are not unit-propagation conflicts).
-  const std::string mutated = "1 0\n" + proof.drat;
+  const std::string mutated = "1 0\n" + proof.drat();
   const DratCheckResult result =
-      check_drat(proof.premise, proof.assumptions, mutated);
+      check_drat(proof.premise(), proof.assumptions, mutated);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("lemma"), std::string::npos) << result.error;
 }
 
 TEST(DratCheck, RejectsDeletionOfUnknownClause) {
   const UnsatProof proof = pigeonhole_proof(5, 4);
-  const std::string mutated = "d 1 2 3 4 99 0\n" + proof.drat;
+  const std::string mutated = "d 1 2 3 4 99 0\n" + proof.drat();
   const DratCheckResult result =
-      check_drat(proof.premise, proof.assumptions, mutated);
+      check_drat(proof.premise(), proof.assumptions, mutated);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("unknown"), std::string::npos) << result.error;
 }
@@ -195,7 +336,7 @@ TEST(DratCheck, RejectsDeletionOfUnknownClause) {
 TEST(DratCheck, RejectsMalformedProofText) {
   const UnsatProof proof = pigeonhole_proof(4, 3);
   const DratCheckResult result =
-      check_drat(proof.premise, proof.assumptions, "1 -2 x 0\n");
+      check_drat(proof.premise(), proof.assumptions, "1 -2 x 0\n");
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("parse"), std::string::npos) << result.error;
 }
@@ -279,13 +420,13 @@ TEST(SolverSearch, PigeonholeSearchIsPinned) {
   s.set_proof_logging(true);
   add_pigeonhole(s, 8, 7);
   ASSERT_FALSE(s.solve());
-  const auto proof = s.last_unsat_proof();
+  const auto proof = s.take_unsat_proof();
   ASSERT_TRUE(proof.has_value());
   const SolverStats stats = s.stats();
   EXPECT_EQ(stats.conflicts, 5769u);
   EXPECT_EQ(stats.removed_clauses, 2507u);
   const std::uint64_t digest = util::Fnv1a64()
-                                   .text(proof->drat)
+                                   .text(proof->drat())
                                    .word(stats.conflicts)
                                    .word(stats.removed_clauses)
                                    .value();
@@ -369,12 +510,200 @@ MutationVerdicts check_mutations(const std::vector<std::vector<Lit>>& premise,
   return verdicts;
 }
 
+
+// --- Hint mutations --------------------------------------------------------
+
+using Step = ProofHints::Step;
+
+std::vector<Step> decode_steps(const ProofHints& hints) {
+  std::vector<Step> steps;
+  ProofHints::Reader reader(hints);
+  for (Step step; reader.next(step);) {
+    steps.push_back(step);
+  }
+  return steps;
+}
+
+ProofHints encode_steps(const std::vector<Step>& steps) {
+  ProofHints hints;
+  for (const Step& step : steps) {
+    if (step.unit == Lit::undef) {
+      hints.add_lemma(step.chain);
+    } else {
+      hints.add_root(step.unit, step.chain);
+    }
+  }
+  return hints;
+}
+
+/// The addition lines of a DRAT text.
+std::vector<std::vector<Lit>> addition_lines(const std::string& drat) {
+  std::vector<std::vector<Lit>> lemmas;
+  std::istringstream in(drat);
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("d ")) {
+      continue;
+    }
+    std::istringstream tokens(line);
+    std::vector<Lit> lemma;
+    for (long long v = 0; tokens >> v && v != 0;) {
+      lemma.emplace_back(static_cast<Var>(std::llabs(v) - 1), v < 0);
+    }
+    lemmas.push_back(lemma);
+  }
+  return lemmas;
+}
+
+bool is_false_at(const std::map<Var, bool>& root, Lit l) {
+  const auto it = root.find(l.var());
+  return it != root.end() && it->second == l.sign();
+}
+
+/// Whether a hinted refutation holds, decided the slow and obvious way:
+/// each step starts from a copy of the root assignment as a map, asserts
+/// the negation of its target and applies its chain hint by hint.
+bool reference_hinted(const UnsatProof& proof, const std::vector<Step>& steps,
+                      const std::vector<std::uint32_t>& refutation) {
+  const std::vector<std::vector<Lit>> lemmas = addition_lines(proof.drat());
+  std::map<Var, bool> root;
+  std::size_t derived = 0;  // Lemmas checked so far.
+  const auto cited = [&](std::uint32_t id) -> std::optional<std::vector<Lit>> {
+    if (id == ProofHints::kNone) {
+      return std::nullopt;
+    }
+    if ((id & ProofHints::kLemma) != 0) {
+      const std::size_t k = id & ~ProofHints::kLemma;
+      return k < derived ? std::optional(lemmas[k]) : std::nullopt;
+    }
+    if ((id & ProofHints::kAssumption) != 0) {
+      const std::size_t j = id & ~ProofHints::kAssumption;
+      return j < proof.assumptions.size()
+                 ? std::optional(std::vector<Lit>{proof.assumptions[j]})
+                 : std::nullopt;
+    }
+    return id < proof.premise().size() ? std::optional(proof.premise()[id])
+                                       : std::nullopt;
+  };
+  const auto derives = [&](const std::vector<Lit>& target,
+                           const std::vector<std::uint32_t>& chain) {
+    std::map<Var, bool> value = root;
+    const auto is = [&](Lit l, bool truth) {
+      const auto it = value.find(l.var());
+      return it != value.end() && (it->second != l.sign()) == truth;
+    };
+    for (const Lit l : target) {
+      if (is(l, true)) {
+        return true;
+      }
+      value[l.var()] = l.sign();
+    }
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+      const auto clause = cited(chain[k]);
+      if (!clause.has_value()) {
+        return false;
+      }
+      std::set<std::int32_t> open;
+      for (const Lit l : *clause) {
+        if (is(l, true)) {
+          return false;
+        }
+        if (!is(l, false)) {
+          open.insert(l.code());
+        }
+      }
+      if (open.empty()) {
+        return k + 1 == chain.size();
+      }
+      if (open.size() > 1 || k + 1 == chain.size()) {
+        return false;
+      }
+      const Lit unit = Lit::from_code(*open.begin());
+      value[unit.var()] = !unit.sign();
+    }
+    return false;
+  };
+  for (const Step& step : steps) {
+    if (step.unit != Lit::undef) {
+      if (!derives({step.unit}, step.chain) || is_false_at(root, step.unit)) {
+        return false;
+      }
+      root[step.unit.var()] = !step.unit.sign();
+      continue;
+    }
+    if (derived == lemmas.size() || !derives(lemmas[derived], step.chain)) {
+      return false;
+    }
+    if (lemmas[derived++].empty()) {
+      return true;
+    }
+  }
+  return derived < lemmas.size() && lemmas[derived].empty() &&
+         derives({}, refutation);
+}
+
+struct HintVerdicts {
+  std::size_t mutations = 0;
+  std::size_t rejected = 0;
+  std::size_t broken = 0;  // Mutants that break the chain by construction.
+};
+
+/// Five mutants per chain, the empty clause's included: drop hint i, swap
+/// hints i and i + 1, retarget hint i to the premise clause after the one
+/// it names (or to premise clause 0), point it at the step's own lemma,
+/// which is not yet derived, and point it one past the premise. The hinted
+/// checker must agree with `reference_hinted` on each, and reject every
+/// dropped, future and out-of-range hint.
+HintVerdicts check_hint_mutations(const UnsatProof& proof) {
+  const std::vector<Step> steps = decode_steps(proof.hints());
+  const auto premise_size = static_cast<std::uint32_t>(proof.premise().size());
+  HintVerdicts verdicts;
+  std::uint32_t lemma = 0;
+  for (std::size_t s = 0; s <= steps.size(); ++s) {
+    const std::vector<std::uint32_t>& chain =
+        s < steps.size() ? steps[s].chain : proof.refutation;
+    for (int kind = 0; kind < 5; ++kind) {
+      if (chain.empty() || (kind == 1 && chain.size() < 2)) {
+        continue;
+      }
+      std::vector<std::uint32_t> mutant = chain;
+      const std::size_t i = s % (kind == 1 ? chain.size() - 1 : chain.size());
+      if (kind == 0) {
+        mutant.erase(mutant.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (kind == 1) {
+        std::swap(mutant[i], mutant[i + 1]);
+      } else if (kind == 2) {
+        const bool premise = (mutant[i] & (ProofHints::kLemma |
+                                           ProofHints::kAssumption)) == 0;
+        mutant[i] = premise ? (mutant[i] + 1) % premise_size : 0;
+      } else {
+        mutant[i] = kind == 3 ? (ProofHints::kLemma | lemma) : premise_size;
+      }
+      std::vector<Step> mutated = steps;
+      std::vector<std::uint32_t> refutation = proof.refutation;
+      (s < steps.size() ? mutated[s].chain : refutation) = mutant;
+      const DratCheckResult result =
+          check_hinted(proof.premise(), proof.assumptions, proof.drat(),
+                       encode_steps(mutated), refutation);
+      EXPECT_EQ(result.ok, reference_hinted(proof, mutated, refutation))
+          << "step " << s << " mutation " << kind;
+      const bool broken = kind == 0 || kind >= 3;
+      EXPECT_TRUE(!broken || !result.ok) << "step " << s << " mutation "
+                                         << kind;
+      ++verdicts.mutations;
+      verdicts.rejected += result.ok ? 0 : 1;
+      verdicts.broken += broken ? 1 : 0;
+    }
+    lemma += s < steps.size() && steps[s].unit == Lit::undef ? 1 : 0;
+  }
+  return verdicts;
+}
+
 TEST(DratCheck, MutationVerdictsArePinned) {
   // The checker's verdicts on a fixed mutation corpus, pinned as the
   // previous clause layout computed them.
   const UnsatProof php = pigeonhole_proof(6, 5);
   ASSERT_TRUE(php.assumptions.empty());
-  const MutationVerdicts php_verdicts = check_mutations(php.premise, php.drat);
+  const MutationVerdicts php_verdicts = check_mutations(php.premise(), php.drat());
   EXPECT_EQ(php_verdicts.mutations, kPhpMutations);
   EXPECT_EQ(php_verdicts.rejected, kPhpRejected);
   EXPECT_EQ(php_verdicts.digest, kPhpVerdictDigest);
@@ -400,6 +729,27 @@ TEST(DratCheck, MutationVerdictsArePinned) {
   EXPECT_EQ(synth_verdicts.mutations, kSynthMutations);
   EXPECT_EQ(synth_verdicts.rejected, kSynthRejected);
   EXPECT_EQ(synth_verdicts.digest, kSynthVerdictDigest);
+
+  // The hint arm: one-hint mutations of every chain of the PHP(6,5) proof
+  // and of a refutation under assumptions (PHP(5,5) with hole 4 closed).
+  ASSERT_TRUE(check_hinted_proof(php).ok);
+  const HintVerdicts php_hints = check_hint_mutations(php);
+  Solver s;
+  s.set_proof_logging(true);
+  add_pigeonhole(s, 5, 5);
+  std::vector<Lit> closed;
+  for (Var p = 0; p < 5; ++p) {
+    closed.push_back(neg(p * 5 + 4));
+  }
+  ASSERT_FALSE(s.solve(closed));
+  const auto assumed = s.take_unsat_proof();
+  ASSERT_TRUE(assumed.has_value());
+  ASSERT_TRUE(check_hinted_proof(*assumed).ok);
+  const HintVerdicts assumed_hints = check_hint_mutations(*assumed);
+  EXPECT_EQ(php_hints.mutations, kPhpHintMutations);
+  EXPECT_EQ(php_hints.rejected, kPhpHintRejected);
+  EXPECT_EQ(assumed_hints.mutations, kAssumedHintMutations);
+  EXPECT_EQ(assumed_hints.rejected, kAssumedHintRejected);
 }
 
 // --- Bit-identity: logging is pure observation ---------------------------
@@ -445,7 +795,7 @@ TEST(ProofLogging, DisabledReportsNoProof) {
   add_pigeonhole(s, 4, 3);
   EXPECT_FALSE(s.solve());
   EXPECT_FALSE(s.proof_logging());
-  EXPECT_FALSE(s.last_unsat_proof().has_value());
+  EXPECT_FALSE(s.take_unsat_proof().has_value());
 }
 
 // --- End-to-end capture: weight-sweep legs through the compiler ----------
