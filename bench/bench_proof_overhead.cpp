@@ -5,6 +5,10 @@
 // same search, same stats, bit-identical artifact bytes. Every present
 // proof must also carry a passing compile-time check.
 //
+// The gate is the median over paired reps of the on/off compile-time
+// ratio, with the run order alternating per rep; compile_off_ms and
+// compile_on_ms report each side's median.
+//
 // Plain chrono main (no Google Benchmark dependency), JSON-per-code
 // output consumed by the CI bench-smoke job:
 //   bench_proof_overhead [--smoke] [--all] [--reps N]
@@ -43,6 +47,13 @@ compile::ProtocolArtifact cold_compile(const qec::CssCode& code,
   return artifact;
 }
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : (values[mid - 1] + values[mid]) / 2.0;
+}
+
 /// Strips the fields that legitimately differ between two compiles of
 /// the same inputs (timing, timestamp) and the proof payload itself, so
 /// the remaining container bytes must match exactly when proof capture
@@ -58,12 +69,12 @@ std::string comparable_bytes(compile::ProtocolArtifact artifact) {
 
 int main(int argc, char** argv) {
   bool all = false;
-  int reps = 5;
+  int reps = 9;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--all") == 0) {
       all = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      reps = 3;
+      reps = 7;
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::max(1, std::atoi(argv[++i]));
     }
@@ -84,19 +95,30 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < names.size(); ++c) {
     const auto code = qec::library_code_by_name(names[c]);
 
-    // Best-of-reps on each side: compile times are milliseconds-scale,
-    // so the minimum is the honest estimate of the work itself.
-    double off_ms = 1e300;
-    double on_ms = 1e300;
+    // Paired reps, alternating which side runs first so drift in machine
+    // load hits both sides alike; the gate reads the median of the
+    // per-rep on/off ratios, which one noisy rep cannot move.
+    std::vector<double> off_times;
+    std::vector<double> on_times;
+    std::vector<double> ratios;
     compile::ProtocolArtifact off_artifact;
     compile::ProtocolArtifact on_artifact;
     for (int rep = 0; rep < reps; ++rep) {
-      double ms = 0.0;
-      off_artifact = cold_compile(code, /*capture=*/false, &ms);
-      off_ms = std::min(off_ms, ms);
-      on_artifact = cold_compile(code, /*capture=*/true, &ms);
-      on_ms = std::min(on_ms, ms);
+      double off = 0.0;
+      double on = 0.0;
+      if (rep % 2 == 0) {
+        off_artifact = cold_compile(code, /*capture=*/false, &off);
+        on_artifact = cold_compile(code, /*capture=*/true, &on);
+      } else {
+        on_artifact = cold_compile(code, /*capture=*/true, &on);
+        off_artifact = cold_compile(code, /*capture=*/false, &off);
+      }
+      off_times.push_back(off);
+      on_times.push_back(on);
+      ratios.push_back(on / off);
     }
+    const double off_ms = median(off_times);
+    const double on_ms = median(on_times);
 
     // The 0%-when-disabled claim, checked at full strength: proof
     // capture must not change the search. Same key, same solver-call
@@ -120,7 +142,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const double ratio = on_ms / off_ms;
+    const double ratio = median(ratios);
     worst_ratio = std::max(worst_ratio, ratio);
     std::printf(
         "  {\"code\": \"%s\", \"compile_off_ms\": %.3f, "

@@ -1,6 +1,5 @@
 #include "compile/format.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/binio.hpp"
@@ -94,29 +93,6 @@ const std::string& find_section(const std::vector<Section>& sections,
   msg << "artifact: missing required section "
       << static_cast<std::uint32_t>(id);
   throw ArtifactFormatError(msg.str());
-}
-
-void write_artifact_file(const std::string& path,
-                         const std::vector<Section>& sections) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw ArtifactFormatError("artifact: cannot write " + path);
-  }
-  const std::string bytes = pack_container(sections);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
-    throw ArtifactFormatError("artifact: short write to " + path);
-  }
-}
-
-std::vector<Section> read_artifact_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ArtifactFormatError("artifact: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return unpack_container(buffer.str());
 }
 
 }  // namespace ftsp::compile

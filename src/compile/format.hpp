@@ -62,11 +62,4 @@ std::vector<Section> unpack_container(std::string_view bytes);
 const std::string& find_section(const std::vector<Section>& sections,
                                 SectionId id);
 
-/// Whole-file helpers (binary mode). `read_artifact_file` throws
-/// `ArtifactFormatError` when the file cannot be opened; parse errors
-/// propagate from `unpack_container`.
-void write_artifact_file(const std::string& path,
-                         const std::vector<Section>& sections);
-std::vector<Section> read_artifact_file(const std::string& path);
-
 }  // namespace ftsp::compile

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/bound_sweep.hpp"
 #include "core/synth_cache.hpp"
 #include "f2/gauss.hpp"
 #include "sat/cnf_builder.hpp"
@@ -460,10 +461,9 @@ using sat::Lit;
 /// structural lower bound upward, so the chronologically last UNSAT leg
 /// sits at `found_gates - 1` — the refutation anchoring minimality.
 void record_prep_outcome(ProofSink& sink, const std::string& stage,
-                         std::size_t found_gates, bool saw_unsat,
-                         const std::optional<sat::UnsatProof>& last_unsat,
-                         std::size_t last_unsat_gates) {
-  if (!saw_unsat) {
+                         std::size_t found_gates,
+                         const std::optional<SweepRefutation>& refutation) {
+  if (!refutation.has_value()) {
     sink.record_absent(
         stage,
         std::to_string(found_gates) +
@@ -472,17 +472,11 @@ void record_prep_outcome(ProofSink& sink, const std::string& stage,
         "had no UNSAT leg");
     return;
   }
-  const std::string claim = "no preparation circuit with exactly " +
-                            std::to_string(last_unsat_gates) +
-                            " CNOTs exists";
-  if (last_unsat.has_value()) {
-    sink.record(
-        make_checked_proof(stage, claim, last_unsat_gates, *last_unsat));
-  } else {
-    sink.record_absent(stage, claim,
-                       "the SAT backend kept no proof log for this "
-                       "refutation");
-  }
+  sink.record(make_checked_proof(
+      stage,
+      "no preparation circuit with exactly " +
+          std::to_string(refutation->bound) + " CNOTs exists",
+      refutation->bound, refutation->proof));
 }
 
 std::optional<circuit::Circuit> optimal_prep_sat(
@@ -496,9 +490,7 @@ std::optional<circuit::Circuit> optimal_prep_sat(
     return std::nullopt;  // No legal CNOT exists at all.
   }
 
-  std::optional<sat::UnsatProof> last_unsat;
-  std::size_t last_unsat_gates = 0;
-  bool saw_unsat = false;
+  std::optional<SweepRefutation> refutation;
   for (std::size_t num_gates = lower_bound; num_gates <= options.max_cnots;
        ++num_gates) {
     auto solver_ptr = sat::make_engine_solver(options.engine,
@@ -619,9 +611,8 @@ std::optional<circuit::Circuit> optimal_prep_sat(
     // must distinguish "gave up" from "proven infeasible" for the cache.
     if (!solver.solve()) {
       if (options.proof_sink != nullptr) {
-        saw_unsat = true;
-        last_unsat = solver.take_unsat_proof();
-        last_unsat_gates = num_gates;
+        refutation =
+            SweepRefutation{solver.take_unsat_proof().value(), num_gates};
       }
       continue;
     }
@@ -660,8 +651,7 @@ std::optional<circuit::Circuit> optimal_prep_sat(
       // check never overlaps the search's memory.
       solver_ptr.reset();
       record_prep_outcome(*options.proof_sink, options.proof_label,
-                          num_gates, saw_unsat, last_unsat,
-                          last_unsat_gates);
+                          num_gates, refutation);
     }
     return prep;
   }
@@ -685,38 +675,12 @@ std::string prep_cache_key(const BitMatrix& gens,
   return key;
 }
 
-}  // namespace
-
-std::optional<circuit::Circuit> synthesize_prep_optimal(
+/// The uncached optimal search: subspace BFS where eligible, the
+/// product-state shortcut, else the SAT gate-count sweep.
+std::optional<circuit::Circuit> prep_optimal_uncached(
     const qec::StateContext& state, const PrepSynthOptions& options) {
   const BitMatrix& gens = state.stabilizer_generators(qec::PauliType::X);
   const std::size_t n = state.num_qubits();
-  check_coupling_sites(options.coupling.get(), n);
-
-  std::string key;
-  if (options.engine.use_cache) {
-    key = prep_cache_key(gens, options);
-    if (const auto hit = SynthCache::instance().lookup(key)) {
-      if (options.proof_sink != nullptr) {
-        options.proof_sink->record_absent(
-            options.proof_label, "CNOT-minimal preparation circuit",
-            "served from the synthesis cache; the refutations ran in the "
-            "compile that populated it");
-      }
-      if (*hit == kCacheInfeasible) {
-        return std::nullopt;
-      }
-      return circuit::Circuit::from_text(*hit, n);
-    }
-  }
-  const auto finish = [&](std::optional<circuit::Circuit> result)
-      -> std::optional<circuit::Circuit> {
-    if (options.engine.use_cache) {
-      SynthCache::instance().store(
-          key, result.has_value() ? result->to_text() : kCacheInfeasible);
-    }
-    return result;
-  };
 
   // Exact subspace BFS where the state space is small enough. Under a
   // constrained map the subspace graph only shrinks (fewer edges, same
@@ -734,7 +698,7 @@ std::optional<circuit::Circuit> synthesize_prep_optimal(
               "exact breadth-first search over the subspace graph; no SAT "
               "query involved");
         }
-        return finish(std::move(bfs));
+        return bfs;
       }
     }
   }
@@ -770,11 +734,28 @@ std::optional<circuit::Circuit> synthesize_prep_optimal(
         prep.prep_z(q);
       }
     }
-    return finish(std::move(prep));
+    return prep;
   }
 
+  return optimal_prep_sat(state, start, lower_bound, options);
+}
+
+}  // namespace
+
+std::optional<circuit::Circuit> synthesize_prep_optimal(
+    const qec::StateContext& state, const PrepSynthOptions& options) {
+  const BitMatrix& gens = state.stabilizer_generators(qec::PauliType::X);
+  const std::size_t n = state.num_qubits();
+  check_coupling_sites(options.coupling.get(), n);
   try {
-    return finish(optimal_prep_sat(state, start, lower_bound, options));
+    return cached_synthesis(
+        options, "CNOT-minimal preparation circuit",
+        [&] { return prep_cache_key(gens, options); },
+        [](const circuit::Circuit& c) { return c.to_text(); },
+        [n](const std::string& text) {
+          return circuit::Circuit::from_text(text, n);
+        },
+        [&] { return prep_optimal_uncached(state, options); });
   } catch (const sat::Solver::SolveInterrupted&) {
     return std::nullopt;  // Budget exhausted: fall back, do not cache.
   }

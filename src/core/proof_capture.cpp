@@ -31,17 +31,17 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
   // Bake the assumptions in as unit clauses: the persisted premise is
   // self-contained, and an audit re-check runs with an empty assumption
   // set against byte-identical inputs.
-  sat::CnfFormula formula;
-  formula.clauses = proof.premise();
-  for (const sat::Lit a : proof.assumptions) {
-    formula.clauses.push_back({a});
-  }
-  for (const auto& clause : formula.clauses) {
+  int num_vars = 0;
+  for (const auto& clause : proof.premise()) {
     for (const sat::Lit l : clause) {
-      formula.num_vars = std::max(formula.num_vars, l.var() + 1);
+      num_vars = std::max(num_vars, l.var() + 1);
     }
   }
-  entry.premise_dimacs = sat::to_dimacs(formula);
+  for (const sat::Lit a : proof.assumptions) {
+    num_vars = std::max(num_vars, a.var() + 1);
+  }
+  entry.premise_dimacs =
+      sat::to_dimacs(num_vars, proof.premise(), proof.assumptions);
   entry.drat = proof.drat();
   {
     // A sub-stage of prep/verif/corr: their series include this time.
@@ -64,24 +64,19 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
 
 void record_sweep_outcome(ProofSink& sink, const std::string& stage,
                           const std::string& what, std::size_t u,
-                          bool feasible, bool saw_unsat,
-                          const std::optional<sat::UnsatProof>& last_unsat,
-                          std::size_t last_unsat_bound) {
+                          bool feasible,
+                          const std::optional<SweepRefutation>& refutation) {
   if (!feasible) {
     // The unbounded leg: u measurements cannot work at any total weight,
     // anchoring the minimality of every larger feasible u.
-    const std::string claim =
-        "no " + std::to_string(u) + " " + what + " suffice at any total weight";
-    if (last_unsat.has_value()) {
-      sink.record(make_checked_proof(stage, claim, u, *last_unsat));
-    } else {
-      sink.record_absent(stage, claim,
-                         "the SAT backend kept no proof log for this "
-                         "refutation");
-    }
+    sink.record(make_checked_proof(
+        stage,
+        "no " + std::to_string(u) + " " + what +
+            " suffice at any total weight",
+        u, refutation.value().proof));
     return;
   }
-  if (!saw_unsat) {
+  if (!refutation.has_value()) {
     sink.record_absent(
         stage,
         std::to_string(u) + " " + what + " at the minimal total weight",
@@ -91,15 +86,9 @@ void record_sweep_outcome(ProofSink& sink, const std::string& stage,
   }
   const std::string claim = "no " + std::to_string(u) + " " + what +
                             " of total weight <= " +
-                            std::to_string(last_unsat_bound) + " suffice";
-  if (last_unsat.has_value()) {
-    sink.record(make_checked_proof(stage, claim, last_unsat_bound,
-                                   *last_unsat));
-  } else {
-    sink.record_absent(stage, claim,
-                       "the SAT backend kept no proof log for this "
-                       "refutation");
-  }
+                            std::to_string(refutation->bound) + " suffice";
+  sink.record(
+      make_checked_proof(stage, claim, refutation->bound, refutation->proof));
 }
 
 }  // namespace ftsp::core

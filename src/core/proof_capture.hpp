@@ -12,8 +12,7 @@ namespace ftsp::core {
 /// One optimality-anchoring SAT verdict captured during synthesis: either
 /// a checked DRAT refutation of "a better solution exists" (present), or
 /// an honest statement of why no machine-checkable proof exists for this
-/// stage (absent — heuristic paths, cache hits, structural lower bounds,
-/// backends that keep no proof log).
+/// stage (absent — heuristic paths, cache hits, structural lower bounds).
 ///
 /// The premise ships as self-contained DIMACS with the query assumptions
 /// baked in as unit clauses, so re-checking needs no solver state: parse
@@ -55,25 +54,34 @@ struct ProofSink {
 };
 
 /// Renders a solver refutation into a checked `CapturedProof`: premise as
-/// DIMACS (assumptions baked in as unit clauses), verbatim DRAT log,
-/// `sat::check_hinted` verdict, and CRC32 fingerprints of both payloads.
+/// DIMACS (rendered straight from the shared log, assumptions appended
+/// as unit clauses), verbatim DRAT log, `sat::check_hinted` verdict, and
+/// CRC32 fingerprints of both payloads.
 CapturedProof make_checked_proof(std::string stage, std::string claim,
                                  std::size_t bound,
                                  const sat::UnsatProof& proof);
 
+/// The latest UNSAT leg of a bound sweep: the solver's refutation and
+/// the bound it refuted. With proof logging on, the solver snapshots a
+/// refutation on every UNSAT answer, so under a sink "the sweep refuted
+/// a bound" and "a proof of it exists" are one fact.
+struct SweepRefutation {
+  sat::UnsatProof proof;
+  std::size_t bound = 0;
+};
+
 /// Records the outcome of one (u, v) weight sweep at measurement count
-/// `u` — the shared epilogue of the verification and correction
-/// synthesis loops. The binary search's invariant makes the
-/// chronologically last UNSAT leg the minimality anchor: `lo` only ever
-/// advances to `mid + 1` on UNSAT, so the final `lo == v*` pins the last
-/// refuted bound at exactly `v* - 1`. An infeasible `u` contributes its
-/// (assumption-free) unbounded leg instead; a sweep with no UNSAT leg at
-/// all means the optimum sits on the structural lower bound and is
-/// recorded as honestly proof-free.
+/// `u` — the epilogue of `sweep_lexicographic` (core/bound_sweep.hpp).
+/// The binary search's invariant makes the chronologically last UNSAT
+/// leg the minimality anchor: `lo` only ever advances to `mid + 1` on
+/// UNSAT, so the final `lo == v*` pins the last refuted bound at exactly
+/// `v* - 1`. An infeasible `u` contributes its (assumption-free)
+/// unbounded leg instead; a feasible sweep with no UNSAT leg at all
+/// means the optimum sits on the structural lower bound and is recorded
+/// as honestly proof-free.
 void record_sweep_outcome(ProofSink& sink, const std::string& stage,
                           const std::string& what, std::size_t u,
-                          bool feasible, bool saw_unsat,
-                          const std::optional<sat::UnsatProof>& last_unsat,
-                          std::size_t last_unsat_bound);
+                          bool feasible,
+                          const std::optional<SweepRefutation>& refutation);
 
 }  // namespace ftsp::core

@@ -1,12 +1,9 @@
 #include "core/synth_cache.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "obs/registry.hpp"
-#include "sat/dimacs.hpp"
 #include "sat/engine.hpp"
 #include "util/hash.hpp"
 
@@ -24,9 +21,6 @@ obs::Counter& synth_cache_counter(const char* name) {
 }  // namespace
 
 SynthCache::SynthCache() {
-  if (const char* dir = std::getenv("FTSP_SAT_DUMP_DIR")) {
-    dump_dir_ = dir;
-  }
   max_entries_ = max_entries_from_env(kDefaultMaxEntries);
 }
 
@@ -183,38 +177,6 @@ void SynthCache::set_backing(BackingLoad load, BackingSave save) {
 bool SynthCache::has_backing() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<bool>(backing_load_);
-}
-
-void SynthCache::set_dump_dir(std::string dir) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  dump_dir_ = std::move(dir);
-}
-
-std::string SynthCache::dump_dir() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dump_dir_;
-}
-
-void SynthCache::dump_cnf(const std::string& key, const sat::Solver& solver,
-                          std::span<const sat::Lit> assumptions) const {
-  const std::string dir = dump_dir();
-  if (dir.empty()) {
-    return;
-  }
-  sat::CnfFormula formula;
-  formula.num_vars = solver.num_vars();
-  formula.clauses = solver.problem_clauses();
-  for (const sat::Lit a : assumptions) {
-    formula.clauses.push_back({a});
-  }
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.cnf",
-                static_cast<unsigned long long>(cache_key_hash(key)));
-  std::ofstream out(dir + "/" + name);
-  if (!out) {
-    return;
-  }
-  out << "c ftsp synthesis query: " << key << "\n" << sat::to_dimacs(formula);
 }
 
 std::string cache_key_matrix(const f2::BitMatrix& m) {

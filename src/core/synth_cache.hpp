@@ -6,14 +6,12 @@
 #include <list>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "f2/bit_matrix.hpp"
 #include "f2/bit_vec.hpp"
-#include "sat/solver.hpp"
 
 namespace ftsp::core {
 
@@ -40,14 +38,10 @@ namespace ftsp::core {
 /// synthesis queries with zero SAT calls. Backing hits are promoted into
 /// the in-memory LRU.
 ///
-/// Offline triage hook: when a dump directory is configured (via
-/// `set_dump_dir` or the `FTSP_SAT_DUMP_DIR` environment variable, read
-/// once at first use), cache misses that the incremental engine (the
-/// verification/correction default) solves to a feasible witness dump
-/// the CNF of their final query — problem clauses plus the bound
-/// assumptions as units — as DIMACS into that directory, named by the
-/// key hash. Infeasible or budget-interrupted queries are not dumped
-/// (their per-u contexts do not survive the search).
+/// The cache keeps results, not queries. The CNF of a synthesis query is
+/// exported by proof capture instead: every optimality-anchoring query's
+/// premise ships as DIMACS in the store's `.proof` sidecar, in both sweep
+/// modes, and `audit` re-checks it.
 class SynthCache {
  public:
   /// Read-through: returns the stored value for a key, or nullopt.
@@ -96,19 +90,6 @@ class SynthCache {
   void set_backing(BackingLoad load, BackingSave save);
   bool has_backing() const;
 
-  void set_dump_dir(std::string dir);
-  std::string dump_dir() const;
-
-  /// Writes `solver`'s problem clauses as DIMACS to
-  /// `<dump_dir>/<hash(key)>.cnf` (first line: a comment with the key).
-  /// `assumptions` — the literals that parameterized the query (bound
-  /// activations etc.) — are appended as unit clauses so the artifact
-  /// reproduces the solved query, not just the unconstrained skeleton.
-  /// No-op when no dump directory is configured. Best effort: I/O errors
-  /// are swallowed — triage dumps must never fail a synthesis run.
-  void dump_cnf(const std::string& key, const sat::Solver& solver,
-                std::span<const sat::Lit> assumptions = {}) const;
-
  private:
   SynthCache();
 
@@ -134,7 +115,6 @@ class SynthCache {
   std::atomic<std::uint64_t> backing_hits_{0};
   BackingLoad backing_load_;
   BackingSave backing_save_;
-  std::string dump_dir_;
 
  public:
   /// Default LRU cap. Entries are whole serialized circuits/plans (a few
@@ -153,7 +133,7 @@ std::string cache_key_matrix(const f2::BitMatrix& m);
 std::string cache_key_errors(const std::vector<f2::BitVec>& errors);
 
 /// Stable 64-bit FNV-1a hash of a cache key — the on-disk name of a
-/// key's artifact (dump files, store index entries).
+/// key's artifact (store index entries).
 std::uint64_t cache_key_hash(const std::string& key);
 
 /// Sentinel value cached for queries proven infeasible (distinct from any

@@ -1,5 +1,6 @@
 #include "sat/dimacs.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -12,6 +13,15 @@ namespace ftsp::sat {
 namespace {
 bool fits_int32(long long count) {
   return count >= 0 && count <= std::numeric_limits<std::int32_t>::max();
+}
+
+/// Characters `l` takes in a DIMACS clause line, trailing space included.
+std::size_t literal_width(Lit l) {
+  std::size_t width = l.sign() ? 3 : 2;
+  for (int v = l.var() + 1; v >= 10; v /= 10) {
+    ++width;
+  }
+  return width;
 }
 }  // namespace
 
@@ -82,17 +92,44 @@ CnfFormula parse_dimacs_string(const std::string& text) {
   return parse_dimacs(in);
 }
 
-std::string to_dimacs(const CnfFormula& formula) {
-  std::ostringstream out;
-  out << "p cnf " << formula.num_vars << ' ' << formula.clauses.size()
-      << '\n';
-  for (const auto& clause : formula.clauses) {
-    for (Lit l : clause) {
-      out << (l.sign() ? -(l.var() + 1) : (l.var() + 1)) << ' ';
+std::string to_dimacs(int num_vars,
+                      std::span<const std::vector<Lit>> clauses,
+                      std::span<const Lit> units) {
+  const std::string header = "p cnf " + std::to_string(num_vars) + ' ' +
+                             std::to_string(clauses.size() + units.size()) +
+                             '\n';
+  // Sized exactly up front: proof premises run to megabytes and live as
+  // long as their artifact, so growth slack would stay allocated.
+  std::size_t size = header.size() + 2 * (clauses.size() + units.size());
+  for (const auto& clause : clauses) {
+    for (const Lit l : clause) {
+      size += literal_width(l);
     }
-    out << "0\n";
   }
-  return out.str();
+  for (const Lit l : units) {
+    size += literal_width(l);
+  }
+  std::string out;
+  out.reserve(size);
+  out += header;
+  char buf[16];
+  const auto put = [&](Lit l) {
+    const int value = l.sign() ? -(l.var() + 1) : (l.var() + 1);
+    const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    out.append(buf, end);
+    out += ' ';
+  };
+  for (const auto& clause : clauses) {
+    for (const Lit l : clause) {
+      put(l);
+    }
+    out += "0\n";
+  }
+  for (const Lit l : units) {
+    put(l);
+    out += "0\n";
+  }
+  return out;
 }
 
 }  // namespace ftsp::sat

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,8 +11,8 @@ namespace ftsp::sat {
 
 class Solver;
 
-/// A CNF formula in portable form, convertible to/from DIMACS text.
-/// Used for solver regression tests and for exporting synthesis queries.
+/// A CNF formula in portable form, parsed from DIMACS text. Used for
+/// solver regression tests and for re-checking persisted proof premises.
 struct CnfFormula {
   int num_vars = 0;
   std::vector<std::vector<Lit>> clauses;
@@ -27,7 +28,10 @@ struct CnfFormula {
 CnfFormula parse_dimacs(std::istream& in);
 CnfFormula parse_dimacs_string(const std::string& text);
 
-/// Renders a formula as DIMACS text.
-std::string to_dimacs(const CnfFormula& formula);
+/// Renders `clauses` followed by one unit clause per literal of `units`
+/// as DIMACS text under the header "p cnf <num_vars> <clause count>".
+std::string to_dimacs(int num_vars,
+                      std::span<const std::vector<Lit>> clauses,
+                      std::span<const Lit> units = {});
 
 }  // namespace ftsp::sat

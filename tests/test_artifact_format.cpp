@@ -84,11 +84,6 @@ TEST(Container, MissingSectionReported) {
                ArtifactFormatError);
 }
 
-TEST(Container, UnreadableFileThrows) {
-  EXPECT_THROW(read_artifact_file("/nonexistent/dir/x.ftsa"),
-               ArtifactFormatError);
-}
-
 // Full-artifact robustness: the same guarantees must hold through
 // `decode_artifact`, which layers the section decoders on top.
 class ArtifactBytes : public ::testing::Test {

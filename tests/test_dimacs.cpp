@@ -80,12 +80,16 @@ TEST(Dimacs, RejectsHeaderCountsOutsideInt32) {
 
 TEST(Dimacs, RoundTrip) {
   const auto f = parse_dimacs_string("p cnf 4 3\n1 -2 0\n3 0\n-1 -3 4 0\n");
-  const auto again = parse_dimacs_string(to_dimacs(f));
+  const auto again = parse_dimacs_string(to_dimacs(f.num_vars, f.clauses));
   EXPECT_EQ(again.num_vars, f.num_vars);
   ASSERT_EQ(again.clauses.size(), f.clauses.size());
   for (std::size_t i = 0; i < f.clauses.size(); ++i) {
     EXPECT_EQ(again.clauses[i], f.clauses[i]);
   }
+  // Extra units render as trailing unit clauses and count in the header.
+  const std::vector<Lit> units = {Lit(3, false), Lit(1, true)};
+  EXPECT_EQ(to_dimacs(f.num_vars, f.clauses, units),
+            "p cnf 4 5\n1 -2 0\n3 0\n-1 -3 4 0\n4 0\n-2 0\n");
 }
 
 TEST(Dimacs, LoadIntoSolverAndSolve) {

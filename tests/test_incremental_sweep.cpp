@@ -1,12 +1,7 @@
 // Incremental assumption-based bound sweeps: cardinality-ladder
 // semantics, verification synthesis equivalence between the incremental
-// and from-scratch engines, sweep telemetry, and the synthesis cache
-// (including the DIMACS dump-on-miss hook).
+// and from-scratch engines, sweep telemetry, and the synthesis cache.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "core/prep_synth.hpp"
 #include "core/protocol.hpp"
@@ -15,7 +10,6 @@
 #include "qec/code_library.hpp"
 #include "qec/state_context.hpp"
 #include "sat/cnf_builder.hpp"
-#include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 
 namespace ftsp::core {
@@ -188,48 +182,6 @@ TEST(SynthCacheTest, BypassWhenDisabled) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
-}
-
-TEST(SynthCacheTest, DumpsDimacsOnMiss) {
-  namespace fs = std::filesystem;
-  auto& cache = SynthCache::instance();
-  cache.clear();
-  const fs::path dir =
-      fs::temp_directory_path() / "ftsp_dump_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  cache.set_dump_dir(dir.string());
-
-  const auto inst = library_instance("Steane");
-  VerificationSynthOptions options;
-  const auto set =
-      synthesize_verification(inst.generators, inst.errors, options);
-  ASSERT_TRUE(set.has_value());
-
-  std::size_t cnf_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".cnf") {
-      ++cnf_files;
-      std::ifstream in(entry.path());
-      std::string first_line;
-      std::getline(in, first_line);
-      EXPECT_EQ(first_line.rfind("c ftsp synthesis query:", 0), 0u);
-      // The artifact reproduces the bounded query (assumptions are
-      // materialized as units), and that query was satisfiable.
-      std::string rest((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      const auto formula = sat::parse_dimacs_string(rest);
-      EXPECT_FALSE(formula.clauses.empty());
-      sat::Solver reloaded;
-      formula.load_into(reloaded);
-      EXPECT_TRUE(reloaded.solve());
-    }
-  }
-  EXPECT_GE(cnf_files, 1u);
-
-  cache.set_dump_dir("");
-  cache.clear();
-  fs::remove_all(dir);
 }
 
 }  // namespace
