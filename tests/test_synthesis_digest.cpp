@@ -11,10 +11,12 @@
 #include <string_view>
 #include <vector>
 
+#include "core/prep_synth.hpp"
 #include "core/protocol.hpp"
 #include "core/synth_cache.hpp"
 #include "f2/bit_vec.hpp"
 #include "qec/code_library.hpp"
+#include "qec/coupling.hpp"
 #include "util/hash.hpp"
 
 namespace ftsp::core {
@@ -126,6 +128,83 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.code) +
              (info.param.incremental ? "_incremental" : "_fresh");
     });
+
+/// Folds a preparation circuit and every proof entry its synthesis
+/// recorded.
+void fold_prep(util::Fnv1a64& h, const circuit::Circuit& prep,
+               const ProofSink& sink) {
+  fold_text(h, prep.to_text());
+  h.le64(sink.proofs.size());
+  for (const CapturedProof& proof : sink.proofs) {
+    EXPECT_EQ(proof.present, proof.checked) << proof.stage;
+    fold_text(h, proof.claim);
+    h.byte(proof.present ? 1 : 0);
+    fold_text(h, proof.absent_reason);
+    h.le64(proof.bound);
+    fold_text(h, proof.premise_dimacs);
+    fold_text(h, proof.drat);
+  }
+}
+
+/// One preparation synthesis from a cleared cache, folded with its
+/// proof entry; `refuted` says whether that entry holds a refutation.
+std::uint64_t prep_digest(const qec::CssCode& code, qec::LogicalBasis basis,
+                          PrepSynthOptions options, bool refuted = false) {
+  const qec::StateContext state(code, basis);
+  SynthCache::instance().clear();
+  ProofSink sink;
+  options.proof_sink = &sink;
+  const circuit::Circuit prep = synthesize_prep(state, options);
+  SynthCache::instance().clear();
+  EXPECT_EQ(sink.proofs.size(), 1u) << code.name();
+  for (const CapturedProof& proof : sink.proofs) {
+    EXPECT_EQ(proof.present, refuted) << code.name();
+  }
+  util::Fnv1a64 h;
+  fold_prep(h, prep, sink);
+  return h.value();
+}
+
+PrepSynthOptions optimal_prep(bool allow_bfs) {
+  PrepSynthOptions options;
+  options.method = PrepSynthOptions::Method::Optimal;
+  options.allow_bfs = allow_bfs;
+  return options;
+}
+
+TEST(PrepDigest, HeuristicCircuitsOfTheLibraryArePinned) {
+  util::Fnv1a64 h;
+  for (const qec::CssCode& code : qec::all_library_codes()) {
+    for (const auto basis :
+         {qec::LogicalBasis::Zero, qec::LogicalBasis::Plus}) {
+      h.le64(prep_digest(code, basis, PrepSynthOptions{}));
+    }
+  }
+  EXPECT_EQ(h.value(), 0x0ba8a2c5dfbca7b8ULL) << std::hex << "got 0x" << h.value();
+}
+
+TEST(PrepDigest, SteaneBfsIsPinned) {
+  const std::uint64_t digest = prep_digest(
+      qec::steane(), qec::LogicalBasis::Zero, optimal_prep(true));
+  EXPECT_EQ(digest, 0xdf5effd7520a13a7ULL) << std::hex << "got 0x" << digest;
+}
+
+TEST(PrepDigest, ShorSatSweepIsPinned) {
+  const std::uint64_t digest = prep_digest(
+      qec::shor(), qec::LogicalBasis::Zero, optimal_prep(false), true);
+  EXPECT_EQ(digest, 0x5d6719f739f24363ULL) << std::hex << "got 0x" << digest;
+}
+
+/// The library's largest prep refutation: the subspace space is past the
+/// BFS limit, so the SAT sweep runs under the linear map.
+TEST(PrepDigest, Surface3LinearSatSweepIsPinned) {
+  PrepSynthOptions options = optimal_prep(true);
+  options.coupling =
+      std::make_shared<const qec::CouplingMap>(qec::CouplingMap::linear(9));
+  const std::uint64_t digest =
+      prep_digest(qec::surface3(), qec::LogicalBasis::Zero, options, true);
+  EXPECT_EQ(digest, 0x809406656afadd74ULL) << std::hex << "got 0x" << digest;
+}
 
 }  // namespace
 }  // namespace ftsp::core
