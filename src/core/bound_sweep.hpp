@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,12 +22,24 @@
 
 namespace ftsp::core {
 
+/// The solver of one encoded synthesis query. Proof logging is on when
+/// a sink is attached, set before any clause lands, so the logged premise
+/// is verbatim.
+inline std::unique_ptr<sat::Solver> make_query_solver(
+    const sat::EngineOptions& engine, std::uint64_t conflict_budget,
+    const ProofSink* proof_sink) {
+  auto solver = sat::make_engine_solver(engine, conflict_budget);
+  if (proof_sink != nullptr) {
+    solver->set_proof_logging(true);
+  }
+  return solver;
+}
+
 /// One encoded "choose u stabilizers from the span of `generators`"
 /// query: the skeleton shared by verification and correction synthesis.
 /// `Options` is either stage's synthesis options (engine, conflict
 /// budget, coupling, proof sink). The constructor emits, in this order:
-/// solver (with proof logging on when a sink is attached, before any
-/// clause lands, so the logged premise is verbatim), nonzero rows, the
+/// solver (`make_query_solver`), nonzero rows, the
 /// coupling restriction, row-order symmetry breaking, the stage's own
 /// clauses (`stage_clauses(cnf, selection)`), and then either a
 /// total-weight ladder swept by assumption (`fresh_bound` empty: the
@@ -43,14 +56,8 @@ struct SelectionQuery {
   SelectionQuery(const f2::BitMatrix& generators, std::size_t u,
                  const Options& options, const StageClauses& stage_clauses,
                  std::optional<std::size_t> fresh_bound)
-      : solver([&options] {
-          auto s = sat::make_engine_solver(options.engine,
-                                           options.conflict_budget);
-          if (options.proof_sink != nullptr) {
-            s->set_proof_logging(true);
-          }
-          return s;
-        }()),
+      : solver(make_query_solver(options.engine, options.conflict_budget,
+                                 options.proof_sink)),
         cnf(*solver),
         selection(cnf, generators, u) {
     selection.require_nonzero();

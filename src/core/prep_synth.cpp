@@ -1,18 +1,20 @@
 #include "core/prep_synth.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <cmath>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/bound_sweep.hpp"
 #include "core/synth_cache.hpp"
 #include "f2/gauss.hpp"
 #include "sat/cnf_builder.hpp"
-#include "sat/engine.hpp"
 
 namespace ftsp::core {
 
@@ -20,22 +22,6 @@ using f2::BitMatrix;
 using f2::BitVec;
 
 namespace {
-
-/// True iff every CNOT of a (data-only) preparation circuit lies on a
-/// coupled pair. Null/all-to-all maps allow everything.
-bool circuit_respects_coupling(const circuit::Circuit& circ,
-                               const qec::CouplingMap* map) {
-  if (!qec::coupling_constrained(map)) {
-    return true;
-  }
-  for (const auto& gate : circ.gates()) {
-    if (gate.kind == circuit::GateKind::Cnot &&
-        !map->allows(gate.q0, gate.q1)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 void check_coupling_sites(const qec::CouplingMap* map, std::size_t n) {
   if (map != nullptr && map->num_sites() != n) {
@@ -46,9 +32,90 @@ void check_coupling_sites(const qec::CouplingMap* map, std::size_t n) {
   }
 }
 
-}  // namespace
+/// A CNOT (control, target). Read in reverse it is the column addition
+/// col t += col c on the X-generator matrix, its self-inverse action.
+using Move = std::pair<std::size_t, std::size_t>;
 
-namespace {
+/// The reverse problem every construction below searches: drive the
+/// state's reduced X-generator matrix by legal column additions until its
+/// support spans at most `rank()` columns, i.e. the state became a
+/// product state. The moves, read forward, are the preparation circuit.
+class ReverseProblem {
+ public:
+  ReverseProblem(const qec::StateContext& state, const qec::CouplingMap* map)
+      : map_(qec::coupling_constrained(map) ? map : nullptr) {
+    auto rr = f2::rref(state.stabilizer_generators(qec::PauliType::X));
+    rr.reduced.remove_zero_rows();
+    start_ = std::move(rr.reduced);
+    const std::size_t n = num_qubits();
+    for (std::size_t c = 0; c < n; ++c) {
+      for (std::size_t t = 0; t < n; ++t) {
+        if (legal({c, t})) {
+          moves_.emplace_back(c, t);
+        }
+      }
+    }
+  }
+
+  std::size_t num_qubits() const { return start_.cols(); }
+  std::size_t rank() const { return start_.rows(); }
+  const BitMatrix& start() const { return start_; }
+  /// Every coupling-legal move in lexicographic (c, t) order: the order
+  /// of the greedy's tie list, the BFS expansion and the SAT variables.
+  const std::vector<Move>& moves() const { return moves_; }
+  bool legal(const Move& move) const {
+    return move.first != move.second &&
+           (map_ == nullptr || map_->allows(move.first, move.second));
+  }
+
+  /// The nonzero columns of `m`: the qubits a product state puts in |+>.
+  static BitVec support(const BitMatrix& m) {
+    BitVec columns(m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      columns |= m.row(i);
+    }
+    return columns;
+  }
+  bool is_product(const BitMatrix& m) const {
+    return support(m).popcount() <= rank();
+  }
+  /// Each move zeroes at most one column, so reaching a product state
+  /// takes at least this many.
+  std::size_t lower_bound() const {
+    const std::size_t columns = support(start_).popcount();
+    return columns > rank() ? columns - rank() : 0;
+  }
+
+  static void apply(BitMatrix& m, const Move& move) {
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      if (m.get(i, move.first)) {
+        m.row(i).flip(move.second);
+      }
+    }
+  }
+
+  /// The forward circuit: |+> on `plus`, |0> elsewhere, then `cnots`.
+  circuit::Circuit emit(const BitVec& plus,
+                        const std::vector<Move>& cnots) const {
+    circuit::Circuit prep(num_qubits());
+    for (std::size_t q = 0; q < num_qubits(); ++q) {
+      if (plus.get(q)) {
+        prep.prep_x(q);
+      } else {
+        prep.prep_z(q);
+      }
+    }
+    for (const auto& [c, t] : cnots) {
+      prep.cnot(c, t);
+    }
+    return prep;
+  }
+
+ private:
+  const qec::CouplingMap* map_;  ///< Null when unconstrained.
+  BitMatrix start_;
+  std::vector<Move> moves_;
+};
 
 struct OrderedRref {
   BitMatrix reduced;
@@ -96,136 +163,89 @@ std::size_t reduced_cost(const OrderedRref& r) {
   return weight - r.pivots.size();
 }
 
-/// Builds the preparation circuit from a reduced generator matrix: pivot
-/// qubits start in |+>, the rest in |0|>; every non-pivot support entry of
-/// row i becomes a CNOT from the row's pivot.
-circuit::Circuit circuit_from_reduced(const qec::StateContext& state,
-                                      const OrderedRref& r) {
-  const std::size_t n = state.num_qubits();
-  circuit::Circuit prep(n);
-  BitVec pivot_set(n);
-  for (std::size_t p : r.pivots) {
-    pivot_set.set(p);
-  }
-  for (std::size_t q = 0; q < n; ++q) {
-    if (pivot_set.get(q)) {
-      prep.prep_x(q);
-    } else {
-      prep.prep_z(q);
-    }
-  }
-  for (std::size_t i = 0; i < r.reduced.rows(); ++i) {
+/// The fan-out of a reduced generator matrix: pivot qubits start in |+>,
+/// and every non-pivot support entry of row i becomes a CNOT from the
+/// row's pivot. Null when one of those CNOTs is not a legal move.
+std::optional<circuit::Circuit> fan_out(const ReverseProblem& problem,
+                                        const OrderedRref& r) {
+  BitVec plus(problem.num_qubits());
+  std::vector<Move> cnots;
+  // Rows past the last pivot are zero.
+  for (std::size_t i = 0; i < r.pivots.size(); ++i) {
+    plus.set(r.pivots[i]);
     for (std::size_t q : r.reduced.row(i).ones()) {
       if (q != r.pivots[i]) {
-        prep.cnot(r.pivots[i], q);
+        if (!problem.legal({r.pivots[i], q})) {
+          return std::nullopt;
+        }
+        cnots.emplace_back(r.pivots[i], q);
       }
     }
   }
-  return prep;
-}
-
-}  // namespace
-
-namespace {
-
-std::size_t nonzero_columns(const BitMatrix& m) {
-  std::size_t count = 0;
-  for (std::size_t q = 0; q < m.cols(); ++q) {
-    if (m.column(q).any()) {
-      ++count;
-    }
-  }
-  return count;
+  return problem.emit(plus, cnots);
 }
 
 /// One greedy reverse-synthesis run: apply weight-reducing column
-/// additions (col t += col c, the inverse action of CNOT(c,t)) to the
-/// generator matrix until its support is confined to r columns — i.e.
-/// until the state has been disentangled into a product state. Row
+/// additions to the generator matrix until it is a product state. Row
 /// operations are free (the state only depends on the row space), which
 /// guarantees a strictly weight-reducing move always exists. The reversed
 /// op sequence is the preparation circuit; unlike plain RREF fan-out this
 /// yields chain/tree CNOT structures whose spread errors are largely
 /// stabilizer-equivalent to low-weight errors.
 std::optional<circuit::Circuit> greedy_reverse_prep(
-    const qec::StateContext& state, std::mt19937_64& rng,
-    const qec::CouplingMap* map) {
-  const bool constrained = qec::coupling_constrained(map);
-  const BitMatrix& gens = state.stabilizer_generators(qec::PauliType::X);
-  const std::size_t n = state.num_qubits();
-  auto reduced = f2::rref(gens);
-  reduced.reduced.remove_zero_rows();
-  BitMatrix m = reduced.reduced;
-  const std::size_t r = m.rows();
-
-  std::vector<std::pair<std::size_t, std::size_t>> ops;
+    const ReverseProblem& problem, std::mt19937_64& rng) {
+  const std::size_t n = problem.num_qubits();
+  BitMatrix m = problem.start();
+  std::vector<Move> ops;
   const std::size_t max_ops = 4 * n * n;
-  while (nonzero_columns(m) > r && ops.size() < max_ops) {
+  while (!problem.is_product(m) && ops.size() < max_ops) {
     // Free row reduction keeps the greedy landscape canonical.
     auto rr = f2::rref(m);
     rr.reduced.remove_zero_rows();
     m = rr.reduced;
-    if (nonzero_columns(m) <= r) {
+    if (problem.is_product(m)) {
       break;
+    }
+    std::vector<BitVec> columns;
+    columns.reserve(n);
+    for (std::size_t q = 0; q < n; ++q) {
+      columns.push_back(m.column(q));
     }
     std::ptrdiff_t best_gain = -1;
     bool best_zeroes = false;
-    std::vector<std::pair<std::size_t, std::size_t>> best_ops;
-    for (std::size_t c = 0; c < n; ++c) {
-      const BitVec col_c = m.column(c);
-      if (col_c.none()) {
+    std::vector<Move> best_ops;
+    for (const Move& move : problem.moves()) {
+      const BitVec& col_c = columns[move.first];
+      const BitVec& col_t = columns[move.second];
+      if (col_c.none() || col_t.none()) {
         continue;
       }
-      for (std::size_t t = 0; t < n; ++t) {
-        if (t == c || (constrained && !map->allows(c, t))) {
-          continue;
-        }
-        const BitVec col_t = m.column(t);
-        if (col_t.none()) {
-          continue;
-        }
-        const BitVec merged = col_t ^ col_c;
-        const auto gain = static_cast<std::ptrdiff_t>(col_t.popcount()) -
-                          static_cast<std::ptrdiff_t>(merged.popcount());
-        const bool zeroes = merged.none();
-        if (gain < best_gain || (gain == best_gain && best_zeroes && !zeroes)) {
-          continue;
-        }
-        if (gain > best_gain || (zeroes && !best_zeroes)) {
-          best_gain = gain;
-          best_zeroes = zeroes;
-          best_ops.clear();
-        }
-        best_ops.emplace_back(c, t);
+      const BitVec merged = col_t ^ col_c;
+      const auto gain = static_cast<std::ptrdiff_t>(col_t.popcount()) -
+                        static_cast<std::ptrdiff_t>(merged.popcount());
+      const bool zeroes = merged.none();
+      if (gain < best_gain || (gain == best_gain && best_zeroes && !zeroes)) {
+        continue;
       }
+      if (gain > best_gain || (zeroes && !best_zeroes)) {
+        best_gain = gain;
+        best_zeroes = zeroes;
+        best_ops.clear();
+      }
+      best_ops.push_back(move);
     }
     if (best_ops.empty() || best_gain < 0) {
       return std::nullopt;  // Should not happen; caller falls back.
     }
-    const auto [c, t] = best_ops[rng() % best_ops.size()];
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-      if (m.get(i, c)) {
-        m.row(i).flip(t);
-      }
-    }
-    ops.emplace_back(c, t);
+    const Move move = best_ops[rng() % best_ops.size()];
+    ReverseProblem::apply(m, move);
+    ops.push_back(move);
   }
-  if (nonzero_columns(m) > r) {
+  if (!problem.is_product(m)) {
     return std::nullopt;
   }
-
-  circuit::Circuit prep(n);
-  for (std::size_t q = 0; q < n; ++q) {
-    if (m.column(q).any()) {
-      prep.prep_x(q);
-    } else {
-      prep.prep_z(q);
-    }
-  }
-  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    prep.cnot(it->first, it->second);
-  }
-  return prep;
+  std::reverse(ops.begin(), ops.end());
+  return problem.emit(ReverseProblem::support(m), ops);
 }
 
 }  // namespace
@@ -254,7 +274,6 @@ circuit::Circuit synthesize_prep(const qec::StateContext& state,
     }
     // Fall through to the heuristic if the SAT search gave up.
     if (options.report != nullptr) {
-      options.report->sat_search_exhausted = true;
       options.report->heuristic_fallback = true;
     }
     if (options.proof_sink != nullptr) {
@@ -270,6 +289,7 @@ circuit::Circuit synthesize_prep(const qec::StateContext& state,
         "for a checked refutation");
   }
 
+  const ReverseProblem problem(state, map);
   const BitMatrix& gens = state.stabilizer_generators(qec::PauliType::X);
   const std::size_t n = state.num_qubits();
 
@@ -298,12 +318,10 @@ circuit::Circuit synthesize_prep(const qec::StateContext& state,
     if (cost >= best_cost) {
       continue;
     }
-    circuit::Circuit candidate = circuit_from_reduced(state, reduced);
-    if (constrained && !circuit_respects_coupling(candidate, map)) {
-      continue;
+    if (auto candidate = fan_out(problem, reduced)) {
+      best_cost = cost;
+      best = std::move(candidate);
     }
-    best_cost = cost;
-    best = std::move(candidate);
   }
 
   // Greedy reverse synthesis with randomized tie-breaking usually beats
@@ -311,7 +329,7 @@ circuit::Circuit synthesize_prep(const qec::StateContext& state,
   std::mt19937_64 rng(options.seed);
   const std::size_t tries = std::max<std::size_t>(options.shuffle_tries, 1);
   for (std::size_t t = 0; t < tries; ++t) {
-    if (auto candidate = greedy_reverse_prep(state, rng, map)) {
+    if (auto candidate = greedy_reverse_prep(problem, rng)) {
       if (!best.has_value() ||
           candidate->cnot_count() < best->cnot_count()) {
         best = std::move(candidate);
@@ -364,62 +382,41 @@ std::string rowspace_key(const BitMatrix& m) {
 /// small for the low-rank codes (e.g. ~12k for the Steane X side), making
 /// this both exact and instantaneous where it applies.
 std::optional<circuit::Circuit> optimal_prep_bfs(
-    const qec::StateContext& state, const qec::CouplingMap* map) {
-  const bool constrained = qec::coupling_constrained(map);
-  const BitMatrix& gens = state.stabilizer_generators(qec::PauliType::X);
-  const std::size_t n = state.num_qubits();
-  auto start_rref = f2::rref(gens);
-  start_rref.reduced.remove_zero_rows();
-  const BitMatrix start = start_rref.reduced;
-  const std::size_t r = start.rows();
-
+    const ReverseProblem& problem) {
   struct Node {
     BitMatrix m;
     std::size_t parent;
-    std::pair<std::size_t, std::size_t> op;
+    Move op;
   };
   std::vector<Node> nodes;
   std::unordered_map<std::string, std::size_t> seen;
-  nodes.push_back({start, SIZE_MAX, {0, 0}});
-  seen.emplace(rowspace_key(start), 0);
-
-  const auto is_product = [&](const BitMatrix& m) {
-    return nonzero_columns(m) <= r;
-  };
+  nodes.push_back({problem.start(), SIZE_MAX, {0, 0}});
+  seen.emplace(rowspace_key(problem.start()), 0);
 
   std::size_t found = SIZE_MAX;
-  if (is_product(start)) {
+  if (problem.is_product(problem.start())) {
     found = 0;
   }
   for (std::size_t head = 0; head < nodes.size() && found == SIZE_MAX;
        ++head) {
     // Copy: nodes may reallocate while expanding.
     const BitMatrix m = nodes[head].m;
-    for (std::size_t c = 0; c < n && found == SIZE_MAX; ++c) {
-      const f2::BitVec col_c = m.column(c);
-      if (col_c.none()) {
+    const BitVec active = ReverseProblem::support(m);
+    for (const Move& move : problem.moves()) {
+      if (!active.get(move.first)) {
         continue;
       }
-      for (std::size_t t = 0; t < n; ++t) {
-        if (t == c || (constrained && !map->allows(c, t))) {
-          continue;
-        }
-        BitMatrix next = m;
-        for (std::size_t i = 0; i < r; ++i) {
-          if (next.get(i, c)) {
-            next.row(i).flip(t);
-          }
-        }
-        const std::string key = rowspace_key(next);
-        if (seen.contains(key)) {
-          continue;
-        }
-        seen.emplace(key, nodes.size());
-        nodes.push_back({std::move(next), head, {c, t}});
-        if (is_product(nodes.back().m)) {
-          found = nodes.size() - 1;
-          break;
-        }
+      BitMatrix next = m;
+      ReverseProblem::apply(next, move);
+      const std::string key = rowspace_key(next);
+      if (seen.contains(key)) {
+        continue;
+      }
+      seen.emplace(key, nodes.size());
+      nodes.push_back({std::move(next), head, move});
+      if (problem.is_product(nodes.back().m)) {
+        found = nodes.size() - 1;
+        break;
       }
     }
   }
@@ -427,33 +424,16 @@ std::optional<circuit::Circuit> optimal_prep_bfs(
     return std::nullopt;
   }
 
-  // Reconstruct the reverse-op path, then emit the forward circuit.
-  std::vector<std::pair<std::size_t, std::size_t>> ops;
-  const BitMatrix product = nodes[found].m;
+  // The path read back from the product state is last-op-first, which
+  // is exactly forward-circuit order.
+  std::vector<Move> ops;
   for (std::size_t at = found; nodes[at].parent != SIZE_MAX;
        at = nodes[at].parent) {
     ops.push_back(nodes[at].op);
   }
-  // `ops` is now last-op-first, which is exactly forward-circuit order.
-  circuit::Circuit prep(n);
-  for (std::size_t q = 0; q < n; ++q) {
-    if (product.column(q).any()) {
-      prep.prep_x(q);
-    } else {
-      prep.prep_z(q);
-    }
-  }
-  for (const auto& [c, t] : ops) {
-    prep.cnot(c, t);
-  }
-  return prep;
+  return problem.emit(ReverseProblem::support(nodes[found].m), ops);
 }
 
-}  // namespace
-
-namespace {
-
-using sat::CnfBuilder;
 using sat::Lit;
 
 /// Records the proof outcome of a gate-count sweep that found a circuit
@@ -479,94 +459,65 @@ void record_prep_outcome(ProofSink& sink, const std::string& stage,
       refutation->bound, refutation->proof));
 }
 
-std::optional<circuit::Circuit> optimal_prep_sat(
-    const qec::StateContext& state, const BitMatrix& start,
-    std::size_t lower_bound, const PrepSynthOptions& options) {
-  const std::size_t n = state.num_qubits();
-  const std::size_t r = start.rows();
-  const qec::CouplingMap* map = options.coupling.get();
-  const bool constrained = qec::coupling_constrained(map);
-  if (constrained && map->num_edges() == 0) {
-    return std::nullopt;  // No legal CNOT exists at all.
-  }
+/// One encoded "a reverse circuit of exactly `num_gates` legal moves
+/// reaches a product state" query of the gate-count sweep. The
+/// constructor only encodes; the sweep solves and decodes. Slot k holds
+/// one selector per legal move (exactly one is true); the matrix after
+/// each slot is a Tseitin function of the selectors. The clause order is
+/// part of the captured proofs' bytes.
+struct PrepQuery {
+  std::unique_ptr<sat::Solver> solver;
+  sat::CnfBuilder cnf;
+  /// [slot][move index into `ReverseProblem::moves()`].
+  std::vector<std::vector<Lit>> selectors;
+  /// The matrix after the last slot, [row][column].
+  std::vector<std::vector<Lit>> m;
 
-  std::optional<SweepRefutation> refutation;
-  for (std::size_t num_gates = lower_bound; num_gates <= options.max_cnots;
-       ++num_gates) {
-    auto solver_ptr = sat::make_engine_solver(options.engine,
-                                              options.sat_conflict_budget);
-    sat::Solver& solver = *solver_ptr;
-    if (options.proof_sink != nullptr) {
-      // On before any clause lands, so the logged premise is verbatim.
-      solver.set_proof_logging(true);
-    }
-    CnfBuilder cnf(solver);
-
-    // The search runs the circuit in reverse: apply column additions
-    // (col t += col c, the self-inverse action of CNOT(c,t) on X-type
-    // generators) to the target matrix until its support is confined to
-    // at most r columns, i.e. the state became a product state.
-    std::vector<std::vector<Lit>> m(r, std::vector<Lit>(n));
+  PrepQuery(const ReverseProblem& problem, std::size_t num_gates,
+            const PrepSynthOptions& options)
+      : solver(make_query_solver(options.engine, options.sat_conflict_budget,
+                                 options.proof_sink)),
+        cnf(*solver) {
+    const std::size_t n = problem.num_qubits();
+    const std::size_t r = problem.rank();
+    const std::vector<Move>& moves = problem.moves();
+    m.assign(r, std::vector<Lit>(n));
     for (std::size_t i = 0; i < r; ++i) {
       for (std::size_t q = 0; q < n; ++q) {
-        m[i][q] = cnf.constant(start.get(i, q));
+        m[i][q] = cnf.constant(problem.start().get(i, q));
       }
     }
-
-    std::vector<std::vector<std::vector<Lit>>> selectors;  // [slot][c][t]
     for (std::size_t k = 0; k < num_gates; ++k) {
-      std::vector<std::vector<Lit>> sel(n, std::vector<Lit>(n));
-      std::vector<Lit> all;
-      for (std::size_t c = 0; c < n; ++c) {
-        for (std::size_t t = 0; t < n; ++t) {
-          // Coupling-constrained slots never even encode the illegal
-          // pairs — the allowed-pair mask shrinks the CNF instead of
-          // adding clauses.
-          if (c == t || (constrained && !map->allows(c, t))) {
-            continue;
-          }
-          sel[c][t] = cnf.fresh();
-          all.push_back(sel[c][t]);
-          // Pruning: adding a zero column is a no-op, and a minimal
-          // circuit has none.
-          std::vector<Lit> source_nonzero;
-          source_nonzero.reserve(r + 1);
-          source_nonzero.push_back(~sel[c][t]);
-          for (std::size_t i = 0; i < r; ++i) {
-            source_nonzero.push_back(m[i][c]);
-          }
-          solver.add_clause(source_nonzero);
-          // Pruning: two identical adjacent ops cancel; a minimal circuit
-          // has none.
-          if (k > 0) {
-            solver.add_binary(~selectors[k - 1][c][t], ~sel[c][t]);
-          }
+      std::vector<Lit> sel(moves.size());
+      for (std::size_t j = 0; j < moves.size(); ++j) {
+        sel[j] = cnf.fresh();
+        // Pruning: adding a zero column is a no-op, and a minimal circuit
+        // has none.
+        std::vector<Lit> source_nonzero;
+        source_nonzero.reserve(r + 1);
+        source_nonzero.push_back(~sel[j]);
+        for (std::size_t i = 0; i < r; ++i) {
+          source_nonzero.push_back(m[i][moves[j].first]);
+        }
+        solver->add_clause(source_nonzero);
+        // Pruning: two identical adjacent ops cancel; a minimal circuit
+        // has none.
+        if (k > 0) {
+          solver->add_binary(~selectors[k - 1][j], ~sel[j]);
         }
       }
-      cnf.add_exactly_one(all);
+      cnf.add_exactly_one(sel);
 
       // Symmetry breaking: adjacent ops (c,t), (c',t') commute iff
       // t != c' and t' != c; force commuting adjacent pairs into
       // lexicographically non-decreasing order.
       if (k > 0) {
-        for (std::size_t c = 0; c < n; ++c) {
-          for (std::size_t t = 0; t < n; ++t) {
-            if (selectors[k - 1][c][t] == Lit::undef) {
-              continue;
-            }
-            for (std::size_t c2 = 0; c2 < n; ++c2) {
-              for (std::size_t t2 = 0; t2 < n; ++t2) {
-                if (sel[c2][t2] == Lit::undef) {
-                  continue;
-                }
-                const bool commute = (t != c2) && (t2 != c);
-                const bool decreasing =
-                    std::make_pair(c2, t2) < std::make_pair(c, t);
-                if (commute && decreasing) {
-                  solver.add_binary(~selectors[k - 1][c][t],
-                                    ~sel[c2][t2]);
-                }
-              }
+        for (std::size_t j = 0; j < moves.size(); ++j) {
+          const auto [c, t] = moves[j];
+          for (std::size_t j2 = 0; j2 < moves.size(); ++j2) {
+            const auto [c2, t2] = moves[j2];
+            if (t != c2 && t2 != c && moves[j2] < moves[j]) {
+              solver->add_binary(~selectors[k - 1][j], ~sel[j2]);
             }
           }
         }
@@ -576,10 +527,9 @@ std::optional<circuit::Circuit> optimal_prep_sat(
       for (std::size_t q = 0; q < n; ++q) {
         for (std::size_t i = 0; i < r; ++i) {
           std::vector<Lit> adds;
-          adds.reserve(n - 1);
-          for (std::size_t c = 0; c < n; ++c) {
-            if (c != q && sel[c][q] != Lit::undef) {
-              adds.push_back(cnf.and_of({sel[c][q], m[i][c]}));
+          for (std::size_t j = 0; j < moves.size(); ++j) {
+            if (moves[j].second == q) {
+              adds.push_back(cnf.and_of({sel[j], m[i][moves[j].first]}));
             }
           }
           next[i][q] = cnf.xor_of({m[i][q], cnf.or_of(adds)});
@@ -606,54 +556,63 @@ std::optional<circuit::Circuit> optimal_prep_sat(
         cnf.add_at_most_k(nonzero, r + remaining);
       }
     }
+  }
+  /// `cnf` points into this object.
+  PrepQuery(PrepQuery&&) = delete;
 
-    // SolveInterrupted (budget exhausted) propagates to the caller, which
-    // must distinguish "gave up" from "proven infeasible" for the cache.
-    if (!solver.solve()) {
-      if (options.proof_sink != nullptr) {
-        refutation =
-            SweepRefutation{solver.take_unsat_proof().value(), num_gates};
-      }
-      continue;
-    }
-    // Decode: the reverse op sequence (c,t) per slot; the forward circuit
-    // applies them in reverse order. |+> qubits are the final nonzero
-    // columns.
-    circuit::Circuit prep(n);
-    BitVec plus(n);
-    for (std::size_t q = 0; q < n; ++q) {
-      for (std::size_t i = 0; i < r; ++i) {
-        if (solver.model_value(m[i][q])) {
+  /// After a satisfying solve: |+> on the final nonzero columns, then the
+  /// selected moves, last slot first.
+  circuit::Circuit decode(const ReverseProblem& problem) const {
+    BitVec plus(problem.num_qubits());
+    for (const auto& row : m) {
+      for (std::size_t q = 0; q < row.size(); ++q) {
+        if (solver->model_value(row[q])) {
           plus.set(q);
-          break;
         }
       }
     }
-    for (std::size_t q = 0; q < n; ++q) {
-      if (plus.get(q)) {
-        prep.prep_x(q);
-      } else {
-        prep.prep_z(q);
-      }
-    }
-    for (std::size_t k = num_gates; k-- > 0;) {
-      for (std::size_t c = 0; c < n; ++c) {
-        for (std::size_t t = 0; t < n; ++t) {
-          if (selectors[k][c][t] != Lit::undef &&
-              solver.model_value(selectors[k][c][t])) {
-            prep.cnot(c, t);
-          }
+    std::vector<Move> cnots;
+    for (std::size_t k = selectors.size(); k-- > 0;) {
+      for (std::size_t j = 0; j < selectors[k].size(); ++j) {
+        if (solver->model_value(selectors[k][j])) {
+          cnots.push_back(problem.moves()[j]);
         }
       }
     }
-    if (options.proof_sink != nullptr) {
-      // The refutation is checked with this solver already gone, so the
-      // check never overlaps the search's memory.
-      solver_ptr.reset();
-      record_prep_outcome(*options.proof_sink, options.proof_label,
-                          num_gates, refutation);
+    return problem.emit(plus, cnots);
+  }
+};
+
+/// The SAT gate-count sweep: every count from the structural lower bound
+/// up to `options.max_cnots`, one fresh query each.
+std::optional<circuit::Circuit> optimal_prep_sat(
+    const ReverseProblem& problem, const PrepSynthOptions& options) {
+  if (problem.moves().empty()) {
+    return std::nullopt;  // No legal CNOT exists at all.
+  }
+  std::optional<SweepRefutation> refutation;
+  for (std::size_t num_gates = problem.lower_bound();
+       num_gates <= options.max_cnots; ++num_gates) {
+    std::optional<circuit::Circuit> prep;
+    {
+      PrepQuery query(problem, num_gates, options);
+      // SolveInterrupted (budget exhausted) propagates to the caller,
+      // which must tell "gave up" from "proven infeasible" for the cache.
+      if (query.solver->solve()) {
+        prep = query.decode(problem);
+      } else if (options.proof_sink != nullptr) {
+        refutation = SweepRefutation{
+            query.solver->take_unsat_proof().value(), num_gates};
+      }
     }
-    return prep;
+    if (prep.has_value()) {
+      // The refutation is checked with the search's memory released.
+      if (options.proof_sink != nullptr) {
+        record_prep_outcome(*options.proof_sink, options.proof_label,
+                            num_gates, refutation);
+      }
+      return prep;
+    }
   }
   return std::nullopt;
 }
@@ -679,44 +638,28 @@ std::string prep_cache_key(const BitMatrix& gens,
 /// product-state shortcut, else the SAT gate-count sweep.
 std::optional<circuit::Circuit> prep_optimal_uncached(
     const qec::StateContext& state, const PrepSynthOptions& options) {
-  const BitMatrix& gens = state.stabilizer_generators(qec::PauliType::X);
-  const std::size_t n = state.num_qubits();
+  const ReverseProblem problem(state, options.coupling.get());
 
   // Exact subspace BFS where the state space is small enough. Under a
   // constrained map the subspace graph only shrinks (fewer edges, same
   // node bound), so the same eligibility limit applies.
-  if (options.allow_bfs) {
-    const std::size_t space =
-        count_subspaces(gens.cols(), f2::rank(gens), 400000);
-    if (space <= 400000) {
-      if (auto bfs = optimal_prep_bfs(state, options.coupling.get())) {
-        if (options.proof_sink != nullptr) {
-          options.proof_sink->record_absent(
-              options.proof_label,
-              std::to_string(bfs->cnot_count()) +
-                  " CNOTs is the minimal preparation gate count",
-              "exact breadth-first search over the subspace graph; no SAT "
-              "query involved");
-        }
-        return bfs;
+  if (options.allow_bfs &&
+      count_subspaces(problem.num_qubits(), problem.rank(), 400000) <=
+          400000) {
+    if (auto bfs = optimal_prep_bfs(problem)) {
+      if (options.proof_sink != nullptr) {
+        options.proof_sink->record_absent(
+            options.proof_label,
+            std::to_string(bfs->cnot_count()) +
+                " CNOTs is the minimal preparation gate count",
+            "exact breadth-first search over the subspace graph; no SAT "
+            "query involved");
       }
+      return bfs;
     }
   }
 
-  auto rr = f2::rref(gens);
-  rr.reduced.remove_zero_rows();
-  const BitMatrix start = rr.reduced;
-  const std::size_t r = start.rows();
-
-  std::size_t nonzero_cols = 0;
-  for (std::size_t q = 0; q < n; ++q) {
-    if (start.column(q).any()) {
-      ++nonzero_cols;
-    }
-  }
-  const std::size_t lower_bound = nonzero_cols > r ? nonzero_cols - r : 0;
-
-  if (lower_bound == 0) {
+  if (problem.lower_bound() == 0) {
     // The generator matrix is already a product state: |+> on its
     // nonzero columns, no CNOTs.
     if (options.proof_sink != nullptr) {
@@ -726,18 +669,9 @@ std::optional<circuit::Circuit> prep_optimal_uncached(
           "the generator matrix is already a product state; no SAT query "
           "involved");
     }
-    circuit::Circuit prep(n);
-    for (std::size_t q = 0; q < n; ++q) {
-      if (start.column(q).any()) {
-        prep.prep_x(q);
-      } else {
-        prep.prep_z(q);
-      }
-    }
-    return prep;
+    return problem.emit(ReverseProblem::support(problem.start()), {});
   }
-
-  return optimal_prep_sat(state, start, lower_bound, options);
+  return optimal_prep_sat(problem, options);
 }
 
 }  // namespace

@@ -18,10 +18,9 @@ namespace ftsp::core {
 /// report can aggregate several calls.
 struct PrepSynthReport {
   /// The SAT-optimal search was requested but gave up (max_cnots
-  /// exhausted or conflict budget interrupted) without a witness.
-  bool sat_search_exhausted = false;
-  /// The returned circuit came from the heuristic although Method::
-  /// Optimal was requested — the silent-fallback case made loud.
+  /// exhausted or conflict budget interrupted) without a witness, so the
+  /// returned circuit came from the heuristic — the silent-fallback case
+  /// made loud.
   bool heuristic_fallback = false;
 };
 

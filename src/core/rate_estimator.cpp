@@ -108,10 +108,7 @@ class WaveRunner {
         options_.layout);
     runner.run();
     for (std::size_t lane = 0; lane < wave.shots; ++lane) {
-      const Trajectory& t = out[lane];
-      const bool fail =
-          options_.x_criterion ? t.x_fail : (t.x_fail || t.z_fail);
-      if (!fail) {
+      if (!out[lane].fails(executor_.protocol().basis)) {
         continue;
       }
       if (!wave.case_weights.empty()) {

@@ -46,9 +46,6 @@ struct RateOptions {
   std::uint64_t seed = 1;
   /// Worker threads for wave batches; 0 = hardware concurrency.
   std::size_t num_threads = 1;
-  /// Paper's |0>_L criterion (logical X flips only) when true; any
-  /// logical flip otherwise.
-  bool x_criterion = true;
   /// Optional precomputed layout (artifact-driven serving), validated
   /// against the protocol exactly like `SamplerOptions::layout`.
   const FrameBatchLayout* layout = nullptr;

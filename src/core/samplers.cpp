@@ -76,6 +76,7 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
 
   TrajectoryBatch batch;
   batch.q = q;
+  batch.basis = executor.protocol().basis;
   batch.trajectories.assign(shots, Trajectory{});
   if (shots == 0) {
     return batch;
@@ -122,6 +123,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 
   TrajectoryBatch batch;
   batch.q = q;
+  batch.basis = executor.protocol().basis;
   batch.trajectories.reserve(shots);
   for (std::size_t s = 0; s < shots; ++s) {
     Trajectory t;
@@ -155,8 +157,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 }
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               const sim::NoiseParams& p,
-                               bool x_criterion) {
+                               const sim::NoiseParams& p) {
   std::size_t total = 0;
   for (const auto& b : batches) {
     total += b.trajectories.size();
@@ -172,8 +173,7 @@ Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
   double sum_sq = 0.0;
   for (const auto& b : batches) {
     for (const auto& t : b.trajectories) {
-      const bool fail = x_criterion ? t.x_fail : (t.x_fail || t.z_fail);
-      if (!fail) {
+      if (!t.fails(b.basis)) {
         continue;  // Zero contribution; weights need not be evaluated.
       }
       const double log_target = log_density(t, p);
@@ -200,9 +200,8 @@ Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
 }
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               double p, bool x_criterion) {
-  return estimate_logical_rate(batches, sim::NoiseParams::e1_1(p),
-                               x_criterion);
+                               double p) {
+  return estimate_logical_rate(batches, sim::NoiseParams::e1_1(p));
 }
 
 }  // namespace ftsp::core

@@ -6,6 +6,7 @@
 
 #include "core/executor.hpp"
 #include "decoder/lookup_decoder.hpp"
+#include "qec/state_context.hpp"
 #include "sim/faults.hpp"
 
 namespace ftsp::core {
@@ -19,9 +20,15 @@ struct Trajectory {
   // which would silently wrap a uint16_t.
   std::array<std::uint32_t, sim::kNumLocationKinds> sites{};
   std::array<std::uint32_t, sim::kNumLocationKinds> faults{};
-  bool x_fail = false;  ///< Paper's criterion for |0>_L (bitstring).
-  bool z_fail = false;
+  bool x_fail = false;  ///< A logical X error (some Z logical flipped).
+  bool z_fail = false;  ///< A logical Z error (some X logical flipped).
   bool hook_terminated = false;
+
+  /// The logical failure of the prepared state: an X flip spoils |0>_L
+  /// and a Z flip spoils |+>_L; the other kind acts trivially on it.
+  bool fails(qec::LogicalBasis basis) const {
+    return basis == qec::LogicalBasis::Plus ? z_fail : x_fail;
+  }
 
   std::uint32_t total_faults() const {
     std::uint32_t total = 0;
@@ -39,6 +46,8 @@ struct Trajectory {
 /// clean-location counts.
 struct TrajectoryBatch {
   sim::NoiseParams q;
+  /// The sampled protocol's basis: it picks `Trajectory::fails`.
+  qec::LogicalBasis basis = qec::LogicalBasis::Zero;
   std::vector<Trajectory> trajectories;
 };
 
@@ -137,13 +146,11 @@ struct Estimate {
 /// Multiple-importance-sampling estimate (balance heuristic) of the
 /// logical error rate at target rates `p` from one or more batches.
 /// With a single batch sampled at q == p this reduces to plain Monte
-/// Carlo. `x_criterion` selects the paper's destructive-Z-readout
-/// criterion (logical X flips); false counts either flip.
+/// Carlo. A trajectory fails by its batch's basis (`Trajectory::fails`).
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               const sim::NoiseParams& p,
-                               bool x_criterion = true);
+                               const sim::NoiseParams& p);
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
-                               double p, bool x_criterion = true);
+                               double p);
 
 }  // namespace ftsp::core

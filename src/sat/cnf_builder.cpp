@@ -181,16 +181,4 @@ void CnfBuilder::add_exactly_one(std::span<const Lit> lits) {
   }
 }
 
-void CnfBuilder::restrict_pair_selectors(
-    const std::vector<std::vector<Lit>>& sel,
-    const std::function<bool(std::size_t, std::size_t)>& allowed) {
-  for (std::size_t c = 0; c < sel.size(); ++c) {
-    for (std::size_t t = 0; t < sel[c].size(); ++t) {
-      if (sel[c][t] != Lit::undef && !allowed(c, t)) {
-        solver_->add_unit(~sel[c][t]);
-      }
-    }
-  }
-}
-
 }  // namespace ftsp::sat

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -83,18 +82,6 @@ class CnfBuilder {
 
   /// Pairwise at-most-one plus at-least-one.
   void add_exactly_one(std::span<const Lit> lits);
-
-  /// Per-gate-slot allowed-pair mask: for a CNOT selector grid
-  /// sel[c][t] (Lit::undef marks pairs that were never encoded),
-  /// unit-forbids every defined selector whose (control, target) pair is
-  /// rejected by `allowed` — the coupling-map constraint of
-  /// connectivity-aware synthesis. Encoders that know the mask up front
-  /// should instead skip creating the rejected selectors (smaller CNF);
-  /// this helper hardens grids that were built before the mask was
-  /// known.
-  void restrict_pair_selectors(
-      const std::vector<std::vector<Lit>>& sel,
-      const std::function<bool(std::size_t, std::size_t)>& allowed);
 
  private:
   Solver* solver_;

@@ -21,8 +21,6 @@
 #include "core/synth_cache.hpp"
 #include "qec/code_library.hpp"
 #include "qec/coupling.hpp"
-#include "sat/cnf_builder.hpp"
-#include "sat/solver.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -124,25 +122,6 @@ TEST(CouplingEquivalence, StrictGadgetReachStaysFtWhereFeasible) {
     EXPECT_TRUE(check_protocol_coupling(reloaded, *map, c.reach).empty());
     EXPECT_EQ(save_protocol(reloaded), text);
   }
-}
-
-TEST(CouplingEquivalence, RestrictPairSelectorsMasksEncodedGrids) {
-  // The CnfBuilder hook for selector grids built before the coupling
-  // map was known: rejected pairs are unit-forbidden, undef slots are
-  // skipped.
-  sat::Solver solver;
-  sat::CnfBuilder cnf(solver);
-  std::vector<std::vector<sat::Lit>> sel(
-      2, std::vector<sat::Lit>(2, sat::Lit::undef));
-  sel[0][1] = cnf.fresh();
-  sel[1][0] = cnf.fresh();
-  const std::vector<sat::Lit> any = {sel[0][1], sel[1][0]};
-  cnf.add_at_least_one(any);
-  cnf.restrict_pair_selectors(
-      sel, [](std::size_t c, std::size_t t) { return c == 0 && t == 1; });
-  ASSERT_TRUE(solver.solve());
-  EXPECT_TRUE(solver.model_value(sel[0][1]));
-  EXPECT_FALSE(solver.model_value(sel[1][0]));
 }
 
 TEST(CouplingEquivalence, AuditFlagsViolations) {
@@ -252,7 +231,6 @@ TEST(CouplingEquivalence, FallbackIsReportedAndLandsInProvenance) {
   options.report = &report;
   const auto circuit = synthesize_prep(state, options);
   EXPECT_GT(circuit.cnot_count(), options.max_cnots);
-  EXPECT_TRUE(report.sat_search_exhausted);
   EXPECT_TRUE(report.heuristic_fallback);
 
   // And through the compiler it becomes artifact provenance, surviving

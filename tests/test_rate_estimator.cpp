@@ -266,6 +266,31 @@ TEST(RateEstimator, LowPIsExhaustivelyDominated) {
   EXPECT_LT(estimate.tail_weight, 1e-10);
 }
 
+TEST(RateEstimator, PlusStateFailsOnZFlipsOnly) {
+  // An X flip acts trivially on |+>_L, so only Z flips count against it.
+  const Protocol protocol = synthesize_protocol(
+      qec::library_code_by_name("Steane"), qec::LogicalBasis::Plus);
+  const Executor executor(protocol);
+  const decoder::PerfectDecoder decoder(*protocol.code);
+
+  const std::size_t shots = 4000;
+  const auto batch = sample_protocol_batch(executor, decoder, 0.05, shots, 5);
+  std::size_t x_fails = 0;
+  std::size_t z_fails = 0;
+  for (const Trajectory& t : batch.trajectories) {
+    x_fails += t.x_fail;
+    z_fails += t.z_fail;
+  }
+  ASSERT_NE(x_fails, z_fails);
+  EXPECT_DOUBLE_EQ(estimate_logical_rate({batch}, 0.05).mean,
+                   static_cast<double>(z_fails) / static_cast<double>(shots));
+
+  // Fault tolerant, so quadratic in p like the |0>_L protocol.
+  const auto rate =
+      estimate_logical_error_rate(executor, decoder, 1e-3, RateOptions{});
+  EXPECT_LT(rate.p_logical, 1e-4);
+}
+
 TEST(RateEstimator, BiasedNoiseSingleTarget) {
   auto& fixture = steane();
   RateOptions options;

@@ -64,7 +64,7 @@ TEST_F(SamplerTest, PlainMonteCarloMatchesManualAverage) {
   for (const auto& t : batch.trajectories) {
     failures += t.x_fail ? 1 : 0;
   }
-  const auto estimate = estimate_logical_rate({batch}, 0.08, true);
+  const auto estimate = estimate_logical_rate({batch}, 0.08);
   EXPECT_NEAR(estimate.mean,
               static_cast<double>(failures) / 3000.0, 1e-12);
 }
