@@ -129,7 +129,7 @@ LeadingOrder exact_leading_order(const Executor& executor,
       }
       return -1;
     });
-    if (decoder.decode(run.data_error).x_flip) {
+    if (decoder.decode(run.data_error).fails(protocol.basis)) {
       ++result.single_fault_failures;
     }
   }
@@ -160,8 +160,8 @@ LeadingOrder exact_leading_order(const Executor& executor,
           });
           ++result.pairs_enumerated;
           const auto logical = decoder.decode(run.data_error);
-          if (logical.x_flip) {
-            result.c2_x += a.weight * b.weight;
+          if (logical.fails(protocol.basis)) {
+            result.c2 += a.weight * b.weight;
           }
           if (logical.x_flip || logical.z_flip) {
             result.c2_any += a.weight * b.weight;

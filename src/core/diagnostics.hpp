@@ -49,7 +49,9 @@ TwoFaultSurvey survey_two_faults(const Executor& executor, std::size_t t,
 /// are excluded and add a small positive correction (branch circuits are
 /// short and rarely executed).
 struct LeadingOrder {
-  double c2_x = 0.0;  ///< Coefficient for the paper's X-flip criterion.
+  /// Coefficient for the failure of the protocol's basis state: X flips
+  /// on |0>_L (the paper's criterion), Z flips on |+>_L.
+  double c2 = 0.0;
   double c2_any = 0.0;  ///< Either logical flip.
   std::size_t pairs_enumerated = 0;
   /// Exact single-fault failure count: must be 0 for an FT protocol.

@@ -94,7 +94,7 @@ MeasurePrepStats sample_measure_prep(const MeasurementBasedPrep& prep,
             prep.outcome_fixes.row(i);
       }
     }
-    if (decoder.decode(error).x_flip) {
+    if (decoder.decode(error).fails(state.basis())) {
       ++failures;
     }
   }

@@ -62,7 +62,7 @@ NonDetStats sample_nondet(const Protocol& protocol,
       continue;
     }
     ++stats.accepted;
-    if (decoder.decode(attempt.data_error).x_flip) {
+    if (decoder.decode(attempt.data_error).fails(protocol.basis)) {
       ++failures;
     }
   }

@@ -25,7 +25,9 @@ NonDetAttempt run_nondet_attempt(const Protocol& protocol, double p,
 struct NonDetStats {
   double acceptance_rate = 0.0;
   double expected_attempts = 0.0;   ///< 1 / acceptance rate.
-  double logical_error_rate = 0.0;  ///< X-flip rate among accepted states.
+  /// Rate of the protocol basis's logical failure (X flips on |0>_L, Z
+  /// flips on |+>_L) among accepted states.
+  double logical_error_rate = 0.0;
   std::size_t shots = 0;
   std::size_t accepted = 0;
 };

@@ -6,6 +6,7 @@
 #include "f2/bit_vec.hpp"
 #include "qec/css_code.hpp"
 #include "qec/pauli.hpp"
+#include "qec/state_context.hpp"
 
 namespace ftsp::decoder {
 
@@ -62,6 +63,11 @@ class LookupDecoder {
 struct LogicalOutcome {
   bool x_flip = false;  ///< Residual X error anticommutes with some Z_L.
   bool z_flip = false;  ///< Residual Z error anticommutes with some X_L.
+
+  /// Whether the prepared basis state failed (`qec::basis_failure`).
+  bool fails(qec::LogicalBasis basis) const {
+    return qec::basis_failure(basis, x_flip, z_flip);
+  }
 };
 
 /// Decodes both error types of `error` with lookup tables and reports

@@ -20,6 +20,14 @@ constexpr const char* name(LogicalBasis b) {
   return b == LogicalBasis::Zero ? "|0>_L" : "|+>_L";
 }
 
+/// Of a value kept per logical flip kind (a flag or a count), the one
+/// for the flip that spoils the prepared state `b`: an X flip spoils
+/// |0>_L and a Z flip spoils |+>_L; the other kind acts trivially on it.
+template <typename T>
+constexpr T basis_failure(LogicalBasis b, T x_flip, T z_flip) {
+  return b == LogicalBasis::Plus ? z_flip : x_flip;
+}
+
 /// Error semantics for a *prepared logical basis state* of a CSS code.
 ///
 /// The prepared state is stabilized by a larger group than the code: for

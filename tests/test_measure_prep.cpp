@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/executor.hpp"
 #include "core/protocol.hpp"
 #include "core/samplers.hpp"
@@ -127,6 +129,25 @@ TEST(MeasurePrep, PlusBasisMirrors) {
   for (const auto& gadget : prep.gadgets) {
     EXPECT_EQ(gadget.stabilizer_type, PauliType::Z);
   }
+}
+
+TEST(MeasurePrep, PlusBasisFailsAsOftenAsZero) {
+  // Steane is self-dual and the |+>_L circuit mirrors the |0>_L one
+  // under transversal H, so under this symmetric noise the Z flips that
+  // spoil |+>_L are as frequent as the X flips that spoil |0>_L. Its X
+  // flips, which act trivially on |+>_L, read about twice as often.
+  const auto code = qec::steane();
+  const decoder::PerfectDecoder decoder(code);
+  const auto rate = [&](LogicalBasis basis) {
+    const qec::StateContext state(code, basis);
+    const auto prep = synthesize_measure_prep(state);
+    return sample_measure_prep(prep, state, decoder, 0.02, 40000, 5)
+        .logical_error_rate;
+  };
+  const double zero = rate(LogicalBasis::Zero);
+  const double plus = rate(LogicalBasis::Plus);
+  const double sigma = std::sqrt(2.0 * zero * (1.0 - zero) / 40000.0);
+  EXPECT_NEAR(plus, zero, 5.0 * sigma);
 }
 
 TEST(MeasurePrep, StatsCountResources) {

@@ -84,17 +84,31 @@ TEST(Diagnostics, ExactLeadingOrderMatchesSampler) {
   const auto leading = exact_leading_order(executor, decoder);
   EXPECT_EQ(leading.single_fault_failures, 0u);
   EXPECT_GT(leading.pairs_enumerated, 1000u);
-  EXPECT_GT(leading.c2_x, 0.0);
-  EXPECT_GE(leading.c2_any, leading.c2_x);
+  EXPECT_GT(leading.c2, 0.0);
+  EXPECT_GE(leading.c2_any, leading.c2);
 
   const std::vector<TrajectoryBatch> batches = {
       sample_protocol_batch(executor, decoder, 0.05, 30000, 71),
       sample_protocol_batch(executor, decoder, 0.01, 30000, 72)};
   const double p = 1e-3;
   const double sampled = estimate_logical_rate(batches, p).mean;
-  const double predicted = leading.c2_x * p * p;
+  const double predicted = leading.c2 * p * p;
   EXPECT_GT(sampled, 0.3 * predicted);
   EXPECT_LT(sampled, 3.0 * predicted);
+}
+
+TEST(Diagnostics, ExactLeadingOrderUsesTheProtocolBasis) {
+  // |+>_L fails on Z flips only. Single faults of the Steane |+>_L
+  // protocol leave X flips a perfect EC round cannot undo, but those act
+  // trivially on |+>_L, so none of them is a failure.
+  const auto protocol =
+      synthesize_protocol(qec::steane(), LogicalBasis::Plus);
+  const Executor executor(protocol);
+  const decoder::PerfectDecoder decoder(*protocol.code);
+  const auto leading = exact_leading_order(executor, decoder);
+  EXPECT_EQ(leading.single_fault_failures, 0u);
+  EXPECT_GT(leading.c2, 0.0);
+  EXPECT_GE(leading.c2_any, leading.c2);
 }
 
 TEST(Diagnostics, DistanceFourCodesAreMoreRobustToPairs) {
