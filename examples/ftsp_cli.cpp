@@ -1010,9 +1010,9 @@ int main(int argc, char** argv) {
     if (command == "sim") {
       const core::Executor executor(protocol);
       const decoder::PerfectDecoder decoder(*protocol.code);
-      const auto batch =
-          core::sample_protocol_batch(executor, decoder, p, shots, 1);
-      const auto estimate = core::estimate_logical_rate({batch}, p);
+      const auto counts =
+          core::sample_protocol_counts(executor, decoder, p, shots, 1);
+      const auto estimate = core::estimate_logical_rate(counts);
       std::printf("%s @ p=%g: pL = %.4e +- %.1e (%zu shots)\n",
                   spec.c_str(), p, estimate.mean, estimate.std_error,
                   shots);

@@ -25,11 +25,8 @@ namespace ftsp::compile {
 namespace {
 
 /// Hard per-request shot cap, so no single line can ask for unbounded
-/// work. The memory bound it implies is loose: the sampler keeps one
-/// trajectory per shot, and a Steane `sample` at this cap (threads=1)
-/// peaked at 447 MB max RSS in `ftsp_cli query`, against 25 MB at 100k
-/// shots (x86-64 Linux, Release). ROADMAP's streaming-sampler item
-/// ("Bounded by construction") replaces that buffer.
+/// work. For `sample` it bounds time only: shards fold into counts, so
+/// its memory is one shard's scratch per thread whatever the shot count.
 constexpr std::uint64_t kMaxShotsPerRequest = std::uint64_t{1} << 22;
 constexpr std::uint64_t kMaxThreadsPerRequest = 256;
 
@@ -362,30 +359,20 @@ std::string ServiceOps::sample(const ProtocolService&, const Entry* entry,
   sampler.num_threads = static_cast<std::size_t>(
       integer_param(request, "threads", 1, kMaxThreadsPerRequest));
   sampler.layout = &artifact.layout;
-  const auto batch = core::sample_protocol_batch(
+  const auto counts = core::sample_protocol_counts(
       entry->executor, entry->decoder, p, shots, seed, sampler);
-  const auto estimate = core::estimate_logical_rate({batch}, p);
+  const auto estimate = core::estimate_logical_rate(counts);
   JsonWriter out;
   out.field("code", ProtocolService::serving_name(artifact));
   out.field("p", p);
   out.field("shots", static_cast<std::uint64_t>(shots));
   out.field("p_logical", estimate.mean);
   out.field("std_error", estimate.std_error);
-  std::uint64_t x_fails = 0;
-  std::uint64_t z_fails = 0;
-  std::uint64_t hooks = 0;
-  std::uint64_t faults = 0;
-  for (const auto& t : batch.trajectories) {
-    x_fails += t.x_fail;
-    z_fails += t.z_fail;
-    hooks += t.hook_terminated;
-    faults += t.total_faults();
-  }
   out.field("seed", seed);
-  out.field("x_fails", x_fails);
-  out.field("z_fails", z_fails);
-  out.field("hook_terminated", hooks);
-  out.field("total_faults", faults);
+  out.field("x_fails", counts.x_fails);
+  out.field("z_fails", counts.z_fails);
+  out.field("hook_terminated", counts.hook_terminated);
+  out.field("total_faults", counts.total_faults);
   return out.take_body();
 }
 

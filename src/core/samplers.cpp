@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 #include "core/frame_runner.hpp"
@@ -38,6 +40,56 @@ double log_density(const Trajectory& t, const sim::NoiseParams& r) {
   return log_p;
 }
 
+/// Mean and standard error of `n` weighted shots from the sums of their
+/// weights and squared weights.
+Estimate from_weight_sums(double sum, double sum_sq, double n) {
+  Estimate estimate;
+  estimate.mean = sum / n;
+  const double variance = (sum_sq / n - estimate.mean * estimate.mean) / n;
+  estimate.std_error = variance > 0.0 ? std::sqrt(variance) : 0.0;
+  return estimate;
+}
+
+/// The one MIS loop behind every batch entry point: it reads the
+/// batches through pointers, so no entry point copies a batch.
+Estimate estimate_over(std::span<const TrajectoryBatch* const> batches,
+                       const sim::NoiseParams& p) {
+  std::size_t total = 0;
+  for (const TrajectoryBatch* b : batches) {
+    total += b->trajectories.size();
+  }
+  if (total == 0) {
+    return {};
+  }
+
+  // Balance-heuristic MIS weight; the uniform fault-operator choice is
+  // identical in the target and every sampling distribution, so it
+  // cancels and only the per-kind fault/clean counts matter.
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const TrajectoryBatch* b : batches) {
+    for (const auto& t : b->trajectories) {
+      if (!t.fails(b->basis)) {
+        continue;  // Zero contribution; weights need not be evaluated.
+      }
+      const double log_target = log_density(t, p);
+      if (!std::isfinite(log_target)) {
+        continue;  // Impossible under the target: weight 0.
+      }
+      double mixture = 0.0;
+      for (const TrajectoryBatch* bs : batches) {
+        const double share = static_cast<double>(bs->trajectories.size()) /
+                             static_cast<double>(total);
+        mixture += share * std::exp(log_density(t, bs->q) - log_target);
+      }
+      const double weight = 1.0 / mixture;
+      sum += weight;
+      sum_sq += weight * weight;
+    }
+  }
+  return from_weight_sums(sum, sum_sq, static_cast<double>(total));
+}
+
 void validate_rates(const sim::NoiseParams& q) {
   for (double rate : q.rates) {
     if (rate < 0.0 || rate >= 1.0) {
@@ -45,6 +97,59 @@ void validate_rates(const sim::NoiseParams& q) {
           "sample_protocol_batch: rates must be in [0,1)");
     }
   }
+}
+
+void validate_options(const sim::NoiseParams& q,
+                      const SamplerOptions& options) {
+  validate_rates(q);
+  if (options.shard_shots == 0) {
+    throw std::invalid_argument(
+        "sample_protocol_batch: shard_shots must be positive");
+  }
+}
+
+void validate_uniform_rate(double q) {
+  if (q <= 0.0 || q >= 1.0) {
+    throw std::invalid_argument("sample_protocol_batch: q must be in (0,1)");
+  }
+}
+
+/// The one shard loop of the Monte-Carlo sampler; callers run
+/// `validate_options` first. Shard `index` covers `count` shots from
+/// shot `index * shard_shots` on and draws from `shard_seed(seed,
+/// index)` alone, so its shots depend on neither the thread count nor
+/// where they are written. `fn(begin, count, run)` is called once per
+/// shard; `run(out)` samples the shard into the `count` zero-initialised
+/// trajectories at `out`.
+template <typename Fn>
+void for_each_shard(const Executor& executor,
+                    const decoder::PerfectDecoder& decoder,
+                    const sim::NoiseParams& q, std::size_t shots,
+                    std::uint64_t seed, const SamplerOptions& options,
+                    Fn&& fn) {
+  if (shots == 0) {
+    return;
+  }
+
+  const detail::SegmentCounts counts(executor.protocol(), options.layout);
+  const detail::DecodeTables tables(decoder);
+  const detail::KindMaskTables masks(q);
+  const std::size_t shard = options.shard_shots;
+  // Ceiling division that cannot wrap, even for shard sizes near SIZE_MAX.
+  const std::size_t num_shards = shots / shard + (shots % shard != 0);
+  util::run_indexed_parallel(
+      num_shards, options.num_threads, [&](std::size_t index) {
+        const std::size_t begin = index * shard;
+        const std::size_t count = std::min(shard, shots - begin);
+        fn(begin, count, [&](Trajectory* out) {
+          detail::BernoulliInjector injector(q, masks, out,
+                                             detail::shard_seed(seed, index));
+          detail::ShardRunner<detail::BernoulliInjector> runner(
+              executor, counts, tables, count, out, injector,
+              options.layout);
+          runner.run();
+        });
+      });
 }
 
 }  // namespace
@@ -68,37 +173,15 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       const sim::NoiseParams& q,
                                       std::size_t shots, std::uint64_t seed,
                                       const SamplerOptions& options) {
-  validate_rates(q);
-  if (options.shard_shots == 0) {
-    throw std::invalid_argument(
-        "sample_protocol_batch: shard_shots must be positive");
-  }
-
+  validate_options(q, options);
   TrajectoryBatch batch;
   batch.q = q;
   batch.basis = executor.protocol().basis;
   batch.trajectories.assign(shots, Trajectory{});
-  if (shots == 0) {
-    return batch;
-  }
-
-  const detail::SegmentCounts counts(executor.protocol(), options.layout);
-  const detail::DecodeTables tables(decoder);
-  const detail::KindMaskTables masks(q);
-  const std::size_t shard = options.shard_shots;
-  // Ceiling division that cannot wrap, even for shard sizes near SIZE_MAX.
-  const std::size_t num_shards = shots / shard + (shots % shard != 0);
-  util::run_indexed_parallel(
-      num_shards, options.num_threads, [&](std::size_t index) {
-        const std::size_t begin = index * shard;
-        const std::size_t count = std::min(shard, shots - begin);
-        Trajectory* out = batch.trajectories.data() + begin;
-        detail::BernoulliInjector injector(q, masks, out,
-                                           detail::shard_seed(seed, index));
-        detail::ShardRunner<detail::BernoulliInjector> runner(
-            executor, counts, tables, count, out, injector, options.layout);
-        runner.run();
-      });
+  for_each_shard(executor, decoder, q, shots, seed, options,
+                 [&](std::size_t begin, std::size_t, auto&& run) {
+                   run(batch.trajectories.data() + begin);
+                 });
   return batch;
 }
 
@@ -107,11 +190,44 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       double q, std::size_t shots,
                                       std::uint64_t seed,
                                       const SamplerOptions& options) {
-  if (q <= 0.0 || q >= 1.0) {
-    throw std::invalid_argument("sample_protocol_batch: q must be in (0,1)");
-  }
+  validate_uniform_rate(q);
   return sample_protocol_batch(executor, decoder, sim::NoiseParams::e1_1(q),
                                shots, seed, options);
+}
+
+SampleCounts sample_protocol_counts(const Executor& executor,
+                                    const decoder::PerfectDecoder& decoder,
+                                    double q, std::size_t shots,
+                                    std::uint64_t seed,
+                                    const SamplerOptions& options) {
+  validate_uniform_rate(q);
+  const sim::NoiseParams rates = sim::NoiseParams::e1_1(q);
+  validate_options(rates, options);
+  SampleCounts total;
+  total.basis = executor.protocol().basis;
+  total.shots = shots;
+  // Integer sums do not depend on the order shards finish in, so the
+  // counts stay thread-count invariant.
+  std::mutex mutex;
+  for_each_shard(
+      executor, decoder, rates, shots, seed, options,
+      [&](std::size_t, std::size_t count, auto&& run) {
+        std::vector<Trajectory> scratch(count);
+        run(scratch.data());
+        SampleCounts shard;
+        for (const Trajectory& t : scratch) {
+          shard.x_fails += t.x_fail;
+          shard.z_fails += t.z_fail;
+          shard.hook_terminated += t.hook_terminated;
+          shard.total_faults += t.total_faults();
+        }
+        const std::lock_guard<std::mutex> lock(mutex);
+        total.x_fails += shard.x_fails;
+        total.z_fails += shard.z_fails;
+        total.hook_terminated += shard.hook_terminated;
+        total.total_faults += shard.total_faults;
+      });
+  return total;
 }
 
 TrajectoryBatch sample_protocol_batch_scalar(
@@ -149,59 +265,43 @@ TrajectoryBatch sample_protocol_batch_scalar(
 TrajectoryBatch sample_protocol_batch_scalar(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     double q, std::size_t shots, std::uint64_t seed) {
-  if (q <= 0.0 || q >= 1.0) {
-    throw std::invalid_argument("sample_protocol_batch: q must be in (0,1)");
-  }
+  validate_uniform_rate(q);
   return sample_protocol_batch_scalar(executor, decoder,
                                       sim::NoiseParams::e1_1(q), shots, seed);
 }
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
                                const sim::NoiseParams& p) {
-  std::size_t total = 0;
-  for (const auto& b : batches) {
-    total += b.trajectories.size();
+  std::vector<const TrajectoryBatch*> views;
+  views.reserve(batches.size());
+  for (const TrajectoryBatch& b : batches) {
+    views.push_back(&b);
   }
-  if (total == 0) {
-    return {};
-  }
-
-  // Balance-heuristic MIS weight; the uniform fault-operator choice is
-  // identical in the target and every sampling distribution, so it
-  // cancels and only the per-kind fault/clean counts matter.
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const auto& b : batches) {
-    for (const auto& t : b.trajectories) {
-      if (!t.fails(b.basis)) {
-        continue;  // Zero contribution; weights need not be evaluated.
-      }
-      const double log_target = log_density(t, p);
-      if (!std::isfinite(log_target)) {
-        continue;  // Impossible under the target: weight 0.
-      }
-      double mixture = 0.0;
-      for (const auto& bs : batches) {
-        const double share = static_cast<double>(bs.trajectories.size()) /
-                             static_cast<double>(total);
-        mixture += share * std::exp(log_density(t, bs.q) - log_target);
-      }
-      const double weight = 1.0 / mixture;
-      sum += weight;
-      sum_sq += weight * weight;
-    }
-  }
-  Estimate estimate;
-  const double n = static_cast<double>(total);
-  estimate.mean = sum / n;
-  const double variance = (sum_sq / n - estimate.mean * estimate.mean) / n;
-  estimate.std_error = variance > 0.0 ? std::sqrt(variance) : 0.0;
-  return estimate;
+  return estimate_over(views, p);
 }
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
                                double p) {
   return estimate_logical_rate(batches, sim::NoiseParams::e1_1(p));
+}
+
+Estimate estimate_logical_rate(const TrajectoryBatch& batch,
+                               const sim::NoiseParams& p) {
+  const TrajectoryBatch* const one = &batch;
+  return estimate_over({&one, 1}, p);
+}
+
+Estimate estimate_logical_rate(const TrajectoryBatch& batch, double p) {
+  return estimate_logical_rate(batch, sim::NoiseParams::e1_1(p));
+}
+
+Estimate estimate_logical_rate(const SampleCounts& counts) {
+  if (counts.shots == 0) {
+    return {};
+  }
+  // Every weight is 1, so both weight sums are the fail count.
+  const double fails = static_cast<double>(counts.fails());
+  return from_weight_sums(fails, fails, static_cast<double>(counts.shots));
 }
 
 }  // namespace ftsp::core

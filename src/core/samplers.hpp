@@ -24,10 +24,9 @@ struct Trajectory {
   bool z_fail = false;  ///< A logical Z error (some X logical flipped).
   bool hook_terminated = false;
 
-  /// The logical failure of the prepared state: an X flip spoils |0>_L
-  /// and a Z flip spoils |+>_L; the other kind acts trivially on it.
+  /// The logical failure of the prepared state (`qec::basis_failure`).
   bool fails(qec::LogicalBasis basis) const {
-    return basis == qec::LogicalBasis::Plus ? z_fail : x_fail;
+    return qec::basis_failure(basis, x_fail, z_fail);
   }
 
   std::uint32_t total_faults() const {
@@ -127,6 +126,33 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       std::uint64_t seed,
                                       const SamplerOptions& options = {});
 
+/// What a plain Monte-Carlo reply needs from a sampled batch: integer
+/// tallies over its shots, with no per-shot record kept.
+struct SampleCounts {
+  /// The sampled protocol's basis: it picks `fails`.
+  qec::LogicalBasis basis = qec::LogicalBasis::Zero;
+  std::uint64_t shots = 0;
+  std::uint64_t x_fails = 0;
+  std::uint64_t z_fails = 0;
+  std::uint64_t hook_terminated = 0;
+  std::uint64_t total_faults = 0;  ///< Summed over every kind and shot.
+
+  std::uint64_t fails() const {
+    return qec::basis_failure(basis, x_fails, z_fails);
+  }
+};
+
+/// The shots `sample_protocol_batch` draws for the same uniform E1_1
+/// arguments (same shards, shard seeds and runner), folded into counts
+/// shard by shard. Each shard runs into a `shard_shots`-sized scratch
+/// that is dropped once counted, so memory is bounded by the running
+/// shards, not by `shots`.
+SampleCounts sample_protocol_counts(const Executor& executor,
+                                    const decoder::PerfectDecoder& decoder,
+                                    double q, std::size_t shots,
+                                    std::uint64_t seed,
+                                    const SamplerOptions& options = {});
+
 /// One-shot-at-a-time reference sampler over the scalar `PauliFrame`
 /// executor. Kept as the oracle the batched engine is cross-checked
 /// against; use `sample_protocol_batch` for anything performance-bound.
@@ -147,10 +173,24 @@ struct Estimate {
 /// logical error rate at target rates `p` from one or more batches.
 /// With a single batch sampled at q == p this reduces to plain Monte
 /// Carlo. A trajectory fails by its batch's basis (`Trajectory::fails`).
+/// Batches are read in place, never copied.
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
                                const sim::NoiseParams& p);
 
 Estimate estimate_logical_rate(const std::vector<TrajectoryBatch>& batches,
                                double p);
+
+/// One batch. A braced `{batch}` argument resolves here, so it is not
+/// copied into a temporary vector. Spell an empty batch list
+/// `std::vector<TrajectoryBatch>{}`: a bare `{}` is ambiguous.
+Estimate estimate_logical_rate(const TrajectoryBatch& batch,
+                               const sim::NoiseParams& p);
+
+Estimate estimate_logical_rate(const TrajectoryBatch& batch, double p);
+
+/// Plain Monte-Carlo estimate at the sampling rates. Every MIS weight of
+/// a single batch at q == p is exactly 1, so this equals
+/// `estimate_logical_rate(batch, q)` of the same shots bit for bit.
+Estimate estimate_logical_rate(const SampleCounts& counts);
 
 }  // namespace ftsp::core

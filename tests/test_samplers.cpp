@@ -120,7 +120,10 @@ TEST_F(SamplerTest, StdErrorShrinksWithShots) {
 }
 
 TEST_F(SamplerTest, EmptyBatchesGiveZero) {
-  const auto estimate = estimate_logical_rate({}, 0.01);
+  // A bare `{}` would be ambiguous between the vector and the
+  // single-batch entry points.
+  const auto estimate =
+      estimate_logical_rate(std::vector<TrajectoryBatch>{}, 0.01);
   EXPECT_EQ(estimate.mean, 0.0);
   EXPECT_EQ(estimate.std_error, 0.0);
 }
@@ -289,6 +292,93 @@ TEST_F(SamplerTest, ZeroShardShotsRejected) {
   EXPECT_THROW(
       sample_protocol_batch(*executor_, *decoder_, 0.1, 10, 1, options),
       std::invalid_argument);
+}
+
+TEST_F(SamplerTest, OneBatchEstimatesAlikeByReferenceAndInAVector) {
+  const auto batch =
+      sample_protocol_batch(*executor_, *decoder_, 0.05, 3000, 41);
+  const std::vector<TrajectoryBatch> one = {batch};
+  for (const double p : {0.05, 0.01}) {
+    const auto by_reference = estimate_logical_rate(batch, p);
+    const auto in_vector = estimate_logical_rate(one, p);
+    EXPECT_EQ(by_reference.mean, in_vector.mean) << "p=" << p;
+    EXPECT_EQ(by_reference.std_error, in_vector.std_error) << "p=" << p;
+  }
+}
+
+/// Folds a batch the way a plain Monte-Carlo reply does.
+SampleCounts fold(const TrajectoryBatch& batch) {
+  SampleCounts counts;
+  counts.basis = batch.basis;
+  counts.shots = batch.trajectories.size();
+  for (const Trajectory& t : batch.trajectories) {
+    counts.x_fails += t.x_fail;
+    counts.z_fails += t.z_fail;
+    counts.hook_terminated += t.hook_terminated;
+    counts.total_faults += t.total_faults();
+  }
+  return counts;
+}
+
+void expect_same_counts(const SampleCounts& a, const SampleCounts& b) {
+  EXPECT_EQ(a.basis, b.basis);
+  EXPECT_EQ(a.shots, b.shots);
+  EXPECT_EQ(a.x_fails, b.x_fails);
+  EXPECT_EQ(a.z_fails, b.z_fails);
+  EXPECT_EQ(a.hook_terminated, b.hook_terminated);
+  EXPECT_EQ(a.total_faults, b.total_faults);
+}
+
+TEST(SampleCounts, EqualTheBatchAndItsEstimateBitForBit) {
+  // The counts path runs the batch's shards into scratch and folds them,
+  // so its tallies equal the folded batch, and its plain Monte-Carlo
+  // estimate equals the batch's MIS estimate at q exactly (every weight
+  // is 1.0 there).
+  for (const LogicalBasis basis : {LogicalBasis::Zero, LogicalBasis::Plus}) {
+    for (const auto& code : {qec::steane(), qec::carbon()}) {
+      const Protocol protocol = synthesize_protocol(code, basis);
+      const Executor executor(protocol);
+      const decoder::PerfectDecoder decoder(*protocol.code);
+      for (const std::size_t threads : {1, 3}) {
+        SamplerOptions options;
+        options.num_threads = threads;
+        options.shard_shots = 1000;  // A partial last shard.
+        for (const double q : {0.002, 0.05}) {
+          SCOPED_TRACE(code.name() + " " + qec::name(basis) +
+                       " threads=" + std::to_string(threads) +
+                       " q=" + std::to_string(q));
+          const auto batch =
+              sample_protocol_batch(executor, decoder, q, 4500, 13, options);
+          const auto counts =
+              sample_protocol_counts(executor, decoder, q, 4500, 13, options);
+          expect_same_counts(counts, fold(batch));
+          const Estimate from_batch = estimate_logical_rate(batch, q);
+          const Estimate from_counts = estimate_logical_rate(counts);
+          EXPECT_EQ(from_counts.mean, from_batch.mean);
+          EXPECT_EQ(from_counts.std_error, from_batch.std_error);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SamplerTest, CountsOfNoShotsAreEmpty) {
+  const auto counts = sample_protocol_counts(*executor_, *decoder_, 0.1, 0, 1);
+  EXPECT_EQ(counts.shots, 0u);
+  EXPECT_EQ(counts.total_faults, 0u);
+  const Estimate estimate = estimate_logical_rate(counts);
+  EXPECT_EQ(estimate.mean, 0.0);
+  EXPECT_EQ(estimate.std_error, 0.0);
+}
+
+TEST_F(SamplerTest, CountsRejectWhatTheBatchRejects) {
+  SamplerOptions options;
+  options.shard_shots = 0;
+  EXPECT_THROW(
+      sample_protocol_counts(*executor_, *decoder_, 0.1, 10, 1, options),
+      std::invalid_argument);
+  EXPECT_THROW(sample_protocol_counts(*executor_, *decoder_, 1.0, 10, 1),
+               std::invalid_argument);
 }
 
 TEST(TrajectoryCounters, HoldCountsBeyondUint16) {
