@@ -100,6 +100,11 @@ class WaveRunner {
 
   const SiteIndex& index() const { return index_; }
 
+  /// Waves worth building before running any: one per worker thread.
+  std::size_t wave_group() const {
+    return util::resolve_threads(options_.num_threads);
+  }
+
   void run_wave(Wave& wave) const {
     std::vector<Trajectory> out(wave.shots);
     detail::PlantedInjector injector{wave.plan, index_.base};
@@ -107,6 +112,10 @@ class WaveRunner {
         executor_, counts_, tables_, wave.shots, out.data(), injector,
         options_.layout);
     runner.run();
+    // The plan is dead once the wave has run. Freed before `out`, the
+    // two coalesce and go back to the system together; freed after, a
+    // worker's arena kept about 0.5 MiB resident.
+    wave.plan = Plan{};
     for (std::size_t lane = 0; lane < wave.shots; ++lane) {
       if (!out[lane].fails(executor_.protocol().basis)) {
         continue;
@@ -148,13 +157,21 @@ struct CaseFault {
   std::uint32_t op = 0;
 };
 
-/// Chunks enumerated cases into bounded waves.
+/// Chunks enumerated cases into bounded waves and runs them a group of
+/// `runner.wave_group()` waves at a time, so an exhaustive sector holds
+/// one group's fault plans and case weights, not the whole sector's.
+/// `weighted_fails` sums the waves' results in enumeration order.
 struct WaveBuilder {
-  std::vector<Wave>& waves;
+  const WaveRunner& runner;
   std::size_t chunk;
+  std::vector<Wave> waves;
+  double weighted_fails = 0.0;
 
   void add(const CaseFault* faults, std::size_t k, double weight) {
     if (waves.empty() || waves.back().shots == chunk) {
+      if (waves.size() == runner.wave_group()) {
+        flush();
+      }
       waves.emplace_back();
     }
     Wave& wave = waves.back();
@@ -163,6 +180,15 @@ struct WaveBuilder {
       wave.plan[faults[i].site].push_back({lane, faults[i].op});
     }
     wave.case_weights.push_back(weight);
+  }
+
+  /// Runs the pending waves and folds their results.
+  void flush() {
+    runner.run_waves(waves);
+    for (const Wave& wave : waves) {
+      weighted_fails += wave.weighted_fails;
+    }
+    waves.clear();
   }
 };
 
@@ -460,8 +486,7 @@ std::vector<RateEstimate> run_estimator(
     data.k = static_cast<std::uint32_t>(k);
     data.exhaustive = true;
     data.cases = cases;
-    std::vector<Wave> waves;
-    WaveBuilder builder{waves, options.chunk_shots};
+    WaveBuilder builder{runner, options.chunk_shots, {}};
     if (k == 0) {
       const CaseFault none{};
       builder.add(&none, 0, 1.0);
@@ -470,10 +495,8 @@ std::vector<RateEstimate> run_estimator(
                     [&](const CaseFault* faults, std::size_t nk,
                         double weight) { builder.add(faults, nk, weight); });
     }
-    runner.run_waves(waves);
-    for (const Wave& wave : waves) {
-      data.exact_fail_rate += wave.weighted_fails;
-    }
+    builder.flush();
+    data.exact_fail_rate = builder.weighted_fails;
     sectors.push_back(std::move(data));
     first_sampled_k = k + 1;
   }

@@ -8,17 +8,23 @@
 
 namespace ftsp::util {
 
+/// The worker count a `threads` setting asks for: 0 means the hardware
+/// concurrency (at least one).
+inline std::size_t resolve_threads(std::size_t threads) {
+  return threads != 0
+             ? threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 /// Work-stealing index loop behind the batched sampler (shards) and the
 /// rate estimator (waves): invokes `fn(i)` for i in [0, tasks) over
 /// `threads` workers (0 = hardware concurrency). With one worker the
 /// indices run in order on the calling thread. Each task writes only its
-/// own slot, so results are thread-count invariant by construction.
+/// own slot or adds to integer sums, so results are thread-count
+/// invariant by construction.
 template <typename Fn>
 void run_indexed_parallel(std::size_t tasks, std::size_t threads, Fn&& fn) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, tasks);
+  threads = std::min(resolve_threads(threads), tasks);
   if (threads <= 1) {
     for (std::size_t i = 0; i < tasks; ++i) {
       fn(i);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "core/samplers.hpp"
 #include "decoder/lookup_decoder.hpp"
 #include "qec/code_library.hpp"
+#include "util/hash.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -217,6 +219,37 @@ TEST(RateEstimator, DeterministicAcrossThreads) {
     EXPECT_EQ(reference.sectors[i].fails, with_threads.sectors[i].fails);
     EXPECT_EQ(reference.sectors[i].shots, with_threads.sectors[i].shots);
   }
+}
+
+TEST(RateEstimator, WaveGroupsKeepEstimatesBitIdentical) {
+  // Exhaustive sectors run their waves a group at a time; the sector
+  // sums must not depend on the grouping, so every double is pinned.
+  // A 200-lane chunk splits the k = 2 sector into many groups.
+  auto& fixture = steane();
+  const auto digest = [&](std::size_t threads, std::size_t chunk) {
+    RateOptions options;
+    options.seed = 7;
+    options.num_threads = threads;
+    options.chunk_shots = chunk;
+    const RateEstimate estimate = estimate_logical_error_rate(
+        fixture.executor, fixture.decoder, 0.003, options);
+    util::Fnv1a64 hash;
+    for (const double value : {estimate.p_logical, estimate.std_error,
+                               estimate.ci_low, estimate.ci_high}) {
+      hash.le64(std::bit_cast<std::uint64_t>(value));
+    }
+    for (const SectorEstimate& sector : estimate.sectors) {
+      hash.le64(std::bit_cast<std::uint64_t>(sector.fail_rate))
+          .le64(sector.cases)
+          .le64(sector.shots)
+          .le64(sector.fails);
+    }
+    return hash.value();
+  };
+  EXPECT_EQ(digest(1, std::size_t{1} << 14), 0xda7fc96d3c7027a5ULL);
+  EXPECT_EQ(digest(4, std::size_t{1} << 14), 0xda7fc96d3c7027a5ULL);
+  EXPECT_EQ(digest(1, 200), 0x55dff301e0ab5a73ULL);
+  EXPECT_EQ(digest(4, 200), 0x55dff301e0ab5a73ULL);
 }
 
 TEST(RateEstimator, SweepMatchesSingleEstimates) {
