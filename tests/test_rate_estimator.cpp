@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -16,20 +17,19 @@
 namespace ftsp::core {
 namespace {
 
-struct SteaneFixture {
+struct ProtocolFixture {
   Protocol protocol;
   Executor executor;
   decoder::PerfectDecoder decoder;
 
-  SteaneFixture()
-      : protocol(synthesize_protocol(qec::library_code_by_name("Steane"),
-                                     qec::LogicalBasis::Zero)),
+  ProtocolFixture(const std::string& code, qec::LogicalBasis basis)
+      : protocol(synthesize_protocol(qec::library_code_by_name(code), basis)),
         executor(protocol),
         decoder(*protocol.code) {}
 };
 
-SteaneFixture& steane() {
-  static SteaneFixture fixture;
+ProtocolFixture& steane() {
+  static ProtocolFixture fixture("Steane", qec::LogicalBasis::Zero);
   return fixture;
 }
 
@@ -250,6 +250,45 @@ TEST(RateEstimator, WaveGroupsKeepEstimatesBitIdentical) {
   EXPECT_EQ(digest(4, std::size_t{1} << 14), 0xda7fc96d3c7027a5ULL);
   EXPECT_EQ(digest(1, 200), 0x55dff301e0ab5a73ULL);
   EXPECT_EQ(digest(4, 200), 0x55dff301e0ab5a73ULL);
+}
+
+TEST(RateEstimator, SweepBitsArePinned) {
+  // Every double of every target of a 7-point sweep, so the per-target
+  // combination runs seven times over the same sampled sectors.
+  const auto digest = [](const ProtocolFixture& fixture,
+                         std::size_t threads) {
+    RateOptions options;
+    options.seed = 11;
+    options.num_threads = threads;
+    const auto sweep = estimate_logical_error_rate_sweep(
+        fixture.executor, fixture.decoder, log_spaced_grid(1e-4, 1e-2, 7),
+        options);
+    util::Fnv1a64 hash;
+    const auto add = [&](double value) {
+      hash.le64(std::bit_cast<std::uint64_t>(value));
+    };
+    for (const RateEstimate& estimate : sweep) {
+      for (const double value :
+           {estimate.p_logical, estimate.std_error, estimate.ci_low,
+            estimate.ci_high, estimate.tail_weight,
+            estimate.equivalent_naive_shots}) {
+        add(value);
+      }
+      for (const SectorEstimate& sector : estimate.sectors) {
+        add(sector.fail_rate);
+        add(sector.ci_low);
+        add(sector.ci_high);
+        hash.le64(sector.shots).le64(sector.fails);
+      }
+    }
+    return hash.value();
+  };
+  static const ProtocolFixture carbon("Carbon", qec::LogicalBasis::Zero);
+  static const ProtocolFixture steane_plus("Steane", qec::LogicalBasis::Plus);
+  EXPECT_EQ(digest(carbon, 1), 0x8756e15760814f17ULL);
+  EXPECT_EQ(digest(carbon, 4), 0x8756e15760814f17ULL);
+  EXPECT_EQ(digest(steane_plus, 1), 0x82a03f32e671b193ULL);
+  EXPECT_EQ(digest(steane_plus, 4), 0x82a03f32e671b193ULL);
 }
 
 TEST(RateEstimator, SweepMatchesSingleEstimates) {
