@@ -3,11 +3,13 @@
 // Internal engine of the batched protocol runners. Not part of the
 // public API: `core/samplers.cpp` instantiates it with Bernoulli fault
 // injection (Monte-Carlo sampling) and `core/rate_estimator.cpp` with
-// planted per-lane fault lists (exhaustive fault-sector enumeration and
+// planted per-site fault lists (exhaustive fault-sector enumeration and
 // conditional sector sampling). Both share the exact same word-parallel
 // propagation, branch regrouping and table-driven decode — so the
 // estimator's planted runs are bit-compatible with the sampler's
-// semantics by construction.
+// semantics by construction. A shard's result is three per-word lane
+// masks (x fail, z fail, hook termination); only a caller that keeps
+// per-shot records hands the runner a `Trajectory` array to fill.
 
 #include <array>
 #include <bit>
@@ -71,9 +73,11 @@ void for_each_segment(const Protocol& protocol, Fn&& fn) {
 }
 
 /// Per-kind fault-site totals of every protocol segment. Every lane that
-/// runs a segment executes the same sites, so the per-lane `sites`
-/// bookkeeping reduces to one table lookup per segment instead of one
-/// increment per location per shot.
+/// runs a segment executes the same sites, so a `Trajectory`'s `sites`
+/// are sums of these: the segments every lane runs (prep and the first
+/// verification) are added once per lane, and only branch and
+/// second-layer segments are added per lane of the group that ran them.
+/// Also validates a precomputed layout against the protocol.
 struct SegmentCounts {
   std::unordered_map<const circuit::Circuit*, KindCounts> by_circuit;
 
@@ -143,6 +147,11 @@ inline ErrorDecodeTables build_error_tables(const qec::CssCode& code,
       }
     }
   }
+  // The shard decode skips the lookup for zero-syndrome lanes.
+  if (tables.correction_parity[0] != 0) {
+    throw std::logic_error(
+        "build_error_tables: the zero syndrome's correction flips a logical");
+  }
   return tables;
 }
 
@@ -164,6 +173,15 @@ inline bool mask_any(const std::vector<std::uint64_t>& mask) {
     }
   }
   return false;
+}
+
+/// Number of set lanes of `mask`.
+inline std::uint64_t count_lanes(const std::vector<std::uint64_t>& mask) {
+  std::uint64_t count = 0;
+  for (const std::uint64_t w : mask) {
+    count += static_cast<std::uint64_t>(std::popcount(w));
+  }
+  return count;
 }
 
 /// Iterates the set lanes of `mask` in ascending shot order.
@@ -193,13 +211,15 @@ struct KindMaskTables {
 
 /// I.i.d. Bernoulli fault injection (the Monte-Carlo sampler): one mask
 /// draw per nonzero batch word per site, in ascending word order, then
-/// a uniform op draw per faulted lane.
+/// a uniform op draw per faulted lane. Counts every fault it injects in
+/// `total_faults`, and per lane and kind in `out` when that is not null.
 struct BernoulliInjector {
   const sim::NoiseParams& q;
   const KindMaskTables& masks;
   Trajectory* out;
   // ftsp-lint: allow(det-unseeded-rng) member decl; ctor seeds it with the shard seed
   std::mt19937_64 rng;
+  std::uint64_t total_faults = 0;
 
   BernoulliInjector(const sim::NoiseParams& q_in,
                     const KindMaskTables& masks_in, Trajectory* out_in,
@@ -221,6 +241,7 @@ struct BernoulliInjector {
         continue;  // Sparse branch groups: skip fully inactive words.
       }
       std::uint64_t faulted = table.draw(rng) & mask[w];
+      total_faults += static_cast<std::uint64_t>(std::popcount(faulted));
       while (faulted != 0) {
         const std::size_t shot =
             w * 64 + static_cast<std::size_t>(std::countr_zero(faulted));
@@ -229,42 +250,79 @@ struct BernoulliInjector {
         const auto op = static_cast<std::size_t>(
             (static_cast<uint128>(rng()) * ops.size()) >> 64);
         frame.apply_fault(ops[op], gate, shot);
-        ++out[shot].faults[kind];
+        if (out != nullptr) {
+          ++out[shot].faults[kind];
+        }
       }
     }
   }
 };
 
-/// One prescribed fault of a planted lane: which fault operator of the
-/// owning site to inject.
-struct PlantedFault {
+/// One prescribed fault of a planted lane: inject fault operator `op`
+/// of global site `site` (the canonical `for_each_segment` numbering).
+struct PlanEntry {
+  std::uint32_t site = 0;
   std::uint32_t lane = 0;
   std::uint32_t op = 0;
 };
 
-/// Deterministic per-lane fault plans keyed by *global site index* (the
-/// canonical `for_each_segment` numbering). A planted fault only fires
-/// when its lane actually executes the owning segment — faults planted
-/// on never-taken branches are dead by the principle of deferred
-/// decisions, which is exactly what makes fault-count sectors
-/// well-defined for adaptive protocols.
+/// A wave's plan in CSR form: the faults of global site s are
+/// `faults[offsets[s], offsets[s + 1])`, in the plan's order.
+struct SitePlan {
+  struct Fault {
+    std::uint32_t lane = 0;
+    std::uint32_t op = 0;
+  };
+  std::vector<std::uint32_t> offsets;
+  std::vector<Fault> faults;
+
+  /// Counting sort of `plan` by site; `num_sites` bounds every site.
+  SitePlan(const std::vector<PlanEntry>& plan, std::size_t num_sites)
+      : offsets(num_sites + 1, 0), faults(plan.size()) {
+    for (const PlanEntry& e : plan) {
+      ++offsets[e.site + 1];
+    }
+    for (std::size_t s = 1; s <= num_sites; ++s) {
+      offsets[s] += offsets[s - 1];
+    }
+    // Placing advances each site's start to its end, which is the next
+    // site's start; shifting back by one restores the starts.
+    for (const PlanEntry& e : plan) {
+      faults[offsets[e.site]++] = {e.lane, e.op};
+    }
+    for (std::size_t s = num_sites; s > 0; --s) {
+      offsets[s] = offsets[s - 1];
+    }
+    offsets[0] = 0;
+  }
+};
+
+/// Deterministic per-lane fault plans keyed by *global site index*. A
+/// planted fault only fires when its lane actually executes the owning
+/// segment — faults planted on never-taken branches are dead by the
+/// principle of deferred decisions, which is exactly what makes
+/// fault-count sectors well-defined for adaptive protocols.
 struct PlantedInjector {
-  /// site global index -> faults, in any lane order.
-  const std::unordered_map<std::uint32_t, std::vector<PlantedFault>>& plan;
+  const SitePlan& plan;
   /// segment -> first global site index of that segment.
   const std::unordered_map<const circuit::Circuit*, std::uint32_t>& base;
+  /// The segment of the last gate and its base, looked up once per
+  /// segment run rather than once per gate.
+  const circuit::Circuit* segment = nullptr;
+  std::uint32_t segment_base = 0;
 
   void inject(sim::FrameBatch& frame, const circuit::Circuit& c,
               std::size_t gate_index, const sim::FaultSite& site,
               const circuit::Gate& gate,
               const std::vector<std::uint64_t>& mask, std::size_t,
               std::size_t) {
-    const auto it =
-        plan.find(base.at(&c) + static_cast<std::uint32_t>(gate_index));
-    if (it == plan.end()) {
-      return;
+    if (&c != segment) {
+      segment = &c;
+      segment_base = base.at(&c);
     }
-    for (const PlantedFault& fault : it->second) {
+    const std::size_t s = segment_base + gate_index;
+    for (std::uint32_t i = plan.offsets[s]; i < plan.offsets[s + 1]; ++i) {
+      const SitePlan::Fault& fault = plan.faults[i];
       if (sim::get_lane(mask.data(), fault.lane)) {
         frame.apply_fault(site.ops[fault.op], gate, fault.lane);
       }
@@ -278,6 +336,9 @@ struct PlantedInjector {
 /// its correction branch word-parallel too. Mirrors `Executor::run`
 /// lane-for-lane (Fig. 3 control flow, hook termination included). Fault
 /// injection is delegated to the `Injector` policy after every gate.
+/// The result is the per-word `x_fails`, `z_fails` and `hooked` masks;
+/// with a non-null `out`, `run` also fills one `Trajectory` per shot
+/// (fail bits, hook bit and site counts).
 template <typename Injector>
 class ShardRunner {
  public:
@@ -297,7 +358,10 @@ class ShardRunner {
         injector_(injector),
         n_(executor.protocol().num_data_qubits()),
         data_x_(n_ * words_, 0),
-        data_z_(n_ * words_, 0) {
+        data_z_(n_ * words_, 0),
+        x_fails_(words_, 0),
+        z_fails_(words_, 0),
+        hooked_(words_, 0) {
     if (layout != nullptr) {
       verif_frame_.reserve(layout->peak_qubits, layout->peak_cbits, shots);
       branch_frame_.reserve(layout->peak_qubits, layout->peak_cbits, shots);
@@ -311,17 +375,64 @@ class ShardRunner {
       active[words_ - 1] = ~std::uint64_t{0} >> (kLanesPerWord - tail);
     }
 
+    // Every lane runs prep and the first verification.
+    KindCounts every_lane = counts_.by_circuit.at(&protocol.prep);
     run_segment(protocol.prep, active, verif_frame_);
+    bool first = true;
     for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
       if (!layer->has_value() || !mask_any(active)) {
         continue;
       }
+      const circuit::Circuit& verif = (*layer)->verif;
+      if (first) {
+        add_counts(every_lane, counts_.by_circuit.at(&verif));
+      } else {
+        add_sites(verif, active);
+      }
+      first = false;
       run_layer(**layer, active);
     }
-    decode_all();
+    compute_fails(tables_.x, data_x_, x_fails_);
+    compute_fails(tables_.z, data_z_, z_fails_);
+    if (out_ != nullptr) {
+      for (std::size_t shot = 0; shot < shots_; ++shot) {
+        Trajectory& t = out_[shot];
+        add_counts(t.sites, every_lane);
+        t.x_fail = sim::get_lane(x_fails_.data(), shot);
+        t.z_fail = sim::get_lane(z_fails_.data(), shot);
+        t.hook_terminated = sim::get_lane(hooked_.data(), shot);
+      }
+    }
+  }
+
+  /// Per-word lane masks of the shard's outcome, valid after `run`.
+  const std::vector<std::uint64_t>& x_fails() const { return x_fails_; }
+  const std::vector<std::uint64_t>& z_fails() const { return z_fails_; }
+  const std::vector<std::uint64_t>& hooked() const { return hooked_; }
+  /// The mask of the prepared basis's failure (`qec::basis_failure`).
+  const std::vector<std::uint64_t>& fails(qec::LogicalBasis basis) const {
+    return *qec::basis_failure(basis, &x_fails_, &z_fails_);
   }
 
  private:
+  static void add_counts(KindCounts& into, const KindCounts& counts) {
+    for (std::size_t k = 0; k < sim::kNumLocationKinds; ++k) {
+      into[k] += counts[k];
+    }
+  }
+
+  /// Adds the site counts of `c` to the records of the lanes in `mask`.
+  void add_sites(const circuit::Circuit& c,
+                 const std::vector<std::uint64_t>& mask) {
+    if (out_ == nullptr) {
+      return;
+    }
+    const KindCounts& segment_sites = counts_.by_circuit.at(&c);
+    for_each_lane(mask, [&](std::size_t shot) {
+      add_counts(out_[shot].sites, segment_sites);
+    });
+  }
+
   /// Runs segment `c` over the lanes in `mask`: copies the accumulated
   /// data error in, propagates all words gate by gate with policy-driven
   /// fault injection, then copies the data error back out — masked, so
@@ -357,13 +468,6 @@ class ShardRunner {
       frame.apply_gate(gates[g], w0, w1);
       injector_.inject(frame, c, g, sites[g], gates[g], mask, w0, w1);
     }
-
-    const KindCounts& segment_sites = counts_.by_circuit.at(&c);
-    for_each_lane(mask, [&](std::size_t shot) {
-      for (std::size_t k = 0; k < sim::kNumLocationKinds; ++k) {
-        out_[shot].sites[k] += segment_sites[k];
-      }
-    });
 
     for (std::size_t q = 0; q < n_; ++q) {
       std::uint64_t* dx = data_x_.data() + q * words_;
@@ -472,19 +576,16 @@ class ShardRunner {
             }
           }
         });
-    if (mask_any(hooked)) {
-      for_each_lane(hooked, [&](std::size_t shot) {
-        out_[shot].hook_terminated = true;
-      });
-      for (std::size_t w = 0; w < words_; ++w) {
-        active[w] &= ~hooked[w];
-      }
+    for (std::size_t w = 0; w < words_; ++w) {
+      hooked_[w] |= hooked[w];
+      active[w] &= ~hooked[w];
     }
   }
 
   void run_branch(const CompiledBranch& branch,
                   const std::vector<std::uint64_t>& group_mask) {
     sim::FrameBatch& frame = branch_frame_;
+    add_sites(branch.circ, group_mask);
     run_segment(branch.circ, group_mask, frame);
     std::vector<std::uint64_t>& data =
         branch.corrected_type == qec::PauliType::X ? data_x_ : data_z_;
@@ -506,12 +607,15 @@ class ShardRunner {
         });
   }
 
-  /// Per-lane logical flips of one error type, fully word-parallel:
-  /// syndrome rows and logical parities are XORs of data rows; the only
-  /// per-lane work is gathering a handful of bits and one table lookup.
-  template <typename Store>
+  /// Per-lane logical flips of one error type into `fails`, fully
+  /// word-parallel: syndrome rows and logical parities are XORs of data
+  /// rows. The zero syndrome corrects nothing (`correction_parity[0] ==
+  /// 0`), so a lane with a zero syndrome fails on its parity bits alone;
+  /// only lanes with a nonzero syndrome gather their bits and look up
+  /// the correction.
   void compute_fails(const ErrorDecodeTables& tables,
-                     const std::vector<std::uint64_t>& data, Store&& store) {
+                     const std::vector<std::uint64_t>& data,
+                     std::vector<std::uint64_t>& fails) {
     const std::size_t checks = tables.check_support.size();
     const std::size_t logicals = tables.logical_support.size();
     std::vector<std::uint64_t> syndrome(checks * words_, 0);
@@ -534,30 +638,34 @@ class ShardRunner {
         }
       }
     }
-    for (std::size_t shot = 0; shot < shots_; ++shot) {
-      std::size_t packed = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t flagged = 0;
       for (std::size_t i = 0; i < checks; ++i) {
-        packed |= std::size_t{sim::get_lane(syndrome.data() + i * words_,
-                                            shot)}
-                  << i;
+        flagged |= syndrome[i * words_ + w];
       }
-      std::uint64_t flips = tables.correction_parity[packed];
+      std::uint64_t flipped = 0;
       for (std::size_t i = 0; i < logicals; ++i) {
-        flips ^= std::uint64_t{sim::get_lane(parity.data() + i * words_,
-                                             shot)}
-                 << i;
+        flipped |= parity[i * words_ + w];
       }
-      store(shot, flips != 0);
+      std::uint64_t fail = flipped & ~flagged;
+      for (std::uint64_t bits = flagged; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        std::size_t packed = 0;
+        for (std::size_t i = 0; i < checks; ++i) {
+          packed |= static_cast<std::size_t>(
+                        (syndrome[i * words_ + w] >> b) & 1)
+                    << i;
+        }
+        std::uint64_t flips = tables.correction_parity[packed];
+        for (std::size_t i = 0; i < logicals; ++i) {
+          flips ^= ((parity[i * words_ + w] >> b) & 1) << i;
+        }
+        if (flips != 0) {
+          fail |= std::uint64_t{1} << b;
+        }
+      }
+      fails[w] = fail;
     }
-  }
-
-  void decode_all() {
-    compute_fails(tables_.x, data_x_, [&](std::size_t shot, bool fail) {
-      out_[shot].x_fail = fail;
-    });
-    compute_fails(tables_.z, data_z_, [&](std::size_t shot, bool fail) {
-      out_[shot].z_fail = fail;
-    });
   }
 
   const Executor& executor_;
@@ -571,6 +679,10 @@ class ShardRunner {
   // Accumulated data-qubit error between segments, row per qubit.
   std::vector<std::uint64_t> data_x_;
   std::vector<std::uint64_t> data_z_;
+  // The shard's result masks.
+  std::vector<std::uint64_t> x_fails_;
+  std::vector<std::uint64_t> z_fails_;
+  std::vector<std::uint64_t> hooked_;
   // Scratch batches recycled across segments (branch runs happen while
   // the verification frame's outcomes are still being consumed, hence
   // two).

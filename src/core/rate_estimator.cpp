@@ -15,8 +15,7 @@ namespace ftsp::core {
 
 namespace {
 
-using detail::PlantedFault;
-using Plan = std::unordered_map<std::uint32_t, std::vector<PlantedFault>>;
+using Plan = std::vector<detail::PlanEntry>;
 
 /// Hard cap on the number of fault-count sectors ever considered; far
 /// above anything the tail cutoff leaves relevant at realistic rates.
@@ -60,7 +59,7 @@ struct SiteIndex {
   }
 };
 
-/// One planted batch: a per-lane fault plan plus its accumulated result.
+/// One planted batch: a flat fault plan plus its accumulated result.
 /// Exhaustive waves carry per-lane case weights; sampled waves count
 /// plain fails.
 struct Wave {
@@ -106,26 +105,21 @@ class WaveRunner {
   }
 
   void run_wave(Wave& wave) const {
-    std::vector<Trajectory> out(wave.shots);
-    detail::PlantedInjector injector{wave.plan, index_.base};
+    const detail::SitePlan plan(wave.plan, index_.sites.size());
+    wave.plan = Plan{};
+    detail::PlantedInjector injector{plan, index_.base};
     detail::ShardRunner<detail::PlantedInjector> runner(
-        executor_, counts_, tables_, wave.shots, out.data(), injector,
+        executor_, counts_, tables_, wave.shots, nullptr, injector,
         options_.layout);
     runner.run();
-    // The plan is dead once the wave has run. Freed before `out`, the
-    // two coalesce and go back to the system together; freed after, a
-    // worker's arena kept about 0.5 MiB resident.
-    wave.plan = Plan{};
-    for (std::size_t lane = 0; lane < wave.shots; ++lane) {
-      if (!out[lane].fails(executor_.protocol().basis)) {
-        continue;
-      }
-      if (!wave.case_weights.empty()) {
-        wave.weighted_fails += wave.case_weights[lane];
-      } else {
-        ++wave.fails;
-      }
+    const auto& fails = runner.fails(executor_.protocol().basis);
+    if (wave.case_weights.empty()) {
+      wave.fails = detail::count_lanes(fails);
+      return;
     }
+    detail::for_each_lane(fails, [&](std::size_t lane) {
+      wave.weighted_fails += wave.case_weights[lane];
+    });
   }
 
   /// Runs a batch of waves over the configured thread count. Results
@@ -177,7 +171,7 @@ struct WaveBuilder {
     Wave& wave = waves.back();
     const auto lane = static_cast<std::uint32_t>(wave.shots++);
     for (std::size_t i = 0; i < k; ++i) {
-      wave.plan[faults[i].site].push_back({lane, faults[i].op});
+      wave.plan.push_back({faults[i].site, lane, faults[i].op});
     }
     wave.case_weights.push_back(weight);
   }
@@ -306,7 +300,7 @@ void plant_sampled_lane(const SiteIndex& index,
       const std::uint32_t site = pool[pick];
       const auto op = static_cast<std::uint32_t>(
           bounded_draw(rng, index.sites[site].num_ops));
-      plan[site].push_back({lane, op});
+      plan.push_back({site, lane, op});
     }
   }
 }
@@ -321,6 +315,9 @@ struct SectorData {
   double exact_fail_rate = 0.0;  ///< Exhaustive sectors.
   std::uint64_t next_wave = 0;   ///< Wave counter (seed derivation).
   std::vector<sim::SectorModel::KindSplit> split_cdf;
+  /// Clopper-Pearson interval of a sampled sector's final counts; the
+  /// same for every target, so computed once.
+  sim::BinomialInterval interval;
 
   double fail_rate() const {
     if (exhaustive) {
@@ -385,8 +382,7 @@ std::vector<Wave> build_sampled_waves(const SiteIndex& index,
 
 RateEstimate combine(const std::vector<SectorData>& sectors,
                      const sim::SectorModel::KindCounts& counts,
-                     const sim::NoiseParams& p, std::size_t covered_k,
-                     const RateOptions& options) {
+                     const sim::NoiseParams& p, std::size_t covered_k) {
   const sim::SectorModel model(counts, p);
   const std::vector<double> all_weights = model.weights(covered_k);
   RateEstimate estimate;
@@ -418,10 +414,8 @@ RateEstimate combine(const std::vector<SectorData>& sectors,
       sector.ci_low = sector.ci_high = sector.fail_rate;
       estimate.exhaustive_cases += data.cases;
     } else {
-      const auto interval =
-          sim::clopper_pearson(data.fails, data.shots, options.alpha);
-      sector.ci_low = interval.low;
-      sector.ci_high = interval.high;
+      sector.ci_low = data.interval.low;
+      sector.ci_high = data.interval.high;
       estimate.mc_shots += data.shots;
     }
     estimate.p_logical += w * sector.fail_rate;
@@ -629,12 +623,17 @@ std::vector<RateEstimate> run_estimator(
   sector_count.add(sectors.size());
   estimate_count.add(1);
 
-  // --- Final combination per target.
+  // --- Final combination per target, over one interval per sector.
+  for (SectorData& data : sectors) {
+    if (!data.exhaustive && data.shots > 0) {
+      data.interval =
+          sim::clopper_pearson(data.fails, data.shots, options.alpha);
+    }
+  }
   std::vector<RateEstimate> estimates;
   estimates.reserve(targets.size());
   for (const sim::NoiseParams& target : targets) {
-    estimates.push_back(
-        combine(sectors, index.counts, target, covered_k, options));
+    estimates.push_back(combine(sectors, index.counts, target, covered_k));
   }
   return estimates;
 }

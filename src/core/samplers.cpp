@@ -119,8 +119,9 @@ void validate_uniform_rate(double q) {
 /// shot `index * shard_shots` on and draws from `shard_seed(seed,
 /// index)` alone, so its shots depend on neither the thread count nor
 /// where they are written. `fn(begin, count, run)` is called once per
-/// shard; `run(out)` samples the shard into the `count` zero-initialised
-/// trajectories at `out`.
+/// shard; `run(out)` samples the shard and returns its tallies (basis
+/// and shots left unset). A non-null `out` also receives the shard's
+/// `count` trajectories, zero-initialised before the call.
 template <typename Fn>
 void for_each_shard(const Executor& executor,
                     const decoder::PerfectDecoder& decoder,
@@ -148,6 +149,12 @@ void for_each_shard(const Executor& executor,
               executor, counts, tables, count, out, injector,
               options.layout);
           runner.run();
+          SampleCounts tally;
+          tally.x_fails = detail::count_lanes(runner.x_fails());
+          tally.z_fails = detail::count_lanes(runner.z_fails());
+          tally.hook_terminated = detail::count_lanes(runner.hooked());
+          tally.total_faults = injector.total_faults;
+          return tally;
         });
       });
 }
@@ -211,16 +218,8 @@ SampleCounts sample_protocol_counts(const Executor& executor,
   std::mutex mutex;
   for_each_shard(
       executor, decoder, rates, shots, seed, options,
-      [&](std::size_t, std::size_t count, auto&& run) {
-        std::vector<Trajectory> scratch(count);
-        run(scratch.data());
-        SampleCounts shard;
-        for (const Trajectory& t : scratch) {
-          shard.x_fails += t.x_fail;
-          shard.z_fails += t.z_fail;
-          shard.hook_terminated += t.hook_terminated;
-          shard.total_faults += t.total_faults();
-        }
+      [&](std::size_t, std::size_t, auto&& run) {
+        const SampleCounts shard = run(nullptr);
         const std::lock_guard<std::mutex> lock(mutex);
         total.x_fails += shard.x_fails;
         total.z_fails += shard.z_fails;

@@ -144,9 +144,9 @@ struct SampleCounts {
 
 /// The shots `sample_protocol_batch` draws for the same uniform E1_1
 /// arguments (same shards, shard seeds and runner), folded into counts
-/// shard by shard. Each shard runs into a `shard_shots`-sized scratch
-/// that is dropped once counted, so memory is bounded by the running
-/// shards, not by `shots`.
+/// shard by shard from the runner's per-word fail and hook masks; no
+/// per-shot record is kept, so memory is bounded by the running shards,
+/// not by `shots`.
 SampleCounts sample_protocol_counts(const Executor& executor,
                                     const decoder::PerfectDecoder& decoder,
                                     double q, std::size_t shots,
