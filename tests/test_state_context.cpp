@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <vector>
+
 #include "qec/code_library.hpp"
+#include "util/hash.hpp"
 
 namespace ftsp::qec {
 namespace {
@@ -139,6 +145,66 @@ TEST(StateContext, EveryDangerousErrorIsDetectable) {
                               << b;
       }
     }
+  }
+}
+
+// Digest of `reduced_weight` and `reduced_representative` over a seeded
+// set of errors, per library code: both bases, both types, 256 errors
+// each (uniform bits for the first half, weight <= 4 for the second).
+// A span engine that picked a different minimum-weight representative
+// on a tie would change the digest.
+struct PinnedReduction {
+  const char* code;
+  std::uint64_t digest;
+};
+
+constexpr PinnedReduction kPinnedReductions[] = {
+    {"Steane", 0x041521cbd398ed16ULL},
+    {"Shor", 0x320e7a3183cfc7b6ULL},
+    {"Surface_3", 0xde39082295924fe0ULL},
+    {"[[11,1,3]]", 0xb083f7a1ae66f15bULL},
+    {"Tetrahedral", 0xd673c9e55a69c2adULL},
+    {"Hamming", 0x4651a784b5e77c9aULL},
+    {"Carbon", 0x5dc2cfeda98284d2ULL},
+    {"[[16,2,4]]", 0xa32b6b90cb3a3096ULL},
+    {"Tesseract", 0x4f1144b4bc485e48ULL},
+};
+
+TEST(StateContext, ReducedFormsArePinned) {
+  const std::vector<CssCode> codes = all_library_codes();
+  ASSERT_EQ(codes.size(), std::size(kPinnedReductions));
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    const CssCode& code = codes[c];
+    ASSERT_EQ(code.name(), kPinnedReductions[c].code);
+    const std::size_t n = code.num_qubits();
+    std::mt19937_64 rng(0x5eed0000 + c);
+    util::Fnv1a64 digest;
+    for (const LogicalBasis basis : {LogicalBasis::Zero, LogicalBasis::Plus}) {
+      const StateContext state(code, basis);
+      for (const PauliType t : {PauliType::X, PauliType::Z}) {
+        for (int i = 0; i < 256; ++i) {
+          f2::BitVec e(n);
+          if (i < 128) {
+            const std::uint64_t bits = rng();
+            for (std::size_t q = 0; q < n; ++q) {
+              e.set(q, ((bits >> q) & 1U) != 0);
+            }
+          } else {
+            const std::uint64_t weight = rng() % 5;
+            for (std::uint64_t w = 0; w < weight; ++w) {
+              e.set(static_cast<std::size_t>(rng() % n));
+            }
+          }
+          digest.le64(state.reduced_weight(t, e));
+          for (const std::size_t q : state.reduced_representative(t, e).ones()) {
+            digest.le64(q);
+          }
+          digest.byte(0xff);
+        }
+      }
+    }
+    EXPECT_EQ(digest.value(), kPinnedReductions[c].digest)
+        << code.name() << std::hex << ": got 0x" << digest.value();
   }
 }
 
