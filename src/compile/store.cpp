@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -31,6 +31,18 @@ constexpr const char* kSatCacheDir = "satcache";
 constexpr const char* kQuarantineDir = "quarantine";
 
 namespace fault = util::fault;
+
+/// A freshly opened file as one string: one sized read, no stream buffer
+/// copies. A stream that failed to open reads as empty.
+std::string read_all(std::ifstream& in) {
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  std::string bytes(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
+}
 
 /// Durability half of the temp-file + rename pattern: rename alone makes
 /// the *name* transition atomic, but nothing orders the data blocks
@@ -158,9 +170,7 @@ std::optional<std::string> read_kv_file(const std::string& path,
   if (!in) {
     return std::nullopt;
   }
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  const std::string content = bytes.str();
+  const std::string content = read_all(in);
   try {
     util::ByteReader reader(content);
     if (reader.str() != key) {
@@ -366,9 +376,7 @@ std::optional<ProtocolArtifact> ArtifactStore::get(
     throw ArtifactFormatError("store: indexed artifact missing: " +
                               filename);
   }
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  ProtocolArtifact artifact = decode_artifact(bytes.str());
+  ProtocolArtifact artifact = decode_artifact(read_all(in));
   if (artifact.key != key) {
     throw ArtifactFormatError("store: key mismatch in " + filename);
   }
@@ -390,9 +398,7 @@ void read_proof_sidecar(ProtocolArtifact& artifact, const std::string& path) {
   }
   static obs::Counter& read_bytes =
       obs::Registry::instance().counter("store.proof.read.bytes");
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  const std::string sidecar = bytes.str();
+  const std::string sidecar = read_all(in);
   read_bytes.add(sidecar.size());
   rehydrate_proof_bytes(artifact, sidecar);
 }
@@ -534,9 +540,7 @@ ArtifactStore::PruneReport ArtifactStore::prune(
         // forever — reclaim them. `read_kv_file` returning nullopt for
         // a *readable* entry means exactly that.
         std::ifstream in(entry.path(), std::ios::binary);
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
-        const std::string content = bytes.str();
+        const std::string content = read_all(in);
         try {
           util::ByteReader reader(content);
           (void)reader.str();

@@ -1,6 +1,9 @@
 #include "decoder/lookup_decoder.hpp"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace ftsp::decoder {
@@ -50,9 +53,25 @@ LookupDecoder::LookupDecoder(const qec::CssCode& code, PauliType error_type,
   if (table_.size() != (std::size_t{1} << syndrome_bits_)) {
     throw std::invalid_argument("LookupDecoder: table size mismatch");
   }
+  // Each entry's syndrome, packed word-wise straight into the table
+  // index: bit r is the parity of (check row r AND entry).
   const std::size_t n = code.num_qubits();
   for (std::size_t s = 0; s < table_.size(); ++s) {
-    if (table_[s].size() != n || pack(checks.multiply(table_[s])) != s) {
+    if (table_[s].size() != n) {
+      throw std::invalid_argument(
+          "LookupDecoder: table entry inconsistent with code");
+    }
+    const std::span<const std::uint64_t> entry = table_[s].words();
+    std::size_t packed = 0;
+    for (std::size_t r = 0; r < syndrome_bits_; ++r) {
+      const std::span<const std::uint64_t> row = checks.row(r).words();
+      std::uint64_t overlap = 0;
+      for (std::size_t w = 0; w < entry.size(); ++w) {
+        overlap ^= row[w] & entry[w];
+      }
+      packed |= static_cast<std::size_t>(std::popcount(overlap) & 1) << r;
+    }
+    if (packed != s) {
       throw std::invalid_argument(
           "LookupDecoder: table entry inconsistent with code");
     }

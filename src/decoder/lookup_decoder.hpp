@@ -24,8 +24,10 @@ class LookupDecoder {
 
   /// Rehydrates a decoder from a previously computed table (the artifact
   /// load path: the weight-BFS enumeration above is skipped entirely).
-  /// Validates dimensions and per-entry syndrome consistency, so a
-  /// corrupted table fails loud instead of silently mis-decoding.
+  /// Validates dimensions and every entry's syndrome, so a corrupted table
+  /// throws `std::invalid_argument` instead of silently mis-decoding. The
+  /// check packs each syndrome word-wise (one AND and parity per check
+  /// row) and allocates nothing per entry.
   LookupDecoder(const qec::CssCode& code, qec::PauliType error_type,
                 std::vector<f2::BitVec> table);
 

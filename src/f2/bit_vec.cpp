@@ -38,6 +38,21 @@ BitVec BitVec::from_string(const std::string& s) {
   return v;
 }
 
+BitVec BitVec::from_words(std::size_t size,
+                          std::span<const std::uint64_t> words) {
+  if (words.size() != word_count(size)) {
+    throw std::invalid_argument("BitVec::from_words: word count");
+  }
+  BitVec v(size);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    v.words_[i] = words[i];
+  }
+  if (size % 64 != 0) {
+    v.words_.back() &= (std::uint64_t{1} << (size % 64)) - 1;
+  }
+  return v;
+}
+
 bool BitVec::get(std::size_t i) const {
   assert(i < size_);
   return (words_[i / 64] >> (i % 64)) & 1U;

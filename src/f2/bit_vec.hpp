@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,12 @@ class BitVec {
   /// i.e. `s[i]` is bit `i`). Characters '_', ' ' and '.' are skipped so
   /// check-matrix literals can be grouped for readability.
   static BitVec from_string(const std::string& s);
+
+  /// A vector of `size` bits read from packed words laid out as `words()`
+  /// (exactly `(size + 63) / 64` of them); bits at and above `size` are
+  /// dropped.
+  static BitVec from_words(std::size_t size,
+                           std::span<const std::uint64_t> words);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -77,6 +84,11 @@ class BitVec {
 
   /// FNV-1a style hash over the packed words.
   std::size_t hash() const;
+
+  /// The packed words: bit i is bit `i % 64` of word `i / 64`, and the
+  /// bits at and above `size()` are zero. Word loops (span walks, table
+  /// checks) read these instead of building `BitVec` temporaries.
+  std::span<const std::uint64_t> words() const { return words_; }
 
  private:
   std::size_t size_ = 0;

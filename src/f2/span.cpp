@@ -2,17 +2,15 @@
 
 #include <bit>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "f2/gauss.hpp"
 
 namespace ftsp::f2 {
 
-namespace {
-constexpr std::size_t kMaxSpanDimension = 24;
-}  // namespace
-
-RowSpan::RowSpan(const BitMatrix& m) : vector_size_(m.cols()) {
+RowSpan::RowSpan(const BitMatrix& m)
+    : vector_size_(m.cols()), words_((m.cols() + 63) / 64) {
   auto red = rref(m);
   pivots_ = red.pivots;
   red.reduced.remove_zero_rows();
@@ -22,16 +20,25 @@ RowSpan::RowSpan(const BitMatrix& m) : vector_size_(m.cols()) {
   if (dim > kMaxSpanDimension) {
     throw std::length_error("RowSpan: span too large to materialize");
   }
-  const std::size_t count = std::size_t{1} << dim;
-  elements_.reserve(count);
-  BitVec current(vector_size_);
-  elements_.push_back(current);
-  for (std::size_t i = 1; i < count; ++i) {
+  size_ = std::size_t{1} << dim;
+  elements_.assign(size_ * words_, 0);
+  for (std::size_t i = 1; i < size_; ++i) {
     // Gray code: element i differs from i-1 in basis row ctz(i).
     const auto flip = static_cast<std::size_t>(std::countr_zero(i));
-    current ^= basis_.row(flip);
-    elements_.push_back(current);
+    const std::span<const std::uint64_t> row = basis_.row(flip).words();
+    const std::uint64_t* previous = &elements_[(i - 1) * words_];
+    std::uint64_t* current = &elements_[i * words_];
+    for (std::size_t w = 0; w < words_; ++w) {
+      current[w] = previous[w] ^ row[w];
+    }
   }
+}
+
+BitVec RowSpan::element(std::size_t i) const {
+  assert(i < size_);
+  return BitVec::from_words(
+      vector_size_,
+      std::span<const std::uint64_t>(&elements_[i * words_], words_));
 }
 
 bool RowSpan::contains(const BitVec& v) const {
@@ -48,37 +55,45 @@ BitVec RowSpan::coset_canonical(const BitVec& v) const {
   return reduce_against(v, basis_, pivots_);
 }
 
-std::size_t RowSpan::coset_min_weight(const BitVec& v) const {
+std::size_t RowSpan::min_weight_index(const BitVec& v,
+                                      std::size_t& weight) const {
   assert(v.size() == vector_size_);
+  const std::span<const std::uint64_t> target = v.words();
   std::size_t best = v.size() + 1;
-  for (const auto& s : elements_) {
-    const std::size_t w = (v ^ s).popcount();
+  std::size_t best_index = 0;
+  const std::uint64_t* element = elements_.data();
+  for (std::size_t i = 0; i < size_; ++i, element += words_) {
+    std::size_t w = 0;
+    for (std::size_t j = 0; j < words_; ++j) {
+      w += static_cast<std::size_t>(std::popcount(target[j] ^ element[j]));
+    }
     if (w < best) {
       best = w;
+      best_index = i;
       if (best == 0) {
         break;
       }
     }
   }
-  return best;
+  weight = best;
+  return best_index;
+}
+
+std::size_t RowSpan::coset_min_weight(const BitVec& v) const {
+  std::size_t weight = 0;
+  (void)min_weight_index(v, weight);
+  return weight;
 }
 
 BitVec RowSpan::coset_min_representative(const BitVec& v) const {
-  assert(v.size() == vector_size_);
-  std::size_t best = v.size() + 1;
-  BitVec best_vec = v;
-  for (const auto& s : elements_) {
-    BitVec candidate = v ^ s;
-    const std::size_t w = candidate.popcount();
-    if (w < best) {
-      best = w;
-      best_vec = std::move(candidate);
-      if (best == 0) {
-        break;
-      }
-    }
+  std::size_t weight = 0;
+  const std::size_t best = min_weight_index(v, weight);
+  if (size_ == 0) {
+    return v;
   }
-  return best_vec;
+  BitVec representative = element(best);
+  representative ^= v;
+  return representative;
 }
 
 }  // namespace ftsp::f2

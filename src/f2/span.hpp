@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "f2/bit_matrix.hpp"
@@ -8,12 +9,17 @@
 
 namespace ftsp::f2 {
 
+/// Largest span dimension `RowSpan` materializes (2^24 elements).
+inline constexpr std::size_t kMaxSpanDimension = 24;
+
 /// The row space of an F2 matrix, with the full element list materialized.
 ///
 /// QEC codes in this library are small (rank of any stabilizer-side matrix
 /// is at most ~12), so enumerating all `2^rank` span elements once and
 /// reusing the list is both simple and fast. The enumeration uses a Gray
-/// code so each element is one XOR away from the previous one.
+/// code so each element is one XOR away from the previous one. The
+/// elements live in one flat array of packed words, and the coset queries
+/// XOR and popcount those words in place: no query allocates per element.
 ///
 /// The main client is stabilizer-reduced weight computation:
 /// `wt_S(e) = min_{s in span} wt(e + s)`.
@@ -22,15 +28,17 @@ class RowSpan {
   RowSpan() = default;
 
   /// Builds the span of the rows of `m`. The matrix may contain dependent
-  /// rows; a basis is extracted first.
+  /// rows; a basis is extracted first. Throws `std::length_error` above
+  /// `kMaxSpanDimension`.
   explicit RowSpan(const BitMatrix& m);
 
   std::size_t vector_size() const { return vector_size_; }
   std::size_t dimension() const { return basis_.rows(); }
-  std::size_t size() const { return elements_.size(); }
+  std::size_t size() const { return size_; }
 
-  /// All `2^dimension` elements (element 0 is the zero vector).
-  const std::vector<BitVec>& elements() const { return elements_; }
+  /// Element `i` of the `2^dimension` elements in Gray-code order
+  /// (element 0 is the zero vector).
+  BitVec element(std::size_t i) const;
 
   /// True iff `v` lies in the span (via RREF reduction, not enumeration).
   bool contains(const BitVec& v) const;
@@ -42,7 +50,8 @@ class RowSpan {
   /// Minimum Hamming weight over the coset `v + span`.
   std::size_t coset_min_weight(const BitVec& v) const;
 
-  /// Some element of the coset `v + span` attaining the minimum weight.
+  /// The first element of the coset `v + span`, in Gray-code order of the
+  /// span, attaining the minimum weight.
   BitVec coset_min_representative(const BitVec& v) const;
 
   const BitMatrix& basis_rref() const { return basis_; }
@@ -50,9 +59,15 @@ class RowSpan {
 
  private:
   std::size_t vector_size_ = 0;
+  std::size_t words_ = 0;            // Packed words per element.
+  std::size_t size_ = 0;             // 2^dimension once built.
   BitMatrix basis_;                  // RREF basis rows.
   std::vector<std::size_t> pivots_;  // Pivot columns of the basis rows.
-  std::vector<BitVec> elements_;     // Full span, Gray-code order.
+  std::vector<std::uint64_t> elements_;  // size_ x words_, Gray-code order.
+
+  /// Index of the first element `s` minimizing `wt(v + s)`; that weight
+  /// goes to `weight`.
+  std::size_t min_weight_index(const BitVec& v, std::size_t& weight) const;
 };
 
 }  // namespace ftsp::f2

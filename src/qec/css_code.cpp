@@ -1,11 +1,15 @@
 #include "qec/css_code.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "f2/gauss.hpp"
+#include "f2/span.hpp"
 
 namespace ftsp::qec {
 
@@ -106,24 +110,59 @@ void CssCode::pair_logicals() {
 std::size_t CssCode::compute_distance(PauliType t) const {
   // Minimum weight of a type-t logical: in the kernel of the opposite
   // check matrix but outside the same-type stabilizer row space.
-  const BitMatrix& commute_with = check_matrix(other(t));
   const BitMatrix& stabilizers = check_matrix(t);
-  const auto stab_rref = f2::rref(stabilizers);
-  for (std::size_t w = 1; w <= n_; ++w) {
-    bool found = false;
-    for_each_weight(n_, w, [&](const BitVec& v) {
-      if (commute_with.multiply(v).none() &&
-          f2::reduce_against(v, stab_rref.reduced, stab_rref.pivots).any()) {
-        found = true;
-        return false;
+  const BitMatrix& logical_rows = logicals(t);
+  const std::size_t r = stabilizers.rows();
+  const std::size_t dim = r + k_;
+  if (dim > f2::kMaxSpanDimension) {
+    // Too many normalizer elements to walk: search by weight instead.
+    const BitMatrix& commute_with = check_matrix(other(t));
+    const auto stab_rref = f2::rref(stabilizers);
+    for (std::size_t w = 1; w <= n_; ++w) {
+      bool found = false;
+      for_each_weight(n_, w, [&](const BitVec& v) {
+        if (commute_with.multiply(v).none() &&
+            f2::reduce_against(v, stab_rref.reduced, stab_rref.pivots)
+                .any()) {
+          found = true;
+          return false;
+        }
+        return true;
+      });
+      if (found) {
+        return w;
       }
-      return true;
-    });
-    if (found) {
-      return w;
+    }
+    throw std::logic_error("CssCode: no logical operator found");
+  }
+  // The kernel is the span of the r stabilizer rows (Gray bits below r)
+  // and the k logicals (bits r and up). A Gray-code walk XORs one row
+  // per step; the element of Gray index g is a logical iff g has a bit
+  // at r or above, since the logicals are independent of the stabilizers.
+  const std::size_t words = (n_ + 63) / 64;
+  std::vector<std::uint64_t> rows(dim * words);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const auto row =
+        i < r ? stabilizers.row(i).words() : logical_rows.row(i - r).words();
+    std::copy(row.begin(), row.end(), rows.begin() + i * words);
+  }
+  std::vector<std::uint64_t> element(words, 0);
+  std::size_t best = n_ + 1;
+  for (std::size_t i = 1; i < (std::size_t{1} << dim); ++i) {
+    const auto flip = static_cast<std::size_t>(std::countr_zero(i));
+    std::size_t weight = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      element[w] ^= rows[flip * words + w];
+      weight += static_cast<std::size_t>(std::popcount(element[w]));
+    }
+    if (((i ^ (i >> 1)) >> r) != 0 && weight < best) {
+      best = weight;
     }
   }
-  throw std::logic_error("CssCode: no logical operator found");
+  if (best > n_) {
+    throw std::logic_error("CssCode: no logical operator found");
+  }
+  return best;
 }
 
 std::string CssCode::description() const {

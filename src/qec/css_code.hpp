@@ -17,8 +17,10 @@ namespace ftsp::qec {
 /// generators (as qubit-support vectors), rows of `hz` are Z-type
 /// generators. CSS validity (`Hx * Hz^T = 0`) is checked on construction.
 /// Logical operator representatives and the exact distance are computed
-/// eagerly; all codes in this library are small (n <= 16), so brute-force
-/// minimum-weight searches are instantaneous.
+/// eagerly. The type-t distance walks the type-t normalizer (the r_t
+/// stabilizer rows and the k logicals) in Gray-code order, 2^(r_t + k)
+/// XOR steps: at most 2^11 for a library code, microseconds. Above
+/// `f2::kMaxSpanDimension` it falls back to a search over error weights.
 class CssCode {
  public:
   CssCode(std::string name, f2::BitMatrix hx, f2::BitMatrix hz);

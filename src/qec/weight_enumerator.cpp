@@ -32,8 +32,8 @@ WeightDistribution distribution_of_span(const f2::BitMatrix& generators,
   const f2::RowSpan span(generators);
   WeightDistribution dist;
   dist.counts.assign(n + 1, 0);
-  for (const auto& element : span.elements()) {
-    ++dist.counts[element.popcount()];
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    ++dist.counts[span.element(i).popcount()];
   }
   return dist;
 }

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "f2/gauss.hpp"
+#include "qec/code_search.hpp"
 #include "qec/css_code.hpp"
+#include "qec/weight_enumerator.hpp"
 
 namespace ftsp::qec {
 namespace {
@@ -169,6 +175,134 @@ TEST(CodeLibrary, CssCodeRejectsZeroLogicals) {
   const auto hx = f2::BitMatrix::from_strings({"1111", "0101"});
   const auto hz = f2::BitMatrix::from_strings({"1111", "0011"});
   EXPECT_THROW(CssCode("bad", hx, hz), std::invalid_argument);
+}
+
+// Oracle: the type-t distance by the search over error weights that
+// `CssCode` ran before its normalizer walk — the first weight with a
+// vector in the kernel of the opposite checks and outside the
+// stabilizer span.
+std::size_t weight_walk_distance(const CssCode& code, PauliType t) {
+  const std::size_t n = code.num_qubits();
+  const f2::BitMatrix& commute_with = code.check_matrix(other(t));
+  const auto stab_rref = f2::rref(code.check_matrix(t));
+  for (std::size_t w = 1; w <= n; ++w) {
+    bool found = false;
+    for_each_weight(n, w, [&](const f2::BitVec& v) {
+      if (commute_with.multiply(v).none() &&
+          f2::reduce_against(v, stab_rref.reduced, stab_rref.pivots).any()) {
+        found = true;
+        return false;
+      }
+      return true;
+    });
+    if (found) {
+      return w;
+    }
+  }
+  return 0;
+}
+
+void expect_distances_match_oracles(const CssCode& code) {
+  for (const PauliType t : {PauliType::X, PauliType::Z}) {
+    const std::size_t d =
+        t == PauliType::X ? code.distance_x() : code.distance_z();
+    EXPECT_EQ(d, weight_walk_distance(code, t))
+        << code.name() << " " << name(t) << "\n"
+        << code.hx().to_string() << "\n"
+        << code.hz().to_string();
+    EXPECT_EQ(d, distance_from_enumerators(code, t))
+        << code.name() << " " << name(t);
+  }
+}
+
+f2::BitVec random_vec(std::mt19937_64& rng, std::size_t n) {
+  f2::BitVec v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v.set(i, (rng() & 1U) != 0);
+  }
+  return v;
+}
+
+// A random CSS code on n qubits: rx random independent X checks, then rz
+// independent Z checks drawn from random combinations of ker(Hx).
+CssCode random_css_code(std::mt19937_64& rng, std::size_t n) {
+  const std::size_t rx = 1 + rng() % (n - 2);
+  const std::size_t rz = 1 + rng() % (n - 1 - rx);
+  f2::BitMatrix hx(0, n);
+  while (hx.rows() < rx) {
+    f2::BitMatrix grown = hx;
+    grown.append_row(random_vec(rng, n));
+    if (f2::rank(grown) == grown.rows()) {
+      hx = std::move(grown);
+    }
+  }
+  const std::vector<f2::BitVec> kernel = f2::kernel_basis(hx);
+  f2::BitMatrix hz(0, n);
+  while (hz.rows() < rz) {
+    f2::BitVec row(n);
+    for (const f2::BitVec& k : kernel) {
+      if ((rng() & 1U) != 0) {
+        row ^= k;
+      }
+    }
+    f2::BitMatrix grown = hz;
+    grown.append_row(row);
+    if (row.any() && f2::rank(grown) == grown.rows()) {
+      hz = std::move(grown);
+    }
+  }
+  return CssCode("random", hx, hz);
+}
+
+TEST(CssDistance, MatchesWeightWalkAndEnumeratorsOnRandomCodes) {
+  std::mt19937_64 rng(0xd157);
+  for (std::size_t n = 4; n <= 14; ++n) {
+    for (int trial = 0; trial < 8; ++trial) {
+      expect_distances_match_oracles(random_css_code(rng, n));
+    }
+  }
+}
+
+TEST(CssDistance, MatchesWeightWalkAndEnumeratorsOnSearchedCodes) {
+  SelfDualSearchOptions self_dual;
+  self_dual.n = 11;
+  self_dual.rows = 5;
+  self_dual.min_detect_weight = 3;
+  const auto h = find_self_dual_check_matrix(self_dual);
+  ASSERT_TRUE(h.has_value());
+  expect_distances_match_oracles(CssCode("self-dual-[[11,1,3]]", *h, *h));
+
+  CssSearchOptions two_sided;
+  two_sided.n = 12;
+  two_sided.rx = 5;
+  two_sided.rz = 5;
+  two_sided.min_distance = 4;
+  const auto found = find_css_check_matrices(two_sided);
+  ASSERT_TRUE(found.has_value());
+  expect_distances_match_oracles(
+      CssCode("two-sided-[[12,2,4]]", found->hx, found->hz));
+
+  for (const CssCode& code : all_library_codes()) {
+    expect_distances_match_oracles(code);
+  }
+}
+
+TEST(CssDistance, AboveTheSpanLimitSearchesByWeight) {
+  // The 26-qubit bit-flip repetition code: 25 Z checks Z_i Z_i+1 and no
+  // X checks. The X side walks a one-row normalizer (X on every qubit);
+  // the Z normalizer has dimension 26, above the span limit, so the Z
+  // distance comes from the weight search (a single Z is a logical).
+  const std::size_t n = 26;
+  f2::BitMatrix hz(n - 1, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    hz.set(i, i);
+    hz.set(i, i + 1);
+  }
+  const CssCode code("repetition-26", f2::BitMatrix(0, n), hz);
+  EXPECT_EQ(code.num_logical(), 1u);
+  EXPECT_EQ(code.distance_x(), n);
+  EXPECT_EQ(code.distance_z(), 1u);
+  EXPECT_EQ(code.distance_z(), weight_walk_distance(code, PauliType::Z));
 }
 
 TEST(ForEachWeight, EnumeratesBinomialCount) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "f2/gauss.hpp"
 
@@ -16,8 +18,8 @@ TEST(RowSpan, EnumeratesAllElements) {
   EXPECT_EQ(span.dimension(), 2u);
   EXPECT_EQ(span.size(), 4u);
   std::set<std::string> elements;
-  for (const auto& e : span.elements()) {
-    elements.insert(e.to_string());
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    elements.insert(span.element(i).to_string());
   }
   const std::set<std::string> expected = {"0000", "1100", "0011", "1111"};
   EXPECT_EQ(elements, expected);
@@ -25,7 +27,7 @@ TEST(RowSpan, EnumeratesAllElements) {
 
 TEST(RowSpan, FirstElementIsZero) {
   const RowSpan span(BitMatrix::from_strings({"101"}));
-  EXPECT_TRUE(span.elements()[0].none());
+  EXPECT_TRUE(span.element(0).none());
 }
 
 TEST(RowSpan, HandlesDependentRows) {
@@ -46,8 +48,8 @@ TEST(RowSpan, EmptyMatrixGivesTrivialSpan) {
 TEST(RowSpan, ContainsMatchesEnumeration) {
   const auto m = BitMatrix::from_strings({"11010", "01101"});
   const RowSpan span(m);
-  for (const auto& e : span.elements()) {
-    EXPECT_TRUE(span.contains(e));
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    EXPECT_TRUE(span.contains(span.element(i)));
   }
   EXPECT_FALSE(span.contains(BitVec::from_string("10000")));
 }
@@ -56,7 +58,7 @@ TEST(RowSpan, CosetCanonicalEqualIffSameCoset) {
   const auto m = BitMatrix::from_strings({"1100", "0011"});
   const RowSpan span(m);
   const BitVec a = BitVec::from_string("1000");
-  const BitVec b = a ^ span.elements()[3];
+  const BitVec b = a ^ span.element(3);
   EXPECT_EQ(span.coset_canonical(a), span.coset_canonical(b));
   EXPECT_NE(span.coset_canonical(a),
             span.coset_canonical(BitVec::from_string("0010")));
@@ -65,8 +67,8 @@ TEST(RowSpan, CosetCanonicalEqualIffSameCoset) {
 TEST(RowSpan, CosetMinWeightZeroForMembers) {
   const auto m = BitMatrix::from_strings({"111", "010"});
   const RowSpan span(m);
-  for (const auto& e : span.elements()) {
-    EXPECT_EQ(span.coset_min_weight(e), 0u);
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    EXPECT_EQ(span.coset_min_weight(span.element(i)), 0u);
   }
 }
 
@@ -94,6 +96,95 @@ TEST(RowSpan, ThrowsOnHugeSpan) {
   EXPECT_THROW(RowSpan{big}, std::length_error);
 }
 
+// Oracle: the span engine as it was before elements were packed words —
+// a `BitVec` per element, built by the same Gray walk over the RREF
+// basis, and a `BitVec` temporary per element in the coset loop.
+struct BitVecSpanOracle {
+  std::vector<BitVec> elements;
+
+  explicit BitVecSpanOracle(const RowSpan& span) {
+    BitVec current(span.vector_size());
+    elements.push_back(current);
+    for (std::size_t i = 1; i < (std::size_t{1} << span.dimension()); ++i) {
+      current ^= span.basis_rref().row(
+          static_cast<std::size_t>(std::countr_zero(i)));
+      elements.push_back(current);
+    }
+  }
+
+  std::size_t min_weight(const BitVec& v) const {
+    std::size_t best = v.size() + 1;
+    for (const auto& s : elements) {
+      const std::size_t w = (v ^ s).popcount();
+      if (w < best) {
+        best = w;
+        if (best == 0) {
+          break;
+        }
+      }
+    }
+    return best;
+  }
+
+  BitVec min_representative(const BitVec& v) const {
+    std::size_t best = v.size() + 1;
+    BitVec best_vec = v;
+    for (const auto& s : elements) {
+      BitVec candidate = v ^ s;
+      const std::size_t w = candidate.popcount();
+      if (w < best) {
+        best = w;
+        best_vec = std::move(candidate);
+        if (best == 0) {
+          break;
+        }
+      }
+    }
+    return best_vec;
+  }
+};
+
+BitVec random_vec(std::mt19937_64& rng, std::size_t cols, unsigned density) {
+  BitVec v(cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    v.set(c, rng() % density == 0);
+  }
+  return v;
+}
+
+// Random matrices of one to three words per row, with dependent and zero
+// rows, against random targets: the packed engine returns the oracle's
+// weight and the very same representative (the first minimum in Gray
+// order), not merely another vector of the same weight.
+TEST(RowSpan, CosetQueriesMatchTheBitVecOracle) {
+  std::mt19937_64 rng(0x5ba1);
+  for (const std::size_t cols : {5U, 16U, 63U, 64U, 65U, 130U}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::size_t rows = 1 + rng() % 10;
+      BitMatrix m(0, cols);
+      for (std::size_t r = 0; r < rows; ++r) {
+        m.append_row(r % 4 == 3 && r >= 2 ? m.row(r - 1) ^ m.row(r - 2)
+                                          : random_vec(rng, cols, 2));
+      }
+      const RowSpan span(m);
+      const BitVecSpanOracle oracle(span);
+      ASSERT_EQ(span.size(), oracle.elements.size());
+      for (std::size_t i = 0; i < span.size(); ++i) {
+        ASSERT_EQ(span.element(i), oracle.elements[i]) << i;
+      }
+      for (int q = 0; q < 40; ++q) {
+        // Sparse targets hit small cosets and ties; dense ones do not.
+        const BitVec v = random_vec(rng, cols, q % 2 == 0 ? 2 : 9);
+        EXPECT_EQ(span.coset_min_weight(v), oracle.min_weight(v))
+            << "cols=" << cols << " trial=" << trial;
+        EXPECT_EQ(span.coset_min_representative(v),
+                  oracle.min_representative(v))
+            << "cols=" << cols << " trial=" << trial;
+      }
+    }
+  }
+}
+
 // Property: brute-force coset minimum equals RowSpan's answer on random
 // small instances.
 class SpanRandomized : public ::testing::TestWithParam<int> {};
@@ -115,8 +206,8 @@ TEST_P(SpanRandomized, MinWeightMatchesBruteForce) {
     v.set(c, bit(rng) != 0);
   }
   std::size_t brute = cols + 1;
-  for (const auto& s : span.elements()) {
-    brute = std::min(brute, (v ^ s).popcount());
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    brute = std::min(brute, (v ^ span.element(i)).popcount());
   }
   EXPECT_EQ(span.coset_min_weight(v), brute);
 }
