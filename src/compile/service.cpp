@@ -7,6 +7,8 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "compile/format.hpp"
 #include "compile/json.hpp"
@@ -683,7 +685,15 @@ std::size_t ProtocolService::load_store(ArtifactStore& store) {
 }
 
 void ProtocolService::add(ProtocolArtifact artifact) {
-  auto entry = std::make_unique<Entry>(std::move(artifact));
+  std::unique_ptr<Entry> entry;
+  try {
+    entry = std::make_unique<Entry>(std::move(artifact));
+  } catch (const std::logic_error& e) {
+    // The rehydrated decoder or executor rejected the artifact's
+    // contents: a malformed artifact, which `load_store` quarantines.
+    throw ArtifactFormatError(std::string("artifact: serving entry: ") +
+                              e.what());
+  }
   const std::string name = serving_name(entry->artifact);
   const auto it = entries_.find(name);
   if (it != entries_.end() && it->second->artifact.key != entry->artifact.key) {

@@ -87,16 +87,20 @@ class ProtocolService {
   /// is recorded in `shadowed_keys()` and warned about on stderr, so
   /// an operator can see which artifacts a store is NOT serving.
   ///
-  /// Resilient: an artifact that fails to read or decode is quarantined
-  /// in the store (see ArtifactStore::quarantine) and skipped — one
-  /// corrupt file must not take down every other protocol. The
+  /// Resilient: an artifact that fails to read or decode, or whose
+  /// serving entry cannot be built (see `add`), is quarantined in the
+  /// store (see ArtifactStore::quarantine) and skipped — one corrupt
+  /// file must not take down every other protocol. The
   /// quarantined count (plus any index lines the store's recovery-mode
   /// loader skipped) is surfaced by `health`.
   std::size_t load_store(ArtifactStore& store);
 
   /// Adds one artifact directly (tests, in-process pipelines). An
   /// artifact displacing an already-loaded serving name records the
-  /// displaced artifact's key in `shadowed_keys()`.
+  /// displaced artifact's key in `shadowed_keys()`. Throws
+  /// `ArtifactFormatError` when the serving entry cannot be built from
+  /// the artifact, e.g. a decoder-table entry whose syndrome is not its
+  /// index.
   void add(ProtocolArtifact artifact);
 
   /// Store keys that were loaded and then displaced by a later artifact

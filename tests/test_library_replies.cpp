@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compile/service.hpp"
@@ -105,6 +106,51 @@ TEST_F(LibraryReplies, StoreLoadedRepliesArePinned) {
         << info;
     EXPECT_EQ(util::fnv1a64(circuit), pin.circuit)
         << name << std::hex << " circuit: got 0x" << util::fnv1a64(circuit);
+  }
+}
+
+TEST_F(LibraryReplies, BadDecoderTableIsQuarantinedAndTheRestServes) {
+  // Steane's artifact with two X decoder-table entries swapped: every
+  // section CRC is valid, so only the rehydration check sees the damage.
+  const fs::path dir = *dir_ / "bad-table";
+  std::string victim;
+  {
+    ArtifactStore store(dir.string());
+    for (ProtocolArtifact artifact : *artifacts_) {
+      if (artifact.protocol.code->name() == "Steane") {
+        std::swap(artifact.x_decoder_table[1], artifact.x_decoder_table[2]);
+        victim = artifact.key;
+      }
+      store.put(artifact);
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+
+  ArtifactStore store(dir.string());
+  ProtocolService service;
+  EXPECT_EQ(service.load_store(store), 8u);
+  EXPECT_FALSE(store.contains(victim));
+  EXPECT_EQ(service.store_recovery().quarantined, 1u);
+  std::size_t quarantined = 0;
+  for (const auto& entry : fs::directory_iterator(dir / "quarantine")) {
+    quarantined += entry.path().extension() == ".ftsa" ? 1 : 0;
+  }
+  EXPECT_EQ(quarantined, 1u);
+
+  EXPECT_EQ(service.handle_request(R"({"op":"codes"})"),
+            R"({"ok":true,"codes":["Carbon","Hamming","Shor","Surface_3",)"
+            R"("Tesseract","Tetrahedral","[[11,1,3]]","[[16,2,4]]"]})");
+  const std::string health = service.handle_request(R"({"op":"health"})");
+  EXPECT_NE(health.find(R"("quarantined":1)"), std::string::npos) << health;
+  for (const PinnedCode& pin : kPinnedCodes) {
+    const std::string name = pin.code;
+    const std::string info = without_wall_time(service.handle_request(
+        R"({"op":"info","code":")" + name + R"("})"));
+    if (name == "Steane") {
+      EXPECT_NE(info.find(R"("ok":false)"), std::string::npos) << info;
+    } else {
+      EXPECT_EQ(util::fnv1a64(info), pin.info) << name << "\n" << info;
+    }
   }
 }
 
