@@ -26,8 +26,8 @@ RowSpan::RowSpan(const BitMatrix& m)
     // Gray code: element i differs from i-1 in basis row ctz(i).
     const auto flip = static_cast<std::size_t>(std::countr_zero(i));
     const std::span<const std::uint64_t> row = basis_.row(flip).words();
-    const std::uint64_t* previous = &elements_[(i - 1) * words_];
-    std::uint64_t* current = &elements_[i * words_];
+    const std::uint64_t* previous = elements_.data() + (i - 1) * words_;
+    std::uint64_t* current = elements_.data() + i * words_;
     for (std::size_t w = 0; w < words_; ++w) {
       current[w] = previous[w] ^ row[w];
     }
@@ -38,7 +38,7 @@ BitVec RowSpan::element(std::size_t i) const {
   assert(i < size_);
   return BitVec::from_words(
       vector_size_,
-      std::span<const std::uint64_t>(&elements_[i * words_], words_));
+      std::span<const std::uint64_t>(elements_.data() + i * words_, words_));
 }
 
 bool RowSpan::contains(const BitVec& v) const {
@@ -57,7 +57,9 @@ BitVec RowSpan::coset_canonical(const BitVec& v) const {
 
 std::size_t RowSpan::min_weight_index(const BitVec& v,
                                       std::size_t& weight) const {
-  assert(v.size() == vector_size_);
+  if (v.size() != vector_size_) {
+    throw std::invalid_argument("RowSpan: vector size differs from span");
+  }
   const std::span<const std::uint64_t> target = v.words();
   std::size_t best = v.size() + 1;
   std::size_t best_index = 0;

@@ -144,7 +144,7 @@ std::size_t CssCode::compute_distance(PauliType t) const {
   for (std::size_t i = 0; i < dim; ++i) {
     const auto row =
         i < r ? stabilizers.row(i).words() : logical_rows.row(i - r).words();
-    std::copy(row.begin(), row.end(), rows.begin() + i * words);
+    std::copy(row.begin(), row.end(), rows.data() + i * words);
   }
   std::vector<std::uint64_t> element(words, 0);
   std::size_t best = n_ + 1;
