@@ -55,8 +55,8 @@ BitVec RowSpan::coset_canonical(const BitVec& v) const {
   return reduce_against(v, basis_, pivots_);
 }
 
-std::size_t RowSpan::min_weight_index(const BitVec& v,
-                                      std::size_t& weight) const {
+std::pair<std::size_t, std::size_t> RowSpan::closest_element(
+    const BitVec& v) const {
   if (v.size() != vector_size_) {
     throw std::invalid_argument("RowSpan: vector size differs from span");
   }
@@ -77,23 +77,15 @@ std::size_t RowSpan::min_weight_index(const BitVec& v,
       }
     }
   }
-  weight = best;
-  return best_index;
+  return {best_index, best};
 }
 
 std::size_t RowSpan::coset_min_weight(const BitVec& v) const {
-  std::size_t weight = 0;
-  (void)min_weight_index(v, weight);
-  return weight;
+  return closest_element(v).second;
 }
 
 BitVec RowSpan::coset_min_representative(const BitVec& v) const {
-  std::size_t weight = 0;
-  const std::size_t best = min_weight_index(v, weight);
-  if (size_ == 0) {
-    return v;
-  }
-  BitVec representative = element(best);
+  BitVec representative = element(closest_element(v).first);
   representative ^= v;
   return representative;
 }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "f2/bit_matrix.hpp"
@@ -65,9 +66,9 @@ class RowSpan {
   std::vector<std::size_t> pivots_;  // Pivot columns of the basis rows.
   std::vector<std::uint64_t> elements_;  // size_ x words_, Gray-code order.
 
-  /// Index of the first element `s` minimizing `wt(v + s)`; that weight
-  /// goes to `weight`.
-  std::size_t min_weight_index(const BitVec& v, std::size_t& weight) const;
+  /// Index of the first element `s` minimizing `wt(v + s)`, and that
+  /// weight.
+  std::pair<std::size_t, std::size_t> closest_element(const BitVec& v) const;
 };
 
 }  // namespace ftsp::f2

@@ -135,10 +135,11 @@ std::size_t CssCode::compute_distance(PauliType t) const {
     }
     throw std::logic_error("CssCode: no logical operator found");
   }
-  // The kernel is the span of the r stabilizer rows (Gray bits below r)
-  // and the k logicals (bits r and up). A Gray-code walk XORs one row
-  // per step; the element of Gray index g is a logical iff g has a bit
-  // at r or above, since the logicals are independent of the stabilizers.
+  // The kernel is the span of the r stabilizer rows (bits below r) and
+  // the k logicals (bits r and up). Step i of a Gray-code walk XORs one
+  // row in, reaching the sum of the rows set in i ^ (i >> 1). That sum
+  // is a logical iff it has a bit at r or above, since the logicals are
+  // independent of the stabilizers.
   const std::size_t words = (n_ + 63) / 64;
   std::vector<std::uint64_t> rows(dim * words);
   for (std::size_t i = 0; i < dim; ++i) {
@@ -158,9 +159,6 @@ std::size_t CssCode::compute_distance(PauliType t) const {
     if (((i ^ (i >> 1)) >> r) != 0 && weight < best) {
       best = weight;
     }
-  }
-  if (best > n_) {
-    throw std::logic_error("CssCode: no logical operator found");
   }
   return best;
 }
