@@ -77,6 +77,9 @@ TEST(RowSpan, CosetMinWeightKnownCase) {
   const RowSpan span(BitMatrix::from_strings({"1111"}));
   EXPECT_EQ(span.coset_min_weight(BitVec::from_string("1110")), 1u);
   EXPECT_EQ(span.coset_min_weight(BitVec::from_string("1100")), 2u);
+  EXPECT_THROW((void)span.coset_min_weight(BitVec(3)), std::invalid_argument);
+  EXPECT_THROW((void)span.coset_min_representative(BitVec(5)),
+               std::invalid_argument);
 }
 
 TEST(RowSpan, MinRepresentativeIsInCosetAndMinimal) {
