@@ -4,11 +4,16 @@
 // of every synthesis encoding is part of this contract — reordering two
 // clauses changes the DIMACS premise and the solver's search, so a
 // refactor of the encoders that moves any byte fails here.
+//
+// Each case also pins a witness digest: the same fold without the premise
+// and DRAT bytes. A change to how proofs are rendered or stored moves only
+// the first digest; a change to what synthesis finds moves both.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/prep_synth.hpp"
@@ -35,10 +40,11 @@ void fold_supports(util::Fnv1a64& h, const std::vector<f2::BitVec>& rows) {
 }
 
 /// Fold order: every proof entry (stage, claim, present, absent reason,
-/// bound, premise, DRAT), then per layer the verification supports and
-/// each branch's key, measurement supports and recovery map.
+/// bound, then premise and DRAT when `proof_bytes`), then per layer the
+/// verification supports and each branch's key, measurement supports and
+/// recovery map.
 void fold_run(util::Fnv1a64& h, const ProofSink& sink,
-              const Protocol& protocol) {
+              const Protocol& protocol, bool proof_bytes) {
   h.le64(sink.proofs.size());
   for (const CapturedProof& proof : sink.proofs) {
     EXPECT_EQ(proof.absent_reason.find("kept no proof log"),
@@ -50,8 +56,10 @@ void fold_run(util::Fnv1a64& h, const ProofSink& sink,
     h.byte(proof.present ? 1 : 0);
     fold_text(h, proof.absent_reason);
     h.le64(proof.bound);
-    fold_text(h, proof.premise_dimacs);
-    fold_text(h, proof.drat);
+    if (proof_bytes) {
+      fold_text(h, proof.premise_dimacs);
+      fold_text(h, proof.drat);
+    }
   }
   for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
     if (!layer->has_value()) {
@@ -81,12 +89,18 @@ struct DigestCase {
   /// under a second).
   bool sat_prep;
   std::uint64_t digest;
+  std::uint64_t witness;  ///< The digest without premise and DRAT bytes.
+};
+
+struct Digests {
+  std::uint64_t digest;
+  std::uint64_t witness;
 };
 
 /// Synthesizes the |0> protocol twice from a cleared synthesis cache:
 /// the cold run solves every query (and hits the cache where two
 /// branches share one), the warm run is served from the cache.
-std::uint64_t synthesis_digest(const DigestCase& c) {
+Digests synthesis_digest(const DigestCase& c) {
   const auto code = qec::library_code_by_name(c.code);
   SynthesisOptions options;
   options.prep.method = PrepSynthOptions::Method::Optimal;
@@ -98,41 +112,48 @@ std::uint64_t synthesis_digest(const DigestCase& c) {
   }
   SynthCache::instance().clear();
   util::Fnv1a64 h;
+  util::Fnv1a64 witness;
   for (int run = 0; run < 2; ++run) {
     ProofSink sink;
     options.proof_sink = &sink;
     const Protocol protocol =
         synthesize_protocol(code, qec::LogicalBasis::Zero, options);
-    fold_run(h, sink, protocol);
+    fold_run(h, sink, protocol, true);
+    fold_run(witness, sink, protocol, false);
   }
   SynthCache::instance().clear();
-  return h.value();
+  return {h.value(), witness.value()};
 }
 
 class SynthesisDigest : public ::testing::TestWithParam<DigestCase> {};
 
 TEST_P(SynthesisDigest, ProofAndWitnessBytesArePinned) {
   const DigestCase& c = GetParam();
-  const std::uint64_t digest = synthesis_digest(c);
-  EXPECT_EQ(digest, c.digest) << std::hex << "got 0x" << digest;
+  const Digests got = synthesis_digest(c);
+  EXPECT_EQ(got.digest, c.digest) << std::hex << "got 0x" << got.digest;
+  EXPECT_EQ(got.witness, c.witness) << std::hex << "got 0x" << got.witness;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     StabilizerSweeps, SynthesisDigest,
     ::testing::Values(
-        DigestCase{"Steane", true, false, 0xe9e1c20c3d5b16dfULL},
-        DigestCase{"Steane", false, false, 0x1e3a7888ad7b08beULL},
-        DigestCase{"Shor", true, true, 0x37e75ef279681835ULL},
-        DigestCase{"Shor", false, true, 0xa6329d8722f28aaeULL}),
+        DigestCase{"Steane", true, false, 0xe9e1c20c3d5b16dfULL,
+                   0xd5d4c4c589f65486ULL},
+        DigestCase{"Steane", false, false, 0x1e3a7888ad7b08beULL,
+                   0xd5d4c4c589f65486ULL},
+        DigestCase{"Shor", true, true, 0x37e75ef279681835ULL,
+                   0x53eb3c6bf29141abULL},
+        DigestCase{"Shor", false, true, 0xa6329d8722f28aaeULL,
+                   0x53eb3c6bf29141abULL}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return std::string(info.param.code) +
              (info.param.incremental ? "_incremental" : "_fresh");
     });
 
 /// Folds a preparation circuit and every proof entry its synthesis
-/// recorded.
+/// recorded, with its premise and DRAT bytes when `proof_bytes`.
 void fold_prep(util::Fnv1a64& h, const circuit::Circuit& prep,
-               const ProofSink& sink) {
+               const ProofSink& sink, bool proof_bytes) {
   fold_text(h, prep.to_text());
   h.le64(sink.proofs.size());
   for (const CapturedProof& proof : sink.proofs) {
@@ -141,15 +162,17 @@ void fold_prep(util::Fnv1a64& h, const circuit::Circuit& prep,
     h.byte(proof.present ? 1 : 0);
     fold_text(h, proof.absent_reason);
     h.le64(proof.bound);
-    fold_text(h, proof.premise_dimacs);
-    fold_text(h, proof.drat);
+    if (proof_bytes) {
+      fold_text(h, proof.premise_dimacs);
+      fold_text(h, proof.drat);
+    }
   }
 }
 
 /// One preparation synthesis from a cleared cache, folded with its
 /// proof entry; `refuted` says whether that entry holds a refutation.
-std::uint64_t prep_digest(const qec::CssCode& code, qec::LogicalBasis basis,
-                          PrepSynthOptions options, bool refuted = false) {
+Digests prep_digests(const qec::CssCode& code, qec::LogicalBasis basis,
+                     PrepSynthOptions options, bool refuted = false) {
   const qec::StateContext state(code, basis);
   SynthCache::instance().clear();
   ProofSink sink;
@@ -161,8 +184,15 @@ std::uint64_t prep_digest(const qec::CssCode& code, qec::LogicalBasis basis,
     EXPECT_EQ(proof.present, refuted) << code.name();
   }
   util::Fnv1a64 h;
-  fold_prep(h, prep, sink);
-  return h.value();
+  util::Fnv1a64 witness;
+  fold_prep(h, prep, sink, true);
+  fold_prep(witness, prep, sink, false);
+  return {h.value(), witness.value()};
+}
+
+std::uint64_t prep_digest(const qec::CssCode& code, qec::LogicalBasis basis,
+                          PrepSynthOptions options) {
+  return prep_digests(code, basis, std::move(options)).digest;
 }
 
 PrepSynthOptions optimal_prep(bool allow_bfs) {
@@ -190,9 +220,11 @@ TEST(PrepDigest, SteaneBfsIsPinned) {
 }
 
 TEST(PrepDigest, ShorSatSweepIsPinned) {
-  const std::uint64_t digest = prep_digest(
-      qec::shor(), qec::LogicalBasis::Zero, optimal_prep(false), true);
-  EXPECT_EQ(digest, 0x5d6719f739f24363ULL) << std::hex << "got 0x" << digest;
+  const Digests got = prep_digests(qec::shor(), qec::LogicalBasis::Zero,
+                                   optimal_prep(false), true);
+  EXPECT_EQ(got.digest, 0x5d6719f739f24363ULL)
+      << std::hex << "got 0x" << got.digest;
+  EXPECT_EQ(got.witness, 0x5031e3a6d894b55dULL) << std::hex << "got 0x" << got.witness;
 }
 
 /// The library's largest prep refutation: the subspace space is past the
@@ -201,9 +233,11 @@ TEST(PrepDigest, Surface3LinearSatSweepIsPinned) {
   PrepSynthOptions options = optimal_prep(true);
   options.coupling =
       std::make_shared<const qec::CouplingMap>(qec::CouplingMap::linear(9));
-  const std::uint64_t digest =
-      prep_digest(qec::surface3(), qec::LogicalBasis::Zero, options, true);
-  EXPECT_EQ(digest, 0x809406656afadd74ULL) << std::hex << "got 0x" << digest;
+  const Digests got =
+      prep_digests(qec::surface3(), qec::LogicalBasis::Zero, options, true);
+  EXPECT_EQ(got.digest, 0x809406656afadd74ULL)
+      << std::hex << "got 0x" << got.digest;
+  EXPECT_EQ(got.witness, 0x765a32f5ad438f86ULL) << std::hex << "got 0x" << got.witness;
 }
 
 }  // namespace
