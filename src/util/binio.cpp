@@ -80,25 +80,49 @@ std::string_view ByteReader::raw(std::size_t length) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: `t[0]` is the bytewise table, and `t[k][i]` is the
+/// CRC of byte `i` followed by `k` zero bytes, so eight table lookups
+/// advance the register by eight bytes at once.
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const char byte : bytes) {
-    c = table[(c ^ static_cast<std::uint8_t>(byte)) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

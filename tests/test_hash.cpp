@@ -60,6 +60,48 @@ TEST(Crc32, MatchesIndependentBitwiseImplementation) {
   }
 }
 
+/// The bytewise table-driven CRC-32 loop, one table lookup per byte.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : bytes) {
+    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string pseudo_random_bytes(std::size_t length, std::uint64_t seed) {
+  std::string data(length, '\0');
+  std::uint64_t state = seed;
+  for (char& byte : data) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    byte = static_cast<char>(state >> 56);
+  }
+  return data;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryShortLengthAndOffset) {
+  // Every tail length of the eight-byte loop, at every start offset.
+  const std::string buffer = pseudo_random_bytes(64 + 8, 29);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      EXPECT_EQ(util::crc32(data), crc32_bytewise(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  const std::string mebibyte = pseudo_random_bytes(std::size_t{1} << 20, 8);
+  EXPECT_EQ(util::crc32(mebibyte), crc32_bytewise(mebibyte));
+  EXPECT_EQ(crc32_bytewise("123456789"), 0xCBF43926u);
+}
+
 TEST(Fnv1a64, ReferenceVectors) {
   // Published FNV-1a/64 test vectors.
   EXPECT_EQ(util::fnv1a64(""), 0xcbf29ce484222325ull);
