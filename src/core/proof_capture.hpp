@@ -14,12 +14,16 @@ namespace ftsp::core {
 /// an honest statement of why no machine-checkable proof exists for this
 /// stage (absent — heuristic paths, cache hits, structural lower bounds).
 ///
-/// The premise ships as self-contained DIMACS with the query assumptions
-/// baked in as unit clauses, so re-checking needs no solver state: parse
-/// the premise, replay the DRAT lines through `sat::check_drat`, done.
-/// `checked` is the compile-time verdict of `sat::check_hinted`, which
-/// replays the solver's in-memory antecedents; the hints are never stored,
-/// and `audit` re-checks with the forward `sat::check_drat`.
+/// Only the refutation's core is stored. The premise ships as
+/// self-contained DIMACS: the premise clauses the refutation cites,
+/// verbatim and in solver order, then the query assumptions as unit
+/// clauses, so re-checking needs no solver state. The DRAT holds the cited
+/// lemmas, the deletions of kept ones and the empty clause: parse the
+/// premise, replay the DRAT lines through `sat::check_drat`, done.
+/// `checked` is the compile-time verdict of `sat::check_hinted` on exactly
+/// these clauses and lines, replaying the solver's in-memory antecedents
+/// renumbered to them; the hints are never stored, and `audit` re-checks
+/// with the forward `sat::check_drat`.
 /// The byte payloads (`premise_dimacs`, `drat`) are stored out-of-band
 /// (the store's `.proof` side file); the artifact container carries only
 /// the metadata below, including fingerprints the audit verifies against
@@ -33,8 +37,8 @@ struct CapturedProof {
   bool present = false;          ///< A refutation was captured.
   std::string absent_reason;     ///< Why not, when `present` is false.
   bool checked = false;          ///< `sat::check_hinted` verdict at capture.
-  std::string premise_dimacs;    ///< DIMACS CNF, assumptions as units.
-  std::string drat;              ///< DRAT refutation of the premise.
+  std::string premise_dimacs;    ///< Cited clauses, assumptions as units.
+  std::string drat;              ///< Cited lemmas, then the empty clause.
   std::uint64_t premise_size = 0;
   std::uint32_t premise_crc = 0;
   std::uint64_t drat_size = 0;
@@ -53,10 +57,20 @@ struct ProofSink {
                      std::string reason);
 };
 
-/// Renders a solver refutation into a checked `CapturedProof`: premise as
-/// DIMACS (rendered straight from the shared log, assumptions appended
-/// as unit clauses), verbatim DRAT log, `sat::check_hinted` verdict, and
-/// CRC32 fingerprints of both payloads.
+/// The refutation `proof` reduced to its core (`sat::refutation_core`):
+/// the cited premise clauses in their original order, every assumption,
+/// every root step, the cited lemmas with their addition lines, the
+/// deletions of kept lemmas and the empty clause. Kept clauses are
+/// renumbered by rank, so the result checks like any solver proof. The
+/// solver's DRAT text must hold one clause per line, as it writes it.
+sat::UnsatProof trim_proof(const sat::UnsatProof& proof);
+
+/// Renders a solver refutation into a checked `CapturedProof`: the
+/// refutation is trimmed to its core (see `trim_proof`), the kept premise
+/// clauses are rendered as DIMACS under the full formula's variable count
+/// with the assumptions appended as unit clauses, and the kept DRAT lines
+/// are stored with the `sat::check_hinted` verdict on exactly those bytes
+/// and CRC32 fingerprints of both payloads.
 CapturedProof make_checked_proof(std::string stage, std::string claim,
                                  std::size_t bound,
                                  const sat::UnsatProof& proof);

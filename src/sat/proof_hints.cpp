@@ -123,4 +123,70 @@ bool ProofHints::Reader::next(Step& step) {
   return true;
 }
 
+ProofHints::Reader::Mark ProofHints::Reader::mark() const {
+  if (chunk_ == 0) {
+    return {0, 0, lemmas_};
+  }
+  return {static_cast<std::uint32_t>(chunk_),
+          static_cast<std::uint32_t>(pos_ - chunks_[chunk_ - 1].data()),
+          lemmas_};
+}
+
+void ProofHints::Reader::seek(const Mark& mark) {
+  chunk_ = mark.chunk;
+  lemmas_ = mark.lemmas;
+  if (chunk_ == 0) {
+    pos_ = end_ = nullptr;
+    return;
+  }
+  const std::vector<std::uint8_t>& chunk = chunks_[chunk_ - 1];
+  pos_ = chunk.data() + mark.offset;
+  end_ = chunk.data() + chunk.size();
+}
+
+RefutationCore refutation_core(const ProofHints& hints,
+                               std::size_t premise_size,
+                               std::span<const std::uint32_t> refutation) {
+  RefutationCore core;
+  core.premise.assign(premise_size, false);
+  core.lemmas.assign(hints.lemmas(), false);
+  const auto cite = [&core](std::uint32_t id) {
+    const bool lemma = (id & ProofHints::kLemma) != 0;
+    const bool assumption = (id & ProofHints::kAssumption) != 0;
+    if (lemma && !assumption) {
+      const std::size_t k = id & ~ProofHints::kLemma;
+      if (k < core.lemmas.size()) {
+        core.lemmas[k] = true;
+      }
+    } else if (!lemma && !assumption && id < core.premise.size()) {
+      core.premise[id] = true;
+    }
+  };
+  for (const std::uint32_t id : refutation) {
+    cite(id);
+  }
+
+  // One mark per step plus one past the last: step s is a lemma step
+  // exactly when the lemma count grows across it.
+  ProofHints::Reader reader(hints);
+  std::vector<ProofHints::Reader::Mark> marks;
+  ProofHints::Step step;
+  do {
+    marks.push_back(reader.mark());
+  } while (reader.next(step));
+  for (std::size_t s = marks.size() - 1; s-- > 0;) {
+    const std::uint32_t lemma = marks[s].lemmas;
+    const bool root = marks[s + 1].lemmas == lemma;
+    if (!root && !core.lemmas[lemma]) {
+      continue;
+    }
+    reader.seek(marks[s]);
+    reader.next(step);
+    for (const std::uint32_t id : step.chain) {
+      cite(id);
+    }
+  }
+  return core;
+}
+
 }  // namespace ftsp::sat

@@ -55,9 +55,21 @@ class ProofHints {
   /// Decodes the steps in the order they were added.
   class Reader {
    public:
+    /// Where a step starts in the stream: a `Reader` can `seek` back to
+    /// it and decode that step alone.
+    struct Mark {
+      std::uint32_t chunk = 0;   // The chunk after the one read from.
+      std::uint32_t offset = 0;  // Byte offset in that chunk.
+      std::uint32_t lemmas = 0;  // Lemma steps before the step.
+    };
+
     explicit Reader(const ProofHints& hints);
     /// Reads the next step into `step`; false after the last one.
     bool next(Step& step);
+    /// The position of the step `next` reads next.
+    Mark mark() const;
+    /// Continues reading at a position `mark` returned.
+    void seek(const Mark& mark);
 
    private:
     std::uint64_t varint();
@@ -76,5 +88,25 @@ class ProofHints {
   std::vector<std::vector<std::uint8_t>> chunks_;
   std::uint32_t lemmas_ = 0;
 };
+
+/// The clauses a refutation rests on: every premise clause and lemma
+/// reachable through the hint chains from `refutation` (the empty clause's
+/// chain) and from the chain of every root step. Root steps are all kept,
+/// because a checker keeps their literals assigned and a lemma's chain
+/// leans on them without citing them. This is drat-trim's core
+/// extraction, read from the solver's hints instead of a backward check.
+/// Assumptions are not tracked: a trimmed proof keeps every one.
+struct RefutationCore {
+  std::vector<bool> premise;  ///< Premise clause i is cited.
+  std::vector<bool> lemmas;   ///< The k-th lemma step is cited.
+};
+
+/// Walks the steps of `hints` from last to first, decoding only the root
+/// steps and the lemmas found cited so far: a chain cites only earlier
+/// steps, so one backward pass closes the set. IDs past `premise_size`,
+/// past the last lemma or equal to `kNone` cite nothing.
+RefutationCore refutation_core(const ProofHints& hints,
+                               std::size_t premise_size,
+                               std::span<const std::uint32_t> refutation);
 
 }  // namespace ftsp::sat

@@ -137,13 +137,13 @@ TEST_P(SynthesisDigest, ProofAndWitnessBytesArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     StabilizerSweeps, SynthesisDigest,
     ::testing::Values(
-        DigestCase{"Steane", true, false, 0xe9e1c20c3d5b16dfULL,
+        DigestCase{"Steane", true, false, 0x65a039fbe95390ffULL,
                    0xd5d4c4c589f65486ULL},
-        DigestCase{"Steane", false, false, 0x1e3a7888ad7b08beULL,
+        DigestCase{"Steane", false, false, 0xc731ed86291a424cULL,
                    0xd5d4c4c589f65486ULL},
-        DigestCase{"Shor", true, true, 0x37e75ef279681835ULL,
+        DigestCase{"Shor", true, true, 0x803988a146ffe0e0ULL,
                    0x53eb3c6bf29141abULL},
-        DigestCase{"Shor", false, true, 0xa6329d8722f28aaeULL,
+        DigestCase{"Shor", false, true, 0xaf60214421dde55eULL,
                    0x53eb3c6bf29141abULL}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return std::string(info.param.code) +
@@ -222,7 +222,7 @@ TEST(PrepDigest, SteaneBfsIsPinned) {
 TEST(PrepDigest, ShorSatSweepIsPinned) {
   const Digests got = prep_digests(qec::shor(), qec::LogicalBasis::Zero,
                                    optimal_prep(false), true);
-  EXPECT_EQ(got.digest, 0x5d6719f739f24363ULL)
+  EXPECT_EQ(got.digest, 0x661af7f738847464ULL)
       << std::hex << "got 0x" << got.digest;
   EXPECT_EQ(got.witness, 0x5031e3a6d894b55dULL) << std::hex << "got 0x" << got.witness;
 }
@@ -235,7 +235,7 @@ TEST(PrepDigest, Surface3LinearSatSweepIsPinned) {
       std::make_shared<const qec::CouplingMap>(qec::CouplingMap::linear(9));
   const Digests got =
       prep_digests(qec::surface3(), qec::LogicalBasis::Zero, options, true);
-  EXPECT_EQ(got.digest, 0x809406656afadd74ULL)
+  EXPECT_EQ(got.digest, 0x44677ed2d877d398ULL)
       << std::hex << "got 0x" << got.digest;
   EXPECT_EQ(got.witness, 0x765a32f5ad438f86ULL) << std::hex << "got 0x" << got.witness;
 }
