@@ -333,14 +333,18 @@ void ArtifactStore::put(const ProtocolArtifact& artifact) {
   const std::string proof_path =
       artifact_path(hash_name(artifact.key, ".proof"));
   if (has_proof_bytes(artifact)) {
+    static obs::Counter& write_bytes =
+        obs::Registry::instance().counter("store.proof.write.bytes");
     const std::string proof_tmp = unique_tmp_path(proof_path);
     bool written = false;
+    std::streamoff size = 0;
     {
       std::ofstream out(proof_tmp, std::ios::binary | std::ios::trunc);
       if (out && !fault::should_fail("store.write")) {
         write_proof_sidecar(artifact, out);
         out.flush();
         written = static_cast<bool>(out);
+        size = out.tellp();
       }
     }
     if (!written) {
@@ -350,6 +354,7 @@ void ArtifactStore::put(const ProtocolArtifact& artifact) {
                                 filename);
     }
     publish_tmp(proof_tmp, proof_path, "proof sidecar");
+    write_bytes.add(static_cast<std::uint64_t>(size));
   } else if (artifact.proofs.empty()) {
     std::error_code remove_ec;
     fs::remove(proof_path, remove_ec);  // Stale sidecar of a prior compile.

@@ -892,6 +892,9 @@ TEST(ProofCapture, ArtifactAndStoreRoundTripProofs) {
   std::filesystem::remove_all(dir);
   {
     compile::ArtifactStore store(dir.string());
+    const obs::Counter& write_bytes =
+        obs::Registry::instance().counter("store.proof.write.bytes");
+    const std::uint64_t written_before = write_bytes.value();
     store.put(artifact);
     const auto read_file = [](const std::filesystem::path& path) {
       std::ifstream in(path, std::ios::binary);
@@ -907,6 +910,7 @@ TEST(ProofCapture, ArtifactAndStoreRoundTripProofs) {
     }
     ASSERT_FALSE(sidecar_path.empty());
     const std::string sidecar_bytes = read_file(sidecar_path);
+    EXPECT_EQ(write_bytes.value() - written_before, sidecar_bytes.size());
 
     auto loaded = store.get(artifact.key);
     ASSERT_TRUE(loaded.has_value());
@@ -929,6 +933,7 @@ TEST(ProofCapture, ArtifactAndStoreRoundTripProofs) {
     // get -> put of the metadata-only artifact keeps the good sidecar.
     store.put(*loaded);
     EXPECT_EQ(read_file(sidecar_path), sidecar_bytes);
+    EXPECT_EQ(write_bytes.value() - written_before, sidecar_bytes.size());
 
     store.load_proofs(*loaded);
     for (std::size_t i = 0; i < loaded->proofs.size(); ++i) {
