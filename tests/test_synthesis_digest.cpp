@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/prep_synth.hpp"
@@ -190,11 +189,6 @@ Digests prep_digests(const qec::CssCode& code, qec::LogicalBasis basis,
   return {h.value(), witness.value()};
 }
 
-std::uint64_t prep_digest(const qec::CssCode& code, qec::LogicalBasis basis,
-                          PrepSynthOptions options) {
-  return prep_digests(code, basis, std::move(options)).digest;
-}
-
 PrepSynthOptions optimal_prep(bool allow_bfs) {
   PrepSynthOptions options;
   options.method = PrepSynthOptions::Method::Optimal;
@@ -207,15 +201,16 @@ TEST(PrepDigest, HeuristicCircuitsOfTheLibraryArePinned) {
   for (const qec::CssCode& code : qec::all_library_codes()) {
     for (const auto basis :
          {qec::LogicalBasis::Zero, qec::LogicalBasis::Plus}) {
-      h.le64(prep_digest(code, basis, PrepSynthOptions{}));
+      h.le64(prep_digests(code, basis, PrepSynthOptions{}).digest);
     }
   }
   EXPECT_EQ(h.value(), 0x0ba8a2c5dfbca7b8ULL) << std::hex << "got 0x" << h.value();
 }
 
 TEST(PrepDigest, SteaneBfsIsPinned) {
-  const std::uint64_t digest = prep_digest(
-      qec::steane(), qec::LogicalBasis::Zero, optimal_prep(true));
+  const std::uint64_t digest =
+      prep_digests(qec::steane(), qec::LogicalBasis::Zero, optimal_prep(true))
+          .digest;
   EXPECT_EQ(digest, 0xdf5effd7520a13a7ULL) << std::hex << "got 0x" << digest;
 }
 
