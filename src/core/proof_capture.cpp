@@ -187,8 +187,8 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
   entry.bound = static_cast<std::uint32_t>(bound);
   entry.present = true;
 
-  // The header keeps the full formula's variable count: the DRAT may
-  // name any of its variables.
+  // The DIMACS header keeps the full formula's variable count: the DRAT
+  // may name any of its variables.
   int num_vars = 0;
   for (const auto& clause : proof.premise()) {
     for (const sat::Lit l : clause) {

@@ -1068,7 +1068,8 @@ Lit add_planted_3sat(Solver& s, int vars, int clauses, std::uint64_t seed) {
   std::uint64_t state = seed;
   const auto next = [&state](int bound) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(bound));
+    return static_cast<int>((state >> 33) %
+                            static_cast<std::uint64_t>(bound));
   };
   for (int c = 0; c < clauses; ++c) {
     std::vector<Lit> clause;

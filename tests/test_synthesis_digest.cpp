@@ -209,7 +209,8 @@ TEST(PrepDigest, HeuristicCircuitsOfTheLibraryArePinned) {
 
 TEST(PrepDigest, SteaneBfsIsPinned) {
   const std::uint64_t digest =
-      prep_digests(qec::steane(), qec::LogicalBasis::Zero, optimal_prep(true))
+      prep_digests(qec::steane(), qec::LogicalBasis::Zero,
+                   optimal_prep(true))
           .digest;
   EXPECT_EQ(digest, 0xdf5effd7520a13a7ULL) << std::hex << "got 0x" << digest;
 }
@@ -219,7 +220,8 @@ TEST(PrepDigest, ShorSatSweepIsPinned) {
                                    optimal_prep(false), true);
   EXPECT_EQ(got.digest, 0x661af7f738847464ULL)
       << std::hex << "got 0x" << got.digest;
-  EXPECT_EQ(got.witness, 0x5031e3a6d894b55dULL) << std::hex << "got 0x" << got.witness;
+  EXPECT_EQ(got.witness, 0x5031e3a6d894b55dULL)
+      << std::hex << "got 0x" << got.witness;
 }
 
 /// The library's largest prep refutation: the subspace space is past the
@@ -232,7 +234,8 @@ TEST(PrepDigest, Surface3LinearSatSweepIsPinned) {
       prep_digests(qec::surface3(), qec::LogicalBasis::Zero, options, true);
   EXPECT_EQ(got.digest, 0x44677ed2d877d398ULL)
       << std::hex << "got 0x" << got.digest;
-  EXPECT_EQ(got.witness, 0x765a32f5ad438f86ULL) << std::hex << "got 0x" << got.witness;
+  EXPECT_EQ(got.witness, 0x765a32f5ad438f86ULL)
+      << std::hex << "got 0x" << got.witness;
 }
 
 }  // namespace
