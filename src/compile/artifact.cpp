@@ -206,7 +206,7 @@ std::string artifact_key(const qec::CssCode& code, qec::LogicalBasis basis,
   key += options.flag_policy == core::FlagPolicy::FlagDangerous ? "D" : "L";
   key += "|oopt=";
   key += options.optimize_measurement_order
-             ? std::to_string(options.order_search_tries)
+             ? std::to_string(core::kOrderSearchTries)
              : "0";
   key += "|prep=";
   if (options.prep.method == core::PrepSynthOptions::Method::Heuristic) {

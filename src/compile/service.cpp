@@ -134,6 +134,61 @@ std::string quoted_json_array(const std::vector<std::string>& items) {
   return array;
 }
 
+/// The parameters of a `sample` request, validated in one order. The
+/// payload-cache key and the handler both read this, so a cache hit
+/// rejects exactly the requests a fresh compute would.
+struct SampleParams {
+  double p = 0.0;
+  std::uint64_t shots = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t threads = 0;
+};
+
+SampleParams parse_sample(const JsonObject& request) {
+  SampleParams params;
+  params.p = probability_param(request, "p", 0.01);
+  params.shots = integer_param(request, "shots", 20000, kMaxShotsPerRequest);
+  params.seed = integer_param(request, "seed", 1, std::uint64_t{1} << 53);
+  params.threads = integer_param(request, "threads", 1, kMaxThreadsPerRequest);
+  return params;
+}
+
+/// The parameters of a `rate` request: one probability when `p_points` is
+/// 0, else a log-spaced sweep over [p_min, p_max].
+struct RateParams {
+  std::uint64_t shots = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t threads = 0;
+  double rel_err = 0.0;
+  std::uint64_t p_points = 0;
+  double p = 0.0;
+  double p_min = 0.0;
+  double p_max = 0.0;
+};
+
+RateParams parse_rate(const JsonObject& request) {
+  RateParams params;
+  params.shots = integer_param(request, "shots", std::size_t{1} << 20,
+                               kMaxShotsPerRequest);
+  params.seed = integer_param(request, "seed", 1, std::uint64_t{1} << 53);
+  params.threads = integer_param(request, "threads", 1, kMaxThreadsPerRequest);
+  params.rel_err = number_param(request, "rel_err", 0.05);
+  if (!(params.rel_err > 0.0) || params.rel_err > 1.0) {
+    throw std::invalid_argument("parameter 'rel_err' must be in (0, 1]");
+  }
+  params.p_points = integer_param(request, "p_points", 0, 256);
+  if (params.p_points == 0) {
+    params.p = probability_param(request, "p", 0.01);
+    return params;
+  }
+  params.p_min = probability_param(request, "p_min", 1e-4);
+  params.p_max = probability_param(request, "p_max", 1e-2);
+  if (params.p_min > params.p_max) {
+    throw std::invalid_argument("p_min must not exceed p_max");
+  }
+  return params;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -334,43 +389,34 @@ std::string ServiceOps::info(const ProtocolService&, const Entry* entry,
 
 std::string ServiceOps::sample_key(const Entry& entry,
                                    const JsonObject& request) {
-  const double p = probability_param(request, "p", 0.01);
-  const auto shots =
-      integer_param(request, "shots", 20000, kMaxShotsPerRequest);
-  const std::uint64_t seed =
-      integer_param(request, "seed", 1, std::uint64_t{1} << 53);
-  // Validated but excluded from the key: the thread count never changes
-  // sampled bits (deterministic shard seeding), so requests differing
-  // only in "threads" share one compute.
-  integer_param(request, "threads", 1, kMaxThreadsPerRequest);
-  return "sample\x1f" + entry.artifact.key + "\x1fp=" + key_number(p) +
-         "\x1fshots=" + std::to_string(shots) +
-         "\x1fseed=" + std::to_string(seed);
+  // "threads" is validated but left out of the key: the thread count
+  // never changes sampled bits (deterministic shard seeding), so requests
+  // differing only in "threads" share one compute.
+  const SampleParams params = parse_sample(request);
+  return "sample\x1f" + entry.artifact.key + "\x1fp=" + key_number(params.p) +
+         "\x1fshots=" + std::to_string(params.shots) +
+         "\x1fseed=" + std::to_string(params.seed);
 }
 
 std::string ServiceOps::sample(const ProtocolService&, const Entry* entry,
                                const JsonObject& request,
                                const util::CancelToken*) {
   const ProtocolArtifact& artifact = entry->artifact;
-  const double p = probability_param(request, "p", 0.01);
-  const auto shots = static_cast<std::size_t>(
-      integer_param(request, "shots", 20000, kMaxShotsPerRequest));
-  const std::uint64_t seed =
-      integer_param(request, "seed", 1, std::uint64_t{1} << 53);
+  const SampleParams params = parse_sample(request);
   core::SamplerOptions sampler;
-  sampler.num_threads = static_cast<std::size_t>(
-      integer_param(request, "threads", 1, kMaxThreadsPerRequest));
+  sampler.num_threads = static_cast<std::size_t>(params.threads);
   sampler.layout = &artifact.layout;
   const auto counts = core::sample_protocol_counts(
-      entry->executor, entry->decoder, p, shots, seed, sampler);
+      entry->executor, entry->decoder, params.p,
+      static_cast<std::size_t>(params.shots), params.seed, sampler);
   const auto estimate = core::estimate_logical_rate(counts);
   JsonWriter out;
   out.field("code", ProtocolService::serving_name(artifact));
-  out.field("p", p);
-  out.field("shots", static_cast<std::uint64_t>(shots));
+  out.field("p", params.p);
+  out.field("shots", params.shots);
   out.field("p_logical", estimate.mean);
   out.field("std_error", estimate.std_error);
-  out.field("seed", seed);
+  out.field("seed", params.seed);
   out.field("x_fails", counts.x_fails);
   out.field("z_fails", counts.z_fails);
   out.field("hook_terminated", counts.hook_terminated);
@@ -380,30 +426,17 @@ std::string ServiceOps::sample(const ProtocolService&, const Entry* entry,
 
 std::string ServiceOps::rate_key(const Entry& entry,
                                  const JsonObject& request) {
-  const auto shots = integer_param(request, "shots", std::size_t{1} << 20,
-                                   kMaxShotsPerRequest);
-  const std::uint64_t seed =
-      integer_param(request, "seed", 1, std::uint64_t{1} << 53);
-  integer_param(request, "threads", 1, kMaxThreadsPerRequest);
-  const double rel_err = number_param(request, "rel_err", 0.05);
-  if (!(rel_err > 0.0) || rel_err > 1.0) {
-    throw std::invalid_argument("parameter 'rel_err' must be in (0, 1]");
-  }
-  const auto p_points = integer_param(request, "p_points", 0, 256);
+  const RateParams params = parse_rate(request);
   std::string key = "rate\x1f" + entry.artifact.key +
-                    "\x1fshots=" + std::to_string(shots) +
-                    "\x1fseed=" + std::to_string(seed) +
-                    "\x1frel_err=" + key_number(rel_err);
-  if (p_points == 0) {
-    key += "\x1fp=" + key_number(probability_param(request, "p", 0.01));
+                    "\x1fshots=" + std::to_string(params.shots) +
+                    "\x1fseed=" + std::to_string(params.seed) +
+                    "\x1frel_err=" + key_number(params.rel_err);
+  if (params.p_points == 0) {
+    key += "\x1fp=" + key_number(params.p);
   } else {
-    const double p_min = probability_param(request, "p_min", 1e-4);
-    const double p_max = probability_param(request, "p_max", 1e-2);
-    if (p_min > p_max) {
-      throw std::invalid_argument("p_min must not exceed p_max");
-    }
-    key += "\x1fp_min=" + key_number(p_min) + "\x1fp_max=" +
-           key_number(p_max) + "\x1fp_points=" + std::to_string(p_points);
+    key += "\x1fp_min=" + key_number(params.p_min) + "\x1fp_max=" +
+           key_number(params.p_max) +
+           "\x1fp_points=" + std::to_string(params.p_points);
   }
   return key;
 }
@@ -420,40 +453,27 @@ std::string ServiceOps::rate(const ProtocolService&, const Entry* entry,
   // p_points triple requests a log-spaced sweep answered from ONE
   // sampling pass (sector reweighting; uniform model only).
   const ProtocolArtifact& artifact = entry->artifact;
+  const RateParams params = parse_rate(request);
   core::RateOptions rate_options;
-  rate_options.max_shots = static_cast<std::size_t>(integer_param(
-      request, "shots", std::size_t{1} << 20, kMaxShotsPerRequest));
-  rate_options.seed = integer_param(request, "seed", 1,
-                                    std::uint64_t{1} << 53);
-  rate_options.num_threads = static_cast<std::size_t>(
-      integer_param(request, "threads", 1, kMaxThreadsPerRequest));
-  rate_options.rel_err = number_param(request, "rel_err", 0.05);
-  if (!(rate_options.rel_err > 0.0) || rate_options.rel_err > 1.0) {
-    throw std::invalid_argument("parameter 'rel_err' must be in (0, 1]");
-  }
+  rate_options.max_shots = static_cast<std::size_t>(params.shots);
+  rate_options.seed = params.seed;
+  rate_options.num_threads = static_cast<std::size_t>(params.threads);
+  rate_options.rel_err = params.rel_err;
   rate_options.layout = &artifact.layout;
   // Per-request deadline: the estimator checks between wave batches and
   // throws CancelledError, which dispatch maps to `deadline_exceeded` —
   // a pathological rate request frees its worker instead of holding it.
   rate_options.cancel = cancel;
-  const auto p_points = static_cast<std::size_t>(
-      integer_param(request, "p_points", 0, 256));
   JsonWriter out;
   out.field("code", ProtocolService::serving_name(artifact));
-  if (p_points == 0) {
-    const double p = probability_param(request, "p", 0.01);
+  if (params.p_points == 0) {
     const auto estimate = core::estimate_logical_error_rate(
-        entry->executor, entry->decoder, p, rate_options);
-    write_rate_fields(out, p, estimate);
+        entry->executor, entry->decoder, params.p, rate_options);
+    write_rate_fields(out, params.p, estimate);
     return out.take_body();
   }
-  const double p_min = probability_param(request, "p_min", 1e-4);
-  const double p_max = probability_param(request, "p_max", 1e-2);
-  if (p_min > p_max) {
-    throw std::invalid_argument("p_min must not exceed p_max");
-  }
-  const std::vector<double> ps =
-      core::log_spaced_grid(p_min, p_max, p_points);
+  const std::vector<double> ps = core::log_spaced_grid(
+      params.p_min, params.p_max, static_cast<std::size_t>(params.p_points));
   const auto estimates = core::estimate_logical_error_rate_sweep(
       entry->executor, entry->decoder, ps, rate_options);
   std::string sweep = "[";

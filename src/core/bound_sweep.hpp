@@ -37,8 +37,8 @@ inline std::unique_ptr<sat::Solver> make_query_solver(
 
 /// One encoded "choose u stabilizers from the span of `generators`"
 /// query: the skeleton shared by verification and correction synthesis.
-/// `Options` is either stage's synthesis options (engine, conflict
-/// budget, coupling, proof sink). The constructor emits, in this order:
+/// `Options` is either stage's synthesis options (engine, coupling,
+/// proof sink); the query runs without a conflict budget. The constructor emits, in this order:
 /// solver (`make_query_solver`), nonzero rows, the
 /// coupling restriction, row-order symmetry breaking, the stage's own
 /// clauses (`stage_clauses(cnf, selection)`), and then either a
@@ -56,7 +56,7 @@ struct SelectionQuery {
   SelectionQuery(const f2::BitMatrix& generators, std::size_t u,
                  const Options& options, const StageClauses& stage_clauses,
                  std::optional<std::size_t> fresh_bound)
-      : solver(make_query_solver(options.engine, options.conflict_budget,
+      : solver(make_query_solver(options.engine, /*conflict_budget=*/0,
                                  options.proof_sink)),
         cnf(*solver),
         selection(cnf, generators, u) {

@@ -201,7 +201,7 @@ std::string correction_cache_key(const qec::StateContext& state,
                                  const CorrectionSynthOptions& options) {
   std::string key = "corr|" + options.engine.fingerprint();
   key += "|mm=" + std::to_string(options.max_measurements);
-  key += "|bud=" + std::to_string(options.conflict_budget);
+  key += "|bud=0";  // Selection queries run without a conflict budget.
   if (qec::coupling_constrained(options.coupling)) {
     key += "|coup=" + options.coupling->fingerprint();
   }

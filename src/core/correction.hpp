@@ -34,7 +34,6 @@ struct CorrectionPlan {
 
 struct CorrectionSynthOptions {
   std::size_t max_measurements = 4;
-  std::uint64_t conflict_budget = 0;  ///< Per SAT query; 0 = unlimited.
   /// SAT engine selection (incremental weight sweeps, cache).
   sat::EngineOptions engine;
   /// Optional per-bound solver-statistics sink.

@@ -14,6 +14,10 @@ namespace {
 
 using Score = std::tuple<std::size_t, std::size_t, double, double>;
 
+/// (u, v)-optimal layer-2 verification sets enumerated per layer-1
+/// candidate.
+constexpr std::size_t kMaxLayer2Sets = 8;
+
 Score score_of(const ProtocolMetrics& m) {
   return {m.total_verif_ancillas, m.total_verif_cnots, m.avg_corr_ancillas,
           m.avg_corr_cnots};
@@ -122,7 +126,7 @@ GlobalOptResult globally_optimize(const qec::CssCode& code,
       }
       const auto dangerous2 = dangerous_errors(state, t2, surviving);
       auto verification_options = options.synthesis.verification;
-      verification_options.enumerate_limit = options.max_layer2_sets;
+      verification_options.enumerate_limit = kMaxLayer2Sets;
       const auto layer2_sets = enumerate_optimal_verifications(
           state.detector_generators(t2), dangerous2, verification_options);
 

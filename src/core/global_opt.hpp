@@ -14,7 +14,6 @@ namespace ftsp::core {
 struct GlobalOptOptions {
   SynthesisOptions synthesis;
   std::size_t max_layer1_sets = 24;
-  std::size_t max_layer2_sets = 8;  ///< Per layer-1 candidate.
   bool explore_flag_policies = true;
   /// Run the exhaustive FT check on every candidate (a safety net against
   /// synthesis regressions; synthesis is correct by construction, so this

@@ -1,11 +1,10 @@
 #include "core/proof_capture.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <iterator>
+#include <map>
 #include <memory>
-#include <string_view>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -26,82 +25,65 @@ struct TrimmedLog {
   std::vector<std::uint32_t> refutation;
 };
 
-/// The literal set of a DRAT line (its DIMACS values, sorted): deletions
-/// name clauses by set, not by the order written.
-std::string clause_key(std::string_view line) {
-  std::vector<int> lits;
-  const char* p = line.data();
-  const char* const end = p + line.size();
-  while (p != end) {
-    int value = 0;
-    const auto [next, ec] = std::from_chars(p, end, value);
-    if (ec != std::errc{}) {
-      ++p;  // A space, the "d" prefix or the newline.
-      continue;
-    }
-    p = next;
-    if (value != 0) {
-      lits.push_back(value);
-    }
+/// Copies into `out` the lines of `proof` that a proof citing the lemmas
+/// `cited` keeps: those lemmas' addition lines and the deletions of kept
+/// lemmas. A deletion names a literal set, not a clause, so it is kept
+/// only while every copy of that set the full proof holds is a kept one:
+/// the copy the solver deleted is then kept too, and no clause a later
+/// chain cites goes missing. Dropping a deletion never breaks a RUP step.
+void trim_lines(const sat::UnsatProof& proof, const std::vector<bool>& cited,
+                sat::ProofLog& out) {
+  if (proof.lines == 0) {
+    return;
   }
-  std::sort(lits.begin(), lits.end());
-  return {reinterpret_cast<const char*>(lits.data()),
-          lits.size() * sizeof(int)};
-}
-
-/// The lines of a solver's DRAT text (one clause per line) that a proof
-/// citing the lemmas `cited` keeps: those lemmas' addition lines, the
-/// terminating empty clause and the deletions of kept lemmas. A deletion
-/// names a literal set, not a clause, so it is kept only while every copy
-/// of that set the full proof holds is a kept one: the copy the solver
-/// deleted is then kept too, and no clause a later chain cites goes
-/// missing. Dropping a deletion never breaks a RUP step.
-std::string trim_drat(std::string_view drat, const std::vector<bool>& cited) {
-  const bool deletions = drat.starts_with("d ") ||
-                         drat.find("\nd ") != std::string_view::npos;
+  const sat::ProofLog& log = *proof.log;
+  const auto end =
+      log.deletions.begin() + static_cast<std::ptrdiff_t>(proof.lines);
+  const bool deletions = std::find(log.deletions.begin(), end, true) != end;
   struct Copies {
     std::size_t all = 0;   // Active in the full proof.
     std::size_t kept = 0;  // Active in the trimmed proof.
   };
-  std::unordered_map<std::string, Copies> copies;
-  std::string out;
+  std::map<std::vector<std::int32_t>, Copies> copies;
+  const auto copies_of = [&copies](std::span<const sat::Lit> line)
+      -> Copies& {
+    std::vector<std::int32_t> key;
+    key.reserve(line.size());
+    for (const sat::Lit l : line) {
+      key.push_back(l.code());
+    }
+    std::sort(key.begin(), key.end());
+    return copies[key];
+  };
   std::size_t lemma = 0;
-  for (std::size_t pos = 0; pos < drat.size();) {
-    const std::size_t newline = drat.find('\n', pos);
-    const std::size_t end =
-        newline == std::string_view::npos ? drat.size() : newline + 1;
-    const std::string_view line = drat.substr(pos, end - pos);
-    pos = end;
-    if (line.starts_with("d ")) {
-      Copies& c = copies[clause_key(line)];
+  for (std::size_t i = 0; i < proof.lines; ++i) {
+    const std::span<const sat::Lit> line = log.line(i);
+    if (log.deletions[i]) {
+      Copies& c = copies_of(line);
       if (c.kept > 0 && c.kept >= c.all) {
-        out += line;
+        out.add_line(line, /*deletion=*/true);
         --c.kept;
       }
       c.all -= c.all > 0 ? 1 : 0;
       continue;
     }
-    // Past the last lemma comes only the empty clause.
-    const bool keep = lemma >= cited.size() || cited[lemma];
+    const bool keep = lemma < cited.size() && cited[lemma];
     ++lemma;
     if (keep) {
-      out += line;
+      out.add_line(line, /*deletion=*/false);
     }
     if (deletions) {
-      Copies& c = copies[clause_key(line)];
+      Copies& c = copies_of(line);
       ++c.all;
       c.kept += keep ? 1 : 0;
     }
   }
-  // The text lives as long as its artifact: no growth slack.
-  out.shrink_to_fit();
-  return out;
 }
 
 TrimmedLog trim_log(const sat::UnsatProof& proof) {
-  const std::vector<std::vector<sat::Lit>>& premise = proof.premise();
-  const sat::RefutationCore core =
-      sat::refutation_core(proof.hints(), premise.size(), proof.refutation);
+  const std::span<const std::vector<sat::Lit>> premise = proof.premise();
+  const sat::RefutationCore core = sat::refutation_core(
+      proof.hints(), proof.steps, premise.size(), proof.refutation);
 
   // A kept clause's new ID is its rank among the kept ones.
   TrimmedLog trimmed;
@@ -134,7 +116,7 @@ TrimmedLog trim_log(const sat::UnsatProof& proof) {
     return k < lemma_id.size() ? lemma_id[k] : ProofHints::kNone;
   };
 
-  ProofHints::Reader reader(proof.hints());
+  ProofHints::Reader reader(proof.hints(), proof.steps);
   ProofHints::Step step;
   std::vector<std::uint32_t> chain;
   std::size_t lemma = 0;
@@ -154,7 +136,7 @@ TrimmedLog trim_log(const sat::UnsatProof& proof) {
   }
   std::transform(proof.refutation.begin(), proof.refutation.end(),
                  std::back_inserter(trimmed.refutation), renumber);
-  log.drat = trim_drat(proof.drat(), core.lemmas);
+  trim_lines(proof, core.lemmas, log);
   return trimmed;
 }
 
@@ -172,6 +154,9 @@ void ProofSink::record_absent(std::string stage, std::string claim,
 sat::UnsatProof trim_proof(const sat::UnsatProof& proof) {
   TrimmedLog trimmed = trim_log(proof);
   sat::UnsatProof out;
+  out.premise_size = trimmed.log.premise.size();
+  out.lines = trimmed.log.lines();
+  out.steps = trimmed.log.hints.steps();
   out.log = std::make_shared<const sat::ProofLog>(std::move(trimmed.log));
   out.assumptions = proof.assumptions;
   out.refutation = std::move(trimmed.refutation);
@@ -204,6 +189,7 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
   // set against byte-identical inputs.
   entry.premise_dimacs =
       sat::to_dimacs(num_vars, trimmed.log.premise, proof.assumptions);
+  entry.drat = sat::to_drat(trimmed.log, trimmed.log.lines());
   {
     // A sub-stage of prep/verif/corr: their series include this time.
     static obs::Histogram& check_us = obs::Registry::instance().histogram(
@@ -211,13 +197,11 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
     const obs::ScopedTimer timer(check_us);
     // The lemmas come from the very bytes that are fingerprinted and
     // stored; the renumbered hints stay behind in memory.
-    entry.checked =
-        sat::check_hinted(trimmed.log.premise, proof.assumptions,
-                          trimmed.log.drat, trimmed.log.hints,
-                          trimmed.refutation)
-            .ok;
+    entry.checked = sat::check_hinted(trimmed.log.premise, proof.assumptions,
+                                      entry.drat, trimmed.log.hints,
+                                      trimmed.refutation)
+                        .ok;
   }
-  entry.drat = std::move(trimmed.log.drat);
   entry.premise_size = entry.premise_dimacs.size();
   entry.premise_crc = util::crc32(entry.premise_dimacs);
   entry.drat_size = entry.drat.size();

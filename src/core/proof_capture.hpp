@@ -61,16 +61,15 @@ struct ProofSink {
 /// the cited premise clauses in their original order, every assumption,
 /// every root step, the cited lemmas with their addition lines, the
 /// deletions of kept lemmas and the empty clause. Kept clauses are
-/// renumbered by rank, so the result checks like any solver proof. The
-/// solver's DRAT text must hold one clause per line, as it writes it.
+/// renumbered by rank, so the result checks like any solver proof.
 sat::UnsatProof trim_proof(const sat::UnsatProof& proof);
 
 /// Renders a solver refutation into a checked `CapturedProof`: the
 /// refutation is trimmed to its core (see `trim_proof`), the kept premise
 /// clauses are rendered as DIMACS under the full formula's variable count
-/// with the assumptions appended as unit clauses, and the kept DRAT lines
-/// are stored with the `sat::check_hinted` verdict on exactly those bytes
-/// and CRC32 fingerprints of both payloads.
+/// with the assumptions appended as unit clauses, and the kept lines are
+/// rendered once by `sat::to_drat` and stored with the `sat::check_hinted`
+/// verdict on exactly those bytes and CRC32 fingerprints of both payloads.
 CapturedProof make_checked_proof(std::string stage, std::string claim,
                                  std::size_t bound,
                                  const sat::UnsatProof& proof);

@@ -126,7 +126,7 @@ std::vector<std::size_t> choose_measurement_order(
       }
       candidates.push_back(map->walk_order_from(support, start, nullptr));
     }
-    for (std::size_t t = 0; t < options.order_search_tries; ++t) {
+    for (std::size_t t = 0; t < kOrderSearchTries; ++t) {
       candidates.push_back(map->walk_order_from(
           support, starts[rng() % starts.size()], &rng));
     }
@@ -137,7 +137,7 @@ std::vector<std::size_t> choose_measurement_order(
       std::rotate(rotated.begin(), rotated.begin() + rot, rotated.end());
       candidates.push_back(std::move(rotated));
     }
-    for (std::size_t t = 0; t < options.order_search_tries; ++t) {
+    for (std::size_t t = 0; t < kOrderSearchTries; ++t) {
       auto shuffled = best;
       std::shuffle(shuffled.begin(), shuffled.end(), rng);
       candidates.push_back(std::move(shuffled));

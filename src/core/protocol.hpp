@@ -70,6 +70,10 @@ enum class FlagPolicy {
   DeferToNextLayer,  ///< Leave layer 1 unflagged; hooks become layer-2 input.
 };
 
+/// Random CNOT orders the measurement-order search tries per gadget, on
+/// top of the rotations (or walk starts) it always tries.
+inline constexpr std::size_t kOrderSearchTries = 64;
+
 struct SynthesisOptions {
   PrepSynthOptions prep;
   VerificationSynthOptions verification;
@@ -79,10 +83,10 @@ struct SynthesisOptions {
   /// Search CNOT orders of each verification gadget for one whose hook
   /// errors are all harmless (Section IV: "it might be preferable not to
   /// flag certain stabilizer measurements [when] hook errors are not
-  /// dangerous"). Often removes the flag qubit entirely; set to false for
-  /// the paper's plain ascending order.
+  /// dangerous"), trying `kOrderSearchTries` random orders. Often removes
+  /// the flag qubit entirely; set to false for the paper's plain
+  /// ascending order.
   bool optimize_measurement_order = true;
-  std::size_t order_search_tries = 64;
 
   /// Device coupling: a built-in topology name or a custom map, resolved
   /// per code by `resolve_coupling` and threaded into every synthesis

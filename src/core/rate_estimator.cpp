@@ -21,6 +21,21 @@ using Plan = std::vector<detail::PlanEntry>;
 /// above anything the tail cutoff leaves relevant at realistic rates.
 constexpr std::size_t kMaxSectors = 128;
 
+/// Two-sided level of the per-sector Clopper-Pearson intervals.
+constexpr double kIntervalAlpha = 0.05;
+
+/// A sector is enumerated exhaustively when its weighted case count (sum
+/// over location subsets of the fault-op product) fits this budget...
+constexpr std::uint64_t kExhaustiveBudget = std::uint64_t{1} << 20;
+/// ...and its fault count is at most this (0..2 supported; sector 0 is a
+/// single noiseless run).
+constexpr std::size_t kMaxExhaustiveK = 2;
+
+/// Sectors beyond the covered range carry at most this probability mass;
+/// the cutoff is reported as `tail_weight` and added to the upper
+/// confidence limit (f_k <= 1 bounds the truncation bias).
+constexpr double kTailEpsilon = 1e-12;
+
 /// Lemire's multiply-shift bounded draw (matches the batched sampler's
 /// op-choice draw; the O(n / 2^64) bias is far below sampling noise).
 std::uint64_t bounded_draw(std::mt19937_64& rng, std::uint64_t n) {
@@ -453,7 +468,7 @@ std::vector<RateEstimate> run_estimator(
   std::size_t covered_k = 0;
   const auto k_cap = static_cast<std::size_t>(
       std::min<std::uint64_t>(model.total_locations(), kMaxSectors));
-  while (covered_k < k_cap && model.tail(covered_k) > options.tail_epsilon) {
+  while (covered_k < k_cap && model.tail(covered_k) > kTailEpsilon) {
     ++covered_k;
   }
 
@@ -461,18 +476,18 @@ std::vector<RateEstimate> run_estimator(
   const std::vector<double> anchor_weights = model.weights(covered_k);
 
   // --- Exhaustive sectors: k = 0 (one noiseless lane) and every k <=
-  // max_exhaustive_k whose case count fits the budget. Each sector owns
+  // kMaxExhaustiveK whose case count fits the budget. Each sector owns
   // its waves, so the weighted fail sums attribute cleanly.
   std::size_t first_sampled_k = 1;
   for (std::size_t k = 0;
-       k <= std::min(options.max_exhaustive_k, covered_k); ++k) {
+       k <= std::min(kMaxExhaustiveK, covered_k); ++k) {
     std::uint64_t cases = 1;
     if (k > 0) {
       if (anchor_weights[k] <= 0.0) {
         break;
       }
       cases = count_cases(index, model, k);
-      if (cases == 0 || cases > options.exhaustive_budget) {
+      if (cases == 0 || cases > kExhaustiveBudget) {
         break;
       }
     }
@@ -627,7 +642,7 @@ std::vector<RateEstimate> run_estimator(
   for (SectorData& data : sectors) {
     if (!data.exhaustive && data.shots > 0) {
       data.interval =
-          sim::clopper_pearson(data.fails, data.shots, options.alpha);
+          sim::clopper_pearson(data.fails, data.shots, kIntervalAlpha);
     }
   }
   std::vector<RateEstimate> estimates;

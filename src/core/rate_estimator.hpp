@@ -22,8 +22,6 @@ namespace ftsp::core {
 struct RateOptions {
   /// Stop once std_error <= rel_err * p_logical (or the budget runs out).
   double rel_err = 0.05;
-  /// Two-sided level of the per-sector Clopper-Pearson intervals.
-  double alpha = 0.05;
   /// Total Monte-Carlo lane budget across all sampled sectors.
   std::size_t max_shots = std::size_t{1} << 22;
   /// Initial shots per sampled sector before adaptive allocation.
@@ -32,17 +30,6 @@ struct RateOptions {
   /// allocation. Bounded waves keep the estimator's footprint flat no
   /// matter the budget (the serving path's backpressure knob).
   std::size_t chunk_shots = std::size_t{1} << 14;
-  /// A sector is enumerated exhaustively when its weighted case count
-  /// (sum over location subsets of the fault-op product) fits this
-  /// budget...
-  std::size_t exhaustive_budget = std::size_t{1} << 20;
-  /// ...and its fault count is at most this (0..2 supported; sector 0
-  /// is a single noiseless run).
-  std::size_t max_exhaustive_k = 2;
-  /// Sectors beyond the covered range carry at most this probability
-  /// mass; the cutoff is reported as `tail_weight` and added to the
-  /// upper confidence limit (f_k <= 1 bounds the truncation bias).
-  double tail_epsilon = 1e-12;
   std::uint64_t seed = 1;
   /// Worker threads for wave batches; 0 = hardware concurrency.
   std::size_t num_threads = 1;

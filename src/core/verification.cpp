@@ -48,7 +48,7 @@ std::string verification_cache_key(const BitMatrix& generators,
                                    const VerificationSynthOptions& options) {
   std::string key = "verif|" + options.engine.fingerprint();
   key += "|mm=" + std::to_string(options.max_measurements);
-  key += "|bud=" + std::to_string(options.conflict_budget);
+  key += "|bud=0";  // Selection queries run without a conflict budget.
   // All-to-all adds nothing (legacy keys stay warm); constrained maps
   // key on the structure fingerprint.
   if (qec::coupling_constrained(options.coupling)) {

@@ -26,7 +26,6 @@ struct VerificationSet {
 
 struct VerificationSynthOptions {
   std::size_t max_measurements = 5;
-  std::uint64_t conflict_budget = 0;   ///< Per SAT query; 0 = unlimited.
   std::size_t enumerate_limit = 128;   ///< Cap for all-optimal enumeration.
   /// SAT engine selection: incremental bound sweeps, cache use.
   sat::EngineOptions engine;

@@ -25,7 +25,6 @@ std::optional<BitMatrix> find_self_dual_check_matrix(
   const std::size_t tail = n - r;
 
   Solver solver;
-  solver.set_conflict_budget(options.conflict_budget);
   CnfBuilder cnf(solver);
 
   // A[i][q]: tail part of the systematic check matrix H = [I_r | A].
@@ -144,13 +143,7 @@ std::optional<BitMatrix> find_self_dual_check_matrix(
     }
   }
 
-  bool satisfiable = false;
-  try {
-    satisfiable = solver.solve();
-  } catch (const Solver::SolveInterrupted&) {
-    return std::nullopt;
-  }
-  if (!satisfiable) {
+  if (!solver.solve()) {
     return std::nullopt;
   }
 
@@ -176,7 +169,6 @@ std::optional<CssSearchResult> find_css_check_matrices(
   }
 
   Solver solver;
-  solver.set_conflict_budget(options.conflict_budget);
   CnfBuilder cnf(solver);
 
   // Every matrix entry is a literal; identity-block entries are constants.
@@ -270,13 +262,7 @@ std::optional<CssSearchResult> find_css_check_matrices(
     });
   }
 
-  bool satisfiable = false;
-  try {
-    satisfiable = solver.solve();
-  } catch (const Solver::SolveInterrupted&) {
-    return std::nullopt;
-  }
-  if (!satisfiable) {
+  if (!solver.solve()) {
     return std::nullopt;
   }
 

@@ -33,13 +33,10 @@ struct SelfDualSearchOptions {
   /// [[12,2,4]]: a non-degenerate self-dual instance does not exist (our
   /// SAT search proves the stronger formula unsatisfiable).
   bool allow_degenerate = false;
-
-  /// Abort the SAT search after this many conflicts (0 = unlimited).
-  std::uint64_t conflict_budget = 0;
 };
 
 /// Runs the search; returns the full check matrix `[I | A]` on success,
-/// nullopt if the formula is unsatisfiable or the budget was exhausted.
+/// nullopt if the formula is unsatisfiable.
 std::optional<f2::BitMatrix> find_self_dual_check_matrix(
     const SelfDualSearchOptions& options);
 
@@ -53,7 +50,6 @@ struct CssSearchOptions {
   std::size_t rx = 0;
   std::size_t rz = 0;
   std::size_t min_distance = 3;
-  std::uint64_t conflict_budget = 0;
 };
 
 struct CssSearchResult {
@@ -62,7 +58,7 @@ struct CssSearchResult {
 };
 
 /// SAT search for a general CSS code; nullopt if unsatisfiable (under the
-/// fixed systematic column choice) or out of budget.
+/// fixed systematic column choice).
 std::optional<CssSearchResult> find_css_check_matrices(
     const CssSearchOptions& options);
 

@@ -23,6 +23,15 @@ std::size_t literal_width(Lit l) {
   }
   return width;
 }
+
+/// Appends `l` in DIMACS numbering and a space.
+void put_literal(std::string& out, Lit l) {
+  char buf[16];
+  const int value = l.sign() ? -(l.var() + 1) : (l.var() + 1);
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+  out += ' ';
+}
 }  // namespace
 
 bool CnfFormula::load_into(Solver& solver) const {
@@ -112,23 +121,46 @@ std::string to_dimacs(int num_vars,
   std::string out;
   out.reserve(size);
   out += header;
-  char buf[16];
-  const auto put = [&](Lit l) {
-    const int value = l.sign() ? -(l.var() + 1) : (l.var() + 1);
-    const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
-    out.append(buf, end);
-    out += ' ';
-  };
   for (const auto& clause : clauses) {
     for (const Lit l : clause) {
-      put(l);
+      put_literal(out, l);
     }
     out += "0\n";
   }
   for (const Lit l : units) {
-    put(l);
+    put_literal(out, l);
     out += "0\n";
   }
+  return out;
+}
+
+std::size_t drat_line_size(std::span<const Lit> lits, bool deletion) {
+  std::size_t size = deletion ? 4 : 2;  // "d " and "0\n".
+  for (const Lit l : lits) {
+    size += literal_width(l);
+  }
+  return size;
+}
+
+std::string to_drat(const ProofLog& log, std::size_t lines) {
+  // Sized exactly up front, like `to_dimacs`: stored proofs live as long
+  // as their artifact.
+  std::size_t size = 2;  // The empty clause.
+  for (std::size_t i = 0; i < lines; ++i) {
+    size += drat_line_size(log.line(i), log.deletions[i]);
+  }
+  std::string out;
+  out.reserve(size);
+  for (std::size_t i = 0; i < lines; ++i) {
+    if (log.deletions[i]) {
+      out += "d ";
+    }
+    for (const Lit l : log.line(i)) {
+      put_literal(out, l);
+    }
+    out += "0\n";
+  }
+  out += "0\n";
   return out;
 }
 

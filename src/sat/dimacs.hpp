@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -10,6 +11,7 @@
 namespace ftsp::sat {
 
 class Solver;
+struct ProofLog;
 
 /// A CNF formula in portable form, parsed from DIMACS text. Used for
 /// solver regression tests and for re-checking persisted proof premises.
@@ -33,5 +35,13 @@ CnfFormula parse_dimacs_string(const std::string& text);
 std::string to_dimacs(int num_vars,
                       std::span<const std::vector<Lit>> clauses,
                       std::span<const Lit> units = {});
+
+/// Renders the first `lines` lines of `log` as DRAT text, one clause per
+/// line in DIMACS numbering: additions as "l1 .. lk 0", deletions as
+/// "d l1 .. lk 0", then the empty clause "0" that ends the refutation.
+std::string to_drat(const ProofLog& log, std::size_t lines);
+
+/// Characters `to_drat` writes for one line, newline included.
+std::size_t drat_line_size(std::span<const Lit> lits, bool deletion);
 
 }  // namespace ftsp::sat

@@ -94,7 +94,7 @@ class ProofParser {
 
 class DratChecker {
  public:
-  DratCheckResult run(const std::vector<std::vector<Lit>>& premise,
+  DratCheckResult run(std::span<const std::vector<Lit>> premise,
                       std::span<const Lit> assumptions,
                       std::string_view drat) {
     for (const auto& clause : premise) {
@@ -395,11 +395,15 @@ class DratChecker {
 /// propagation queue and no search.
 class HintedChecker {
  public:
-  HintedChecker(const std::vector<std::vector<Lit>>& premise,
+  HintedChecker(std::span<const std::vector<Lit>> premise,
                 std::span<const Lit> assumptions)
       : premise_(premise), assumptions_(assumptions) {}
 
+  /// Checks the lemmas of `drat` against the first `steps` steps of
+  /// `hints`: a later step of the same solver must never pair with the
+  /// empty clause of an earlier refutation.
   DratCheckResult run(std::string_view drat, const ProofHints& hints,
+                      std::size_t steps,
                       std::span<const std::uint32_t> refutation) {
     for (const auto& clause : premise_) {
       for (const Lit l : clause) {
@@ -413,7 +417,7 @@ class HintedChecker {
 
     ProofParser parser(drat);
     std::vector<Lit> lits;
-    ProofHints::Reader reader(hints);
+    ProofHints::Reader reader(hints, steps);
     ProofHints::Step step;
     for (std::size_t s = 1; reader.next(step); ++s) {
       if (step.unit != Lit::undef) {
@@ -460,7 +464,7 @@ class HintedChecker {
   }
 
  private:
-  const std::vector<std::vector<Lit>>& premise_;
+  std::span<const std::vector<Lit>> premise_;
   std::span<const Lit> assumptions_;
   std::vector<Lit> lemma_lits_;           // Checked lemmas, concatenated.
   std::vector<std::uint32_t> lemma_end_;  // Lemma k is [end[k], end[k+1]).
@@ -606,7 +610,7 @@ class HintedChecker {
 
 }  // namespace
 
-DratCheckResult check_drat(const std::vector<std::vector<Lit>>& premise,
+DratCheckResult check_drat(std::span<const std::vector<Lit>> premise,
                            std::span<const Lit> assumptions,
                            std::string_view drat) {
   DratChecker checker;
@@ -617,17 +621,18 @@ DratCheckResult check_proof(const UnsatProof& proof) {
   return check_drat(proof.premise(), proof.assumptions, proof.drat());
 }
 
-DratCheckResult check_hinted(const std::vector<std::vector<Lit>>& premise,
+DratCheckResult check_hinted(std::span<const std::vector<Lit>> premise,
                              std::span<const Lit> assumptions,
                              std::string_view drat, const ProofHints& hints,
                              std::span<const std::uint32_t> refutation) {
   HintedChecker checker(premise, assumptions);
-  return checker.run(drat, hints, refutation);
+  return checker.run(drat, hints, hints.steps(), refutation);
 }
 
 DratCheckResult check_hinted_proof(const UnsatProof& proof) {
-  return check_hinted(proof.premise(), proof.assumptions, proof.drat(),
-                      proof.hints(), proof.refutation);
+  HintedChecker checker(proof.premise(), proof.assumptions);
+  return checker.run(proof.drat(), proof.hints(), proof.steps,
+                     proof.refutation);
 }
 
 }  // namespace ftsp::sat

@@ -42,12 +42,12 @@ struct DratCheckResult {
 /// and deleting an unknown clause is an error.
 /// Checking stops successfully as soon as the empty clause is derived;
 /// later lines are not read.
-DratCheckResult check_drat(const std::vector<std::vector<Lit>>& premise,
+DratCheckResult check_drat(std::span<const std::vector<Lit>> premise,
                            std::span<const Lit> assumptions,
                            std::string_view drat);
 
-inline DratCheckResult check_drat(
-    const std::vector<std::vector<Lit>>& premise, std::string_view drat) {
+inline DratCheckResult check_drat(std::span<const std::vector<Lit>> premise,
+                                  std::string_view drat) {
   return check_drat(premise, std::span<const Lit>{}, drat);
 }
 
@@ -68,12 +68,13 @@ DratCheckResult check_proof(const UnsatProof& proof);
 /// lemma. Deletion lines are skipped, since RUP never depends on them.
 /// This is the verdict compile stores; the forward `check_drat` stays the
 /// independent re-check of stored proofs, which carry no hints.
-DratCheckResult check_hinted(const std::vector<std::vector<Lit>>& premise,
+DratCheckResult check_hinted(std::span<const std::vector<Lit>> premise,
                              std::span<const Lit> assumptions,
                              std::string_view drat, const ProofHints& hints,
                              std::span<const std::uint32_t> refutation);
 
-/// Convenience: the hinted check of a solver-emitted proof snapshot.
+/// Convenience: the hinted check of a solver-emitted proof snapshot,
+/// reading the snapshot's prefix of its solver's hints.
 DratCheckResult check_hinted_proof(const UnsatProof& proof);
 
 }  // namespace ftsp::sat

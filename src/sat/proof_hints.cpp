@@ -68,9 +68,11 @@ void ProofHints::add(Lit unit, std::span<const std::uint32_t> chain) {
     }
   }
   lemmas_ += root ? 0 : 1;
+  ++steps_;
 }
 
-ProofHints::Reader::Reader(const ProofHints& hints) : chunks_(hints.chunks_) {}
+ProofHints::Reader::Reader(const ProofHints& hints, std::size_t steps)
+    : chunks_(hints.chunks_), steps_(steps) {}
 
 std::uint64_t ProofHints::Reader::varint() {
   std::uint64_t value = 0;
@@ -85,6 +87,9 @@ std::uint64_t ProofHints::Reader::varint() {
 }
 
 bool ProofHints::Reader::next(Step& step) {
+  if (step_ == steps_) {
+    return false;
+  }
   while (pos_ == end_) {
     if (chunk_ == chunks_.size()) {
       return false;
@@ -120,21 +125,23 @@ bool ProofHints::Reader::next(Step& step) {
     }
   }
   lemmas_ += root ? 0 : 1;
+  ++step_;
   return true;
 }
 
 ProofHints::Reader::Mark ProofHints::Reader::mark() const {
   if (chunk_ == 0) {
-    return {0, 0, lemmas_};
+    return {0, 0, lemmas_, step_};
   }
   return {static_cast<std::uint32_t>(chunk_),
           static_cast<std::uint32_t>(pos_ - chunks_[chunk_ - 1].data()),
-          lemmas_};
+          lemmas_, step_};
 }
 
 void ProofHints::Reader::seek(const Mark& mark) {
   chunk_ = mark.chunk;
   lemmas_ = mark.lemmas;
+  step_ = mark.step;
   if (chunk_ == 0) {
     pos_ = end_ = nullptr;
     return;
@@ -144,12 +151,21 @@ void ProofHints::Reader::seek(const Mark& mark) {
   end_ = chunk.data() + chunk.size();
 }
 
-RefutationCore refutation_core(const ProofHints& hints,
+RefutationCore refutation_core(const ProofHints& hints, std::size_t steps,
                                std::size_t premise_size,
                                std::span<const std::uint32_t> refutation) {
+  // One mark per step plus one past the last: step s is a lemma step
+  // exactly when the lemma count grows across it.
+  ProofHints::Reader reader(hints, steps);
+  std::vector<ProofHints::Reader::Mark> marks;
+  ProofHints::Step step;
+  do {
+    marks.push_back(reader.mark());
+  } while (reader.next(step));
+
   RefutationCore core;
   core.premise.assign(premise_size, false);
-  core.lemmas.assign(hints.lemmas(), false);
+  core.lemmas.assign(marks.back().lemmas, false);
   const auto cite = [&core](std::uint32_t id) {
     const bool lemma = (id & ProofHints::kLemma) != 0;
     const bool assumption = (id & ProofHints::kAssumption) != 0;
@@ -165,15 +181,6 @@ RefutationCore refutation_core(const ProofHints& hints,
   for (const std::uint32_t id : refutation) {
     cite(id);
   }
-
-  // One mark per step plus one past the last: step s is a lemma step
-  // exactly when the lemma count grows across it.
-  ProofHints::Reader reader(hints);
-  std::vector<ProofHints::Reader::Mark> marks;
-  ProofHints::Step step;
-  do {
-    marks.push_back(reader.mark());
-  } while (reader.next(step));
   for (std::size_t s = marks.size() - 1; s-- > 0;) {
     const std::uint32_t lemma = marks[s].lemmas;
     const bool root = marks[s + 1].lemmas == lemma;

@@ -51,8 +51,11 @@ class ProofHints {
 
   /// Lemma steps recorded so far.
   std::uint32_t lemmas() const { return lemmas_; }
+  /// Steps of either kind recorded so far.
+  std::size_t steps() const { return steps_; }
 
-  /// Decodes the steps in the order they were added.
+  /// Decodes the steps in the order they were added, up to a step count:
+  /// a refutation snapshot reads only the prefix of its solver's hints.
   class Reader {
    public:
     /// Where a step starts in the stream: a `Reader` can `seek` back to
@@ -61,9 +64,12 @@ class ProofHints {
       std::uint32_t chunk = 0;   // The chunk after the one read from.
       std::uint32_t offset = 0;  // Byte offset in that chunk.
       std::uint32_t lemmas = 0;  // Lemma steps before the step.
+      std::size_t step = 0;      // Steps before the step.
     };
 
-    explicit Reader(const ProofHints& hints);
+    /// Reads the first `steps` steps of `hints`, or all of them.
+    Reader(const ProofHints& hints, std::size_t steps);
+    explicit Reader(const ProofHints& hints) : Reader(hints, hints.steps()) {}
     /// Reads the next step into `step`; false after the last one.
     bool next(Step& step);
     /// The position of the step `next` reads next.
@@ -75,6 +81,8 @@ class ProofHints {
     std::uint64_t varint();
 
     const std::vector<std::vector<std::uint8_t>>& chunks_;
+    std::size_t steps_;      // Steps to read in all.
+    std::size_t step_ = 0;   // Steps read so far.
     std::size_t chunk_ = 0;  // The chunk after [pos_, end_).
     const std::uint8_t* pos_ = nullptr;
     const std::uint8_t* end_ = nullptr;
@@ -87,6 +95,7 @@ class ProofHints {
 
   std::vector<std::vector<std::uint8_t>> chunks_;
   std::uint32_t lemmas_ = 0;
+  std::size_t steps_ = 0;
 };
 
 /// The clauses a refutation rests on: every premise clause and lemma
@@ -101,11 +110,12 @@ struct RefutationCore {
   std::vector<bool> lemmas;   ///< The k-th lemma step is cited.
 };
 
-/// Walks the steps of `hints` from last to first, decoding only the root
-/// steps and the lemmas found cited so far: a chain cites only earlier
-/// steps, so one backward pass closes the set. IDs past `premise_size`,
-/// past the last lemma or equal to `kNone` cite nothing.
-RefutationCore refutation_core(const ProofHints& hints,
+/// Walks the first `steps` steps of `hints` from last to first, decoding
+/// only the root steps and the lemmas found cited so far: a chain cites
+/// only earlier steps, so one backward pass closes the set. IDs past
+/// `premise_size`, past the last lemma of those steps or equal to `kNone`
+/// cite nothing.
+RefutationCore refutation_core(const ProofHints& hints, std::size_t steps,
                                std::size_t premise_size,
                                std::span<const std::uint32_t> refutation);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "obs/registry.hpp"
+#include "sat/dimacs.hpp"
 
 namespace ftsp::sat {
 
@@ -91,7 +92,7 @@ bool Solver::add_clause(std::span<const Lit> lits) {
     // premise stays sound even when simplification drops an entire clause
     // (e.g. one whose literals are all false at level 0). Its ID names the
     // verbatim clause; the literals dropped here are false at the root.
-    std::vector<std::vector<Lit>>& premise = proof_log().premise;
+    std::vector<std::vector<Lit>>& premise = proof_log_->premise;
     id = static_cast<std::uint32_t>(premise.size());
     premise.emplace_back(lits.begin(), lits.end());
   }
@@ -588,7 +589,6 @@ void Solver::set_proof_logging(bool enable) {
     // refutation of it refutes the original formula too.
     proof_log_ = std::make_shared<ProofLog>();
     proof_log_->premise = problem_clauses();
-    proof_terminated_ = false;
     refutation_.clear();
     last_proof_.reset();
     // The premise lists the root units first, then the stored clauses;
@@ -608,30 +608,11 @@ void Solver::set_proof_logging(bool enable) {
   proof_logging_ = enable;
 }
 
-ProofLog& Solver::proof_log() {
-  if (proof_log_.use_count() > 1) {
-    // A snapshot holds the log: extend a copy, so the snapshot's proof
-    // stays as it was taken.
-    proof_log_ = std::make_shared<ProofLog>(*proof_log_);
-  }
-  if (proof_terminated_) {
-    proof_log_->drat.resize(proof_log_->drat.size() - 2);  // Drop "0\n".
-    proof_terminated_ = false;
-  }
-  return *proof_log_;
-}
-
 void Solver::proof_log_clause(std::span<const Lit> lits, bool deletion) {
-  std::string& drat = proof_log().drat;
-  if (deletion) {
-    drat += "d ";
-  }
-  for (Lit l : lits) {
-    const int dimacs = l.sign() ? -(l.var() + 1) : (l.var() + 1);
-    drat += std::to_string(dimacs);
-    drat += ' ';
-  }
-  drat += "0\n";
+  static obs::Counter& proof_bytes =
+      obs::Registry::instance().counter("sat.proof.bytes");
+  proof_log_->add_line(lits, deletion);
+  proof_bytes.add(drat_line_size(lits, deletion));
 }
 
 std::uint32_t Solver::proof_log_lemma() {
@@ -651,14 +632,14 @@ std::uint32_t Solver::proof_log_lemma() {
   for (std::size_t i = 0; i < lemma_implied_.size(); ++i) {
     lemma_chain_[i] = arena_.id(reason_[lemma_implied_[i].var()]);
   }
-  ProofHints& hints = proof_log().hints;
+  ProofHints& hints = proof_log_->hints;
   const std::uint32_t id = ProofHints::kLemma | hints.lemmas();
   hints.add_lemma(lemma_chain_);
   return id;
 }
 
 void Solver::proof_log_root(Lit l, std::uint32_t id) {
-  proof_log().hints.add_root(l, std::span<const std::uint32_t>(&id, 1));
+  proof_log_->hints.add_root(l, std::span<const std::uint32_t>(&id, 1));
 }
 
 void Solver::proof_log_failed_assumption(Lit a) {
@@ -699,19 +680,11 @@ void Solver::proof_log_failed_assumption(Lit a) {
 }
 
 void Solver::proof_snapshot(std::span<const Lit> assumptions) {
-  static obs::Counter& proof_bytes =
-      obs::Registry::instance().counter("sat.proof.bytes");
-  // The terminating empty clause stays in the log only until the next
-  // append: for an assumption-based UNSAT it is a consequence of premise
-  // + assumptions, not of the formula alone, so the lemmas later queries
-  // add must not follow it.
-  if (!proof_terminated_) {
-    proof_log().drat += "0\n";
-    proof_terminated_ = true;
-  }
-  proof_bytes.add(proof_log_->drat.size() - 2);
   UnsatProof proof;
   proof.log = proof_log_;
+  proof.premise_size = proof_log_->premise.size();
+  proof.lines = proof_log_->lines();
+  proof.steps = proof_log_->hints.steps();
   proof.assumptions.assign(assumptions.begin(), assumptions.end());
   proof.refutation = refutation_;
   last_proof_ = std::move(proof);
@@ -721,12 +694,13 @@ namespace {
 const ProofLog kEmptyProofLog;
 }  // namespace
 
-const std::vector<std::vector<Lit>>& UnsatProof::premise() const {
-  return (log ? *log : kEmptyProofLog).premise;
+std::span<const std::vector<Lit>> UnsatProof::premise() const {
+  const ProofLog& full = log ? *log : kEmptyProofLog;
+  return std::span<const std::vector<Lit>>(full.premise).first(premise_size);
 }
 
-const std::string& UnsatProof::drat() const {
-  return (log ? *log : kEmptyProofLog).drat;
+std::string UnsatProof::drat() const {
+  return to_drat(log ? *log : kEmptyProofLog, lines);
 }
 
 const ProofHints& UnsatProof::hints() const {

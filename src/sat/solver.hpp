@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -18,39 +19,61 @@ namespace ftsp::sat {
 /// What a solver logs while proof logging is on, append-only: the premise
 /// (every clause handed to `add_clause`, verbatim; clauses added before
 /// logging was enabled are represented by the solver's simplified database
-/// at enable time, which is a consequence of them), the DRAT text and the
-/// hints of every step.
+/// at enable time, which is a consequence of them), the proof lines and the
+/// hints of every step. A line is an addition (a learnt clause) or a
+/// deletion; its literals sit in `lits`, between the end of the line
+/// before it and `line_ends[i]`. The log holds no text: `to_drat`
+/// (sat/dimacs.hpp) renders it.
 struct ProofLog {
   std::vector<std::vector<Lit>> premise;
-  std::string drat;
+  std::vector<Lit> lits;
+  std::vector<std::size_t> line_ends;
+  std::vector<bool> deletions;
   ProofHints hints;
+
+  std::size_t lines() const { return line_ends.size(); }
+  std::span<const Lit> line(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : line_ends[i - 1];
+    return std::span<const Lit>(lits).subspan(begin, line_ends[i] - begin);
+  }
+  void add_line(std::span<const Lit> clause, bool deletion) {
+    lits.insert(lits.end(), clause.begin(), clause.end());
+    line_ends.push_back(lits.size());
+    deletions.push_back(deletion);
+  }
 };
 
 /// A DRAT refutation snapshot, taken at the moment a `solve()` call
 /// concluded UNSAT while proof logging was enabled.
 ///
+/// The snapshot is the solver's log plus the prefix of it that the
+/// refutation covers: the first `premise_size` premise clauses, the first
+/// `lines` proof lines and the first `steps` hint steps. The log is only
+/// ever appended to, so later queries of the same solver extend it without
+/// touching the prefix, and no snapshot needs a copy. Read a snapshot on
+/// its solver's thread, or after the solver is gone: the log's vectors may
+/// grow while the solver runs.
+///
 /// `premise()` is the formula the refutation is stated against.
 /// `assumptions` are the assumption literals of the refuted query; each
 /// acts as an additional premise unit clause, so the checked statement is
 /// "premise AND assumptions is unsatisfiable" — exactly the claim an
-/// assumption-based bound sweep makes. `drat()` is the proof text, one
-/// clause per line in DIMACS numbering (var + 1, negative = negated):
+/// assumption-based bound sweep makes. `drat()` renders the proof text,
+/// one clause per line in DIMACS numbering (var + 1, negative = negated):
 /// additions as "l1 .. lk 0", deletions as "d l1 .. lk 0", terminated by
 /// the empty clause "0". `hints()` holds the antecedents of every other
-/// addition line and of the root-level literals, and `refutation` the
-/// chain that derives the empty clause.
-///
-/// The snapshot shares the solver's log instead of copying it. A solver
-/// that logs more while a snapshot holds its log copies the log first, so
-/// a snapshot never changes, and one that outlives its solver costs no
-/// copy at all.
+/// addition line and of the root-level literals (read its first `steps`
+/// steps only), and `refutation` the chain that derives the empty clause.
 struct UnsatProof {
   std::shared_ptr<const ProofLog> log;
+  std::size_t premise_size = 0;
+  std::size_t lines = 0;
+  std::size_t steps = 0;
   std::vector<Lit> assumptions;
   std::vector<std::uint32_t> refutation;
 
-  const std::vector<std::vector<Lit>>& premise() const;
-  const std::string& drat() const;
+  std::span<const std::vector<Lit>> premise() const;
+  std::string drat() const;
   const ProofHints& hints() const;
 };
 
@@ -231,7 +254,6 @@ class Solver {
   // kNone when it was added or learnt while logging was off.
   bool proof_logging_ = false;
   std::shared_ptr<ProofLog> proof_log_;  // Shared with live snapshots.
-  bool proof_terminated_ = false;  // The log's DRAT ends in the empty clause.
   std::vector<std::uint32_t> refutation_;   // The empty clause's chain.
   std::vector<std::uint32_t> lemma_chain_;  // The chain being assembled.
   std::vector<Lit> lemma_implied_;  // Minimization's implied literals.
@@ -260,7 +282,6 @@ class Solver {
   void reduce_db();
   void compact_arena();
   int compute_lbd(std::span<const Lit> lits);
-  ProofLog& proof_log();
   void proof_log_clause(std::span<const Lit> lits, bool deletion);
   std::uint32_t proof_log_lemma();
   void proof_log_root(Lit l, std::uint32_t id);

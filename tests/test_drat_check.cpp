@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -174,9 +175,10 @@ void expect_both_checkers_accept(Solver& s) {
   EXPECT_TRUE(forward.ok) << forward.error;
   const DratCheckResult hinted = check_hinted_proof(*proof);
   EXPECT_TRUE(hinted.ok) << hinted.error;
+  const std::string drat = proof->drat();
   EXPECT_EQ(hinted.lemmas_checked,
-            static_cast<std::size_t>(std::count(proof->drat().begin(),
-                                                proof->drat().end(), '\n')));
+            static_cast<std::size_t>(std::count(drat.begin(), drat.end(),
+                                                '\n')));
 }
 
 TEST(HintedCheck, AcceptsRootConflictWhileAddingClauses) {
@@ -257,33 +259,93 @@ TEST(HintedCheck, AcceptsLoggingEnabledAfterClauses) {
   expect_both_checkers_accept(s);
 }
 
-TEST(HintedCheck, SnapshotsShareTheLogAndNeverChange) {
-  // An UNSAT leg's proof shares the solver's log. The next leg extends a
-  // copy, so the first proof stays as taken and still checks.
+/// Assumptions that close the last hole of PHP(holes, holes) on the
+/// solver's first variables: the formula is UNSAT under them only.
+std::vector<Lit> last_hole_closed(int holes) {
+  std::vector<Lit> pins;
+  for (Var p = 0; p < holes; ++p) {
+    pins.push_back(neg(p * holes + holes - 1));
+  }
+  return pins;
+}
+
+TEST(HintedCheck, SnapshotsNeverChangeWhileTheSolverGoesOn) {
+  // An UNSAT leg's proof is a prefix of the solver's log. Later queries
+  // add clauses, lemmas and deletions to the same log; the first proof
+  // reads as it was taken, and none of the later steps pairs with its
+  // empty clause.
   Solver s;
   s.set_proof_logging(true);
   add_pigeonhole(s, 5, 5);
-  const Var extra = s.new_var();
-  std::vector<Lit> pins;
-  for (Var p = 0; p < 5; ++p) {
-    pins.push_back(neg(p * 5 + 4));  // No pigeon in hole 4.
-  }
-  ASSERT_FALSE(s.solve(pins));
-  auto first = s.take_unsat_proof();
+  ASSERT_FALSE(s.solve(last_hole_closed(5)));
+  const auto first = s.take_unsat_proof();
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->log.use_count(), 2);  // The solver and this snapshot.
+  const std::vector<std::vector<Lit>> premise(first->premise().begin(),
+                                              first->premise().end());
   const std::string drat = first->drat();
-  ASSERT_TRUE(s.solve({pos(extra)}));
-  EXPECT_EQ(first->log.use_count(), 1);
-  EXPECT_EQ(first->drat(), drat);
-  EXPECT_TRUE(check_hinted_proof(*first).ok);
-  pins.push_back(neg(extra));
-  ASSERT_FALSE(s.solve(pins));
+  ASSERT_TRUE(check_hinted_proof(*first).ok);
+
+  // PHP(9,8) on fresh variables: enough conflicts for reduce_db to log
+  // deletions.
+  add_pigeonhole(s, 9, 8);
+  ASSERT_FALSE(s.solve());
   const auto second = s.take_unsat_proof();
   ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->drat().starts_with(drat.substr(0, drat.size() - 2)));
+  ASSERT_GT(s.stats().removed_clauses, 0u);
+  EXPECT_NE(second->drat().find("\nd "), std::string::npos);
   EXPECT_TRUE(check_hinted_proof(*second).ok);
-  EXPECT_TRUE(check_proof(*second).ok);
+
+  EXPECT_EQ(first->log, second->log);
+  EXPECT_GT(second->premise().size(), premise.size());
+  EXPECT_TRUE(std::equal(premise.begin(), premise.end(),
+                         first->premise().begin(), first->premise().end()));
+  EXPECT_EQ(first->drat(), drat);
+  EXPECT_TRUE(second->drat().starts_with(drat.substr(0, drat.size() - 2)));
+  const DratCheckResult again = check_hinted_proof(*first);
+  EXPECT_TRUE(again.ok) << again.error;
+  EXPECT_TRUE(check_proof(*first).ok);
+}
+
+TEST(ProofLogging, ProofBytesCountEachLoggedLineOnce) {
+  // Two UNSAT answers in one session: the counter grows by the rendered
+  // size of the session's lines, not by the log's size at every answer.
+  const obs::Counter& proof_bytes =
+      obs::Registry::instance().counter("sat.proof.bytes");
+  const std::uint64_t before = proof_bytes.value();
+  Solver s;
+  s.set_proof_logging(true);
+  add_pigeonhole(s, 5, 5);
+  ASSERT_FALSE(s.solve(last_hole_closed(5)));
+  add_pigeonhole(s, 9, 8);  // Its search logs deletions too.
+  ASSERT_FALSE(s.solve());
+  ASSERT_GT(s.stats().removed_clauses, 0u);
+  const auto last = s.take_unsat_proof();
+  ASSERT_TRUE(last.has_value());
+  ASSERT_EQ(last->lines, last->log->lines());
+  // Every line the session logged, without the closing empty clause.
+  EXPECT_EQ(proof_bytes.value() - before, last->drat().size() - 2);
+}
+
+TEST(ProofLogging, ToDratWritesEveryLineShape) {
+  ProofLog log;
+  log.add_line(std::vector<Lit>{pos(0), neg(1)}, /*deletion=*/false);
+  log.add_line(std::vector<Lit>{neg(11), pos(99), neg(1233)},
+               /*deletion=*/false);
+  log.add_line(std::vector<Lit>{pos(0), neg(1)}, /*deletion=*/true);
+  log.add_line(std::vector<Lit>{pos(9)}, /*deletion=*/false);
+  EXPECT_EQ(to_drat(log, log.lines()),
+            "1 -2 0\n"
+            "-12 100 -1234 0\n"
+            "d 1 -2 0\n"
+            "10 0\n"
+            "0\n");
+  EXPECT_EQ(to_drat(log, 1), "1 -2 0\n0\n");
+  EXPECT_EQ(to_drat(log, 0), "0\n");
+  std::size_t size = 2;
+  for (std::size_t i = 0; i < log.lines(); ++i) {
+    size += drat_line_size(log.line(i), log.deletions[i]);
+  }
+  EXPECT_EQ(size, to_drat(log, log.lines()).size());
 }
 
 TEST(DratCheck, RejectsTruncatedProof) {
@@ -498,7 +560,7 @@ struct MutationVerdicts {
   std::uint64_t digest = 0;  // Over ok and the three counts, in order.
 };
 
-MutationVerdicts check_mutations(const std::vector<std::vector<Lit>>& premise,
+MutationVerdicts check_mutations(std::span<const std::vector<Lit>> premise,
                                  const std::string& drat) {
   MutationVerdicts verdicts;
   util::Fnv1a64 hash;
@@ -985,14 +1047,12 @@ UnsatProof hand_built_refutation() {
                                      {-1, -2, -3}}) {
     log->premise.push_back(dimacs_clause(clause));
   }
-  log->drat =
-      "1 2 0\n"    // Lemma 0, cited by lemma 2.
-      "5 0\n"      // Lemma 1, cited by nothing.
-      "1 0\n"      // Lemma 2, cited by the root step alone.
-      "d 5 0\n"    // Deletes the uncited lemma.
-      "d 2 1 0\n"  // Deletes lemma 0, written in another order.
-      "2 0\n"      // Lemma 3, cited by the empty clause.
-      "0\n";
+  log->add_line(dimacs_clause({1, 2}), false);  // Lemma 0, cited by lemma 2.
+  log->add_line(dimacs_clause({5}), false);     // Lemma 1, cited by nothing.
+  log->add_line(dimacs_clause({1}), false);  // Lemma 2, cited by the root.
+  log->add_line(dimacs_clause({5}), true);   // Deletes the uncited lemma.
+  log->add_line(dimacs_clause({2, 1}), true);  // Lemma 0, in another order.
+  log->add_line(dimacs_clause({2}), false);  // Lemma 3, cited by the end.
   constexpr std::uint32_t kA = ProofHints::kAssumption;
   constexpr std::uint32_t kL = ProofHints::kLemma;
   log->hints.add_lemma(std::vector<std::uint32_t>{0, 2});
@@ -1001,6 +1061,9 @@ UnsatProof hand_built_refutation() {
   log->hints.add_root(pos(0), std::vector<std::uint32_t>{kL | 2});
   log->hints.add_lemma(std::vector<std::uint32_t>{5, 6});
   UnsatProof proof;
+  proof.premise_size = log->premise.size();
+  proof.lines = log->lines();
+  proof.steps = log->hints.steps();
   proof.log = log;
   proof.assumptions = {pos(3)};
   proof.refutation = {kL | 3, 7, 8};
@@ -1023,6 +1086,8 @@ std::string drop_addition(const std::string& drat, std::size_t k) {
 
 TEST(ProofTrim, KeepsExactlyTheCitedClausesOfAHandBuiltRefutation) {
   const UnsatProof proof = hand_built_refutation();
+  ASSERT_EQ(proof.drat(),
+            "1 2 0\n5 0\n1 0\nd 5 0\nd 2 1 0\n2 0\n0\n");
   ASSERT_TRUE(check_proof(proof).ok) << check_proof(proof).error;
   ASSERT_TRUE(check_hinted_proof(proof).ok);
 
@@ -1097,8 +1162,9 @@ TEST(ProofTrim, DropsTheUncitedLemmasOfAnEarlierSatLeg) {
   const auto proof = s.take_unsat_proof();
   ASSERT_TRUE(proof.has_value());
 
-  const RefutationCore cited = refutation_core(
-      proof->hints(), proof->premise().size(), proof->refutation);
+  const RefutationCore cited =
+      refutation_core(proof->hints(), proof->steps, proof->premise().size(),
+                      proof->refutation);
   std::size_t dropped = 0;
   for (std::uint64_t k = 0; k < sat_lemmas; ++k) {
     dropped += cited.lemmas[k] ? 0 : 1;
