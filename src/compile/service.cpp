@@ -134,45 +134,43 @@ std::string quoted_json_array(const std::vector<std::string>& items) {
   return array;
 }
 
-/// The parameters of a `sample` request, validated in one order. The
-/// payload-cache key and the handler both read this, so a cache hit
-/// rejects exactly the requests a fresh compute would.
+/// The parameters of a `sample` request. The payload-cache key and the
+/// handler both read this one parse, so a cache hit rejects exactly the
+/// requests a fresh compute would. Braced initializers run in order: the
+/// validation order.
 struct SampleParams {
-  double p = 0.0;
-  std::uint64_t shots = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t threads = 0;
+  double p;
+  std::size_t shots;
+  std::uint64_t seed;
+  std::size_t threads;
 };
 
 SampleParams parse_sample(const JsonObject& request) {
-  SampleParams params;
-  params.p = probability_param(request, "p", 0.01);
-  params.shots = integer_param(request, "shots", 20000, kMaxShotsPerRequest);
-  params.seed = integer_param(request, "seed", 1, std::uint64_t{1} << 53);
-  params.threads = integer_param(request, "threads", 1, kMaxThreadsPerRequest);
-  return params;
+  return {probability_param(request, "p", 0.01),
+          integer_param(request, "shots", 20000, kMaxShotsPerRequest),
+          integer_param(request, "seed", 1, std::uint64_t{1} << 53),
+          integer_param(request, "threads", 1, kMaxThreadsPerRequest)};
 }
 
-/// The parameters of a `rate` request: one probability when `p_points` is
-/// 0, else a log-spaced sweep over [p_min, p_max].
+/// The parameters of a `rate` request, parsed once like `SampleParams`:
+/// one probability `p` when `p_points` is 0, else a log-spaced sweep over
+/// [p_min, p_max].
 struct RateParams {
-  std::uint64_t shots = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t threads = 0;
-  double rel_err = 0.0;
-  std::uint64_t p_points = 0;
-  double p = 0.0;
-  double p_min = 0.0;
-  double p_max = 0.0;
+  std::size_t shots;
+  std::uint64_t seed;
+  std::size_t threads;
+  double rel_err;
+  std::size_t p_points = 0;
+  double p = 0.0, p_min = 0.0, p_max = 0.0;
 };
 
 RateParams parse_rate(const JsonObject& request) {
-  RateParams params;
-  params.shots = integer_param(request, "shots", std::size_t{1} << 20,
-                               kMaxShotsPerRequest);
-  params.seed = integer_param(request, "seed", 1, std::uint64_t{1} << 53);
-  params.threads = integer_param(request, "threads", 1, kMaxThreadsPerRequest);
-  params.rel_err = number_param(request, "rel_err", 0.05);
+  RateParams params{
+      integer_param(request, "shots", std::size_t{1} << 20,
+                    kMaxShotsPerRequest),
+      integer_param(request, "seed", 1, std::uint64_t{1} << 53),
+      integer_param(request, "threads", 1, kMaxThreadsPerRequest),
+      number_param(request, "rel_err", 0.05)};
   if (!(params.rel_err > 0.0) || params.rel_err > 1.0) {
     throw std::invalid_argument("parameter 'rel_err' must be in (0, 1]");
   }
@@ -404,16 +402,16 @@ std::string ServiceOps::sample(const ProtocolService&, const Entry* entry,
   const ProtocolArtifact& artifact = entry->artifact;
   const SampleParams params = parse_sample(request);
   core::SamplerOptions sampler;
-  sampler.num_threads = static_cast<std::size_t>(params.threads);
+  sampler.num_threads = params.threads;
   sampler.layout = &artifact.layout;
   const auto counts = core::sample_protocol_counts(
-      entry->executor, entry->decoder, params.p,
-      static_cast<std::size_t>(params.shots), params.seed, sampler);
+      entry->executor, entry->decoder, params.p, params.shots, params.seed,
+      sampler);
   const auto estimate = core::estimate_logical_rate(counts);
   JsonWriter out;
   out.field("code", ProtocolService::serving_name(artifact));
   out.field("p", params.p);
-  out.field("shots", params.shots);
+  out.field("shots", std::uint64_t{params.shots});
   out.field("p_logical", estimate.mean);
   out.field("std_error", estimate.std_error);
   out.field("seed", params.seed);
@@ -455,9 +453,9 @@ std::string ServiceOps::rate(const ProtocolService&, const Entry* entry,
   const ProtocolArtifact& artifact = entry->artifact;
   const RateParams params = parse_rate(request);
   core::RateOptions rate_options;
-  rate_options.max_shots = static_cast<std::size_t>(params.shots);
+  rate_options.max_shots = params.shots;
   rate_options.seed = params.seed;
-  rate_options.num_threads = static_cast<std::size_t>(params.threads);
+  rate_options.num_threads = params.threads;
   rate_options.rel_err = params.rel_err;
   rate_options.layout = &artifact.layout;
   // Per-request deadline: the estimator checks between wave batches and
@@ -472,8 +470,8 @@ std::string ServiceOps::rate(const ProtocolService&, const Entry* entry,
     write_rate_fields(out, params.p, estimate);
     return out.take_body();
   }
-  const std::vector<double> ps = core::log_spaced_grid(
-      params.p_min, params.p_max, static_cast<std::size_t>(params.p_points));
+  const std::vector<double> ps =
+      core::log_spaced_grid(params.p_min, params.p_max, params.p_points);
   const auto estimates = core::estimate_logical_error_rate_sweep(
       entry->executor, entry->decoder, ps, rate_options);
   std::string sweep = "[";

@@ -38,13 +38,14 @@ inline std::unique_ptr<sat::Solver> make_query_solver(
 /// One encoded "choose u stabilizers from the span of `generators`"
 /// query: the skeleton shared by verification and correction synthesis.
 /// `Options` is either stage's synthesis options (engine, coupling,
-/// proof sink); the query runs without a conflict budget. The constructor emits, in this order:
-/// solver (`make_query_solver`), nonzero rows, the
-/// coupling restriction, row-order symmetry breaking, the stage's own
-/// clauses (`stage_clauses(cnf, selection)`), and then either a
-/// total-weight ladder swept by assumption (`fresh_bound` empty: the
-/// incremental engine) or the hard bound `fresh_bound` (the from-scratch
-/// engine). The clause order is part of the captured proofs' bytes.
+/// proof sink); the query runs without a conflict budget. The
+/// constructor emits, in this order: solver (`make_query_solver`),
+/// nonzero rows, the coupling restriction, row-order symmetry breaking,
+/// the stage's own clauses (`stage_clauses(cnf, selection)`), and then
+/// either a total-weight ladder swept by assumption (`fresh_bound` empty:
+/// the incremental engine) or the hard bound `fresh_bound` (the
+/// from-scratch engine). The clause order is part of the captured proofs'
+/// bytes.
 struct SelectionQuery {
   std::unique_ptr<sat::Solver> solver;
   sat::CnfBuilder cnf;

@@ -14,8 +14,7 @@ namespace {
 
 using Score = std::tuple<std::size_t, std::size_t, double, double>;
 
-/// (u, v)-optimal layer-2 verification sets enumerated per layer-1
-/// candidate.
+/// Optimal layer-2 verification sets enumerated per layer-1 candidate.
 constexpr std::size_t kMaxLayer2Sets = 8;
 
 Score score_of(const ProtocolMetrics& m) {

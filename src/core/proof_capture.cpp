@@ -18,45 +18,29 @@ namespace {
 
 using sat::ProofHints;
 
-/// A trimmed refutation before it is shared: the log and the renumbered
-/// chain of the empty clause.
-struct TrimmedLog {
-  sat::ProofLog log;
-  std::vector<std::uint32_t> refutation;
-};
-
-/// Copies into `out` the lines of `proof` that a proof citing the lemmas
-/// `cited` keeps: those lemmas' addition lines and the deletions of kept
-/// lemmas. A deletion names a literal set, not a clause, so it is kept
-/// only while every copy of that set the full proof holds is a kept one:
-/// the copy the solver deleted is then kept too, and no clause a later
-/// chain cites goes missing. Dropping a deletion never breaks a RUP step.
-void trim_lines(const sat::UnsatProof& proof, const std::vector<bool>& cited,
-                sat::ProofLog& out) {
-  if (proof.lines == 0) {
-    return;
-  }
-  const sat::ProofLog& log = *proof.log;
-  const auto end =
-      log.deletions.begin() + static_cast<std::ptrdiff_t>(proof.lines);
+/// Copies into `out` the first `lines` lines of `log` that a proof citing
+/// the lemmas `cited` keeps: those lemmas' addition lines and the
+/// deletions of kept lemmas. A deletion names a literal set, not a clause,
+/// so it is kept only while every copy of that set the full proof holds is
+/// a kept one: the copy the solver deleted is then kept too, and no clause
+/// a later chain cites goes missing. Dropping a deletion never breaks a
+/// RUP step.
+void trim_lines(const sat::ProofLog& log, std::size_t lines,
+                const std::vector<bool>& cited, sat::ProofLog& out) {
+  const auto end = log.deletions.begin() + static_cast<std::ptrdiff_t>(lines);
   const bool deletions = std::find(log.deletions.begin(), end, true) != end;
   struct Copies {
     std::size_t all = 0;   // Active in the full proof.
     std::size_t kept = 0;  // Active in the trimmed proof.
   };
-  std::map<std::vector<std::int32_t>, Copies> copies;
-  const auto copies_of = [&copies](std::span<const sat::Lit> line)
-      -> Copies& {
-    std::vector<std::int32_t> key;
-    key.reserve(line.size());
-    for (const sat::Lit l : line) {
-      key.push_back(l.code());
-    }
-    std::sort(key.begin(), key.end());
-    return copies[key];
+  std::map<std::vector<sat::Lit>, Copies> copies;
+  const auto copies_of = [&copies](std::span<const sat::Lit> line) -> auto& {
+    std::vector<sat::Lit> set(line.begin(), line.end());
+    std::sort(set.begin(), set.end());
+    return copies[std::move(set)];
   };
   std::size_t lemma = 0;
-  for (std::size_t i = 0; i < proof.lines; ++i) {
+  for (std::size_t i = 0; i < lines; ++i) {
     const std::span<const sat::Lit> line = log.line(i);
     if (log.deletions[i]) {
       Copies& c = copies_of(line);
@@ -67,8 +51,7 @@ void trim_lines(const sat::UnsatProof& proof, const std::vector<bool>& cited,
       c.all -= c.all > 0 ? 1 : 0;
       continue;
     }
-    const bool keep = lemma < cited.size() && cited[lemma];
-    ++lemma;
+    const bool keep = lemma < cited.size() && cited[lemma++];
     if (keep) {
       out.add_line(line, /*deletion=*/false);
     }
@@ -80,14 +63,25 @@ void trim_lines(const sat::UnsatProof& proof, const std::vector<bool>& cited,
   }
 }
 
-TrimmedLog trim_log(const sat::UnsatProof& proof) {
+}  // namespace
+
+void ProofSink::record_absent(std::string stage, std::string claim,
+                              std::string reason) {
+  CapturedProof entry;
+  entry.stage = std::move(stage);
+  entry.claim = std::move(claim);
+  entry.absent_reason = std::move(reason);
+  proofs.push_back(std::move(entry));
+}
+
+sat::UnsatProof trim_proof(const sat::UnsatProof& proof) {
   const std::span<const std::vector<sat::Lit>> premise = proof.premise();
   const sat::RefutationCore core = sat::refutation_core(
       proof.hints(), proof.steps, premise.size(), proof.refutation);
 
   // A kept clause's new ID is its rank among the kept ones.
-  TrimmedLog trimmed;
-  sat::ProofLog& log = trimmed.log;
+  auto shared = std::make_shared<sat::ProofLog>();
+  sat::ProofLog& log = *shared;
   std::vector<std::uint32_t> premise_id(premise.size(), ProofHints::kNone);
   for (std::size_t i = 0; i < premise.size(); ++i) {
     if (core.premise[i]) {
@@ -134,33 +128,14 @@ TrimmedLog trim_log(const sat::UnsatProof& proof) {
       log.hints.add_lemma(chain);
     }
   }
+  if (proof.lines > 0) {
+    trim_lines(*proof.log, proof.lines, core.lemmas, log);
+  }
+  std::vector<std::uint32_t> refutation(proof.refutation.size());
   std::transform(proof.refutation.begin(), proof.refutation.end(),
-                 std::back_inserter(trimmed.refutation), renumber);
-  trim_lines(proof, core.lemmas, log);
-  return trimmed;
-}
-
-}  // namespace
-
-void ProofSink::record_absent(std::string stage, std::string claim,
-                              std::string reason) {
-  CapturedProof entry;
-  entry.stage = std::move(stage);
-  entry.claim = std::move(claim);
-  entry.absent_reason = std::move(reason);
-  proofs.push_back(std::move(entry));
-}
-
-sat::UnsatProof trim_proof(const sat::UnsatProof& proof) {
-  TrimmedLog trimmed = trim_log(proof);
-  sat::UnsatProof out;
-  out.premise_size = trimmed.log.premise.size();
-  out.lines = trimmed.log.lines();
-  out.steps = trimmed.log.hints.steps();
-  out.log = std::make_shared<const sat::ProofLog>(std::move(trimmed.log));
-  out.assumptions = proof.assumptions;
-  out.refutation = std::move(trimmed.refutation);
-  return out;
+                 refutation.begin(), renumber);
+  return {shared, log.premise.size(), log.lines(), log.hints.steps(),
+          proof.assumptions, std::move(refutation)};
 }
 
 CapturedProof make_checked_proof(std::string stage, std::string claim,
@@ -183,13 +158,13 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
   for (const sat::Lit a : proof.assumptions) {
     num_vars = std::max(num_vars, a.var() + 1);
   }
-  TrimmedLog trimmed = trim_log(proof);
+  const sat::UnsatProof trimmed = trim_proof(proof);
   // Bake the assumptions in as unit clauses: the persisted premise is
   // self-contained, and an audit re-check runs with an empty assumption
   // set against byte-identical inputs.
   entry.premise_dimacs =
-      sat::to_dimacs(num_vars, trimmed.log.premise, proof.assumptions);
-  entry.drat = sat::to_drat(trimmed.log, trimmed.log.lines());
+      sat::to_dimacs(num_vars, trimmed.premise(), proof.assumptions);
+  entry.drat = trimmed.drat();
   {
     // A sub-stage of prep/verif/corr: their series include this time.
     static obs::Histogram& check_us = obs::Registry::instance().histogram(
@@ -197,8 +172,8 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
     const obs::ScopedTimer timer(check_us);
     // The lemmas come from the very bytes that are fingerprinted and
     // stored; the renumbered hints stay behind in memory.
-    entry.checked = sat::check_hinted(trimmed.log.premise, proof.assumptions,
-                                      entry.drat, trimmed.log.hints,
+    entry.checked = sat::check_hinted(trimmed.premise(), proof.assumptions,
+                                      entry.drat, trimmed.hints(),
                                       trimmed.refutation)
                         .ok;
   }

@@ -70,8 +70,7 @@ enum class FlagPolicy {
   DeferToNextLayer,  ///< Leave layer 1 unflagged; hooks become layer-2 input.
 };
 
-/// Random CNOT orders the measurement-order search tries per gadget, on
-/// top of the rotations (or walk starts) it always tries.
+/// Random CNOT orders the measurement-order search tries per gadget.
 inline constexpr std::size_t kOrderSearchTries = 64;
 
 struct SynthesisOptions {

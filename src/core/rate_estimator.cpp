@@ -23,14 +23,12 @@ constexpr std::size_t kMaxSectors = 128;
 
 /// Two-sided level of the per-sector Clopper-Pearson intervals.
 constexpr double kIntervalAlpha = 0.05;
-
 /// A sector is enumerated exhaustively when its weighted case count (sum
-/// over location subsets of the fault-op product) fits this budget...
+/// over location subsets of the fault-op product) fits this budget and
+/// its fault count is at most kMaxExhaustiveK (sector 0 is one noiseless
+/// run).
 constexpr std::uint64_t kExhaustiveBudget = std::uint64_t{1} << 20;
-/// ...and its fault count is at most this (0..2 supported; sector 0 is a
-/// single noiseless run).
 constexpr std::size_t kMaxExhaustiveK = 2;
-
 /// Sectors beyond the covered range carry at most this probability mass;
 /// the cutoff is reported as `tail_weight` and added to the upper
 /// confidence limit (f_k <= 1 bounds the truncation bias).

@@ -15,22 +15,27 @@ bool fits_int32(long long count) {
   return count >= 0 && count <= std::numeric_limits<std::int32_t>::max();
 }
 
-/// Characters `l` takes in a DIMACS clause line, trailing space included.
-std::size_t literal_width(Lit l) {
-  std::size_t width = l.sign() ? 3 : 2;
-  for (int v = l.var() + 1; v >= 10; v /= 10) {
-    ++width;
+/// Characters `lits` takes as a DIMACS clause line, "0\n" included.
+std::size_t clause_line_size(std::span<const Lit> lits) {
+  std::size_t size = 2;
+  for (const Lit l : lits) {
+    size += l.sign() ? 3 : 2;  // Sign, first digit and the space.
+    for (int v = l.var() + 1; v >= 10; v /= 10) {
+      ++size;
+    }
   }
-  return width;
+  return size;
 }
 
-/// Appends `l` in DIMACS numbering and a space.
-void put_literal(std::string& out, Lit l) {
+/// Appends `lits` as a DIMACS clause line.
+void put_clause(std::string& out, std::span<const Lit> lits) {
   char buf[16];
-  const int value = l.sign() ? -(l.var() + 1) : (l.var() + 1);
-  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
-  out.append(buf, end);
-  out += ' ';
+  for (const Lit l : lits) {
+    const int value = l.sign() ? -(l.var() + 1) : (l.var() + 1);
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    out += ' ';
+  }
+  out += "0\n";
 }
 }  // namespace
 
@@ -109,42 +114,30 @@ std::string to_dimacs(int num_vars,
                              '\n';
   // Sized exactly up front: proof premises run to megabytes and live as
   // long as their artifact, so growth slack would stay allocated.
-  std::size_t size = header.size() + 2 * (clauses.size() + units.size());
+  std::size_t size = header.size();
   for (const auto& clause : clauses) {
-    for (const Lit l : clause) {
-      size += literal_width(l);
-    }
+    size += clause_line_size(clause);
   }
-  for (const Lit l : units) {
-    size += literal_width(l);
+  for (const Lit& l : units) {
+    size += clause_line_size({&l, 1});
   }
   std::string out;
   out.reserve(size);
   out += header;
   for (const auto& clause : clauses) {
-    for (const Lit l : clause) {
-      put_literal(out, l);
-    }
-    out += "0\n";
+    put_clause(out, clause);
   }
-  for (const Lit l : units) {
-    put_literal(out, l);
-    out += "0\n";
+  for (const Lit& l : units) {
+    put_clause(out, {&l, 1});
   }
   return out;
 }
 
 std::size_t drat_line_size(std::span<const Lit> lits, bool deletion) {
-  std::size_t size = deletion ? 4 : 2;  // "d " and "0\n".
-  for (const Lit l : lits) {
-    size += literal_width(l);
-  }
-  return size;
+  return (deletion ? 2 : 0) + clause_line_size(lits);  // "d ".
 }
 
 std::string to_drat(const ProofLog& log, std::size_t lines) {
-  // Sized exactly up front, like `to_dimacs`: stored proofs live as long
-  // as their artifact.
   std::size_t size = 2;  // The empty clause.
   for (std::size_t i = 0; i < lines; ++i) {
     size += drat_line_size(log.line(i), log.deletions[i]);
@@ -152,13 +145,8 @@ std::string to_drat(const ProofLog& log, std::size_t lines) {
   std::string out;
   out.reserve(size);
   for (std::size_t i = 0; i < lines; ++i) {
-    if (log.deletions[i]) {
-      out += "d ";
-    }
-    for (const Lit l : log.line(i)) {
-      put_literal(out, l);
-    }
-    out += "0\n";
+    out += log.deletions[i] ? "d " : "";
+    put_clause(out, log.line(i));
   }
   out += "0\n";
   return out;

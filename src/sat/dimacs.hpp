@@ -37,10 +37,9 @@ std::string to_dimacs(int num_vars,
                       std::span<const Lit> units = {});
 
 /// Renders the first `lines` lines of `log` as DRAT text, one clause per
-/// line in DIMACS numbering: additions as "l1 .. lk 0", deletions as
-/// "d l1 .. lk 0", then the empty clause "0" that ends the refutation.
+/// line like `to_dimacs` (deletions prefixed "d "), then the empty clause
+/// "0" that ends the refutation.
 std::string to_drat(const ProofLog& log, std::size_t lines);
-
 /// Characters `to_drat` writes for one line, newline included.
 std::size_t drat_line_size(std::span<const Lit> lits, bool deletion);
 

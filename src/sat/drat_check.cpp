@@ -186,13 +186,11 @@ class DratChecker {
     }
   }
 
-  static bool by_code(Lit a, Lit b) { return a.code() < b.code(); }
-
   /// Sorted-by-code, deduplicated copy; the sorted form is what the
   /// deletion index hashes.
   static std::vector<Lit> normalize(const std::vector<Lit>& lits) {
     std::vector<Lit> out = lits;
-    std::sort(out.begin(), out.end(), by_code);
+    std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
@@ -305,8 +303,7 @@ class DratChecker {
     const std::span<const Lit> lits = arena_.clause(c);
     return lits.size() == sorted.size() &&
            std::all_of(lits.begin(), lits.end(), [&](Lit l) {
-             return std::binary_search(sorted.begin(), sorted.end(), l,
-                                       by_code);
+             return std::binary_search(sorted.begin(), sorted.end(), l);
            });
   }
 
@@ -413,7 +410,6 @@ class HintedChecker {
     for (const Lit a : assumptions_) {
       ensure_var(a.var());
     }
-    lemma_end_.push_back(0);
 
     ProofParser parser(drat);
     std::vector<Lit> lits;
@@ -444,8 +440,7 @@ class HintedChecker {
         result_.ok = true;
         return result_;
       }
-      lemma_lits_.insert(lemma_lits_.end(), lits.begin(), lits.end());
-      lemma_end_.push_back(static_cast<std::uint32_t>(lemma_lits_.size()));
+      lemmas_.add_line(lits, /*deletion=*/false);
     }
     // The empty clause closes the proof with its own chain.
     if (!next_lemma(parser, lits)) {
@@ -466,8 +461,7 @@ class HintedChecker {
  private:
   std::span<const std::vector<Lit>> premise_;
   std::span<const Lit> assumptions_;
-  std::vector<Lit> lemma_lits_;           // Checked lemmas, concatenated.
-  std::vector<std::uint32_t> lemma_end_;  // Lemma k is [end[k], end[k+1]).
+  ProofLog lemmas_;  // The checked lemmas, one line each.
   std::vector<LBool> assigns_;  // Root assignment plus the current chain's.
   std::vector<Var> chain_vars_;  // Variables the current chain assigned.
   std::string why_;
@@ -526,8 +520,7 @@ class HintedChecker {
       if (k >= result_.lemmas_checked) {
         return std::nullopt;
       }
-      return std::span<const Lit>(lemma_lits_.data() + lemma_end_[k],
-                                  lemma_lits_.data() + lemma_end_[k + 1]);
+      return lemmas_.line(k);
     }
     if (assumption) {
       const std::size_t j = id & ~ProofHints::kAssumption;

@@ -67,9 +67,8 @@ class ProofHints {
       std::size_t step = 0;      // Steps before the step.
     };
 
-    /// Reads the first `steps` steps of `hints`, or all of them.
+    /// Reads the first `steps` steps of `hints`.
     Reader(const ProofHints& hints, std::size_t steps);
-    explicit Reader(const ProofHints& hints) : Reader(hints, hints.steps()) {}
     /// Reads the next step into `step`; false after the last one.
     bool next(Step& step);
     /// The position of the step `next` reads next.

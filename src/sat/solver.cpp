@@ -100,8 +100,7 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   // Simplify: sort, deduplicate, drop false literals, detect tautology and
   // clauses already satisfied at level 0.
   std::vector<Lit> c(lits.begin(), lits.end());
-  std::sort(c.begin(), c.end(),
-            [](Lit a, Lit b) { return a.code() < b.code(); });
+  std::sort(c.begin(), c.end());
   std::vector<Lit> simplified;
   simplified.reserve(c.size());
   Lit prev = Lit::undef;
@@ -680,14 +679,11 @@ void Solver::proof_log_failed_assumption(Lit a) {
 }
 
 void Solver::proof_snapshot(std::span<const Lit> assumptions) {
-  UnsatProof proof;
-  proof.log = proof_log_;
-  proof.premise_size = proof_log_->premise.size();
-  proof.lines = proof_log_->lines();
-  proof.steps = proof_log_->hints.steps();
-  proof.assumptions.assign(assumptions.begin(), assumptions.end());
-  proof.refutation = refutation_;
-  last_proof_ = std::move(proof);
+  const ProofLog& log = *proof_log_;
+  last_proof_ = UnsatProof{proof_log_, log.premise.size(), log.lines(),
+                           log.hints.steps(),
+                           {assumptions.begin(), assumptions.end()},
+                           refutation_};
 }
 
 namespace {

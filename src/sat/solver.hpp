@@ -20,10 +20,9 @@ namespace ftsp::sat {
 /// (every clause handed to `add_clause`, verbatim; clauses added before
 /// logging was enabled are represented by the solver's simplified database
 /// at enable time, which is a consequence of them), the proof lines and the
-/// hints of every step. A line is an addition (a learnt clause) or a
-/// deletion; its literals sit in `lits`, between the end of the line
-/// before it and `line_ends[i]`. The log holds no text: `to_drat`
-/// (sat/dimacs.hpp) renders it.
+/// hints of every step. A line is a learnt clause or a deletion, stored as
+/// literals: line i is `lits` up to `line_ends[i]`, from the previous end.
+/// `to_drat` (sat/dimacs.hpp) renders lines as text.
 struct ProofLog {
   std::vector<std::vector<Lit>> premise;
   std::vector<Lit> lits;
@@ -44,15 +43,11 @@ struct ProofLog {
 };
 
 /// A DRAT refutation snapshot, taken at the moment a `solve()` call
-/// concluded UNSAT while proof logging was enabled.
-///
-/// The snapshot is the solver's log plus the prefix of it that the
-/// refutation covers: the first `premise_size` premise clauses, the first
-/// `lines` proof lines and the first `steps` hint steps. The log is only
-/// ever appended to, so later queries of the same solver extend it without
-/// touching the prefix, and no snapshot needs a copy. Read a snapshot on
-/// its solver's thread, or after the solver is gone: the log's vectors may
-/// grow while the solver runs.
+/// concluded UNSAT while proof logging was enabled: the solver's log and
+/// the prefix of it the refutation covers, its first `premise_size`
+/// premise clauses, `lines` lines and `steps` hint steps. Later queries
+/// only append to the log, so no snapshot is copied or changed. Read a
+/// snapshot on its solver's thread, or after the solver is gone.
 ///
 /// `premise()` is the formula the refutation is stated against.
 /// `assumptions` are the assumption literals of the refuted query; each
@@ -62,8 +57,9 @@ struct ProofLog {
 /// one clause per line in DIMACS numbering (var + 1, negative = negated):
 /// additions as "l1 .. lk 0", deletions as "d l1 .. lk 0", terminated by
 /// the empty clause "0". `hints()` holds the antecedents of every other
-/// addition line and of the root-level literals (read its first `steps`
-/// steps only), and `refutation` the chain that derives the empty clause.
+/// addition line and of the root-level literals (its first `steps` steps
+/// belong to this refutation), and `refutation` the chain that derives the
+/// empty clause.
 struct UnsatProof {
   std::shared_ptr<const ProofLog> log;
   std::size_t premise_size = 0;

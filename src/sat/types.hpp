@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 
@@ -22,7 +23,7 @@ class Lit {
   constexpr std::int32_t code() const { return code_; }
 
   constexpr Lit operator~() const { return from_code(code_ ^ 1); }
-  constexpr bool operator==(const Lit&) const = default;
+  constexpr auto operator<=>(const Lit&) const = default;  // By code.
 
   static constexpr Lit from_code(std::int32_t code) {
     Lit l;

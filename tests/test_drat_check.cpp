@@ -584,7 +584,7 @@ using Step = ProofHints::Step;
 
 std::vector<Step> decode_steps(const ProofHints& hints) {
   std::vector<Step> steps;
-  ProofHints::Reader reader(hints);
+  ProofHints::Reader reader(hints, hints.steps());
   for (Step step; reader.next(step);) {
     steps.push_back(step);
   }
