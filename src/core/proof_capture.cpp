@@ -51,7 +51,8 @@ void trim_lines(const sat::ProofLog& log, std::size_t lines,
       c.all -= c.all > 0 ? 1 : 0;
       continue;
     }
-    const bool keep = lemma < cited.size() && cited[lemma++];
+    const bool keep = lemma < cited.size() && cited[lemma];
+    ++lemma;
     if (keep) {
       out.add_line(line, /*deletion=*/false);
     }
@@ -63,25 +64,15 @@ void trim_lines(const sat::ProofLog& log, std::size_t lines,
   }
 }
 
-}  // namespace
-
-void ProofSink::record_absent(std::string stage, std::string claim,
-                              std::string reason) {
-  CapturedProof entry;
-  entry.stage = std::move(stage);
-  entry.claim = std::move(claim);
-  entry.absent_reason = std::move(reason);
-  proofs.push_back(std::move(entry));
-}
-
-sat::UnsatProof trim_proof(const sat::UnsatProof& proof) {
+/// Fills `log` with the core of `proof` (see `trim_proof`) and returns
+/// the renumbered chain of the empty clause.
+std::vector<std::uint32_t> trim_into(const sat::UnsatProof& proof,
+                                     sat::ProofLog& log) {
   const std::span<const std::vector<sat::Lit>> premise = proof.premise();
   const sat::RefutationCore core = sat::refutation_core(
       proof.hints(), proof.steps, premise.size(), proof.refutation);
 
   // A kept clause's new ID is its rank among the kept ones.
-  auto shared = std::make_shared<sat::ProofLog>();
-  sat::ProofLog& log = *shared;
   std::vector<std::uint32_t> premise_id(premise.size(), ProofHints::kNone);
   for (std::size_t i = 0; i < premise.size(); ++i) {
     if (core.premise[i]) {
@@ -128,13 +119,28 @@ sat::UnsatProof trim_proof(const sat::UnsatProof& proof) {
       log.hints.add_lemma(chain);
     }
   }
-  if (proof.lines > 0) {
-    trim_lines(*proof.log, proof.lines, core.lemmas, log);
-  }
+  trim_lines(*proof.log, proof.lines, core.lemmas, log);
   std::vector<std::uint32_t> refutation(proof.refutation.size());
   std::transform(proof.refutation.begin(), proof.refutation.end(),
                  refutation.begin(), renumber);
-  return {shared, log.premise.size(), log.lines(), log.hints.steps(),
+  return refutation;
+}
+
+}  // namespace
+
+void ProofSink::record_absent(std::string stage, std::string claim,
+                              std::string reason) {
+  CapturedProof entry;
+  entry.stage = std::move(stage);
+  entry.claim = std::move(claim);
+  entry.absent_reason = std::move(reason);
+  proofs.push_back(std::move(entry));
+}
+
+sat::UnsatProof trim_proof(const sat::UnsatProof& proof) {
+  auto log = std::make_shared<sat::ProofLog>();
+  std::vector<std::uint32_t> refutation = trim_into(proof, *log);
+  return {log, log->premise.size(), log->lines(), log->hints.steps(),
           proof.assumptions, std::move(refutation)};
 }
 
@@ -158,13 +164,17 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
   for (const sat::Lit a : proof.assumptions) {
     num_vars = std::max(num_vars, a.var() + 1);
   }
-  const sat::UnsatProof trimmed = trim_proof(proof);
+  sat::ProofLog trimmed;
+  const std::vector<std::uint32_t> refutation = trim_into(proof, trimmed);
   // Bake the assumptions in as unit clauses: the persisted premise is
   // self-contained, and an audit re-check runs with an empty assumption
   // set against byte-identical inputs.
   entry.premise_dimacs =
-      sat::to_dimacs(num_vars, trimmed.premise(), proof.assumptions);
-  entry.drat = trimmed.drat();
+      sat::to_dimacs(num_vars, trimmed.premise, proof.assumptions);
+  entry.drat = sat::to_drat(trimmed, trimmed.lines());
+  // The text stands for the kept lines from here on: free them before the
+  // check parses it.
+  std::vector<sat::Lit>().swap(trimmed.lits);
   {
     // A sub-stage of prep/verif/corr: their series include this time.
     static obs::Histogram& check_us = obs::Registry::instance().histogram(
@@ -172,9 +182,8 @@ CapturedProof make_checked_proof(std::string stage, std::string claim,
     const obs::ScopedTimer timer(check_us);
     // The lemmas come from the very bytes that are fingerprinted and
     // stored; the renumbered hints stay behind in memory.
-    entry.checked = sat::check_hinted(trimmed.premise(), proof.assumptions,
-                                      entry.drat, trimmed.hints(),
-                                      trimmed.refutation)
+    entry.checked = sat::check_hinted(trimmed.premise, proof.assumptions,
+                                      entry.drat, trimmed.hints, refutation)
                         .ok;
   }
   entry.premise_size = entry.premise_dimacs.size();

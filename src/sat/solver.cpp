@@ -679,6 +679,8 @@ void Solver::proof_log_failed_assumption(Lit a) {
 }
 
 void Solver::proof_snapshot(std::span<const Lit> assumptions) {
+  // The empty clause stays out of the log: under assumptions it follows
+  // from premise + assumptions only, so later queries must not extend it.
   const ProofLog& log = *proof_log_;
   last_proof_ = UnsatProof{proof_log_, log.premise.size(), log.lines(),
                            log.hints.steps(),
@@ -686,22 +688,13 @@ void Solver::proof_snapshot(std::span<const Lit> assumptions) {
                            refutation_};
 }
 
-namespace {
-const ProofLog kEmptyProofLog;
-}  // namespace
-
 std::span<const std::vector<Lit>> UnsatProof::premise() const {
-  const ProofLog& full = log ? *log : kEmptyProofLog;
-  return std::span<const std::vector<Lit>>(full.premise).first(premise_size);
+  return std::span<const std::vector<Lit>>(log->premise).first(premise_size);
 }
 
-std::string UnsatProof::drat() const {
-  return to_drat(log ? *log : kEmptyProofLog, lines);
-}
+std::string UnsatProof::drat() const { return to_drat(*log, lines); }
 
-const ProofHints& UnsatProof::hints() const {
-  return (log ? *log : kEmptyProofLog).hints;
-}
+const ProofHints& UnsatProof::hints() const { return log->hints; }
 
 std::vector<std::vector<Lit>> Solver::problem_clauses() const {
   std::vector<std::vector<Lit>> out;

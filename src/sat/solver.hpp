@@ -61,7 +61,7 @@ struct ProofLog {
 /// belong to this refutation), and `refutation` the chain that derives the
 /// empty clause.
 struct UnsatProof {
-  std::shared_ptr<const ProofLog> log;
+  std::shared_ptr<const ProofLog> log = std::make_shared<const ProofLog>();
   std::size_t premise_size = 0;
   std::size_t lines = 0;
   std::size_t steps = 0;

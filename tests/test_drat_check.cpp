@@ -269,7 +269,7 @@ std::vector<Lit> last_hole_closed(int holes) {
   return pins;
 }
 
-TEST(HintedCheck, SnapshotsNeverChangeWhileTheSolverGoesOn) {
+TEST(HintedCheck, SnapshotsShareTheLogAndNeverChange) {
   // An UNSAT leg's proof is a prefix of the solver's log. Later queries
   // add clauses, lemmas and deletions to the same log; the first proof
   // reads as it was taken, and none of the later steps pairs with its
