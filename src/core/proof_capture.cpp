@@ -39,6 +39,10 @@ void trim_lines(const sat::ProofLog& log, std::size_t lines,
     std::sort(set.begin(), set.end());
     return copies[std::move(set)];
   };
+  // One allocation each, sized for the whole prefix: outgrown buffers
+  // would stay in the heap beside the session log.
+  out.lits.reserve(lines == 0 ? 0 : log.line_ends[lines - 1]);
+  out.line_ends.reserve(lines);
   std::size_t lemma = 0;
   for (std::size_t i = 0; i < lines; ++i) {
     const std::span<const sat::Lit> line = log.line(i);

@@ -412,6 +412,7 @@ class HintedChecker {
     }
 
     ProofParser parser(drat);
+    lemmas_.lits.reserve(drat.size() / 2);  // A literal takes 2+ chars.
     std::vector<Lit> lits;
     ProofHints::Reader reader(hints, steps);
     ProofHints::Step step;

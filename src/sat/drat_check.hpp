@@ -73,8 +73,7 @@ DratCheckResult check_hinted(std::span<const std::vector<Lit>> premise,
                              std::string_view drat, const ProofHints& hints,
                              std::span<const std::uint32_t> refutation);
 
-/// Convenience: the hinted check of a solver-emitted proof snapshot,
-/// reading the snapshot's prefix of its solver's hints.
+/// Convenience: the hinted check of a solver-emitted proof snapshot.
 DratCheckResult check_hinted_proof(const UnsatProof& proof);
 
 }  // namespace ftsp::sat

@@ -54,8 +54,7 @@ class ProofHints {
   /// Steps of either kind recorded so far.
   std::size_t steps() const { return steps_; }
 
-  /// Decodes the steps in the order they were added, up to a step count:
-  /// a refutation snapshot reads only the prefix of its solver's hints.
+  /// Decodes the steps in the order they were added, up to a step count.
   class Reader {
    public:
     /// Where a step starts in the stream: a `Reader` can `seek` back to

@@ -1049,10 +1049,10 @@ UnsatProof hand_built_refutation() {
   }
   log->add_line(dimacs_clause({1, 2}), false);  // Lemma 0, cited by lemma 2.
   log->add_line(dimacs_clause({5}), false);     // Lemma 1, cited by nothing.
-  log->add_line(dimacs_clause({1}), false);  // Lemma 2, cited by the root.
-  log->add_line(dimacs_clause({5}), true);   // Deletes the uncited lemma.
-  log->add_line(dimacs_clause({2, 1}), true);  // Lemma 0, in another order.
-  log->add_line(dimacs_clause({2}), false);  // Lemma 3, cited by the end.
+  log->add_line(dimacs_clause({1}), false);     // Lemma 2, cited by the root.
+  log->add_line(dimacs_clause({5}), true);      // Deletes the uncited lemma.
+  log->add_line(dimacs_clause({2, 1}), true);   // Deletes lemma 0, reordered.
+  log->add_line(dimacs_clause({2}), false);     // Lemma 3, cited at the end.
   constexpr std::uint32_t kA = ProofHints::kAssumption;
   constexpr std::uint32_t kL = ProofHints::kLemma;
   log->hints.add_lemma(std::vector<std::uint32_t>{0, 2});
