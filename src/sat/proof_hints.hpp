@@ -63,7 +63,7 @@ class ProofHints {
       std::uint32_t chunk = 0;   // The chunk after the one read from.
       std::uint32_t offset = 0;  // Byte offset in that chunk.
       std::uint32_t lemmas = 0;  // Lemma steps before the step.
-      std::size_t step = 0;      // Steps before the step.
+      std::uint32_t step = 0;    // Steps before the step.
     };
 
     /// Reads the first `steps` steps of `hints`.
@@ -79,9 +79,9 @@ class ProofHints {
     std::uint64_t varint();
 
     const std::vector<std::vector<std::uint8_t>>& chunks_;
-    std::size_t steps_;      // Steps to read in all.
-    std::size_t step_ = 0;   // Steps read so far.
-    std::size_t chunk_ = 0;  // The chunk after [pos_, end_).
+    std::size_t steps_;       // Steps to read in all.
+    std::uint32_t step_ = 0;  // Steps read so far.
+    std::size_t chunk_ = 0;   // The chunk after [pos_, end_).
     const std::uint8_t* pos_ = nullptr;
     const std::uint8_t* end_ = nullptr;
     std::uint32_t lemmas_ = 0;  // Lemma steps read so far.

@@ -271,13 +271,15 @@ std::vector<Lit> last_hole_closed(int holes) {
 
 TEST(HintedCheck, SnapshotsShareTheLogAndNeverChange) {
   // An UNSAT leg's proof is a prefix of the solver's log. Later queries
-  // add clauses, lemmas and deletions to the same log; the first proof
-  // reads as it was taken, and none of the later steps pairs with its
-  // empty clause.
+  // add clauses, lemmas and deletions to the same log; each proof reads
+  // as it was taken, and none of the later steps pairs with its empty
+  // clause.
   Solver s;
   s.set_proof_logging(true);
   add_pigeonhole(s, 5, 5);
-  ASSERT_FALSE(s.solve(last_hole_closed(5)));
+  const Var extra = s.new_var();
+  std::vector<Lit> pins = last_hole_closed(5);
+  ASSERT_FALSE(s.solve(pins));
   const auto first = s.take_unsat_proof();
   ASSERT_TRUE(first.has_value());
   const std::vector<std::vector<Lit>> premise(first->premise().begin(),
@@ -285,25 +287,41 @@ TEST(HintedCheck, SnapshotsShareTheLogAndNeverChange) {
   const std::string drat = first->drat();
   ASSERT_TRUE(check_hinted_proof(*first).ok);
 
+  // A SAT leg, then an UNSAT leg under assumptions that extend the
+  // first: the second proof continues the first one's lines.
+  ASSERT_TRUE(s.solve({pos(extra)}));
+  EXPECT_EQ(first->drat(), drat);
+  pins.push_back(neg(extra));
+  ASSERT_FALSE(s.solve(pins));
+  const auto second = s.take_unsat_proof();
+  ASSERT_TRUE(second.has_value());
+  const std::string second_drat = second->drat();
+  EXPECT_TRUE(second_drat.starts_with(drat.substr(0, drat.size() - 2)));
+  EXPECT_TRUE(check_hinted_proof(*second).ok);
+  EXPECT_TRUE(check_proof(*second).ok);
+
   // PHP(9,8) on fresh variables: enough conflicts for reduce_db to log
   // deletions.
   add_pigeonhole(s, 9, 8);
   ASSERT_FALSE(s.solve());
-  const auto second = s.take_unsat_proof();
-  ASSERT_TRUE(second.has_value());
+  const auto third = s.take_unsat_proof();
+  ASSERT_TRUE(third.has_value());
   ASSERT_GT(s.stats().removed_clauses, 0u);
-  EXPECT_NE(second->drat().find("\nd "), std::string::npos);
-  EXPECT_TRUE(check_hinted_proof(*second).ok);
+  EXPECT_NE(third->drat().find("\nd "), std::string::npos);
+  EXPECT_TRUE(check_hinted_proof(*third).ok);
+  EXPECT_TRUE(check_proof(*third).ok);
 
-  EXPECT_EQ(first->log, second->log);
-  EXPECT_GT(second->premise().size(), premise.size());
+  EXPECT_EQ(first->log, third->log);
+  EXPECT_GT(third->premise().size(), premise.size());
   EXPECT_TRUE(std::equal(premise.begin(), premise.end(),
                          first->premise().begin(), first->premise().end()));
   EXPECT_EQ(first->drat(), drat);
-  EXPECT_TRUE(second->drat().starts_with(drat.substr(0, drat.size() - 2)));
-  const DratCheckResult again = check_hinted_proof(*first);
-  EXPECT_TRUE(again.ok) << again.error;
-  EXPECT_TRUE(check_proof(*first).ok);
+  EXPECT_EQ(second->drat(), second_drat);
+  for (const UnsatProof* proof : {&*first, &*second}) {
+    const DratCheckResult again = check_hinted_proof(*proof);
+    EXPECT_TRUE(again.ok) << again.error;
+    EXPECT_TRUE(check_proof(*proof).ok);
+  }
 }
 
 TEST(ProofLogging, ProofBytesCountEachLoggedLineOnce) {
