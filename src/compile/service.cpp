@@ -187,6 +187,22 @@ RateParams parse_rate(const JsonObject& request) {
   return params;
 }
 
+/// The parameters of a `circuit` request, parsed once like `SampleParams`:
+/// the export format, checked here so a cache hit rejects an unknown
+/// format exactly as a fresh render would.
+struct CircuitParams {
+  std::string format;
+};
+
+CircuitParams parse_circuit(const JsonObject& request) {
+  CircuitParams params{string_param(request, "format", "qasm")};
+  if (params.format != "qasm" && params.format != "text") {
+    throw std::invalid_argument("unknown format '" + params.format +
+                                "' (qasm|text)");
+  }
+  return params;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -219,7 +235,8 @@ struct ServiceOps {
     const char* name;
     bool needs_code;
     /// Store the computed payload in the LRU (rate: yes — sector
-    /// estimates are expensive; sample: no — coalesce only).
+    /// estimates are expensive; circuit: yes — the render depends only
+    /// on the immutable artifact; sample: no — coalesce only).
     bool memoize;
     KeyFn key;
     Handler handler;
@@ -268,6 +285,8 @@ struct ServiceOps {
 
   static std::string sample_key(const Entry& entry, const JsonObject& request);
   static std::string rate_key(const Entry& entry, const JsonObject& request);
+  static std::string circuit_key(const Entry& entry,
+                                 const JsonObject& request);
 };
 
 const std::vector<ServiceOps::OpSpec>& ServiceOps::table() {
@@ -276,7 +295,7 @@ const std::vector<ServiceOps::OpSpec>& ServiceOps::table() {
       {"info", true, false, nullptr, &ServiceOps::info},
       {"sample", true, false, &ServiceOps::sample_key, &ServiceOps::sample},
       {"rate", true, true, &ServiceOps::rate_key, &ServiceOps::rate},
-      {"circuit", true, false, nullptr, &ServiceOps::circuit},
+      {"circuit", true, true, &ServiceOps::circuit_key, &ServiceOps::circuit},
       {"health", false, false, nullptr, &ServiceOps::health},
       {"stats", false, false, nullptr, &ServiceOps::stats},
       {"reload", false, false, nullptr, &ServiceOps::reload},
@@ -488,24 +507,24 @@ std::string ServiceOps::rate(const ProtocolService&, const Entry* entry,
   return out.take_body();
 }
 
+std::string ServiceOps::circuit_key(const Entry& entry,
+                                    const JsonObject& request) {
+  // "\x1f" and "format" are split: 'f' would extend the hex escape.
+  return "circuit\x1f" + entry.artifact.key +
+         "\x1f" "format=" + parse_circuit(request).format;
+}
+
 std::string ServiceOps::circuit(const ProtocolService&, const Entry* entry,
                                 const JsonObject& request,
                                 const util::CancelToken*) {
   const ProtocolArtifact& artifact = entry->artifact;
-  const std::string format = string_param(request, "format", "qasm");
-  std::string body;
-  if (format == "qasm") {
-    body = core::protocol_to_qasm(artifact.protocol);
-  } else if (format == "text") {
-    body = core::save_protocol(artifact.protocol);
-  } else {
-    throw std::invalid_argument("unknown format '" + format +
-                                "' (qasm|text)");
-  }
+  const CircuitParams params = parse_circuit(request);
   JsonWriter out;
   out.field("code", ProtocolService::serving_name(artifact));
-  out.field("format", format);
-  out.field("body", body);
+  out.field("format", params.format);
+  out.field("body", params.format == "qasm"
+                        ? core::protocol_to_qasm(artifact.protocol)
+                        : core::save_protocol(artifact.protocol));
   return out.take_body();
 }
 

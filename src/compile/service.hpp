@@ -154,8 +154,8 @@ class ProtocolService {
       std::chrono::steady_clock::time_point deadline) const;
 
   /// Attaches a serving-side payload cache (LRU memoization +
-  /// cross-request single-flight coalescing) consulted by the compute
-  /// ops (`sample`, `rate`). Null detaches. The cache may be shared
+  /// cross-request single-flight coalescing) consulted by the payload
+  /// ops (`sample`, `rate`, `circuit`). Null detaches. The cache may be shared
   /// across hot-reload swaps: its keys include the artifact store key,
   /// so a recompiled artifact (new key) never serves stale bytes.
   void set_payload_cache(std::shared_ptr<serve::PayloadCache> cache);

@@ -12,7 +12,7 @@
 namespace ftsp::serve {
 
 /// Serving-side result cache + cross-request coalescer for the
-/// deterministic compute ops (`sample`, `rate`).
+/// deterministic payload ops (`sample`, `rate`, `circuit`).
 ///
 /// Two mechanisms share one key space (op + artifact key + canonical
 /// request parameters; see `ProtocolService`):
@@ -26,7 +26,8 @@ namespace ftsp::serve {
 ///  * **LRU byte-bounded memoization** — completed payloads are kept
 ///    (when the op opts in via `store`) up to `capacity_bytes`, so
 ///    repeated `rate` queries and whole p-sweep curves are cache hits
-///    with zero simulation. Capacity 0 disables storage.
+///    with zero simulation, and each artifact's `circuit` export is
+///    rendered once per format. Capacity 0 disables storage.
 ///
 /// Correctness rests on the estimator/sampler determinism contract:
 /// for fixed (artifact, parameters, seed) the payload bytes are

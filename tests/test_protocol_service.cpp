@@ -407,6 +407,139 @@ TEST_F(ServiceTest, CachedServingIsByteIdenticalAndCounted) {
   EXPECT_EQ(cache->stats().hits, 2u) << "sample must not be memoized";
 }
 
+/// A `circuit` request line; `head` opens the object ("{" for v1).
+std::string circuit_request(const std::string& head, const std::string& code,
+                            const std::string& format) {
+  return head + R"("op":"circuit","code":")" + code + R"(","format":")" +
+         format + R"("})";
+}
+
+TEST_F(ServiceTest, CachedCircuitRepliesMatchCacheFreeBytes) {
+  // `circuit` payloads are memoized per (artifact key, format). Cold
+  // renders and warm hits must answer the cache-free bytes, in both
+  // dialects, for a flag-free code and a flagged one.
+  const ProtocolCompiler compiler;
+  ProtocolService plain;
+  ProtocolService cached;
+  for (const qec::CssCode& code : {qec::steane(), qec::carbon()}) {
+    const ProtocolArtifact artifact = compiler.compile(code);
+    plain.add(artifact);
+    cached.add(artifact);
+  }
+  const auto cache = std::make_shared<serve::PayloadCache>(1u << 20);
+  cached.set_payload_cache(cache);
+  for (const char* code : {"Steane", "Carbon"}) {
+    for (const char* format : {"qasm", "text"}) {
+      for (const char* head : {"{", R"({"v":2,"id":7,)"}) {
+        const std::string request = circuit_request(head, code, format);
+        const std::string expected = plain.handle_request(request);
+        ASSERT_NE(expected.find(R"("ok":true)"), std::string::npos)
+            << expected;
+        EXPECT_EQ(cached.handle_request(request), expected) << request;
+        EXPECT_EQ(cached.handle_request(request), expected) << request;
+      }
+    }
+  }
+  // v1 and v2 share one payload per (code, format): 4 computes, and
+  // every other request of the 16 is a hit.
+  const auto stats = cache->stats();
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 12u);
+}
+
+TEST_F(ServiceTest, RepeatedCircuitRequestIsACacheHit) {
+  const ProtocolCompiler compiler;
+  ProtocolService service;
+  service.add(compiler.compile(qec::steane()));
+  const auto cache = std::make_shared<serve::PayloadCache>(1u << 20);
+  service.set_payload_cache(cache);
+  obs::Counter& op_hits = obs::Registry::instance().counter(
+      obs::labeled("serve.cache.hit.count", "op", "circuit"));
+  for (const char* format : {"qasm", "text"}) {
+    const std::string request = circuit_request("{", "Steane", format);
+    const auto before = cache->stats();
+    const std::string cold = service.handle_request(request);
+    const auto computed = cache->stats();
+    EXPECT_EQ(computed.entries, before.entries + 1) << format;
+    EXPECT_EQ(computed.hits, before.hits) << format;
+    const std::uint64_t op_hits_before = op_hits.value();
+    EXPECT_EQ(service.handle_request(request), cold) << format;
+    const auto hit = cache->stats();
+    EXPECT_EQ(hit.hits, computed.hits + 1) << format;
+    EXPECT_EQ(hit.entries, computed.entries) << format;
+    EXPECT_EQ(op_hits.value(), op_hits_before + 1) << format;
+  }
+  // The default format is qasm: it shares the explicit qasm entry.
+  service.handle_request(R"({"op":"circuit","code":"Steane"})");
+  EXPECT_EQ(cache->stats().entries, 2u);
+  EXPECT_EQ(cache->stats().hits, 3u);
+}
+
+TEST_F(ServiceTest, UnknownCircuitFormatIsRejectedColdAndWarm) {
+  const ProtocolCompiler compiler;
+  const ProtocolArtifact steane = compiler.compile(qec::steane());
+  ProtocolService plain;
+  plain.add(steane);
+  ProtocolService cached;
+  cached.add(steane);
+  const auto cache = std::make_shared<serve::PayloadCache>(1u << 20);
+  cached.set_payload_cache(cache);
+  const std::pair<std::string, const char*> cases[] = {
+      {circuit_request("{", "Steane", "bogus"), "unknown format 'bogus'"},
+      {circuit_request(R"({"v":2,)", "Steane", "bogus"),
+       R"("code":"bad_param")"},
+      {R"({"v":2,"op":"circuit","code":"Steane","format":3})",
+       R"("code":"bad_param")"}};
+  for (const auto& [request, error] : cases) {
+    const std::string expected = plain.handle_request(request);
+    EXPECT_NE(expected.find(error), std::string::npos) << expected;
+    EXPECT_EQ(cached.handle_request(request), expected) << "cold";
+    // A valid render in between must not let the bad format hit it.
+    cached.handle_request(circuit_request("{", "Steane", "qasm"));
+    EXPECT_EQ(cached.handle_request(request), expected) << "warm";
+  }
+  // Only the valid qasm render was stored.
+  EXPECT_EQ(cache->stats().entries, 1u);
+}
+
+TEST_F(ServiceTest, GenerationsSharingACacheServeTheirOwnCircuit) {
+  // Reload generations share one PayloadCache. Two generations serving
+  // "Steane" from different artifacts must each answer their own
+  // artifact's bytes. The second artifact takes one heuristic
+  // preparation try with another seed: a different circuit under a
+  // different key.
+  core::SynthesisOptions options;
+  options.prep.shuffle_tries = 1;
+  options.prep.seed = 1;
+  const ProtocolArtifact first = ProtocolCompiler().compile(qec::steane());
+  const ProtocolArtifact second =
+      ProtocolCompiler(options).compile(qec::steane());
+  ASSERT_NE(first.key, second.key);
+  const auto cache = std::make_shared<serve::PayloadCache>(1u << 20);
+  std::vector<std::string> expected;
+  std::vector<std::unique_ptr<ProtocolService>> generations;
+  for (const ProtocolArtifact* artifact : {&first, &second}) {
+    ProtocolService plain;
+    plain.add(*artifact);
+    expected.push_back(
+        plain.handle_request(circuit_request("{", "Steane", "qasm")));
+    generations.push_back(std::make_unique<ProtocolService>());
+    generations.back()->add(*artifact);
+    generations.back()->set_payload_cache(cache);
+  }
+  ASSERT_NE(expected[0], expected[1]) << "the two artifacts render alike";
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t g = 0; g < generations.size(); ++g) {
+      EXPECT_EQ(generations[g]->handle_request(
+                    circuit_request("{", "Steane", "qasm")),
+                expected[g])
+          << "generation " << g << ", round " << round;
+    }
+  }
+  EXPECT_EQ(cache->stats().entries, 2u);
+}
+
 TEST_F(ServiceTest, MetricsOpReturnsPrometheusRendering) {
   obs::set_enabled(true);
   // Serve something first so request-count metrics exist in the scrape.
@@ -449,13 +582,15 @@ TEST_F(ServiceTest, StatsV2CarriesLatencyAndCacheBreakdown) {
   }
   EXPECT_NE(v2.find(R"("p50_us":)"), std::string::npos);
   EXPECT_NE(v2.find(R"("p99_us":)"), std::string::npos);
-  // Cache breakdown only for the coalescable ops (sample, rate). The
-  // registry is process-global, so assert presence, not exact counts.
+  // Cache breakdown only for the ops with a payload-cache key (sample,
+  // rate, circuit). The registry is process-global, so assert presence,
+  // not exact counts.
   const auto cache_ops_at = v2.find(R"("cache_ops":{)");
   ASSERT_NE(cache_ops_at, std::string::npos) << v2;
   const std::string cache_ops = v2.substr(cache_ops_at);
   EXPECT_NE(cache_ops.find(R"("rate":{"hit":)"), std::string::npos);
   EXPECT_NE(cache_ops.find(R"("sample":{"hit":)"), std::string::npos);
+  EXPECT_NE(cache_ops.find(R"("circuit":{"hit":)"), std::string::npos);
   EXPECT_EQ(cache_ops.find(R"("codes":{"hit":)"), std::string::npos)
       << "codes is never cached; it must not get a cache_ops block";
 

@@ -678,34 +678,50 @@ TEST_F(ServeTcpTest, CoalescedAndUncoalescedServingAreBitIdentical) {
   TcpServer server([&] { return cached_service; }, options);
   server.start();
 
-  // Many concurrent identical requests: whether a given one computed,
-  // coalesced onto another's compute, or (rate) hit the LRU, the bytes
-  // must equal the uncached reference exactly.
+  // Many concurrent requests from `lines`, sent in turn: whether a given
+  // one computed, coalesced onto another's compute, or (rate, circuit)
+  // hit the LRU, the bytes must equal the uncached reference exactly.
   constexpr int kClients = 4;
   constexpr int kPerClient = 6;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
-      Client client(server.port());
-      if (!client.connected()) {
-        ++mismatches;
-        return;
-      }
-      for (int i = 0; i < kPerClient; ++i) {
-        client.send_line(kSampleRequest);
-      }
-      for (int i = 0; i < kPerClient; ++i) {
-        if (client.read_line() != reference) {
+  const auto mismatches_of = [&](const std::vector<std::string>& lines) {
+    std::vector<std::string> expected;
+    for (const std::string& line : lines) {
+      expected.push_back(plain->handle_request(line));
+    }
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        Client client(server.port());
+        if (!client.connected()) {
           ++mismatches;
+          return;
         }
-      }
-    });
-  }
-  for (auto& thread : clients) {
-    thread.join();
-  }
-  EXPECT_EQ(mismatches.load(), 0);
+        for (int i = 0; i < kPerClient; ++i) {
+          client.send_line(lines[i % lines.size()]);
+        }
+        for (int i = 0; i < kPerClient; ++i) {
+          if (client.read_line() != expected[i % lines.size()]) {
+            ++mismatches;
+          }
+        }
+      });
+    }
+    for (auto& thread : clients) {
+      thread.join();
+    }
+    return mismatches.load();
+  };
+  EXPECT_EQ(mismatches_of({kSampleRequest}), 0);
+  // qasm circuit replies in both dialects share one memoized payload.
+  const std::string circuit_request =
+      R"({"op":"circuit","code":"Steane","format":"qasm"})";
+  ASSERT_NE(plain->handle_request(circuit_request).find(R"("ok":true)"),
+            std::string::npos);
+  EXPECT_EQ(mismatches_of({circuit_request,
+                           R"({"v":2,"id":5,"op":"circuit","code":"Steane",)"
+                           R"("format":"qasm"})"}),
+            0);
 
   // Repeated rate requests memoize: the second identical query must be
   // served from the LRU, byte-identical to the first.
