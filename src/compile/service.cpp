@@ -187,20 +187,14 @@ RateParams parse_rate(const JsonObject& request) {
   return params;
 }
 
-/// The parameters of a `circuit` request, parsed once like `SampleParams`:
-/// the export format, checked here so a cache hit rejects an unknown
-/// format exactly as a fresh render would.
-struct CircuitParams {
-  std::string format;
-};
-
-CircuitParams parse_circuit(const JsonObject& request) {
-  CircuitParams params{string_param(request, "format", "qasm")};
-  if (params.format != "qasm" && params.format != "text") {
-    throw std::invalid_argument("unknown format '" + params.format +
-                                "' (qasm|text)");
+/// The export format of a `circuit` request, checked here so a cache hit
+/// rejects an unknown format exactly as a fresh render would.
+std::string parse_circuit_format(const JsonObject& request) {
+  std::string format = string_param(request, "format", "qasm");
+  if (format != "qasm" && format != "text") {
+    throw std::invalid_argument("unknown format '" + format + "' (qasm|text)");
   }
-  return params;
+  return format;
 }
 
 }  // namespace
@@ -234,6 +228,11 @@ struct ServiceOps {
   struct OpSpec {
     const char* name;
     bool needs_code;
+    /// Share one compute among concurrent identical requests, even on a
+    /// cache that stores nothing (sample, rate: yes — a compute costs
+    /// milliseconds; circuit: no — a render costs microseconds, less
+    /// than a round trip through the cache).
+    bool coalesce;
     /// Store the computed payload in the LRU (rate: yes — sector
     /// estimates are expensive; circuit: yes — the render depends only
     /// on the immutable artifact; sample: no — coalesce only).
@@ -291,15 +290,17 @@ struct ServiceOps {
 
 const std::vector<ServiceOps::OpSpec>& ServiceOps::table() {
   static const std::vector<OpSpec> kOps = {
-      {"codes", false, false, nullptr, &ServiceOps::codes},
-      {"info", true, false, nullptr, &ServiceOps::info},
-      {"sample", true, false, &ServiceOps::sample_key, &ServiceOps::sample},
-      {"rate", true, true, &ServiceOps::rate_key, &ServiceOps::rate},
-      {"circuit", true, true, &ServiceOps::circuit_key, &ServiceOps::circuit},
-      {"health", false, false, nullptr, &ServiceOps::health},
-      {"stats", false, false, nullptr, &ServiceOps::stats},
-      {"reload", false, false, nullptr, &ServiceOps::reload},
-      {"metrics", false, false, nullptr, &ServiceOps::metrics},
+      {"codes", false, false, false, nullptr, &ServiceOps::codes},
+      {"info", true, false, false, nullptr, &ServiceOps::info},
+      {"sample", true, true, false, &ServiceOps::sample_key,
+       &ServiceOps::sample},
+      {"rate", true, true, true, &ServiceOps::rate_key, &ServiceOps::rate},
+      {"circuit", true, false, true, &ServiceOps::circuit_key,
+       &ServiceOps::circuit},
+      {"health", false, false, false, nullptr, &ServiceOps::health},
+      {"stats", false, false, false, nullptr, &ServiceOps::stats},
+      {"reload", false, false, false, nullptr, &ServiceOps::reload},
+      {"metrics", false, false, false, nullptr, &ServiceOps::metrics},
   };
   return kOps;
 }
@@ -511,18 +512,18 @@ std::string ServiceOps::circuit_key(const Entry& entry,
                                     const JsonObject& request) {
   // "\x1f" and "format" are split: 'f' would extend the hex escape.
   return "circuit\x1f" + entry.artifact.key +
-         "\x1f" "format=" + parse_circuit(request).format;
+         "\x1f" "format=" + parse_circuit_format(request);
 }
 
 std::string ServiceOps::circuit(const ProtocolService&, const Entry* entry,
                                 const JsonObject& request,
                                 const util::CancelToken*) {
   const ProtocolArtifact& artifact = entry->artifact;
-  const CircuitParams params = parse_circuit(request);
+  const std::string format = parse_circuit_format(request);
   JsonWriter out;
   out.field("code", ProtocolService::serving_name(artifact));
-  out.field("format", params.format);
-  out.field("body", params.format == "qasm"
+  out.field("format", format);
+  out.field("body", format == "qasm"
                         ? core::protocol_to_qasm(artifact.protocol)
                         : core::save_protocol(artifact.protocol));
   return out.take_body();
@@ -879,10 +880,12 @@ std::string ProtocolService::handle_request(
       }
 
       std::string payload;
-      if (spec->key != nullptr && cache_ != nullptr) {
-        // Coalescable compute op with a serving cache attached: the key
-        // builder validates every result-changing parameter up front, so
-        // a cache hit rejects exactly what a fresh compute would.
+      if (spec->key != nullptr && cache_ != nullptr &&
+          (spec->coalesce || cache_->capacity_bytes() > 0)) {
+        // Keyed op with a serving cache that can coalesce or store it:
+        // the key builder validates every result-changing parameter up
+        // front, so a cache hit rejects exactly what a fresh compute
+        // would.
         const std::string key = spec->key(*entry, request);
         auto outcome = cache_->get_or_compute(key, spec->memoize, [&] {
           return spec->handler(*this, entry, request, &cancel_token);

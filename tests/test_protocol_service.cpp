@@ -476,6 +476,26 @@ TEST_F(ServiceTest, RepeatedCircuitRequestIsACacheHit) {
   EXPECT_EQ(cache->stats().hits, 3u);
 }
 
+TEST_F(ServiceTest, CircuitBypassesACacheThatCannotStore) {
+  // On a capacity-0 cache (the `ftsp_cli serve` default) nothing is
+  // stored, and a render is cheaper than coalescing onto another's, so
+  // `circuit` skips the cache; `sample` still coalesces through it.
+  const ProtocolCompiler compiler;
+  ProtocolService service;
+  service.add(compiler.compile(qec::steane()));
+  const std::string request = circuit_request("{", "Steane", "qasm");
+  const std::string expected = service.handle_request(request);
+  const auto cache = std::make_shared<serve::PayloadCache>(0);
+  service.set_payload_cache(cache);
+  EXPECT_EQ(service.handle_request(request), expected);
+  EXPECT_EQ(service.handle_request(request), expected);
+  EXPECT_EQ(cache->stats().misses, 0u);
+  EXPECT_EQ(cache->stats().entries, 0u);
+  service.handle_request(
+      R"({"op":"sample","code":"Steane","p":0.02,"shots":256,"seed":8})");
+  EXPECT_EQ(cache->stats().misses, 1u);
+}
+
 TEST_F(ServiceTest, UnknownCircuitFormatIsRejectedColdAndWarm) {
   const ProtocolCompiler compiler;
   const ProtocolArtifact steane = compiler.compile(qec::steane());
