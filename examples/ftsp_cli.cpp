@@ -61,9 +61,10 @@
 //       flag works on every transport: hot store reload (--reload
 //       watches index.tsv and swaps atomically; the `reload` op forces
 //       a swap), cross-request coalescing, and an LRU response cache
-//       (--cache-mb). --metrics serves a Prometheus plaintext scrape
-//       endpoint on a TCP port; --access-log appends one JSONL line per
-//       request (rotate by rename, see src/serve/access_log.hpp).
+//       (--cache-mb, default 64; 0 coalesces without storing).
+//       --metrics serves a Prometheus plaintext scrape endpoint on a
+//       TCP port; --access-log appends one JSONL line per request
+//       (rotate by rename, see src/serve/access_log.hpp).
 //       --request-timeout-ms bounds every request from arrival to
 //       answer (expired requests get a `deadline_exceeded` error and
 //       cancel cooperatively mid-compute). SIGTERM/SIGINT drain
@@ -259,7 +260,7 @@ int usage() {
                "       ftsp_cli audit [--store DIR | --artifact FILE],\n"
                "       ftsp_cli serve --store DIR [--threads N] "
                "[--socket PATH | --tcp HOST:PORT] [--reload] "
-               "[--cache-mb N] [--max-connections N] "
+               "[--cache-mb N (default 64)] [--max-connections N] "
                "[--idle-timeout-ms N] [--request-timeout-ms N] "
                "[--metrics HOST:PORT] [--access-log FILE],\n"
                "       ftsp_cli query --store DIR [--coupling NAME] "

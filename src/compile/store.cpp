@@ -1,11 +1,16 @@
 #include "compile/store.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -19,6 +24,7 @@
 #include "obs/registry.hpp"
 #include "util/binio.hpp"
 #include "util/fault_inject.hpp"
+#include "util/hash.hpp"
 
 namespace ftsp::compile {
 
@@ -32,9 +38,17 @@ constexpr const char* kQuarantineDir = "quarantine";
 
 namespace fault = util::fault;
 
-/// A freshly opened file as one string: one sized read, no stream buffer
-/// copies. A stream that failed to open reads as empty.
-std::string read_all(std::ifstream& in) {
+std::string index_path(const std::string& dir) {
+  return (fs::path(dir) / kIndexName).string();
+}
+
+/// The one whole-file reader: one sized read, no stream buffer copies.
+/// nullopt when `path` cannot be opened.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return std::nullopt;
+  }
   in.seekg(0, std::ios::end);
   const std::streamoff size = in.tellg();
   in.seekg(0, std::ios::beg);
@@ -52,9 +66,10 @@ std::string read_all(std::ifstream& in) {
 /// false instead of throwing): an fsync failure on an exotic filesystem
 /// must not break a store that worked before this hardening, and the
 /// rename path already detects genuinely unwritable directories.
-bool sync_file(const std::string& path) {
+bool sync_path(const std::string& path, bool directory) {
 #ifndef _WIN32
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.empty() ? "." : path.c_str(),
+                        directory ? O_RDONLY | O_DIRECTORY : O_RDONLY);
   if (fd < 0) {
     return false;
   }
@@ -63,52 +78,9 @@ bool sync_file(const std::string& path) {
   return ok;
 #else
   (void)path;
+  (void)directory;
   return true;  // std::ofstream close flushed; no cheap fsync handle here.
 #endif
-}
-
-bool sync_parent_dir(const std::string& path) {
-#ifndef _WIN32
-  const std::string parent = fs::path(path).parent_path().string();
-  const int fd =
-      ::open(parent.empty() ? "." : parent.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return false;
-  }
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  return true;
-#endif
-}
-
-/// One crash-safe publish: fsync the finished temp file, rename it over
-/// `path`, fsync the directory so the rename itself is durable. The
-/// `store.fsync` / `store.rename` injection sites let the crash tests
-/// park a writer between the write and the publish (delay) or force the
-/// error paths (fail). Throws ArtifactFormatError, cleaning up the temp.
-void publish_tmp(const std::string& tmp, const std::string& path,
-                 const char* what) {
-  if (fault::should_fail("store.fsync") || !sync_file(tmp)) {
-    std::error_code cleanup;
-    fs::remove(tmp, cleanup);
-    throw ArtifactFormatError(std::string("store: cannot sync ") + what);
-  }
-  std::error_code ec;
-  if (fault::should_fail("store.rename")) {
-    ec = std::make_error_code(std::errc::io_error);
-  } else {
-    fs::rename(tmp, path, ec);
-  }
-  if (ec) {
-    std::error_code cleanup;
-    fs::remove(tmp, cleanup);
-    throw ArtifactFormatError(std::string("store: cannot replace ") + what +
-                              ": " + ec.message());
-  }
-  sync_parent_dir(path);  // Advisory: the name flip is already atomic.
 }
 
 /// A writer-unique "<path>.<pid>.<tick>.<serial>.tmp" name (extension
@@ -130,6 +102,54 @@ std::string unique_tmp_path(const std::string& path) {
          "." + std::to_string(serial.fetch_add(1)) + ".tmp";
 }
 
+/// The one durable write of a store file: `write` streams the bytes into
+/// a writer-unique temp next to `path`, which is fsync'd and renamed over
+/// `path`, and the directory fsync'd so the rename itself is durable.
+/// Injection sites, in order: `store.write` once the temp is open, then
+/// `store.fsync` and `store.rename` — the crash tests park a writer
+/// between the write and the publish (delay) or force the error paths
+/// (fail). Throws ArtifactFormatError naming `what`, removing the temp.
+/// Returns the number of bytes written.
+std::uint64_t publish_file(const std::string& path, const std::string& what,
+                           const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = unique_tmp_path(path);
+  const auto fail = [&tmp](const std::string& message) {
+    std::error_code cleanup;
+    fs::remove(tmp, cleanup);
+    throw ArtifactFormatError("store: " + message);
+  };
+  std::streamoff size = 0;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out || fault::should_fail("store.write")) {
+      out.close();
+      fail("cannot write " + what);
+    }
+    write(out);
+    out.flush();
+    size = out.tellp();
+    if (!out) {
+      out.close();
+      fail("short write to " + what);
+    }
+  }
+  if (fault::should_fail("store.fsync") || !sync_path(tmp, false)) {
+    fail("cannot sync " + what);
+  }
+  std::error_code ec;
+  if (fault::should_fail("store.rename")) {
+    ec = std::make_error_code(std::errc::io_error);
+  } else {
+    fs::rename(tmp, path, ec);
+  }
+  if (ec) {
+    fail("cannot replace " + what + ": " + ec.message());
+  }
+  // Advisory: the name flip is already atomic.
+  sync_path(fs::path(path).parent_path().string(), true);
+  return static_cast<std::uint64_t>(size);
+}
+
 std::string hash_name(const std::string& key, const char* extension) {
   char name[32];
   std::snprintf(name, sizeof(name), "%016llx%s",
@@ -138,13 +158,18 @@ std::string hash_name(const std::string& key, const char* extension) {
   return name;
 }
 
+std::string kv_path(const std::string& cache_dir, const std::string& key) {
+  return (fs::path(cache_dir) / hash_name(key, ".kv")).string();
+}
+
 /// satcache entry file: length-prefixed key (ByteWriter::str framing),
 /// then the value bytes to EOF. The key is stored (not just its hash)
 /// so collisions degrade to a miss, never to a wrong value. Written via
 /// temp-file + rename so a concurrent reader sees either the old
 /// complete entry or the new one, never a torn half-write.
-void write_kv_file(const std::string& path, const std::string& key,
+void write_kv_file(const std::string& cache_dir, const std::string& key,
                    const std::string& value) {
+  const std::string path = kv_path(cache_dir, key);
   util::ByteWriter entry;
   entry.str(key);
   entry.raw(value);
@@ -164,22 +189,65 @@ void write_kv_file(const std::string& path, const std::string& key,
   fs::rename(tmp, path, ec);  // Best effort, atomic when it succeeds.
 }
 
-std::optional<std::string> read_kv_file(const std::string& path,
-                                        const std::string& key) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  const std::string content = read_all(in);
+/// The one parser of the `.kv` framing above: {key, value}, or nullopt
+/// when the framing is torn or truncated.
+std::optional<std::pair<std::string, std::string_view>> split_kv(
+    std::string_view content) {
   try {
     util::ByteReader reader(content);
-    if (reader.str() != key) {
-      return std::nullopt;  // Hash collision: treat as a miss.
-    }
-    return std::string(reader.raw(reader.remaining()));
+    std::string key = reader.str();
+    return std::pair{std::move(key), reader.raw(reader.remaining())};
   } catch (const std::out_of_range&) {
-    return std::nullopt;  // Truncated/corrupt entry degrades to a miss.
+    return std::nullopt;
   }
+}
+
+std::optional<std::string> read_kv_file(const std::string& cache_dir,
+                                        const std::string& key) {
+  const auto content = read_file(kv_path(cache_dir, key));
+  const auto entry = content ? split_kv(*content) : std::nullopt;
+  // An unreadable or corrupt entry, or a hash collision, is a miss.
+  if (!entry || entry->first != key) {
+    return std::nullopt;
+  }
+  return std::string(entry->second);
+}
+
+/// One line of index.tsv: "<filename>\t<key>".
+struct IndexLine {
+  std::size_t number = 0;  ///< 1-based, for warnings.
+  std::string filename;    ///< Empty when the line names no file.
+  std::string key;
+  const char* rejected = nullptr;  ///< Why it is malformed; null if not.
+};
+
+/// The one parser of index.tsv. Blank lines are skipped; every other
+/// line comes back, malformed ones (no tab, empty filename, empty key —
+/// a torn write) with the reason. A missing index reads as empty.
+std::vector<IndexLine> read_index(const std::string& dir) {
+  std::vector<IndexLine> lines;
+  const std::string text = read_file(index_path(dir)).value_or("");
+  std::size_t number = 0;
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    const std::string_view line(text.data() + begin, end - begin);
+    begin = end + 1;
+    ++number;
+    if (line.empty()) {
+      continue;
+    }
+    IndexLine entry{number, "", "", "no tab separator"};
+    const auto tab = line.find('\t');
+    if (tab != std::string_view::npos) {
+      entry.filename = line.substr(0, tab);
+      entry.key = line.substr(tab + 1);
+      entry.rejected = entry.filename.empty() ? "empty filename"
+                       : entry.key.empty()    ? "empty key"
+                                              : nullptr;
+    }
+    lines.push_back(std::move(entry));
+  }
+  return lines;
 }
 
 }  // namespace
@@ -191,53 +259,28 @@ ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {
     throw ArtifactFormatError("store: cannot create " + dir_ + ": " +
                               ec.message());
   }
-  load_index();
+  // Recovery mode: a reader must be able to open whatever a crashed or
+  // concurrent writer left behind, so a malformed index line is skipped
+  // with a warning and counted, never thrown. One torn byte used to
+  // brick every load and hot reload of the whole store. Writer paths
+  // stay loud: put() still throws on anything it cannot persist.
+  for (IndexLine& line : read_index(dir_)) {
+    if (line.rejected != nullptr) {
+      std::fprintf(stderr,
+                   "ftsp: store %s: skipping malformed index line %zu (%s)\n",
+                   dir_.c_str(), line.number, line.rejected);
+      ++recovery_.malformed_index_lines;
+      continue;
+    }
+    index_.emplace(std::move(line.key), std::move(line.filename));
+  }
 }
 
 std::string ArtifactStore::artifact_path(const std::string& filename) const {
   return (fs::path(dir_) / filename).string();
 }
 
-void ArtifactStore::load_index() {
-  std::ifstream in((fs::path(dir_) / kIndexName).string());
-  if (!in) {
-    return;  // Fresh store.
-  }
-  // Recovery mode: a reader must be able to open whatever a crashed or
-  // concurrent writer left behind, so a malformed line (no tab, empty
-  // filename, empty key — a torn write) is skipped with a warning and
-  // counted, never thrown. One torn byte used to brick every load and
-  // hot reload of the whole store. Writer paths stay loud: put() still
-  // throws on anything it cannot persist completely.
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    const auto tab = line.find('\t');
-    const char* reason = nullptr;
-    if (tab == std::string::npos) {
-      reason = "no tab separator";
-    } else if (tab == 0) {
-      reason = "empty filename";
-    } else if (tab + 1 >= line.size()) {
-      reason = "empty key";
-    }
-    if (reason != nullptr) {
-      std::fprintf(stderr,
-                   "ftsp: store %s: skipping malformed index line %zu (%s)\n",
-                   dir_.c_str(), line_number, reason);
-      ++recovery_.malformed_index_lines;
-      continue;
-    }
-    index_.emplace(line.substr(tab + 1), line.substr(0, tab));
-  }
-}
-
 void ArtifactStore::save_index_locked(const std::string* drop_key) const {
-  const std::string path = (fs::path(dir_) / kIndexName).string();
   // Merge-on-write: re-read the on-disk index and overlay our in-memory
   // entries on top of it. Two processes compiling into one directory
   // each preserve the other's entries — the historical whole-rewrite was
@@ -247,19 +290,14 @@ void ArtifactStore::save_index_locked(const std::string* drop_key) const {
   // one read-modify-rename; both contended entries' artifact files are
   // on disk either way, so the next put or an index rebuild restores
   // them.)
-  // Malformed lines are skipped here exactly like load_index's recovery
-  // mode: a concurrent writer's torn line must not make every subsequent
-  // put in this process fail forever. The skipped line's artifact file
-  // stays on disk for a rebuild.
+  // Malformed lines are skipped here exactly like the constructor's
+  // recovery mode: a concurrent writer's torn line must not make every
+  // subsequent put in this process fail forever. The skipped line's
+  // artifact file stays on disk for a rebuild.
   std::map<std::string, std::string> merged;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (in && std::getline(in, line)) {
-      const auto tab = line.find('\t');
-      if (tab != std::string::npos && tab > 0 && tab + 1 < line.size()) {
-        merged[line.substr(tab + 1)] = line.substr(0, tab);
-      }
+  for (IndexLine& line : read_index(dir_)) {
+    if (line.rejected == nullptr) {
+      merged[std::move(line.key)] = std::move(line.filename);
     }
   }
   for (const auto& [key, filename] : index_) {
@@ -271,27 +309,12 @@ void ArtifactStore::save_index_locked(const std::string* drop_key) const {
     merged.erase(*drop_key);
   }
 
-  const std::string tmp = unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out || fault::should_fail("store.write")) {
-      std::error_code cleanup;
-      out.close();
-      fs::remove(tmp, cleanup);
-      throw ArtifactFormatError("store: cannot write index in " + dir_);
-    }
-    for (const auto& [key, filename] : merged) {
-      out << filename << '\t' << key << '\n';
-    }
-    out.flush();
-    if (!out) {
-      std::error_code cleanup;
-      out.close();
-      fs::remove(tmp, cleanup);
-      throw ArtifactFormatError("store: short write to index in " + dir_);
-    }
-  }
-  publish_tmp(tmp, path, "index");
+  publish_file(index_path(dir_), "index in " + dir_,
+               [&](std::ostream& out) {
+                 for (const auto& [key, filename] : merged) {
+                   out << filename << '\t' << key << '\n';
+                 }
+               });
 }
 
 void ArtifactStore::put(const ProtocolArtifact& artifact) {
@@ -304,26 +327,9 @@ void ArtifactStore::put(const ProtocolArtifact& artifact) {
   // previous complete artifact or the new one, never a truncated
   // container — and two writers racing on the *same key* each publish a
   // complete file instead of truncating each other's shared temp.
-  const std::string path = artifact_path(filename);
-  const std::string tmp = unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || fault::should_fail("store.write")) {
-      std::error_code cleanup;
-      out.close();
-      fs::remove(tmp, cleanup);
-      throw ArtifactFormatError("store: cannot write " + filename);
-    }
+  publish_file(artifact_path(filename), filename, [&](std::ostream& out) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code cleanup;
-      out.close();
-      fs::remove(tmp, cleanup);
-      throw ArtifactFormatError("store: short write to " + filename);
-    }
-  }
-  publish_tmp(tmp, path, filename.c_str());
+  });
 
   // Proof sidecar (see the header contract): write when the artifact
   // carries bytes, remove a stale one when it carries no proof entries
@@ -335,26 +341,9 @@ void ArtifactStore::put(const ProtocolArtifact& artifact) {
   if (has_proof_bytes(artifact)) {
     static obs::Counter& write_bytes =
         obs::Registry::instance().counter("store.proof.write.bytes");
-    const std::string proof_tmp = unique_tmp_path(proof_path);
-    bool written = false;
-    std::streamoff size = 0;
-    {
-      std::ofstream out(proof_tmp, std::ios::binary | std::ios::trunc);
-      if (out && !fault::should_fail("store.write")) {
-        write_proof_sidecar(artifact, out);
-        out.flush();
-        written = static_cast<bool>(out);
-        size = out.tellp();
-      }
-    }
-    if (!written) {
-      std::error_code cleanup;
-      fs::remove(proof_tmp, cleanup);
-      throw ArtifactFormatError("store: cannot write proof sidecar for " +
-                                filename);
-    }
-    publish_tmp(proof_tmp, proof_path, "proof sidecar");
-    write_bytes.add(static_cast<std::uint64_t>(size));
+    write_bytes.add(publish_file(
+        proof_path, "proof sidecar for " + filename,
+        [&](std::ostream& out) { write_proof_sidecar(artifact, out); }));
   } else if (artifact.proofs.empty()) {
     std::error_code remove_ec;
     fs::remove(proof_path, remove_ec);  // Stale sidecar of a prior compile.
@@ -376,12 +365,12 @@ std::optional<ProtocolArtifact> ArtifactStore::get(
     }
     filename = it->second;
   }
-  std::ifstream in(artifact_path(filename), std::ios::binary);
-  if (!in || fault::should_fail("store.read")) {
+  const auto bytes = read_file(artifact_path(filename));
+  if (!bytes || fault::should_fail("store.read")) {
     throw ArtifactFormatError("store: indexed artifact missing: " +
                               filename);
   }
-  ProtocolArtifact artifact = decode_artifact(read_all(in));
+  ProtocolArtifact artifact = decode_artifact(*bytes);
   if (artifact.key != key) {
     throw ArtifactFormatError("store: key mismatch in " + filename);
   }
@@ -397,15 +386,14 @@ void read_proof_sidecar(ProtocolArtifact& artifact, const std::string& path) {
   if (artifact.proofs.empty()) {
     return;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const auto sidecar = read_file(path);
+  if (!sidecar) {
     return;
   }
   static obs::Counter& read_bytes =
       obs::Registry::instance().counter("store.proof.read.bytes");
-  const std::string sidecar = read_all(in);
-  read_bytes.add(sidecar.size());
-  rehydrate_proof_bytes(artifact, sidecar);
+  read_bytes.add(sidecar->size());
+  rehydrate_proof_bytes(artifact, *sidecar);
 }
 
 bool ArtifactStore::contains(const std::string& key) const {
@@ -470,69 +458,48 @@ ArtifactStore::PruneReport ArtifactStore::prune(
   // extension is garbage. The on-disk index is re-read here (not just
   // the copy loaded at construction) so artifacts a concurrent compiler
   // indexed since this handle opened are never classified as orphans.
-  std::map<std::string, bool> referenced;
+  // Every file a line names is kept, even when its line is malformed
+  // (an empty key): the bytes stay for an index rebuild.
+  std::set<std::string> referenced;
   for (const auto& [key, filename] : index_) {
-    referenced.emplace(filename, true);
+    referenced.insert(filename);
   }
-  {
-    std::ifstream in((fs::path(dir_) / kIndexName).string());
-    std::string line;
-    while (in && std::getline(in, line)) {
-      const auto tab = line.find('\t');
-      if (tab != std::string::npos && tab > 0) {
-        referenced.emplace(line.substr(0, tab), true);
-      }
+  for (IndexLine& line : read_index(dir_)) {
+    if (!line.filename.empty()) {
+      referenced.insert(std::move(line.filename));
     }
   }
 
+  // A file younger than this may be a concurrent writer's: an in-flight
+  // .tmp (deleting it would silently abort that write), or a container
+  // or sidecar published before that writer rewrote the index.
   const auto now = fs::file_time_type::clock::now();
-  // A .tmp file younger than this is plausibly a concurrent writer's
-  // in-flight temp (put() writes <name>.tmp then renames); deleting it
-  // would silently abort that write. Anything older is a torn leftover.
-  constexpr auto kTempGracePeriod = std::chrono::minutes{10};
+  const auto in_grace_period = [&](const fs::path& path) {
+    std::error_code ec;
+    const auto written = fs::last_write_time(path, ec);
+    return !ec && now - written < std::chrono::minutes{10};
+  };
   std::vector<fs::path> doomed;
   const auto classify = [&](const fs::directory_entry& entry,
                             bool in_satcache) {
     if (!entry.is_regular_file()) {
       return;
     }
-    const std::string name = entry.path().filename().string();
     const std::string ext = entry.path().extension().string();
     if (ext == ".tmp") {
-      std::error_code age_ec;
-      const auto written = fs::last_write_time(entry.path(), age_ec);
-      if (!age_ec && now - written < kTempGracePeriod) {
+      if (in_grace_period(entry.path())) {
         return;  // Possibly a live write: leave it for the next pass.
       }
       ++report.temp_files;
-    } else if (!in_satcache && ext == ".ftsa") {
-      if (referenced.count(name) != 0) {
+    } else if (!in_satcache && (ext == ".ftsa" || ext == ".proof")) {
+      // A proof sidecar lives and dies with its container: both are
+      // referenced iff `<stem>.ftsa` is. Old unreferenced ones are
+      // genuine key churn.
+      if (referenced.count(entry.path().stem().string() + ".ftsa") != 0 ||
+          in_grace_period(entry.path())) {
         return;
       }
-      // Same race guard as for .tmp: a fresh unreferenced container may
-      // belong to a concurrent compiler that has not rewritten the
-      // index yet. Old unreferenced containers are genuine key churn.
-      std::error_code age_ec;
-      const auto written = fs::last_write_time(entry.path(), age_ec);
-      if (!age_ec && now - written < kTempGracePeriod) {
-        return;
-      }
-      ++report.orphan_artifacts;
-    } else if (!in_satcache && ext == ".proof") {
-      // A proof sidecar lives and dies with its container: referenced
-      // iff `<stem>.ftsa` is referenced. The sidecar of an indexed
-      // artifact is never touched; an orphaned one is garbage (same
-      // grace period as containers — a concurrent compiler writes the
-      // sidecar before rewriting the index).
-      if (referenced.count(entry.path().stem().string() + ".ftsa") != 0) {
-        return;
-      }
-      std::error_code age_ec;
-      const auto written = fs::last_write_time(entry.path(), age_ec);
-      if (!age_ec && now - written < kTempGracePeriod) {
-        return;
-      }
-      ++report.orphan_proofs;
+      ++(ext == ".ftsa" ? report.orphan_artifacts : report.orphan_proofs);
     } else if (in_satcache && ext == ".kv") {
       bool stale = false;
       if (max_cache_age.count() > 0) {
@@ -542,16 +509,9 @@ ArtifactStore::PruneReport ArtifactStore::prune(
       }
       if (!stale) {
         // Corrupt entries (torn framing, truncation) read as misses
-        // forever — reclaim them. `read_kv_file` returning nullopt for
-        // a *readable* entry means exactly that.
-        std::ifstream in(entry.path(), std::ios::binary);
-        const std::string content = read_all(in);
-        try {
-          util::ByteReader reader(content);
-          (void)reader.str();
-        } catch (const std::out_of_range&) {
-          stale = true;
-        }
+        // forever — reclaim them.
+        const auto content = read_file(entry.path().string());
+        stale = !content || !split_kv(*content);
       }
       if (!stale) {
         return;
@@ -586,17 +546,35 @@ ArtifactStore::PruneReport ArtifactStore::prune(
   return report;
 }
 
+std::string ArtifactStore::index_fingerprint(const std::string& dir) {
+  const std::string path = index_path(dir);
+  std::error_code ec;
+  const auto size = fs::file_size(path, ec);
+  if (ec) {
+    return "absent";
+  }
+  const auto mtime = fs::last_write_time(path, ec);
+  const auto mtime_ns =
+      ec ? 0
+         : std::chrono::duration_cast<std::chrono::nanoseconds>(
+               mtime.time_since_epoch())
+               .count();
+  // Legacy-seed FNV-1a; the value is compared against stamps persisted
+  // by earlier generations, so the seed is frozen.
+  const std::uint64_t hash = util::fnv1a64(read_file(path).value_or(""),
+                                           util::kFnv1a64LegacyOffset);
+  return std::to_string(size) + ":" + std::to_string(mtime_ns) + ":" +
+         std::to_string(hash);
+}
+
 void ArtifactStore::attach_synth_cache() const {
   const std::string cache_dir = (fs::path(dir_) / kSatCacheDir).string();
   core::SynthCache::instance().set_backing(
-      [cache_dir](const std::string& key) -> std::optional<std::string> {
-        return read_kv_file(
-            (fs::path(cache_dir) / hash_name(key, ".kv")).string(), key);
+      [cache_dir](const std::string& key) {
+        return read_kv_file(cache_dir, key);
       },
       [cache_dir](const std::string& key, const std::string& value) {
-        write_kv_file(
-            (fs::path(cache_dir) / hash_name(key, ".kv")).string(), key,
-            value);
+        write_kv_file(cache_dir, key, value);
       });
 }
 

@@ -34,6 +34,12 @@ namespace ftsp::compile {
 /// last-writer-wins, which is safe — equal keys mean interchangeable
 /// artifacts). Note `get`/`keys` still see this handle's snapshot;
 /// reopen the store to pick up other writers' artifacts.
+///
+/// Only the store reads or writes `index.tsv`: one parser serves load,
+/// merge-on-write and prune, and every durable file (container, proof
+/// sidecar, index) is published through one write path. The serving
+/// tier's reload watcher asks the store for `index_fingerprint` rather
+/// than reading the file itself.
 class ArtifactStore {
  public:
   /// Opens (creating if needed) a store rooted at `dir` and loads the
@@ -128,8 +134,13 @@ class ArtifactStore {
   void attach_synth_cache() const;
   static void detach_synth_cache();
 
+  /// "<size>:<mtime ns>:<FNV-1a of the contents>" of the index under
+  /// `dir`, or "absent" when there is none. A changed fingerprint means
+  /// the index was rewritten; content inclusion catches same-size
+  /// atomic-rename rewrites even on coarse-mtime filesystems.
+  static std::string index_fingerprint(const std::string& dir);
+
  private:
-  void load_index();
   /// Rewrites index.tsv (merge-on-write; see store.cpp). `drop_key`,
   /// when set, is removed even if the on-disk index still carries it —
   /// quarantine uses this so the merge can't resurrect the bad entry.

@@ -174,11 +174,6 @@ void SynthCache::set_backing(BackingLoad load, BackingSave save) {
   backing_save_ = std::move(save);
 }
 
-bool SynthCache::has_backing() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<bool>(backing_load_);
-}
-
 std::string cache_key_matrix(const f2::BitMatrix& m) {
   std::string key = std::to_string(m.rows()) + "x" + std::to_string(m.cols());
   for (std::size_t r = 0; r < m.rows(); ++r) {

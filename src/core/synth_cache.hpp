@@ -88,7 +88,6 @@ class SynthCache {
   /// Attaches (or, with default-constructed arguments, detaches) the
   /// persistent read-through/write-through backing.
   void set_backing(BackingLoad load, BackingSave save);
-  bool has_backing() const;
 
  private:
   SynthCache();

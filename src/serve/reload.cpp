@@ -1,17 +1,12 @@
 #include "serve/reload.hpp"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "compile/store.hpp"
 #include "obs/registry.hpp"
-#include "util/hash.hpp"
 
 namespace ftsp::serve {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -34,7 +29,7 @@ ReloadableService::ReloadableService(std::string store_dir,
     access_log_ = std::make_shared<AccessLog>(options_.access_log);
   }
   current_ = build(runtime_->generation.load());
-  fingerprint_ = index_fingerprint();
+  fingerprint_ = compile::ArtifactStore::index_fingerprint(store_dir_);
   publish_generation(runtime_->generation.load());
   // The reload op routes back here. The hook captures `this`; the dtor
   // clears it before tearing anything down so a request racing the
@@ -72,37 +67,6 @@ std::shared_ptr<const compile::ProtocolService> ReloadableService::build(
   return service;
 }
 
-std::string ReloadableService::index_fingerprint() const {
-  // Size + mtime + full content: index.tsv is a few lines per artifact,
-  // so hashing all of it each poll is cheaper than being clever, and
-  // content inclusion catches same-size atomic-rename rewrites even on
-  // coarse-mtime filesystems.
-  const fs::path index = fs::path(store_dir_) / "index.tsv";
-  std::error_code ec;
-  const auto size = fs::file_size(index, ec);
-  if (ec) {
-    return "absent";
-  }
-  const auto mtime = fs::last_write_time(index, ec);
-  std::ostringstream out;
-  out << size << ':'
-      << (ec ? 0
-             : std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   mtime.time_since_epoch())
-                   .count())
-      << ':';
-  std::ifstream in(index, std::ios::binary);
-  // Legacy-seed FNV-1a; the value is compared against stamps persisted
-  // by earlier generations, so the seed is frozen.
-  util::Fnv1a64 hash(util::kFnv1a64LegacyOffset);
-  char chunk[4096];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    hash.bytes(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-  out << hash.value();
-  return out.str();
-}
-
 std::uint64_t ReloadableService::force_reload() {
   // Build outside `mutex_` — the expensive part (executor/decoder
   // construction per artifact) must not block `service()` snapshots.
@@ -134,7 +98,8 @@ std::uint64_t ReloadableService::force_reload() {
     runtime_->last_reload_error.clear();
   }
   runtime_->degraded.store(false);
-  const std::string fingerprint = index_fingerprint();
+  const std::string fingerprint =
+      compile::ArtifactStore::index_fingerprint(store_dir_);
   runtime_->generation.store(generation);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -161,7 +126,8 @@ std::uint64_t ReloadableService::force_reload() {
 }
 
 bool ReloadableService::reload_if_changed() {
-  const std::string fingerprint = index_fingerprint();
+  const std::string fingerprint =
+      compile::ArtifactStore::index_fingerprint(store_dir_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (fingerprint == fingerprint_) {

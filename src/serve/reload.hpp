@@ -36,10 +36,10 @@ namespace ftsp::serve {
 ///     warm entries across reloads.
 ///
 /// Reload triggers:
-///   - `start_watcher()` polls the store's index.tsv fingerprint (size,
-///     mtime, content hash) on `poll_interval` and swaps when it
-///     changes — scan and rebuild happen on the watcher thread, never
-///     blocking a request;
+///   - `start_watcher()` polls the store's index fingerprint
+///     (`ArtifactStore::index_fingerprint`: size, mtime, content hash)
+///     on `poll_interval` and swaps when it changes — scan and rebuild
+///     happen on the watcher thread, never blocking a request;
 ///   - the `reload` protocol op calls `force_reload()` synchronously
 ///     via the runtime's reload hook.
 class ReloadableService {
@@ -47,9 +47,9 @@ class ReloadableService {
   struct Options {
     /// Watcher poll interval.
     std::chrono::milliseconds poll_interval{1000};
-    /// Serving-side payload-cache budget; 0 = coalescing only, no
-    /// memoization.
-    std::size_t cache_bytes = 0;
+    /// Serving-side payload-cache budget (64 MiB, the size `serve_open`
+    /// benchmarks); 0 = coalescing only, no memoization.
+    std::size_t cache_bytes = std::size_t{64} << 20;
     /// JSONL access-log path; empty = no access log. The log object is
     /// shared across reload swaps (one file, one flusher thread).
     std::string access_log;
@@ -99,7 +99,6 @@ class ReloadableService {
   /// codes answered by one snapshot always agree.
   std::shared_ptr<const compile::ProtocolService> build(
       std::uint64_t generation) const;
-  std::string index_fingerprint() const;
   void watch_loop();
 
   std::string store_dir_;

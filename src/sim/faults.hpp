@@ -81,9 +81,6 @@ struct NoiseParams {
   double rate(LocationKind kind) const {
     return rates[static_cast<std::size_t>(kind)];
   }
-  double rate_for(circuit::GateKind kind) const {
-    return rate(location_kind(kind));
-  }
 };
 
 }  // namespace ftsp::sim

@@ -47,8 +47,6 @@ class FrameBatch {
   std::size_t num_qubits() const { return num_qubits_; }
   std::size_t num_cbits() const { return num_cbits_; }
   std::size_t num_shots() const { return num_shots_; }
-  /// Words per row: ceil(num_shots / kLanesPerWord).
-  std::size_t num_words() const { return words_; }
 
   /// Row pointers (one word array per qubit / classical bit).
   std::uint64_t* x_row(std::size_t q) { return x_.data() + q * words_; }

@@ -101,11 +101,6 @@ void Tableau::apply_z(std::size_t q) {
   }
 }
 
-void Tableau::apply_y(std::size_t q) {
-  apply_x(q);
-  apply_z(q);
-}
-
 bool Tableau::z_is_deterministic(std::size_t q) const {
   for (std::size_t p = n_; p < 2 * n_; ++p) {
     if (x_[p].get(q)) {

@@ -29,7 +29,6 @@ class Tableau {
   void apply_s(std::size_t q);
   void apply_cnot(std::size_t control, std::size_t target);
   void apply_x(std::size_t q);
-  void apply_y(std::size_t q);
   void apply_z(std::size_t q);
 
   /// Measures qubit q in the Z basis; random outcomes use `rng`.

@@ -9,10 +9,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "compile/artifact.hpp"
@@ -479,6 +481,39 @@ TEST(ArtifactStore, RecoveryModeSkipsMalformedIndexLines) {
   EXPECT_TRUE(store.contains("key-two"));
   EXPECT_EQ(store.recovery().malformed_index_lines, 3u);
   EXPECT_EQ(store.recovery().quarantined, 0u);
+
+  // Prune keeps every file a line names, the empty-key line's included,
+  // even once all of them are past the grace period; an unnamed
+  // container of the same age shows that the period has passed.
+  const auto an_hour_ago =
+      fs::file_time_type::clock::now() - std::chrono::hours{1};
+  for (const char* name :
+       {"aaaa0000aaaa0000.ftsa", "bbbb0000bbbb0000.ftsa",
+        "cccc0000cccc0000.ftsa", "dddd0000dddd0000.ftsa"}) {
+    std::ofstream(dir.path / name, std::ios::binary) << "payload";
+    fs::last_write_time(dir.path / name, an_hour_ago);
+  }
+  const auto dry = store.prune(/*dry_run=*/true);
+  EXPECT_EQ(dry.removed, std::vector<std::string>{"dddd0000dddd0000.ftsa"});
+
+  // A put rewrites the index from its well-formed lines only.
+  const auto artifact = ProtocolCompiler().compile(qec::steane());
+  ArtifactStore writer(dir.path.string());
+  writer.put(artifact);
+  std::ifstream index(dir.path / "index.tsv");
+  std::vector<std::string> keys;
+  for (std::string line; std::getline(index, line);) {
+    const auto tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << line;
+    ASSERT_GT(tab, 0u) << line;
+    keys.push_back(line.substr(tab + 1));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::string> expected = {artifact.key, "key-one", "key-two"};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(keys, expected);
+  EXPECT_EQ(ArtifactStore(dir.path.string()).recovery().malformed_index_lines,
+            0u);
 }
 
 TEST(ArtifactStore, QuarantineMovesArtifactAndDropsIndexEntry) {
@@ -574,6 +609,61 @@ TEST(ArtifactStore, InjectedWriteFailureLeavesStoreConsistent) {
   const ArtifactStore final_store(dir.path.string());
   EXPECT_TRUE(final_store.contains(artifact.key));
   EXPECT_TRUE(final_store.get(artifact.key).has_value());
+}
+
+/// The whole contents of `path` ("" when absent).
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::size_t count_with_extension(const fs::path& dir, const char* ext) {
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    count += entry.path().extension() == ext ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(ArtifactStore, PutPublishesContainerSidecarAndIndexInOrder) {
+  reset_cache();
+  const TempDir dir("store-fault-sites");
+  core::SynthesisOptions options;
+  options.capture_proofs = true;
+  const auto artifact = ProtocolCompiler(options).compile(qec::steane());
+  ASSERT_TRUE(has_proof_bytes(artifact));
+  ArtifactStore store(dir.path.string());
+
+  // Armed far past any hit, so the sites count without firing: one
+  // write, fsync and rename each for the container, sidecar and index.
+  util::fault::set_plan(
+      "store.write:fail@1000,store.fsync:fail@1000,store.rename:fail@1000");
+  store.put(artifact);
+  EXPECT_EQ(util::fault::hit_count("store.write"), 3u);
+  EXPECT_EQ(util::fault::hit_count("store.fsync"), 3u);
+  EXPECT_EQ(util::fault::hit_count("store.rename"), 3u);
+  util::fault::clear_plan();
+
+  // The second write is the sidecar's: when it fails, the container is
+  // already published and the index is not yet rewritten.
+  ProtocolArtifact variant = artifact;
+  variant.key += ":variant";
+  const std::string index_before = slurp(dir.path / "index.tsv");
+  util::fault::set_plan("store.write:fail@2");
+  try {
+    store.put(variant);
+    ADD_FAILURE() << "put survived a failed sidecar write";
+  } catch (const ArtifactFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("proof sidecar"), std::string::npos)
+        << e.what();
+  }
+  util::fault::clear_plan();
+  EXPECT_FALSE(store.contains(variant.key));
+  EXPECT_EQ(count_with_extension(dir.path, ".ftsa"), 2u);
+  EXPECT_EQ(count_with_extension(dir.path, ".proof"), 1u);
+  EXPECT_EQ(count_with_extension(dir.path, ".tmp"), 0u);
+  EXPECT_EQ(slurp(dir.path / "index.tsv"), index_before);
+  EXPECT_FALSE(ArtifactStore(dir.path.string()).contains(variant.key));
 }
 
 TEST(ArtifactStore, InjectedRenameFailureNeverPublishes) {

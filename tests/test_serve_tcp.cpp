@@ -799,6 +799,27 @@ TEST_F(ServeTcpTest, GenerationGaugeIsSetFromConstruction) {
   EXPECT_EQ(generation.value(), 2);
 }
 
+// `ftsp_cli serve` builds its service from default options, so the
+// defaults must store payloads: a repeated circuit request is answered
+// from one cache entry.
+TEST_F(ServeTcpTest, DefaultOptionsCacheRepeatedCircuitReplies) {
+  TempDir store_dir;
+  {
+    compile::ArtifactStore store(store_dir.path.string());
+    store.put(*artifact_);
+  }
+  ReloadableService reloadable(store_dir.path.string(), {});
+  const auto service = reloadable.service();
+  const std::string request =
+      R"({"op":"circuit","code":"Steane","format":"qasm"})";
+  const std::string first = service->handle_request(request);
+  ASSERT_NE(first.find(R"("ok":true)"), std::string::npos) << first;
+  EXPECT_EQ(service->handle_request(request), first);
+  const PayloadCache::Stats stats = reloadable.cache()->stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
 /// One HTTP GET against the metrics sidecar, reading to EOF (the
 /// sidecar answers every request with one rendering and closes).
 std::string http_get_metrics(std::uint16_t port) {
