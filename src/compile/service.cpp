@@ -727,7 +727,7 @@ void ProtocolService::add(ProtocolArtifact artifact) {
   try {
     entry = std::make_unique<Entry>(std::move(artifact));
   } catch (const std::logic_error& e) {
-    // The rehydrated decoder or executor rejected the artifact's
+    // The rehydrated decoder or the layout check rejected the artifact's
     // contents: a malformed artifact, which `load_store` quarantines.
     throw ArtifactFormatError(std::string("artifact: serving entry: ") +
                               e.what());

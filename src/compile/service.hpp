@@ -23,9 +23,10 @@ class PayloadCache;
 namespace ftsp::compile {
 
 /// Answers protocol queries from precompiled artifacts — the *online*
-/// half of the compile/serve split. Loading builds the executor,
-/// rehydrated decoder and sampler layout per artifact once; every
-/// query after that is pure simulation/export with zero SAT work.
+/// half of the compile/serve split. Loading builds the executor and
+/// rehydrated decoder per artifact once and checks the stored layout
+/// against the executor's segment table; every query after that is
+/// pure simulation/export with zero SAT work.
 ///
 /// `handle_request` is safe to call from many threads concurrently: all
 /// per-artifact state is immutable after load; the mutable slices (the
@@ -198,10 +199,14 @@ class ProtocolService {
     decoder::PerfectDecoder decoder;
     core::Executor executor;
 
+    /// Throws a `std::logic_error` when the decoder tables or the
+    /// layout disagree with the protocol.
     explicit Entry(ProtocolArtifact a)
         : artifact(std::move(a)),
           decoder(make_artifact_decoder(artifact)),
-          executor(artifact.protocol) {}
+          executor(artifact.protocol) {
+      executor.check_layout(artifact.layout, "ProtocolService::add");
+    }
   };
 
   friend struct ServiceOps;  ///< Op handlers (service.cpp) reach entries.

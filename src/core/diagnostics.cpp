@@ -1,11 +1,40 @@
 #include "core/diagnostics.hpp"
 
+#include <initializer_list>
 #include <random>
 #include <vector>
 
 #include "f2/gauss.hpp"
 
 namespace ftsp::core {
+
+namespace {
+
+/// A fault op at one location, with its conditional probability weight
+/// 1/|ops| given the location faulted.
+struct Event {
+  const circuit::Circuit* segment;
+  std::size_t gate_index;
+  int op;
+  double weight;
+};
+
+/// Runs the protocol with `events` injected. A run executes each
+/// (segment, gate) location at most once, so each event fires at most
+/// once.
+Executor::Result run_with(const Executor& executor,
+                          std::initializer_list<const Event*> events) {
+  return executor.run([&](const SiteRef& ref) -> int {
+    for (const Event* e : events) {
+      if (ref.segment == e->segment && ref.gate_index == e->gate_index) {
+        return e->op;
+      }
+    }
+    return -1;
+  });
+}
+
+}  // namespace
 
 TwoFaultSurvey survey_two_faults(const Executor& executor, std::size_t t,
                                  std::size_t samples, std::uint64_t seed) {
@@ -21,16 +50,12 @@ TwoFaultSurvey survey_two_faults(const Executor& executor, std::size_t t,
     std::size_t num_ops;
   };
   std::vector<Location> locations;
-  std::vector<const circuit::Circuit*> segments = {&protocol.prep};
-  for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
-    if (layer->has_value()) {
-      segments.push_back(&(*layer)->verif);
+  for (const Executor::Segment& segment : executor.segments()) {
+    if (segment.branch) {
+      continue;
     }
-  }
-  for (const auto* segment : segments) {
-    const auto sites = sim::enumerate_fault_sites(*segment);
-    for (const auto& site : sites) {
-      locations.push_back({segment, site.gate_index, site.ops.size()});
+    for (const auto& site : segment.sites) {
+      locations.push_back({segment.circuit, site.gate_index, site.ops.size()});
     }
   }
 
@@ -45,20 +70,13 @@ TwoFaultSurvey survey_two_faults(const Executor& executor, std::size_t t,
     while (b == a) {
       b = pick(rng);
     }
-    const std::size_t op_a = rng() % locations[a].num_ops;
-    const std::size_t op_b = rng() % locations[b].num_ops;
-
-    const auto chooser = [&](const SiteRef& ref) -> int {
-      for (const std::size_t which : {a, b}) {
-        const Location& loc = locations[which];
-        if (ref.segment == loc.segment &&
-            ref.gate_index == loc.gate_index) {
-          return static_cast<int>(which == a ? op_a : op_b);
-        }
-      }
-      return -1;
-    };
-    const auto result = executor.run(chooser);
+    const auto op_a = static_cast<int>(rng() % locations[a].num_ops);
+    const auto op_b = static_cast<int>(rng() % locations[b].num_ops);
+    const Event event_a{locations[a].segment, locations[a].gate_index, op_a,
+                        0.0};
+    const Event event_b{locations[b].segment, locations[b].gate_index, op_b,
+                        0.0};
+    const auto result = run_with(executor, {&event_a, &event_b});
     ++survey.pairs_checked;
     const std::size_t wx =
         state.reduced_weight(qec::PauliType::X, result.data_error.x);
@@ -87,29 +105,19 @@ LeadingOrder exact_leading_order(const Executor& executor,
                                  const decoder::PerfectDecoder& decoder) {
   const Protocol& protocol = executor.protocol();
 
-  // Flatten (location, op) events with their conditional probability
-  // weight 1/|ops| given the location faulted.
-  struct Event {
-    const circuit::Circuit* segment;
-    std::size_t gate_index;
-    int op;
-    double weight;
-  };
+  // Flatten the (location, op) events of the always-executed segments.
   std::vector<Event> events;
-  std::vector<const circuit::Circuit*> segments = {&protocol.prep};
-  for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
-    if (layer->has_value()) {
-      segments.push_back(&(*layer)->verif);
-    }
-  }
   // Remember location boundaries so pairs use *distinct locations*.
   std::vector<std::pair<std::size_t, std::size_t>> location_ranges;
-  for (const auto* segment : segments) {
-    const auto sites = sim::enumerate_fault_sites(*segment);
-    for (const auto& site : sites) {
+  for (const Executor::Segment& segment : executor.segments()) {
+    if (segment.branch) {
+      continue;
+    }
+    for (const auto& site : segment.sites) {
       const std::size_t begin = events.size();
       for (std::size_t o = 0; o < site.ops.size(); ++o) {
-        events.push_back({segment, site.gate_index, static_cast<int>(o),
+        events.push_back({segment.circuit, site.gate_index,
+                          static_cast<int>(o),
                           1.0 / static_cast<double>(site.ops.size())});
       }
       location_ranges.emplace_back(begin, events.size());
@@ -120,15 +128,7 @@ LeadingOrder exact_leading_order(const Executor& executor,
 
   // Single faults: exact FT sanity (all must pass).
   for (const auto& e : events) {
-    bool injected = false;
-    const auto run = executor.run([&](const SiteRef& ref) -> int {
-      if (!injected && ref.segment == e.segment &&
-          ref.gate_index == e.gate_index) {
-        injected = true;
-        return e.op;
-      }
-      return -1;
-    });
+    const auto run = run_with(executor, {&e});
     if (decoder.decode(run.data_error).fails(protocol.basis)) {
       ++result.single_fault_failures;
     }
@@ -143,21 +143,7 @@ LeadingOrder exact_leading_order(const Executor& executor,
              ib < location_ranges[lb].second; ++ib) {
           const Event& a = events[ia];
           const Event& b = events[ib];
-          bool a_done = false;
-          bool b_done = false;
-          const auto run = executor.run([&](const SiteRef& ref) -> int {
-            if (!a_done && ref.segment == a.segment &&
-                ref.gate_index == a.gate_index) {
-              a_done = true;
-              return a.op;
-            }
-            if (!b_done && ref.segment == b.segment &&
-                ref.gate_index == b.gate_index) {
-              b_done = true;
-              return b.op;
-            }
-            return -1;
-          });
+          const auto run = run_with(executor, {&a, &b});
           ++result.pairs_enumerated;
           const auto logical = decoder.decode(run.data_error);
           if (logical.fails(protocol.basis)) {

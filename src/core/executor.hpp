@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -9,6 +11,14 @@
 #include "sim/pauli_frame.hpp"
 
 namespace ftsp::core {
+
+struct FrameBatchLayout;
+
+namespace detail {
+
+using KindCounts = std::array<std::uint32_t, sim::kNumLocationKinds>;
+
+}  // namespace detail
 
 /// Identifies a fault location at execution time: which compiled circuit
 /// segment, which gate within it, and the available fault operators.
@@ -29,8 +39,26 @@ struct SiteRef {
 /// terminate early when a flag fired (hook branch). Outcome patterns
 /// outside the branch table (only reachable with >= 2 faults) apply no
 /// recovery.
+///
+/// The Executor owns the protocol's segment table and its canonical
+/// order, built once at construction: prep, then per layer the
+/// verification circuit followed by its branches in outcome-key order.
+/// `FrameBatchLayout` and the artifact codec share this order, and it
+/// defines the global fault-site numbering. Each entry holds a compiled
+/// circuit with its fault sites, per-kind site counts and first global
+/// site index. Every engine (FT checker, samplers, rate estimator,
+/// diagnostics) reads segments and the global site numbering from here.
 class Executor {
  public:
+  /// One compiled circuit of the protocol and its fault locations.
+  struct Segment {
+    const circuit::Circuit* circuit = nullptr;
+    std::vector<sim::FaultSite> sites;  ///< One per gate, in gate order.
+    detail::KindCounts site_counts{};   ///< Sites per `sim::LocationKind`.
+    std::uint32_t site_base = 0;        ///< Global index of `sites[0]`.
+    bool branch = false;                ///< A correction branch.
+  };
+
   explicit Executor(const Protocol& protocol);
 
   struct Result {
@@ -43,11 +71,20 @@ class Executor {
 
   const Protocol& protocol() const { return *protocol_; }
 
-  /// Fault sites of a compiled segment, cached at construction. Exposed so
-  /// the batched sampler can drive segments word-parallel instead of
-  /// through the per-shot `run` callback.
-  const std::vector<sim::FaultSite>& fault_sites(
-      const circuit::Circuit& c) const;
+  /// The segment table in canonical order. The non-branch segments are
+  /// prep and each layer's verification circuit.
+  const std::vector<Segment>& segments() const { return segments_; }
+
+  /// The table entry of a compiled circuit of this protocol.
+  const Segment& segment(const circuit::Circuit& c) const {
+    return segments_[index_.at(&c)];
+  }
+
+  /// Checks a stored layout against the table: segment count, each
+  /// segment's dimensions and per-kind site counts, and the peak
+  /// dimensions. Throws `std::invalid_argument` naming `caller` on any
+  /// mismatch.
+  void check_layout(const FrameBatchLayout& layout, const char* caller) const;
 
   /// Runs the protocol. `choose` is invoked once per executed fault
   /// location with a `SiteRef` and must return the index of the fault
@@ -88,9 +125,9 @@ class Executor {
 
  private:
   const Protocol* protocol_;
-  // Fault sites cached per compiled circuit.
-  std::unordered_map<const circuit::Circuit*, std::vector<sim::FaultSite>>
-      sites_;
+  std::vector<Segment> segments_;
+  // Compiled circuit -> its position in `segments_`.
+  std::unordered_map<const circuit::Circuit*, std::size_t> index_;
 
   template <typename Chooser>
   f2::BitVec run_segment(const circuit::Circuit& c, Result& result,
@@ -101,7 +138,7 @@ class Executor {
       frame.error.x.set(q, result.data_error.x.get(q));
       frame.error.z.set(q, result.data_error.z.get(q));
     }
-    const auto& sites = fault_sites(c);
+    const auto& sites = segment(c).sites;
     for (std::size_t g = 0; g < c.gates().size(); ++g) {
       sim::apply_gate(frame, c.gates()[g]);
       const sim::FaultSite& site = sites[g];

@@ -7,9 +7,12 @@
 // conditional sector sampling). Both share the exact same word-parallel
 // propagation, branch regrouping and table-driven decode — so the
 // estimator's planted runs are bit-compatible with the sampler's
-// semantics by construction. A shard's result is three per-word lane
-// masks (x fail, z fail, hook termination); only a caller that keeps
-// per-shot records hands the runner a `Trajectory` array to fill.
+// semantics by construction. Each segment's fault sites, per-kind site
+// counts and global site base come from the Executor's segment table;
+// the runner hands the injector the entry of the segment it runs. A
+// shard's result is three per-word lane masks (x fail, z fail, hook
+// termination); only a caller that keeps per-shot records hands the
+// runner a `Trajectory` array to fill.
 
 #include <array>
 #include <bit>
@@ -18,7 +21,6 @@
 #include <map>
 #include <random>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -32,16 +34,6 @@ namespace ftsp::core::detail {
 // GNU builtin type admissible under -Wpedantic.
 __extension__ using uint128 = unsigned __int128;
 
-using KindCounts = std::array<std::uint32_t, sim::kNumLocationKinds>;
-
-inline KindCounts count_kinds(const circuit::Circuit& c) {
-  KindCounts counts{};
-  for (const auto& g : c.gates()) {
-    ++counts[static_cast<std::size_t>(sim::location_kind(g.kind))];
-  }
-  return counts;
-}
-
 /// SplitMix64 finalizer: decorrelates the per-shard seeds derived from
 /// (user seed, shard index).
 inline std::uint64_t shard_seed(std::uint64_t seed, std::uint64_t index) {
@@ -50,66 +42,6 @@ inline std::uint64_t shard_seed(std::uint64_t seed, std::uint64_t index) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-/// Invokes `fn` on every compiled circuit segment of the protocol in the
-/// canonical layout order: prep, then per layer the verification circuit
-/// followed by the branches in outcome-key order. This order is shared
-/// with `FrameBatchLayout` (and with the artifact codec), which is what
-/// lets a stored layout be re-associated with a loaded protocol — and
-/// what defines the global fault-site numbering of the rate estimator.
-template <typename Fn>
-void for_each_segment(const Protocol& protocol, Fn&& fn) {
-  fn(protocol.prep);
-  for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
-    if (!layer->has_value()) {
-      continue;
-    }
-    fn((*layer)->verif);
-    for (const auto& [key, branch] : (*layer)->branches) {
-      (void)key;
-      fn(branch.circ);
-    }
-  }
-}
-
-/// Per-kind fault-site totals of every protocol segment. Every lane that
-/// runs a segment executes the same sites, so a `Trajectory`'s `sites`
-/// are sums of these: the segments every lane runs (prep and the first
-/// verification) are added once per lane, and only branch and
-/// second-layer segments are added per lane of the group that ran them.
-/// Also validates a precomputed layout against the protocol.
-struct SegmentCounts {
-  std::unordered_map<const circuit::Circuit*, KindCounts> by_circuit;
-
-  /// With a precomputed layout the counts come from the table (validated
-  /// against each segment's dimensions); without one they are recounted
-  /// from the gates.
-  SegmentCounts(const Protocol& protocol, const FrameBatchLayout* layout) {
-    if (layout == nullptr) {
-      for_each_segment(protocol, [&](const circuit::Circuit& c) {
-        by_circuit.emplace(&c, count_kinds(c));
-      });
-      return;
-    }
-    std::size_t index = 0;
-    for_each_segment(protocol, [&](const circuit::Circuit& c) {
-      if (index >= layout->segments.size()) {
-        throw std::invalid_argument(
-            "sample_protocol_batch: layout has too few segments");
-      }
-      const FrameBatchLayout::Segment& seg = layout->segments[index++];
-      if (seg.num_qubits != c.num_qubits() || seg.num_cbits != c.num_cbits()) {
-        throw std::invalid_argument(
-            "sample_protocol_batch: layout does not match protocol");
-      }
-      by_circuit.emplace(&c, seg.site_counts);
-    });
-    if (index != layout->segments.size()) {
-      throw std::invalid_argument(
-          "sample_protocol_batch: layout has too many segments");
-    }
-  }
-};
 
 /// Batched decode tables for one error type: everything needed to turn
 /// the packed data-error rows into per-lane logical-flip bits without
@@ -226,15 +158,15 @@ struct BernoulliInjector {
                     std::uint64_t seed)
       : q(q_in), masks(masks_in), out(out_in), rng(seed) {}
 
-  void inject(sim::FrameBatch& frame, const circuit::Circuit&, std::size_t,
-              const sim::FaultSite& site, const circuit::Gate& gate,
+  void inject(sim::FrameBatch& frame, const Executor::Segment& segment,
+              std::size_t gate_index, const circuit::Gate& gate,
               const std::vector<std::uint64_t>& mask, std::size_t w0,
               std::size_t w1) {
     const auto kind = static_cast<std::size_t>(sim::location_kind(gate.kind));
     if (q.rates[kind] <= 0.0) {
       return;  // No draws: the site can never fault.
     }
-    const auto& ops = site.ops;
+    const auto& ops = segment.sites[gate_index].ops;
     const sim::BernoulliWordTable& table = masks.by_kind[kind];
     for (std::size_t w = w0; w < w1; ++w) {
       if (mask[w] == 0) {
@@ -259,7 +191,7 @@ struct BernoulliInjector {
 };
 
 /// One prescribed fault of a planted lane: inject fault operator `op`
-/// of global site `site` (the canonical `for_each_segment` numbering).
+/// of global site `site` (the Executor's segment-table numbering).
 struct PlanEntry {
   std::uint32_t site = 0;
   std::uint32_t lane = 0;
@@ -304,27 +236,17 @@ struct SitePlan {
 /// fault-count sectors well-defined for adaptive protocols.
 struct PlantedInjector {
   const SitePlan& plan;
-  /// segment -> first global site index of that segment.
-  const std::unordered_map<const circuit::Circuit*, std::uint32_t>& base;
-  /// The segment of the last gate and its base, looked up once per
-  /// segment run rather than once per gate.
-  const circuit::Circuit* segment = nullptr;
-  std::uint32_t segment_base = 0;
 
-  void inject(sim::FrameBatch& frame, const circuit::Circuit& c,
-              std::size_t gate_index, const sim::FaultSite& site,
-              const circuit::Gate& gate,
+  void inject(sim::FrameBatch& frame, const Executor::Segment& segment,
+              std::size_t gate_index, const circuit::Gate& gate,
               const std::vector<std::uint64_t>& mask, std::size_t,
               std::size_t) {
-    if (&c != segment) {
-      segment = &c;
-      segment_base = base.at(&c);
-    }
-    const std::size_t s = segment_base + gate_index;
+    const std::size_t s = segment.site_base + gate_index;
+    const auto& ops = segment.sites[gate_index].ops;
     for (std::uint32_t i = plan.offsets[s]; i < plan.offsets[s + 1]; ++i) {
       const SitePlan::Fault& fault = plan.faults[i];
       if (sim::get_lane(mask.data(), fault.lane)) {
-        frame.apply_fault(site.ops[fault.op], gate, fault.lane);
+        frame.apply_fault(ops[fault.op], gate, fault.lane);
       }
     }
   }
@@ -335,7 +257,8 @@ struct PlantedInjector {
 /// outcome is nonzero are regrouped by outcome vector and each group runs
 /// its correction branch word-parallel too. Mirrors `Executor::run`
 /// lane-for-lane (Fig. 3 control flow, hook termination included). Fault
-/// injection is delegated to the `Injector` policy after every gate.
+/// injection is delegated to the `Injector` policy after every gate,
+/// together with the gate's entry in the Executor's segment table.
 /// The result is the per-word `x_fails`, `z_fails` and `hooked` masks;
 /// with a non-null `out`, `run` also fills one `Trajectory` per shot
 /// (fail bits, hook bit and site counts).
@@ -345,12 +268,12 @@ class ShardRunner {
   static constexpr std::size_t kLanesPerWord =
       sim::FrameBatch::kLanesPerWord;
 
-  ShardRunner(const Executor& executor, const SegmentCounts& counts,
-              const DecodeTables& tables, std::size_t shots,
-              Trajectory* out, Injector& injector,
+  /// A non-null `layout` (checked against the executor by the caller)
+  /// pre-sizes the scratch batches to its peak dimensions.
+  ShardRunner(const Executor& executor, const DecodeTables& tables,
+              std::size_t shots, Trajectory* out, Injector& injector,
               const FrameBatchLayout* layout = nullptr)
       : executor_(executor),
-        counts_(counts),
         tables_(tables),
         shots_(shots),
         words_((shots + kLanesPerWord - 1) / kLanesPerWord),
@@ -376,21 +299,22 @@ class ShardRunner {
     }
 
     // Every lane runs prep and the first verification.
-    KindCounts every_lane = counts_.by_circuit.at(&protocol.prep);
-    run_segment(protocol.prep, active, verif_frame_);
+    const Executor::Segment& prep = executor_.segment(protocol.prep);
+    KindCounts every_lane = prep.site_counts;
+    run_segment(prep, active, verif_frame_);
     bool first = true;
     for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
       if (!layer->has_value() || !mask_any(active)) {
         continue;
       }
-      const circuit::Circuit& verif = (*layer)->verif;
+      const Executor::Segment& verif = executor_.segment((*layer)->verif);
       if (first) {
-        add_counts(every_lane, counts_.by_circuit.at(&verif));
+        add_counts(every_lane, verif.site_counts);
       } else {
         add_sites(verif, active);
       }
       first = false;
-      run_layer(**layer, active);
+      run_layer(**layer, verif, active);
     }
     compute_fails(tables_.x, data_x_, x_fails_);
     compute_fails(tables_.z, data_z_, z_fails_);
@@ -421,26 +345,27 @@ class ShardRunner {
     }
   }
 
-  /// Adds the site counts of `c` to the records of the lanes in `mask`.
-  void add_sites(const circuit::Circuit& c,
+  /// Adds the site counts of `segment` to the records of the lanes in
+  /// `mask`.
+  void add_sites(const Executor::Segment& segment,
                  const std::vector<std::uint64_t>& mask) {
     if (out_ == nullptr) {
       return;
     }
-    const KindCounts& segment_sites = counts_.by_circuit.at(&c);
     for_each_lane(mask, [&](std::size_t shot) {
-      add_counts(out_[shot].sites, segment_sites);
+      add_counts(out_[shot].sites, segment.site_counts);
     });
   }
 
-  /// Runs segment `c` over the lanes in `mask`: copies the accumulated
+  /// Runs `segment` over the lanes in `mask`: copies the accumulated
   /// data error in, propagates all words gate by gate with policy-driven
   /// fault injection, then copies the data error back out — masked, so
   /// lanes outside `mask` are untouched (their word lanes compute garbage
   /// that is simply discarded).
-  void run_segment(const circuit::Circuit& c,
+  void run_segment(const Executor::Segment& segment,
                    const std::vector<std::uint64_t>& mask,
                    sim::FrameBatch& frame) {
+    const circuit::Circuit& c = *segment.circuit;
     // Restrict all word loops (including the reset) to the nonzero span
     // of the lane mask: a correction branch taken by a handful of lanes
     // costs words proportional to where those lanes sit, not the whole
@@ -462,11 +387,10 @@ class ShardRunner {
                   span * sizeof(std::uint64_t));
     }
 
-    const auto& sites = executor_.fault_sites(c);
     const auto& gates = c.gates();
     for (std::size_t g = 0; g < gates.size(); ++g) {
       frame.apply_gate(gates[g], w0, w1);
-      injector_.inject(frame, c, g, sites[g], gates[g], mask, w0, w1);
+      injector_.inject(frame, segment, g, gates[g], mask, w0, w1);
     }
 
     for (std::size_t q = 0; q < n_; ++q) {
@@ -535,10 +459,10 @@ class ShardRunner {
     }
   }
 
-  void run_layer(const CompiledLayer& layer,
+  void run_layer(const CompiledLayer& layer, const Executor::Segment& verif,
                  std::vector<std::uint64_t>& active) {
     sim::FrameBatch& frame = verif_frame_;
-    run_segment(layer.verif, active, frame);
+    run_segment(verif, active, frame);
     const std::size_t cbits = layer.verif.num_cbits();
 
     std::vector<std::uint64_t> triggered(words_, 0);
@@ -585,8 +509,9 @@ class ShardRunner {
   void run_branch(const CompiledBranch& branch,
                   const std::vector<std::uint64_t>& group_mask) {
     sim::FrameBatch& frame = branch_frame_;
-    add_sites(branch.circ, group_mask);
-    run_segment(branch.circ, group_mask, frame);
+    const Executor::Segment& segment = executor_.segment(branch.circ);
+    add_sites(segment, group_mask);
+    run_segment(segment, group_mask, frame);
     std::vector<std::uint64_t>& data =
         branch.corrected_type == qec::PauliType::X ? data_x_ : data_z_;
     // One recovery lookup per distinct extended syndrome, not per lane.
@@ -669,7 +594,6 @@ class ShardRunner {
   }
 
   const Executor& executor_;
-  const SegmentCounts& counts_;
   const DecodeTables& tables_;
   std::size_t shots_;
   std::size_t words_;

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/executor.hpp"
-#include "sim/faults.hpp"
 
 namespace ftsp::core {
 
@@ -30,26 +29,18 @@ FtCheckResult check_fault_tolerance(const Protocol& protocol,
     }
   }
 
-  // Always-executed segments.
-  std::vector<const circuit::Circuit*> segments = {&protocol.prep};
-  for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
-    if (layer->has_value()) {
-      segments.push_back(&(*layer)->verif);
+  // Always-executed segments: prep and each layer's verification.
+  for (const Executor::Segment& segment : executor.segments()) {
+    if (segment.branch) {
+      continue;
     }
-  }
-
-  for (const circuit::Circuit* segment : segments) {
-    const auto sites = sim::enumerate_fault_sites(*segment);
-    for (const auto& site : sites) {
+    for (const auto& site : segment.sites) {
       for (std::size_t op = 0; op < site.ops.size(); ++op) {
-        bool injected = false;
+        // A run executes each location at most once.
         const auto run = executor.run([&](const SiteRef& ref) -> int {
-          if (!injected && ref.segment == segment &&
-              ref.gate_index == site.gate_index) {
-            injected = true;
-            return static_cast<int>(op);
-          }
-          return -1;
+          const bool here = ref.segment == segment.circuit &&
+                            ref.gate_index == site.gate_index;
+          return here ? static_cast<int>(op) : -1;
         });
         ++result.faults_checked;
         const std::size_t wx =
@@ -59,7 +50,7 @@ FtCheckResult check_fault_tolerance(const Protocol& protocol,
         if (wx > 1 || wz > 1) {
           std::ostringstream what;
           what << "fault at gate " << site.gate_index << " op " << op
-               << " of segment with " << segment->gate_count()
+               << " of segment with " << segment.circuit->gate_count()
                << " gates leaves residual X:" << run.data_error.x.to_string()
                << " (wt_S " << wx << ") Z:" << run.data_error.z.to_string()
                << " (wt_S " << wz << ")";

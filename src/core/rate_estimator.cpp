@@ -5,7 +5,6 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/frame_runner.hpp"
 #include "obs/registry.hpp"
@@ -41,34 +40,31 @@ std::uint64_t bounded_draw(std::mt19937_64& rng, std::uint64_t n) {
       (static_cast<detail::uint128>(rng()) * n) >> 64);
 }
 
-/// The canonical global fault-site numbering: every site of every
-/// protocol segment in `for_each_segment` order — executed or not. This
-/// is the fixed location set the sector decomposition is defined over.
+/// The Executor's global fault-site numbering, flattened: every site of
+/// every protocol segment in table order — executed or not. This is the
+/// fixed location set the sector decomposition is defined over.
 struct SiteIndex {
   struct Entry {
     std::uint8_t kind = 0;
     std::uint32_t num_ops = 0;
   };
   std::vector<Entry> sites;
-  std::unordered_map<const circuit::Circuit*, std::uint32_t> base;
   std::array<std::vector<std::uint32_t>, sim::kNumLocationKinds> by_kind;
   sim::SectorModel::KindCounts counts{};
 
   explicit SiteIndex(const Executor& executor) {
-    detail::for_each_segment(
-        executor.protocol(), [&](const circuit::Circuit& c) {
-          base.emplace(&c, static_cast<std::uint32_t>(sites.size()));
-          const auto& fault_sites = executor.fault_sites(c);
-          for (std::size_t g = 0; g < fault_sites.size(); ++g) {
-            const auto kind = static_cast<std::size_t>(
-                sim::location_kind(c.gates()[g].kind));
-            by_kind[kind].push_back(static_cast<std::uint32_t>(sites.size()));
-            ++counts[kind];
-            sites.push_back(
-                {static_cast<std::uint8_t>(kind),
-                 static_cast<std::uint32_t>(fault_sites[g].ops.size())});
-          }
-        });
+    for (const Executor::Segment& segment : executor.segments()) {
+      const auto& gates = segment.circuit->gates();
+      for (std::size_t g = 0; g < segment.sites.size(); ++g) {
+        const auto kind =
+            static_cast<std::size_t>(sim::location_kind(gates[g].kind));
+        by_kind[kind].push_back(static_cast<std::uint32_t>(sites.size()));
+        ++counts[kind];
+        sites.push_back(
+            {static_cast<std::uint8_t>(kind),
+             static_cast<std::uint32_t>(segment.sites[g].ops.size())});
+      }
+    }
   }
 };
 
@@ -106,9 +102,12 @@ class WaveRunner {
              const RateOptions& options)
       : executor_(executor),
         options_(options),
-        counts_(executor.protocol(), options.layout),
         tables_(decoder),
-        index_(executor) {}
+        index_(executor) {
+    if (options.layout != nullptr) {
+      executor.check_layout(*options.layout, "estimate_logical_error_rate");
+    }
+  }
 
   const SiteIndex& index() const { return index_; }
 
@@ -120,10 +119,9 @@ class WaveRunner {
   void run_wave(Wave& wave) const {
     const detail::SitePlan plan(wave.plan, index_.sites.size());
     wave.plan = Plan{};
-    detail::PlantedInjector injector{plan, index_.base};
+    detail::PlantedInjector injector{plan};
     detail::ShardRunner<detail::PlantedInjector> runner(
-        executor_, counts_, tables_, wave.shots, nullptr, injector,
-        options_.layout);
+        executor_, tables_, wave.shots, nullptr, injector, options_.layout);
     runner.run();
     const auto& fails = runner.fails(executor_.protocol().basis);
     if (wave.case_weights.empty()) {
@@ -154,7 +152,6 @@ class WaveRunner {
  private:
   const Executor& executor_;
   const RateOptions& options_;
-  detail::SegmentCounts counts_;
   detail::DecodeTables tables_;
   SiteIndex index_;
 };

@@ -33,8 +33,9 @@ struct RateOptions {
   std::uint64_t seed = 1;
   /// Worker threads for wave batches; 0 = hardware concurrency.
   std::size_t num_threads = 1;
-  /// Optional precomputed layout (artifact-driven serving), validated
-  /// against the protocol exactly like `SamplerOptions::layout`.
+  /// Optional precomputed layout (artifact-driven serving): checked
+  /// against the Executor's segment table and used to size scratch
+  /// batches, exactly like `SamplerOptions::layout`.
   const FrameBatchLayout* layout = nullptr;
   /// Optional cooperative cancellation (per-request deadlines in the
   /// serving tier). Checked between wave batches — never mid-wave, so

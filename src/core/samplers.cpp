@@ -115,7 +115,8 @@ void validate_uniform_rate(double q) {
 }
 
 /// The one shard loop of the Monte-Carlo sampler; callers run
-/// `validate_options` first. Shard `index` covers `count` shots from
+/// `validate_options` first, and a set layout is checked here in the
+/// name of `caller`. Shard `index` covers `count` shots from
 /// shot `index * shard_shots` on and draws from `shard_seed(seed,
 /// index)` alone, so its shots depend on neither the thread count nor
 /// where they are written. `fn(begin, count, run)` is called once per
@@ -123,16 +124,18 @@ void validate_uniform_rate(double q) {
 /// and shots left unset). A non-null `out` also receives the shard's
 /// `count` trajectories, zero-initialised before the call.
 template <typename Fn>
-void for_each_shard(const Executor& executor,
+void for_each_shard(const char* caller, const Executor& executor,
                     const decoder::PerfectDecoder& decoder,
                     const sim::NoiseParams& q, std::size_t shots,
                     std::uint64_t seed, const SamplerOptions& options,
                     Fn&& fn) {
+  if (options.layout != nullptr) {
+    executor.check_layout(*options.layout, caller);
+  }
   if (shots == 0) {
     return;
   }
 
-  const detail::SegmentCounts counts(executor.protocol(), options.layout);
   const detail::DecodeTables tables(decoder);
   const detail::KindMaskTables masks(q);
   const std::size_t shard = options.shard_shots;
@@ -146,7 +149,7 @@ void for_each_shard(const Executor& executor,
           detail::BernoulliInjector injector(q, masks, out,
                                              detail::shard_seed(seed, index));
           detail::ShardRunner<detail::BernoulliInjector> runner(
-              executor, counts, tables, count, out, injector,
+              executor, tables, count, out, injector,
               options.layout);
           runner.run();
           SampleCounts tally;
@@ -163,15 +166,16 @@ void for_each_shard(const Executor& executor,
 
 FrameBatchLayout compute_frame_batch_layout(const Protocol& protocol) {
   FrameBatchLayout layout;
-  detail::for_each_segment(protocol, [&](const circuit::Circuit& c) {
+  const Executor executor(protocol);
+  for (const Executor::Segment& segment : executor.segments()) {
     FrameBatchLayout::Segment seg;
-    seg.num_qubits = static_cast<std::uint32_t>(c.num_qubits());
-    seg.num_cbits = static_cast<std::uint32_t>(c.num_cbits());
-    seg.site_counts = detail::count_kinds(c);
+    seg.num_qubits = static_cast<std::uint32_t>(segment.circuit->num_qubits());
+    seg.num_cbits = static_cast<std::uint32_t>(segment.circuit->num_cbits());
+    seg.site_counts = segment.site_counts;
     layout.peak_qubits = std::max(layout.peak_qubits, seg.num_qubits);
     layout.peak_cbits = std::max(layout.peak_cbits, seg.num_cbits);
     layout.segments.push_back(seg);
-  });
+  }
   return layout;
 }
 
@@ -185,8 +189,8 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
   batch.q = q;
   batch.basis = executor.protocol().basis;
   batch.trajectories.assign(shots, Trajectory{});
-  for_each_shard(executor, decoder, q, shots, seed, options,
-                 [&](std::size_t begin, std::size_t, auto&& run) {
+  for_each_shard("sample_protocol_batch", executor, decoder, q, shots, seed,
+                 options, [&](std::size_t begin, std::size_t, auto&& run) {
                    run(batch.trajectories.data() + begin);
                  });
   return batch;
@@ -217,7 +221,8 @@ SampleCounts sample_protocol_counts(const Executor& executor,
   // counts stay thread-count invariant.
   std::mutex mutex;
   for_each_shard(
-      executor, decoder, rates, shots, seed, options,
+      "sample_protocol_counts", executor, decoder, rates, shots, seed,
+      options,
       [&](std::size_t, std::size_t, auto&& run) {
         const SampleCounts shard = run(nullptr);
         const std::lock_guard<std::mutex> lock(mutex);

@@ -53,10 +53,10 @@ struct TrajectoryBatch {
 /// Precomputed per-segment dimensions and fault-site counts of a
 /// protocol, in canonical segment order: prep, then per layer the
 /// verification circuit followed by its correction branches in
-/// outcome-key order. Computed once per protocol (and shipped inside
-/// protocol artifacts) so a serving process can size its frame batches
-/// and per-shot site bookkeeping without re-walking every gate of every
-/// segment; also a cheap structural fingerprint for artifact validation.
+/// outcome-key order. Computed once per protocol and shipped inside
+/// protocol artifacts, where it is a sizing hint for the frame batches
+/// and a structural fingerprint that `Executor::check_layout` checks
+/// against the protocol's segment table.
 struct FrameBatchLayout {
   struct Segment {
     std::uint32_t num_qubits = 0;
@@ -93,10 +93,11 @@ struct SamplerOptions {
   /// shot sees.
   std::size_t shard_shots = 4096;
   /// Optional precomputed layout (artifact-driven construction). When
-  /// set it must describe this protocol — segment dimensions are
-  /// validated and a mismatch throws — and the sampler skips the
-  /// per-call gate walk, pre-sizing its scratch batches to the peak
-  /// dimensions instead. Never changes sampled bits.
+  /// set it must describe this protocol: every call checks it against
+  /// the Executor's segment table (`Executor::check_layout`) and a
+  /// mismatch throws. It only pre-sizes the scratch batches to the peak
+  /// dimensions; site counts always come from the table. Never changes
+  /// sampled bits.
   const FrameBatchLayout* layout = nullptr;
   /// Retired no-op: the sampler ignores it. Kept only because
   /// `perfbench/estimate_workload.cpp` still assigns it; set it nowhere

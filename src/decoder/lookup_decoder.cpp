@@ -11,15 +11,26 @@ namespace ftsp::decoder {
 using f2::BitVec;
 using qec::PauliType;
 
-std::size_t LookupDecoder::pack(const BitVec& syndrome) {
+namespace {
+
+/// The syndrome of `error` under `checks`, packed straight into a table
+/// index: bit r is the parity of (check row r AND error), computed
+/// word-wise without allocating.
+std::size_t packed_syndrome(const f2::BitMatrix& checks, const BitVec& error) {
+  const std::span<const std::uint64_t> words = error.words();
   std::size_t packed = 0;
-  for (std::size_t i = 0; i < syndrome.size(); ++i) {
-    if (syndrome.get(i)) {
-      packed |= std::size_t{1} << i;
+  for (std::size_t r = 0; r < checks.rows(); ++r) {
+    const std::span<const std::uint64_t> row = checks.row(r).words();
+    std::uint64_t overlap = 0;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      overlap ^= row[w] & words[w];
     }
+    packed |= static_cast<std::size_t>(std::popcount(overlap) & 1) << r;
   }
   return packed;
 }
+
+}  // namespace
 
 LookupDecoder::LookupDecoder(const qec::CssCode& code, PauliType error_type)
     : code_(&code), type_(error_type) {
@@ -34,7 +45,7 @@ LookupDecoder::LookupDecoder(const qec::CssCode& code, PauliType error_type)
   std::size_t filled = 0;
   for (std::size_t w = 0; w <= n && filled < count; ++w) {
     qec::for_each_weight(n, w, [&](const BitVec& e) {
-      const std::size_t s = pack(checks.multiply(e));
+      const std::size_t s = packed_syndrome(checks, e);
       if (table_[s].empty()) {
         table_[s] = e;
         ++filled;
@@ -53,25 +64,10 @@ LookupDecoder::LookupDecoder(const qec::CssCode& code, PauliType error_type,
   if (table_.size() != (std::size_t{1} << syndrome_bits_)) {
     throw std::invalid_argument("LookupDecoder: table size mismatch");
   }
-  // Each entry's syndrome, packed word-wise straight into the table
-  // index: bit r is the parity of (check row r AND entry).
   const std::size_t n = code.num_qubits();
   for (std::size_t s = 0; s < table_.size(); ++s) {
-    if (table_[s].size() != n) {
-      throw std::invalid_argument(
-          "LookupDecoder: table entry inconsistent with code");
-    }
-    const std::span<const std::uint64_t> entry = table_[s].words();
-    std::size_t packed = 0;
-    for (std::size_t r = 0; r < syndrome_bits_; ++r) {
-      const std::span<const std::uint64_t> row = checks.row(r).words();
-      std::uint64_t overlap = 0;
-      for (std::size_t w = 0; w < entry.size(); ++w) {
-        overlap ^= row[w] & entry[w];
-      }
-      packed |= static_cast<std::size_t>(std::popcount(overlap) & 1) << r;
-    }
-    if (packed != s) {
+    if (table_[s].size() != n ||
+        packed_syndrome(checks, table_[s]) != s) {
       throw std::invalid_argument(
           "LookupDecoder: table entry inconsistent with code");
     }
@@ -82,7 +78,8 @@ const BitVec& LookupDecoder::decode(const BitVec& syndrome) const {
   if (syndrome.size() != syndrome_bits_) {
     throw std::invalid_argument("LookupDecoder::decode: syndrome size");
   }
-  return table_[pack(syndrome)];
+  // At most 20 syndrome bits: the first word is the packed index.
+  return table_[syndrome_bits_ == 0 ? 0 : syndrome.words()[0]];
 }
 
 BitVec LookupDecoder::residual(const BitVec& error) const {

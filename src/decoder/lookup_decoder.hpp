@@ -56,8 +56,6 @@ class LookupDecoder {
   qec::PauliType type_;
   std::size_t syndrome_bits_ = 0;
   std::vector<f2::BitVec> table_;  // Indexed by packed syndrome.
-
-  static std::size_t pack(const f2::BitVec& syndrome);
 };
 
 /// Outcome of a perfect error-correction round followed by a logical

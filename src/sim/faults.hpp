@@ -43,12 +43,6 @@ std::vector<FaultSite> enumerate_fault_sites(const circuit::Circuit& c);
 void apply_fault(PauliFrame& frame, const FaultOp& op,
                  const circuit::Gate& gate);
 
-/// The E1_1 circuit-level depolarizing noise model of the paper's
-/// simulations: one physical error rate `p` shared by all location types.
-struct NoiseModel {
-  double p = 0.0;
-};
-
 /// Coarse classification of fault locations for biased noise models.
 enum class LocationKind : std::size_t {
   OneQubit = 0,     ///< H (single-qubit unitaries).

@@ -30,18 +30,15 @@ TEST_P(WordDecode, MatchesScalarDecodeLaneByLane) {
       synthesize_protocol(qec::library_code_by_name(name), basis);
   const Executor executor(protocol);
   const decoder::PerfectDecoder decoder(*protocol.code);
-  const SegmentCounts counts(protocol, nullptr);
   const DecodeTables tables(decoder);
 
-  // The rate estimator's global site numbering.
-  std::unordered_map<const circuit::Circuit*, std::uint32_t> base;
+  // The executor's global site numbering.
   std::vector<std::uint32_t> num_ops;
-  for_each_segment(protocol, [&](const circuit::Circuit& c) {
-    base.emplace(&c, static_cast<std::uint32_t>(num_ops.size()));
-    for (const sim::FaultSite& site : executor.fault_sites(c)) {
+  for (const Executor::Segment& segment : executor.segments()) {
+    for (const sim::FaultSite& site : segment.sites) {
       num_ops.push_back(static_cast<std::uint32_t>(site.ops.size()));
     }
-  });
+  }
   const auto num_sites = static_cast<std::uint32_t>(num_ops.size());
 
   constexpr std::uint32_t kLanes = 1093;  // 17 words and 5 lanes.
@@ -62,14 +59,14 @@ TEST_P(WordDecode, MatchesScalarDecodeLaneByLane) {
   }
   const SitePlan sites(plan, num_sites);
 
-  PlantedInjector injector{sites, base};
-  ShardRunner<PlantedInjector> runner(executor, counts, tables, kLanes,
-                                      nullptr, injector);
+  PlantedInjector injector{sites};
+  ShardRunner<PlantedInjector> runner(executor, tables, kLanes, nullptr,
+                                      injector);
   runner.run();
   // The same plan again through the per-shot record path.
   std::vector<Trajectory> records(kLanes);
-  PlantedInjector recording{sites, base};
-  ShardRunner<PlantedInjector> recorder(executor, counts, tables, kLanes,
+  PlantedInjector recording{sites};
+  ShardRunner<PlantedInjector> recorder(executor, tables, kLanes,
                                         records.data(), recording);
   recorder.run();
 
@@ -77,7 +74,8 @@ TEST_P(WordDecode, MatchesScalarDecodeLaneByLane) {
   for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
     const auto result = executor.run([&](const SiteRef& ref) -> int {
       const auto it = faults[lane].find(
-          base.at(ref.segment) + static_cast<std::uint32_t>(ref.gate_index));
+          executor.segment(*ref.segment).site_base +
+          static_cast<std::uint32_t>(ref.gate_index));
       return it == faults[lane].end() ? -1 : static_cast<int>(it->second);
     });
     const auto outcome = decoder.decode(result.data_error);

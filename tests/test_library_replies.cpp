@@ -110,47 +110,78 @@ TEST_F(LibraryReplies, StoreLoadedRepliesArePinned) {
 }
 
 TEST_F(LibraryReplies, BadDecoderTableIsQuarantinedAndTheRestServes) {
-  // Steane's artifact with two X decoder-table entries swapped: every
-  // section CRC is valid, so only the rehydration check sees the damage.
-  const fs::path dir = *dir_ / "bad-table";
-  std::string victim;
-  {
-    ArtifactStore store(dir.string());
-    for (ProtocolArtifact artifact : *artifacts_) {
-      if (artifact.protocol.code->name() == "Steane") {
-        std::swap(artifact.x_decoder_table[1], artifact.x_decoder_table[2]);
-        victim = artifact.key;
+  // Two damages to Steane's artifact, each leaving every section CRC
+  // valid, so only the serving entry's load checks see them: two X
+  // decoder-table entries swapped (the rehydration check), and one
+  // segment's site count changed in the layout (the layout check).
+  struct Damage {
+    const char* dir;
+    void (*apply)(ProtocolArtifact&);
+  };
+  const Damage damages[] = {
+      {"bad-table",
+       [](ProtocolArtifact& artifact) {
+         std::swap(artifact.x_decoder_table[1], artifact.x_decoder_table[2]);
+       }},
+      {"bad-layout",
+       [](ProtocolArtifact& artifact) {
+         ++artifact.layout.segments.at(1).site_counts[1];
+       }},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.dir);
+    const fs::path dir = *dir_ / damage.dir;
+    std::string victim;
+    {
+      ArtifactStore store(dir.string());
+      for (ProtocolArtifact artifact : *artifacts_) {
+        if (artifact.protocol.code->name() == "Steane") {
+          damage.apply(artifact);
+          victim = artifact.key;
+        }
+        store.put(artifact);
       }
-      store.put(artifact);
     }
-  }
-  ASSERT_FALSE(victim.empty());
+    ASSERT_FALSE(victim.empty());
 
-  ArtifactStore store(dir.string());
-  ProtocolService service;
-  EXPECT_EQ(service.load_store(store), 8u);
-  EXPECT_FALSE(store.contains(victim));
-  EXPECT_EQ(service.store_recovery().quarantined, 1u);
-  std::size_t quarantined = 0;
-  for (const auto& entry : fs::directory_iterator(dir / "quarantine")) {
-    quarantined += entry.path().extension() == ".ftsa" ? 1 : 0;
-  }
-  EXPECT_EQ(quarantined, 1u);
-
-  EXPECT_EQ(service.handle_request(R"({"op":"codes"})"),
-            R"({"ok":true,"codes":["Carbon","Hamming","Shor","Surface_3",)"
-            R"("Tesseract","Tetrahedral","[[11,1,3]]","[[16,2,4]]"]})");
-  const std::string health = service.handle_request(R"({"op":"health"})");
-  EXPECT_NE(health.find(R"("quarantined":1)"), std::string::npos) << health;
-  for (const PinnedCode& pin : kPinnedCodes) {
-    const std::string name = pin.code;
-    const std::string info = without_wall_time(service.handle_request(
-        R"({"op":"info","code":")" + name + R"("})"));
-    if (name == "Steane") {
-      EXPECT_NE(info.find(R"("ok":false)"), std::string::npos) << info;
-    } else {
-      EXPECT_EQ(util::fnv1a64(info), pin.info) << name << "\n" << info;
+    ArtifactStore store(dir.string());
+    ProtocolService service;
+    EXPECT_EQ(service.load_store(store), 8u);
+    EXPECT_FALSE(store.contains(victim));
+    EXPECT_EQ(service.store_recovery().quarantined, 1u);
+    std::size_t quarantined = 0;
+    for (const auto& entry : fs::directory_iterator(dir / "quarantine")) {
+      quarantined += entry.path().extension() == ".ftsa" ? 1 : 0;
     }
+    EXPECT_EQ(quarantined, 1u);
+
+    EXPECT_EQ(service.handle_request(R"({"op":"codes"})"),
+              R"({"ok":true,"codes":["Carbon","Hamming","Shor","Surface_3",)"
+              R"("Tesseract","Tetrahedral","[[11,1,3]]","[[16,2,4]]"]})");
+    const std::string health = service.handle_request(R"({"op":"health"})");
+    EXPECT_NE(health.find(R"("quarantined":1)"), std::string::npos) << health;
+    for (const PinnedCode& pin : kPinnedCodes) {
+      const std::string name = pin.code;
+      const std::string info = without_wall_time(service.handle_request(
+          R"({"op":"info","code":")" + name + R"("})"));
+      if (name == "Steane") {
+        EXPECT_NE(info.find(R"("ok":false)"), std::string::npos) << info;
+      } else {
+        EXPECT_EQ(util::fnv1a64(info), pin.info) << name << "\n" << info;
+      }
+    }
+    // The damaged artifact answers no sampler request; the rest sample.
+    EXPECT_NE(service
+                  .handle_request(
+                      R"({"op":"sample","code":"Steane","p":0.01,"shots":64})")
+                  .find(R"("ok":false)"),
+              std::string::npos);
+    EXPECT_NE(
+        service
+            .handle_request(
+                R"({"op":"sample","code":"Shor","p":0.01,"shots":64})")
+            .find(R"("ok":true)"),
+        std::string::npos);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -96,11 +97,11 @@ TEST(RateEstimator, SingleFaultSectorMatchesDirectEnumeration) {
   std::uint64_t cases = 0;
   for (const circuit::Circuit* segment :
        canonical_segments(fixture.protocol)) {
-    sites_total += fixture.executor.fault_sites(*segment).size();
+    sites_total += fixture.executor.segment(*segment).sites.size();
   }
   for (const circuit::Circuit* segment :
        canonical_segments(fixture.protocol)) {
-    const auto& sites = fixture.executor.fault_sites(*segment);
+    const auto& sites = fixture.executor.segment(*segment).sites;
     for (std::size_t g = 0; g < sites.size(); ++g) {
       const double site_weight =
           1.0 / static_cast<double>(sites_total) /
@@ -145,7 +146,7 @@ TEST(RateEstimator, TwoFaultSectorMatchesDirectEnumeration) {
   std::vector<Site> sites;
   for (const circuit::Circuit* segment :
        canonical_segments(fixture.protocol)) {
-    const auto& fault_sites = fixture.executor.fault_sites(*segment);
+    const auto& fault_sites = fixture.executor.segment(*segment).sites;
     for (std::size_t g = 0; g < fault_sites.size(); ++g) {
       sites.push_back({segment, g, fault_sites[g].ops.size()});
     }
@@ -447,6 +448,32 @@ TEST(RateEstimator, ValidatesArguments) {
   EXPECT_THROW(estimate_logical_error_rate(fixture.executor, fixture.decoder,
                                            0.01, bad),
                std::invalid_argument);
+
+  // Layouts that disagree with the protocol, rejected in the
+  // estimator's own name.
+  const FrameBatchLayout good = compute_frame_batch_layout(fixture.protocol);
+  ASSERT_GE(good.segments.size(), 2u);
+  std::vector<std::pair<std::string, FrameBatchLayout>> cases(
+      4, {"", good});
+  cases[0].first = "layout has too few segments";
+  cases[0].second.segments.pop_back();
+  cases[1].first = "layout has too many segments";
+  cases[1].second.segments.push_back(good.segments.back());
+  cases[2].first = "layout does not match protocol (segment 0 dimensions)";
+  ++cases[2].second.segments[0].num_qubits;
+  cases[3].first = "layout does not match protocol (segment 0 site counts)";
+  ++cases[3].second.segments[0].site_counts[1];
+  for (const auto& [what, layout] : cases) {
+    RateOptions options;
+    options.layout = &layout;
+    try {
+      estimate_logical_error_rate(fixture.executor, fixture.decoder, 0.01,
+                                  options);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "estimate_logical_error_rate: " + what);
+    }
+  }
 }
 
 }  // namespace

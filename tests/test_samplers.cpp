@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/protocol.hpp"
 #include "core/rate_estimator.hpp"
@@ -379,6 +381,50 @@ TEST_F(SamplerTest, CountsRejectWhatTheBatchRejects) {
       std::invalid_argument);
   EXPECT_THROW(sample_protocol_counts(*executor_, *decoder_, 1.0, 10, 1),
                std::invalid_argument);
+
+  // Layouts that disagree with the protocol, each rejected by both
+  // entry points with a message naming the entry point.
+  const FrameBatchLayout good = compute_frame_batch_layout(protocol_);
+  ASSERT_GE(good.segments.size(), 2u);
+  struct Case {
+    const char* what;
+    FrameBatchLayout layout;
+  };
+  std::vector<Case> cases(4, Case{"", good});
+  cases[0].what = "layout has too few segments";
+  cases[0].layout.segments.pop_back();
+  cases[1].what = "layout has too many segments";
+  cases[1].layout.segments.push_back(good.segments.back());
+  cases[2].what = "layout does not match protocol (segment 1 dimensions)";
+  ++cases[2].layout.segments[1].num_cbits;
+  cases[3].what = "layout does not match protocol (segment 1 site counts)";
+  ++cases[3].layout.segments[1].site_counts[0];
+  for (const Case& c : cases) {
+    SamplerOptions bad;
+    bad.layout = &c.layout;
+    for (const bool counts : {false, true}) {
+      const std::string expected =
+          std::string(counts ? "sample_protocol_counts: "
+                             : "sample_protocol_batch: ") +
+          c.what;
+      try {
+        if (counts) {
+          sample_protocol_counts(*executor_, *decoder_, 0.1, 10, 1, bad);
+        } else {
+          sample_protocol_batch(*executor_, *decoder_, 0.1, 10, 1, bad);
+        }
+        ADD_FAILURE() << "accepted: " << expected;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+      }
+    }
+  }
+  SamplerOptions matching;
+  matching.layout = &good;
+  EXPECT_EQ(
+      sample_protocol_counts(*executor_, *decoder_, 0.1, 10, 1, matching)
+          .shots,
+      10u);
 }
 
 TEST(TrajectoryCounters, HoldCountsBeyondUint16) {
