@@ -54,8 +54,11 @@ TwoFaultSurvey survey_two_faults(const Executor& executor, std::size_t t,
     if (segment.branch) {
       continue;
     }
-    for (const auto& site : segment.sites) {
-      locations.push_back({segment.circuit, site.gate_index, site.ops.size()});
+    const auto& gates = segment.circuit->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      locations.push_back(
+          {segment.circuit, g,
+           sim::num_fault_ops(sim::location_kind(gates[g].kind))});
     }
   }
 
@@ -113,12 +116,14 @@ LeadingOrder exact_leading_order(const Executor& executor,
     if (segment.branch) {
       continue;
     }
-    for (const auto& site : segment.sites) {
+    const auto& gates = segment.circuit->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
       const std::size_t begin = events.size();
-      for (std::size_t o = 0; o < site.ops.size(); ++o) {
-        events.push_back({segment.circuit, site.gate_index,
-                          static_cast<int>(o),
-                          1.0 / static_cast<double>(site.ops.size())});
+      const std::size_t num_ops =
+          sim::num_fault_ops(sim::location_kind(gates[g].kind));
+      for (std::size_t o = 0; o < num_ops; ++o) {
+        events.push_back({segment.circuit, g, static_cast<int>(o),
+                          1.0 / static_cast<double>(num_ops)});
       }
       location_ranges.emplace_back(begin, events.size());
     }

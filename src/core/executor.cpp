@@ -12,8 +12,8 @@ Executor::Executor(const Protocol& protocol) : protocol_(&protocol) {
   std::uint32_t site_base = 0;
   const auto add = [&](const circuit::Circuit& c, bool branch) {
     index_.emplace(&c, segments_.size());
-    Segment& segment = segments_.emplace_back(
-        Segment{&c, sim::enumerate_fault_sites(c), {}, site_base, branch});
+    Segment& segment =
+        segments_.emplace_back(Segment{&c, {}, site_base, branch});
     for (const circuit::Gate& g : c.gates()) {
       ++segment.site_counts[static_cast<std::size_t>(
           sim::location_kind(g.kind))];

@@ -8,7 +8,6 @@
 
 #include "core/protocol.hpp"
 #include "sim/faults.hpp"
-#include "sim/pauli_frame.hpp"
 
 namespace ftsp::core {
 
@@ -21,11 +20,11 @@ using KindCounts = std::array<std::uint32_t, sim::kNumLocationKinds>;
 }  // namespace detail
 
 /// Identifies a fault location at execution time: which compiled circuit
-/// segment, which gate within it, and the available fault operators.
+/// segment and which gate within it. The fault operators come from
+/// `sim::fault_op` of that gate.
 struct SiteRef {
   const circuit::Circuit* segment = nullptr;
   std::size_t gate_index = 0;
-  const sim::FaultSite* site = nullptr;
 };
 
 /// Executes a `Protocol` under Pauli-frame semantics with pluggable fault
@@ -44,19 +43,21 @@ struct SiteRef {
 /// order, built once at construction: prep, then per layer the
 /// verification circuit followed by its branches in outcome-key order.
 /// `FrameBatchLayout` and the artifact codec share this order, and it
-/// defines the global fault-site numbering. Each entry holds a compiled
-/// circuit with its fault sites, per-kind site counts and first global
-/// site index. Every engine (FT checker, samplers, rate estimator,
-/// diagnostics) reads segments and the global site numbering from here.
+/// defines the global fault-site numbering: one site right after each
+/// gate. Each entry holds a compiled circuit, its per-kind site counts
+/// and its first global site index; the fault operators of a site come
+/// from `sim::fault_op` of its gate, so no entry stores them. Every
+/// engine (FT checker, samplers, rate estimator, diagnostics) reads
+/// segments and the global site numbering from here.
 class Executor {
  public:
-  /// One compiled circuit of the protocol and its fault locations.
+  /// One compiled circuit of the protocol; its fault sites are its
+  /// gates, in gate order.
   struct Segment {
     const circuit::Circuit* circuit = nullptr;
-    std::vector<sim::FaultSite> sites;  ///< One per gate, in gate order.
-    detail::KindCounts site_counts{};   ///< Sites per `sim::LocationKind`.
-    std::uint32_t site_base = 0;        ///< Global index of `sites[0]`.
-    bool branch = false;                ///< A correction branch.
+    detail::KindCounts site_counts{};  ///< Sites per `sim::LocationKind`.
+    std::uint32_t site_base = 0;       ///< Global index of gate 0's site.
+    bool branch = false;               ///< A correction branch.
   };
 
   explicit Executor(const Protocol& protocol);
@@ -93,14 +94,25 @@ class Executor {
   Result run(Chooser&& choose) const {
     Result result;
     result.data_error = qec::Pauli(protocol_->num_data_qubits());
+    // Runs one segment on the accumulated data error.
+    const auto run_segment = [&](const circuit::Circuit& c) {
+      return sim::run_circuit(c, result.data_error, [&](std::size_t g) {
+        ++result.sites_executed;
+        const int op = choose(SiteRef{&c, g});
+        if (op >= 0) {
+          ++result.faults_injected;
+        }
+        return op;
+      });
+    };
 
-    run_segment(protocol_->prep, result, choose);
+    run_segment(protocol_->prep);
     for (const auto* layer : {&protocol_->layer1, &protocol_->layer2}) {
       if (!layer->has_value()) {
         continue;
       }
       const CompiledLayer& l = **layer;
-      const f2::BitVec outcomes = run_segment(l.verif, result, choose);
+      const f2::BitVec outcomes = run_segment(l.verif);
       if (outcomes.none()) {
         continue;
       }
@@ -109,7 +121,7 @@ class Executor {
       if (const auto it = l.branches.find(outcomes);
           it != l.branches.end()) {
         const CompiledBranch& branch = it->second;
-        const f2::BitVec extended = run_segment(branch.circ, result, choose);
+        const f2::BitVec extended = run_segment(branch.circ);
         if (const auto rec = branch.plan.recoveries.find(extended);
             rec != branch.plan.recoveries.end()) {
           result.data_error.part(branch.corrected_type) ^= rec->second;
@@ -128,38 +140,6 @@ class Executor {
   std::vector<Segment> segments_;
   // Compiled circuit -> its position in `segments_`.
   std::unordered_map<const circuit::Circuit*, std::size_t> index_;
-
-  template <typename Chooser>
-  f2::BitVec run_segment(const circuit::Circuit& c, Result& result,
-                         Chooser& choose) const {
-    const std::size_t n = protocol_->num_data_qubits();
-    sim::PauliFrame frame(c);
-    for (std::size_t q = 0; q < n; ++q) {
-      frame.error.x.set(q, result.data_error.x.get(q));
-      frame.error.z.set(q, result.data_error.z.get(q));
-    }
-    const auto& sites = segment(c).sites;
-    for (std::size_t g = 0; g < c.gates().size(); ++g) {
-      sim::apply_gate(frame, c.gates()[g]);
-      const sim::FaultSite& site = sites[g];
-      ++result.sites_executed;
-      const int op = choose(SiteRef{&c, g, &site});
-      if (op >= 0) {
-        ++result.faults_injected;
-        sim::apply_fault(frame, site.ops[static_cast<std::size_t>(op)],
-                         c.gates()[g]);
-      }
-    }
-    f2::BitVec outcomes(c.num_cbits());
-    for (std::size_t i = 0; i < c.num_cbits(); ++i) {
-      outcomes.set(i, frame.outcomes[i]);
-    }
-    for (std::size_t q = 0; q < n; ++q) {
-      result.data_error.x.set(q, frame.error.x.get(q));
-      result.data_error.z.set(q, frame.error.z.get(q));
-    }
-    return outcomes;
-  }
 };
 
 }  // namespace ftsp::core

@@ -7,9 +7,10 @@
 // conditional sector sampling). Both share the exact same word-parallel
 // propagation, branch regrouping and table-driven decode — so the
 // estimator's planted runs are bit-compatible with the sampler's
-// semantics by construction. Each segment's fault sites, per-kind site
-// counts and global site base come from the Executor's segment table;
-// the runner hands the injector the entry of the segment it runs. A
+// semantics by construction. Each segment's per-kind site counts and
+// global site base come from the Executor's segment table, and each
+// site's fault operators from `sim::fault_op` of its gate; the runner
+// hands the injector the entry of the segment it runs and the gate. A
 // shard's result is three per-word lane masks (x fail, z fail, hook
 // termination); only a caller that keeps per-shot records hands the
 // runner a `Trajectory` array to fill.
@@ -158,15 +159,16 @@ struct BernoulliInjector {
                     std::uint64_t seed)
       : q(q_in), masks(masks_in), out(out_in), rng(seed) {}
 
-  void inject(sim::FrameBatch& frame, const Executor::Segment& segment,
-              std::size_t gate_index, const circuit::Gate& gate,
+  void inject(sim::FrameBatch& frame, const Executor::Segment&, std::size_t,
+              const circuit::Gate& gate,
               const std::vector<std::uint64_t>& mask, std::size_t w0,
               std::size_t w1) {
-    const auto kind = static_cast<std::size_t>(sim::location_kind(gate.kind));
+    const sim::LocationKind location = sim::location_kind(gate.kind);
+    const auto kind = static_cast<std::size_t>(location);
     if (q.rates[kind] <= 0.0) {
       return;  // No draws: the site can never fault.
     }
-    const auto& ops = segment.sites[gate_index].ops;
+    const std::uint64_t num_ops = sim::num_fault_ops(location);
     const sim::BernoulliWordTable& table = masks.by_kind[kind];
     for (std::size_t w = w0; w < w1; ++w) {
       if (mask[w] == 0) {
@@ -180,8 +182,8 @@ struct BernoulliInjector {
         faulted &= faulted - 1;
         // Lemire's multiply-shift bounded draw (no division).
         const auto op = static_cast<std::size_t>(
-            (static_cast<uint128>(rng()) * ops.size()) >> 64);
-        frame.apply_fault(ops[op], gate, shot);
+            (static_cast<uint128>(rng()) * num_ops) >> 64);
+        frame.apply_fault(sim::fault_op(gate, op), gate, shot);
         if (out != nullptr) {
           ++out[shot].faults[kind];
         }
@@ -242,11 +244,10 @@ struct PlantedInjector {
               const std::vector<std::uint64_t>& mask, std::size_t,
               std::size_t) {
     const std::size_t s = segment.site_base + gate_index;
-    const auto& ops = segment.sites[gate_index].ops;
     for (std::uint32_t i = plan.offsets[s]; i < plan.offsets[s + 1]; ++i) {
       const SitePlan::Fault& fault = plan.faults[i];
       if (sim::get_lane(mask.data(), fault.lane)) {
-        frame.apply_fault(ops[fault.op], gate, fault.lane);
+        frame.apply_fault(sim::fault_op(gate, fault.op), gate, fault.lane);
       }
     }
   }

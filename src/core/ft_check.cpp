@@ -34,12 +34,15 @@ FtCheckResult check_fault_tolerance(const Protocol& protocol,
     if (segment.branch) {
       continue;
     }
-    for (const auto& site : segment.sites) {
-      for (std::size_t op = 0; op < site.ops.size(); ++op) {
+    const auto& gates = segment.circuit->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      const std::size_t num_ops =
+          sim::num_fault_ops(sim::location_kind(gates[g].kind));
+      for (std::size_t op = 0; op < num_ops; ++op) {
         // A run executes each location at most once.
         const auto run = executor.run([&](const SiteRef& ref) -> int {
-          const bool here = ref.segment == segment.circuit &&
-                            ref.gate_index == site.gate_index;
+          const bool here =
+              ref.segment == segment.circuit && ref.gate_index == g;
           return here ? static_cast<int>(op) : -1;
         });
         ++result.faults_checked;
@@ -49,7 +52,7 @@ FtCheckResult check_fault_tolerance(const Protocol& protocol,
             state.reduced_weight(PauliType::Z, run.data_error.z);
         if (wx > 1 || wz > 1) {
           std::ostringstream what;
-          what << "fault at gate " << site.gate_index << " op " << op
+          what << "fault at gate " << g << " op " << op
                << " of segment with " << segment.circuit->gate_count()
                << " gates leaves residual X:" << run.data_error.x.to_string()
                << " (wt_S " << wx << ") Z:" << run.data_error.z.to_string()

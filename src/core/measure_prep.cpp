@@ -5,7 +5,6 @@
 
 #include "f2/gauss.hpp"
 #include "sim/faults.hpp"
-#include "sim/pauli_frame.hpp"
 
 namespace ftsp::core {
 
@@ -59,7 +58,6 @@ MeasurePrepStats sample_measure_prep(const MeasurementBasedPrep& prep,
   const bool zero_basis = state.basis() == qec::LogicalBasis::Zero;
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const auto sites = sim::enumerate_fault_sites(prep.circuit);
 
   MeasurePrepStats stats;
   stats.shots = shots;
@@ -68,28 +66,22 @@ MeasurePrepStats sample_measure_prep(const MeasurementBasedPrep& prep,
     stats.cnots += gadget.support.popcount();
   }
 
+  const auto& gates = prep.circuit.gates();
   std::size_t failures = 0;
   for (std::size_t s = 0; s < shots; ++s) {
-    sim::PauliFrame frame(prep.circuit);
-    for (std::size_t g = 0; g < prep.circuit.gates().size(); ++g) {
-      sim::apply_gate(frame, prep.circuit.gates()[g]);
-      if (unit(rng) < p) {
-        const auto& ops = sites[g].ops;
-        sim::apply_fault(frame, ops[rng() % ops.size()],
-                         prep.circuit.gates()[g]);
-      }
-    }
+    qec::Pauli error(n);
+    const f2::BitVec outcomes =
+        sim::run_circuit(prep.circuit, error, [&](std::size_t g) {
+          const std::size_t num_ops =
+              sim::num_fault_ops(sim::location_kind(gates[g].kind));
+          return unit(rng) < p ? static_cast<int>(rng() % num_ops) : -1;
+        });
     // Apply the linearized outcome fixes: a flipped outcome i applies
     // fix_i relative to the noiseless reference run.
-    qec::Pauli error(n);
-    for (std::size_t q = 0; q < n; ++q) {
-      error.x.set(q, frame.error.x.get(q));
-      error.z.set(q, frame.error.z.get(q));
-    }
     for (std::size_t i = 0; i < prep.gadgets.size(); ++i) {
       const auto bit =
           static_cast<std::size_t>(prep.gadgets[i].outcome_bit);
-      if (frame.outcomes[bit]) {
+      if (outcomes.get(bit)) {
         error.part(zero_basis ? PauliType::Z : PauliType::X) ^=
             prep.outcome_fixes.row(i);
       }

@@ -1,7 +1,6 @@
 #include "core/nondet.hpp"
 
 #include "sim/faults.hpp"
-#include "sim/pauli_frame.hpp"
 
 namespace ftsp::core {
 
@@ -22,28 +21,15 @@ NonDetAttempt run_nondet_attempt(const Protocol& protocol, double p,
   }
 
   for (const circuit::Circuit* segment : segments) {
-    sim::PauliFrame frame(*segment);
-    for (std::size_t q = 0; q < n; ++q) {
-      frame.error.x.set(q, attempt.data_error.x.get(q));
-      frame.error.z.set(q, attempt.data_error.z.get(q));
-    }
-    const auto sites = sim::enumerate_fault_sites(*segment);
-    for (std::size_t g = 0; g < segment->gates().size(); ++g) {
-      sim::apply_gate(frame, segment->gates()[g]);
-      if (unit(rng) < p) {
-        const auto& ops = sites[g].ops;
-        const std::size_t pick = rng() % ops.size();
-        sim::apply_fault(frame, ops[pick], segment->gates()[g]);
-      }
-    }
-    for (bool outcome : frame.outcomes) {
-      if (outcome) {
-        attempt.accepted = false;  // Post-selection: discard the state.
-      }
-    }
-    for (std::size_t q = 0; q < n; ++q) {
-      attempt.data_error.x.set(q, frame.error.x.get(q));
-      attempt.data_error.z.set(q, frame.error.z.get(q));
+    const auto& gates = segment->gates();
+    const f2::BitVec outcomes =
+        sim::run_circuit(*segment, attempt.data_error, [&](std::size_t g) {
+          const std::size_t num_ops =
+              sim::num_fault_ops(sim::location_kind(gates[g].kind));
+          return unit(rng) < p ? static_cast<int>(rng() % num_ops) : -1;
+        });
+    if (outcomes.any()) {
+      attempt.accepted = false;  // Post-selection: discard the state.
     }
   }
   return attempt;

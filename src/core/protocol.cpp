@@ -9,7 +9,6 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
-#include "sim/pauli_frame.hpp"
 
 namespace ftsp::core {
 
@@ -34,42 +33,6 @@ class StageObs {
   obs::TraceSpan span_;
   obs::ScopedTimer timer_;
 };
-
-void copy_data_error(const qec::Pauli& from, qec::Pauli& to,
-                     std::size_t n) {
-  for (std::size_t q = 0; q < n; ++q) {
-    to.x.set(q, from.x.get(q));
-    to.z.set(q, from.z.get(q));
-  }
-}
-
-FaultEvent propagate_with_fault(std::size_t n,
-                                const std::vector<const Circuit*>& segments,
-                                std::size_t fault_segment,
-                                std::size_t fault_gate,
-                                const sim::FaultOp* op) {
-  FaultEvent event;
-  event.data_error = qec::Pauli(n);
-  for (std::size_t s = 0; s < segments.size(); ++s) {
-    const Circuit& c = *segments[s];
-    sim::PauliFrame frame(c);
-    copy_data_error(event.data_error, frame.error, n);
-    for (std::size_t g = 0; g < c.gates().size(); ++g) {
-      sim::apply_gate(frame, c.gates()[g]);
-      if (op != nullptr && s == fault_segment && g == fault_gate) {
-        sim::apply_fault(frame, *op, c.gates()[g]);
-      }
-    }
-    BitVec outcomes(c.num_cbits());
-    for (std::size_t i = 0; i < c.num_cbits(); ++i) {
-      outcomes.set(i, frame.outcomes[i]);
-    }
-    event.outcomes.push_back(std::move(outcomes));
-    copy_data_error(frame.error, event.data_error, n);
-  }
-  return event;
-}
-
 
 /// Number of hook suffixes of the given CNOT order that are dangerous.
 /// Only cuts 1..w-2 matter for flag decisions (the last cut is a single
@@ -280,12 +243,20 @@ std::vector<FaultEvent> enumerate_single_fault_events(
     std::size_t num_data, const std::vector<const Circuit*>& segments) {
   std::vector<FaultEvent> events;
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    const auto sites = sim::enumerate_fault_sites(*segments[s]);
-    for (const auto& site : sites) {
-      for (const auto& op : site.ops) {
-        events.push_back(
-            propagate_with_fault(num_data, segments, s, site.gate_index,
-                                 &op));
+    const auto& gates = segments[s]->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      const std::size_t num_ops =
+          sim::num_fault_ops(sim::location_kind(gates[g].kind));
+      for (std::size_t op = 0; op < num_ops; ++op) {
+        // Propagate the single fault (s, g, op) through every segment.
+        FaultEvent& event = events.emplace_back();
+        event.data_error = qec::Pauli(num_data);
+        for (std::size_t t = 0; t < segments.size(); ++t) {
+          event.outcomes.push_back(sim::run_circuit(
+              *segments[t], event.data_error, [&](std::size_t i) {
+                return t == s && i == g ? static_cast<int>(op) : -1;
+              }));
+        }
       }
     }
   }

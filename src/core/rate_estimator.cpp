@@ -44,27 +44,24 @@ std::uint64_t bounded_draw(std::mt19937_64& rng, std::uint64_t n) {
 /// every protocol segment in table order — executed or not. This is the
 /// fixed location set the sector decomposition is defined over.
 struct SiteIndex {
-  struct Entry {
-    std::uint8_t kind = 0;
-    std::uint32_t num_ops = 0;
-  };
-  std::vector<Entry> sites;
+  std::vector<sim::LocationKind> kinds;  ///< Per global site.
   std::array<std::vector<std::uint32_t>, sim::kNumLocationKinds> by_kind;
   sim::SectorModel::KindCounts counts{};
 
   explicit SiteIndex(const Executor& executor) {
     for (const Executor::Segment& segment : executor.segments()) {
-      const auto& gates = segment.circuit->gates();
-      for (std::size_t g = 0; g < segment.sites.size(); ++g) {
-        const auto kind =
-            static_cast<std::size_t>(sim::location_kind(gates[g].kind));
-        by_kind[kind].push_back(static_cast<std::uint32_t>(sites.size()));
-        ++counts[kind];
-        sites.push_back(
-            {static_cast<std::uint8_t>(kind),
-             static_cast<std::uint32_t>(segment.sites[g].ops.size())});
+      for (const circuit::Gate& gate : segment.circuit->gates()) {
+        const sim::LocationKind kind = sim::location_kind(gate.kind);
+        const auto k = static_cast<std::size_t>(kind);
+        by_kind[k].push_back(static_cast<std::uint32_t>(kinds.size()));
+        ++counts[k];
+        kinds.push_back(kind);
       }
     }
+  }
+
+  std::uint32_t num_ops(std::uint32_t site) const {
+    return static_cast<std::uint32_t>(sim::num_fault_ops(kinds[site]));
   }
 };
 
@@ -117,7 +114,7 @@ class WaveRunner {
   }
 
   void run_wave(Wave& wave) const {
-    const detail::SitePlan plan(wave.plan, index_.sites.size());
+    const detail::SitePlan plan(wave.plan, index_.kinds.size());
     wave.plan = Plan{};
     detail::PlantedInjector injector{plan};
     detail::ShardRunner<detail::PlantedInjector> runner(
@@ -205,10 +202,10 @@ struct WaveBuilder {
 template <typename Emit>
 void for_each_case(const SiteIndex& index, const sim::SectorModel& model,
                    std::size_t k, Emit&& emit) {
-  const std::size_t n = index.sites.size();
+  const std::size_t n = index.kinds.size();
   const double ek = model.elementary_symmetric(k);
   const auto odds_of = [&](std::uint32_t site) {
-    return model.odds(static_cast<sim::LocationKind>(index.sites[site].kind));
+    return model.odds(index.kinds[site]);
   };
   CaseFault faults[2];
   if (k == 1) {
@@ -217,9 +214,9 @@ void for_each_case(const SiteIndex& index, const sim::SectorModel& model,
       if (r <= 0.0) {
         continue;
       }
-      const double weight =
-          r / ek / static_cast<double>(index.sites[i].num_ops);
-      for (std::uint32_t oi = 0; oi < index.sites[i].num_ops; ++oi) {
+      const std::uint32_t ops_i = index.num_ops(i);
+      const double weight = r / ek / static_cast<double>(ops_i);
+      for (std::uint32_t oi = 0; oi < ops_i; ++oi) {
         faults[0] = {i, oi};
         emit(faults, 1, weight);
       }
@@ -232,17 +229,17 @@ void for_each_case(const SiteIndex& index, const sim::SectorModel& model,
       if (ri <= 0.0) {
         continue;
       }
+      const std::uint32_t ops_i = index.num_ops(i);
       for (std::uint32_t j = i + 1; j < n; ++j) {
         const double rj = odds_of(j);
         if (rj <= 0.0) {
           continue;
         }
-        const double weight =
-            ri * rj / ek /
-            static_cast<double>(index.sites[i].num_ops) /
-            static_cast<double>(index.sites[j].num_ops);
-        for (std::uint32_t oi = 0; oi < index.sites[i].num_ops; ++oi) {
-          for (std::uint32_t oj = 0; oj < index.sites[j].num_ops; ++oj) {
+        const std::uint32_t ops_j = index.num_ops(j);
+        const double weight = ri * rj / ek / static_cast<double>(ops_i) /
+                              static_cast<double>(ops_j);
+        for (std::uint32_t oi = 0; oi < ops_i; ++oi) {
+          for (std::uint32_t oj = 0; oj < ops_j; ++oj) {
             faults[0] = {i, oi};
             faults[1] = {j, oj};
             emit(faults, 2, weight);
@@ -267,12 +264,11 @@ std::uint64_t count_cases(const SiteIndex& index,
   // without touching the op loops.
   std::uint64_t sum = 0;
   std::uint64_t sum_sq = 0;
-  for (std::uint32_t i = 0; i < index.sites.size(); ++i) {
-    if (model.odds(static_cast<sim::LocationKind>(index.sites[i].kind)) <=
-        0.0) {
+  for (std::uint32_t i = 0; i < index.kinds.size(); ++i) {
+    if (model.odds(index.kinds[i]) <= 0.0) {
       continue;
     }
-    const std::uint64_t ops = index.sites[i].num_ops;
+    const std::uint64_t ops = index.num_ops(i);
     sum += ops;
     sum_sq += ops * ops;
   }
@@ -309,7 +305,7 @@ void plant_sampled_lane(const SiteIndex& index,
       scratch.push_back(pick);
       const std::uint32_t site = pool[pick];
       const auto op = static_cast<std::uint32_t>(
-          bounded_draw(rng, index.sites[site].num_ops));
+          bounded_draw(rng, index.num_ops(site)));
       plan.push_back({site, lane, op});
     }
   }
@@ -351,17 +347,6 @@ struct SectorData {
     return a * b / (s * s * (s + 1.0));
   }
 };
-
-void validate_rates(const sim::NoiseParams& p, const char* who) {
-  for (double rate : p.rates) {
-    // Negated comparison so NaN (for which both p < x and p > x are
-    // false) fails validation instead of flowing through the math.
-    if (!(rate >= 0.0) || rate >= 1.0) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": rates must be in [0,1)");
-    }
-  }
-}
 
 std::uint64_t wave_seed(std::uint64_t seed, std::uint32_t k,
                         std::uint64_t wave) {
@@ -448,7 +433,7 @@ std::vector<RateEstimate> run_estimator(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     const sim::NoiseParams& q, const std::vector<sim::NoiseParams>& targets,
     const RateOptions& options) {
-  validate_rates(q, "estimate_logical_error_rate");
+  sim::validate_rates(q, "estimate_logical_error_rate");
   if (options.chunk_shots == 0 || options.rel_err <= 0.0) {
     throw std::invalid_argument(
         "estimate_logical_error_rate: chunk_shots and rel_err must be "
@@ -661,10 +646,7 @@ RateEstimate estimate_logical_error_rate(const Executor& executor,
                                          const decoder::PerfectDecoder& decoder,
                                          double p,
                                          const RateOptions& options) {
-  if (!(p > 0.0) || p >= 1.0) {  // Negated so NaN is rejected too.
-    throw std::invalid_argument(
-        "estimate_logical_error_rate: p must be in (0,1)");
-  }
+  sim::validate_uniform_rate(p, "estimate_logical_error_rate", "p");
   return estimate_logical_error_rate(executor, decoder,
                                      sim::NoiseParams::e1_1(p), options);
 }
@@ -698,10 +680,7 @@ std::vector<RateEstimate> estimate_logical_error_rate_sweep(
   std::vector<sim::NoiseParams> targets;
   targets.reserve(ps.size());
   for (double p : ps) {
-    if (!(p > 0.0) || p >= 1.0) {  // Negated so NaN is rejected too.
-      throw std::invalid_argument(
-          "estimate_logical_error_rate_sweep: p must be in (0,1)");
-    }
+    sim::validate_uniform_rate(p, "estimate_logical_error_rate_sweep", "p");
     anchor = std::max(anchor, p);
     targets.push_back(sim::NoiseParams::e1_1(p));
   }

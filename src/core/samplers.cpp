@@ -90,27 +90,12 @@ Estimate estimate_over(std::span<const TrajectoryBatch* const> batches,
   return from_weight_sums(sum, sum_sq, static_cast<double>(total));
 }
 
-void validate_rates(const sim::NoiseParams& q) {
-  for (double rate : q.rates) {
-    if (rate < 0.0 || rate >= 1.0) {
-      throw std::invalid_argument(
-          "sample_protocol_batch: rates must be in [0,1)");
-    }
-  }
-}
-
 void validate_options(const sim::NoiseParams& q,
                       const SamplerOptions& options) {
-  validate_rates(q);
+  sim::validate_rates(q, "sample_protocol_batch");
   if (options.shard_shots == 0) {
     throw std::invalid_argument(
         "sample_protocol_batch: shard_shots must be positive");
-  }
-}
-
-void validate_uniform_rate(double q) {
-  if (q <= 0.0 || q >= 1.0) {
-    throw std::invalid_argument("sample_protocol_batch: q must be in (0,1)");
   }
 }
 
@@ -201,7 +186,7 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       double q, std::size_t shots,
                                       std::uint64_t seed,
                                       const SamplerOptions& options) {
-  validate_uniform_rate(q);
+  sim::validate_uniform_rate(q, "sample_protocol_batch", "q");
   return sample_protocol_batch(executor, decoder, sim::NoiseParams::e1_1(q),
                                shots, seed, options);
 }
@@ -211,7 +196,7 @@ SampleCounts sample_protocol_counts(const Executor& executor,
                                     double q, std::size_t shots,
                                     std::uint64_t seed,
                                     const SamplerOptions& options) {
-  validate_uniform_rate(q);
+  sim::validate_uniform_rate(q, "sample_protocol_batch", "q");
   const sim::NoiseParams rates = sim::NoiseParams::e1_1(q);
   validate_options(rates, options);
   SampleCounts total;
@@ -237,7 +222,7 @@ SampleCounts sample_protocol_counts(const Executor& executor,
 TrajectoryBatch sample_protocol_batch_scalar(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     const sim::NoiseParams& q, std::size_t shots, std::uint64_t seed) {
-  validate_rates(q);
+  sim::validate_rates(q, "sample_protocol_batch");
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
@@ -248,14 +233,15 @@ TrajectoryBatch sample_protocol_batch_scalar(
   for (std::size_t s = 0; s < shots; ++s) {
     Trajectory t;
     const auto result = executor.run([&](const SiteRef& ref) -> int {
-      const auto kind = static_cast<std::size_t>(sim::location_kind(
-          ref.segment->gates()[ref.gate_index].kind));
+      const sim::LocationKind location =
+          sim::location_kind(ref.segment->gates()[ref.gate_index].kind);
+      const auto kind = static_cast<std::size_t>(location);
       ++t.sites[kind];
       if (unit(rng) >= q.rates[kind]) {
         return -1;
       }
       ++t.faults[kind];
-      return static_cast<int>(rng() % ref.site->ops.size());
+      return static_cast<int>(rng() % sim::num_fault_ops(location));
     });
     t.hook_terminated = result.hook_terminated;
     const auto logical = decoder.decode(result.data_error);
@@ -269,7 +255,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 TrajectoryBatch sample_protocol_batch_scalar(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     double q, std::size_t shots, std::uint64_t seed) {
-  validate_uniform_rate(q);
+  sim::validate_uniform_rate(q, "sample_protocol_batch", "q");
   return sample_protocol_batch_scalar(executor, decoder,
                                       sim::NoiseParams::e1_1(q), shots, seed);
 }

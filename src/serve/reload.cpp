@@ -28,8 +28,10 @@ ReloadableService::ReloadableService(std::string store_dir,
   if (!options_.access_log.empty()) {
     access_log_ = std::make_shared<AccessLog>(options_.access_log);
   }
-  current_ = build(runtime_->generation.load());
+  // Fingerprint first: an index rewritten while `build` runs then reads
+  // as changed, so the watcher rebuilds instead of missing it.
   fingerprint_ = compile::ArtifactStore::index_fingerprint(store_dir_);
+  current_ = build(runtime_->generation.load());
   publish_generation(runtime_->generation.load());
   // The reload op routes back here. The hook captures `this`; the dtor
   // clears it before tearing anything down so a request racing the
@@ -79,6 +81,9 @@ std::uint64_t ReloadableService::force_reload() {
   const auto swap_start = timing ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
   const std::uint64_t generation = runtime_->generation.load() + 1;
+  // Taken before `build` reads the index, as in the constructor.
+  const std::string fingerprint =
+      compile::ArtifactStore::index_fingerprint(store_dir_);
   std::shared_ptr<const compile::ProtocolService> fresh;
   try {
     fresh = build(generation);
@@ -98,8 +103,6 @@ std::uint64_t ReloadableService::force_reload() {
     runtime_->last_reload_error.clear();
   }
   runtime_->degraded.store(false);
-  const std::string fingerprint =
-      compile::ArtifactStore::index_fingerprint(store_dir_);
   runtime_->generation.store(generation);
   {
     std::lock_guard<std::mutex> lock(mutex_);

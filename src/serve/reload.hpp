@@ -73,7 +73,8 @@ class ReloadableService {
   std::uint64_t force_reload();
 
   /// Rebuilds only if the store index fingerprint changed since the
-  /// last (re)load. Returns true if a swap happened.
+  /// last (re)load, which takes it before reading the index. Returns
+  /// true if a swap happened.
   bool reload_if_changed();
 
   /// Starts the background watcher thread (idempotent).

@@ -1,76 +1,13 @@
 #include "sim/faults.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ftsp::sim {
 
 using circuit::Gate;
 using circuit::GateKind;
-
-namespace {
-
-FaultOp single(std::size_t q, bool x, bool z) {
-  FaultOp op;
-  op.terms[0] = {q, x, z};
-  op.num_terms = 1;
-  return op;
-}
-
-FaultOp flip() {
-  FaultOp op;
-  op.flip_outcome = true;
-  return op;
-}
-
-}  // namespace
-
-std::vector<FaultSite> enumerate_fault_sites(const circuit::Circuit& c) {
-  std::vector<FaultSite> sites;
-  sites.reserve(c.gates().size());
-  for (std::size_t i = 0; i < c.gates().size(); ++i) {
-    const Gate& g = c.gates()[i];
-    FaultSite site;
-    site.gate_index = i;
-    switch (g.kind) {
-      case GateKind::Cnot:
-        // All 15 non-identity two-qubit Paulis after the gate.
-        for (int a = 0; a < 4; ++a) {
-          for (int b = 0; b < 4; ++b) {
-            if (a == 0 && b == 0) {
-              continue;
-            }
-            FaultOp op;
-            op.num_terms = 0;
-            if (a != 0) {
-              op.terms[op.num_terms++] = {g.q0, (a & 1) != 0, (a & 2) != 0};
-            }
-            if (b != 0) {
-              op.terms[op.num_terms++] = {g.q1, (b & 1) != 0, (b & 2) != 0};
-            }
-            site.ops.push_back(op);
-          }
-        }
-        break;
-      case GateKind::H:
-        site.ops.push_back(single(g.q0, true, false));   // X
-        site.ops.push_back(single(g.q0, true, true));    // Y
-        site.ops.push_back(single(g.q0, false, true));   // Z
-        break;
-      case GateKind::PrepZ:
-        site.ops.push_back(single(g.q0, true, false));   // Prepared |1>.
-        break;
-      case GateKind::PrepX:
-        site.ops.push_back(single(g.q0, false, true));   // Prepared |->.
-        break;
-      case GateKind::MeasZ:
-      case GateKind::MeasX:
-        site.ops.push_back(flip());
-        break;
-    }
-    sites.push_back(std::move(site));
-  }
-  return sites;
-}
 
 LocationKind location_kind(circuit::GateKind kind) {
   switch (kind) {
@@ -102,6 +39,24 @@ void apply_fault(PauliFrame& frame, const FaultOp& op, const Gate& gate) {
     assert(gate.is_measurement() && gate.cbit >= 0);
     const auto bit = static_cast<std::size_t>(gate.cbit);
     frame.outcomes[bit] = !frame.outcomes[bit];
+  }
+}
+
+void validate_rates(const NoiseParams& params, const char* who) {
+  for (double rate : params.rates) {
+    // Negated comparison so NaN (for which both p < x and p > x are
+    // false) fails validation instead of flowing through the math.
+    if (!(rate >= 0.0) || rate >= 1.0) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": rates must be in [0,1)");
+    }
+  }
+}
+
+void validate_uniform_rate(double p, const char* who, const char* name) {
+  if (!(p > 0.0) || p >= 1.0) {  // Negated so NaN is rejected too.
+    throw std::invalid_argument(std::string(who) + ": " + name +
+                                " must be in (0,1)");
   }
 }
 

@@ -84,6 +84,15 @@ TEST(Cli, NumericGarbageIsAUsageErrorNotAnAbort) {
   EXPECT_EQ(run_cli("rate Steane --seed 1e9").exit_code, 2);
 }
 
+TEST(Cli, NanRateIsRefusedBySamplerAndEstimator) {
+  // "nan" parses as a number, so each engine's range check refuses it.
+  const auto sim = run_cli("sim Steane --p nan --shots 1000");
+  EXPECT_EQ(sim.exit_code, 1) << sim.output;
+  EXPECT_NE(sim.output.find("q must be in (0,1)"), std::string::npos)
+      << sim.output;
+  EXPECT_EQ(run_cli("rate Steane --p nan").exit_code, 1);
+}
+
 TEST(Cli, TrailingValueFlagIsAUsageError) {
   const auto result = run_cli("sim Steane --shots");
   EXPECT_EQ(result.exit_code, 2) << result.output;

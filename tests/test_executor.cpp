@@ -13,6 +13,11 @@ namespace {
 using qec::LogicalBasis;
 using qec::PauliType;
 
+/// Number of fault operators at the location after gate `g` of `c`.
+std::size_t ops_at(const circuit::Circuit& c, std::size_t g) {
+  return sim::num_fault_ops(sim::location_kind(c.gates()[g].kind));
+}
+
 class ExecutorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -49,7 +54,7 @@ TEST_F(ExecutorTest, InjectedFaultIsCounted) {
   bool first = true;
   const auto result = executor.run([&](const SiteRef& ref) -> int {
     if (first && ref.segment == &protocol_.prep &&
-        !ref.site->ops.empty()) {
+        ops_at(*ref.segment, ref.gate_index) != 0) {
       first = false;
       return 0;
     }
@@ -68,14 +73,13 @@ TEST_F(ExecutorTest, TriggeredBranchRunsExtraSites) {
     clean_sites = clean.sites_executed;
   }
   bool found_trigger = false;
-  const auto& sites = sim::enumerate_fault_sites(protocol_.prep);
-  for (const auto& site : sites) {
-    for (std::size_t op = 0; op < site.ops.size() && !found_trigger;
+  for (std::size_t g = 0; g < protocol_.prep.gates().size(); ++g) {
+    for (std::size_t op = 0; op < ops_at(protocol_.prep, g) && !found_trigger;
          ++op) {
       bool injected = false;
       const auto result = executor.run([&](const SiteRef& ref) -> int {
         if (!injected && ref.segment == &protocol_.prep &&
-            ref.gate_index == site.gate_index) {
+            ref.gate_index == g) {
           injected = true;
           return static_cast<int>(op);
         }
@@ -99,7 +103,8 @@ TEST_F(ExecutorTest, UnknownPatternsDoNotCrash) {
   for (int run = 0; run < 200; ++run) {
     const auto result = executor.run([&](const SiteRef& ref) -> int {
       if (unit(rng) < 0.25) {
-        return static_cast<int>(rng() % ref.site->ops.size());
+        return static_cast<int>(rng() %
+                                ops_at(*ref.segment, ref.gate_index));
       }
       return -1;
     });
@@ -147,16 +152,14 @@ TEST(ExecutorHook, HookTerminationSkipsSecondLayer) {
     }
     ASSERT_NE(target_gate, SIZE_MAX) << name;
     // Find the Z-on-ancilla op for that CNOT.
-    const auto sites = sim::enumerate_fault_sites(l1.verif);
-    const auto& ops = sites[target_gate].ops;
     int z_op = -1;
     const auto& gate = l1.verif.gates()[target_gate];
     const std::size_t anc_slot = gate.q0 == flagged->ancilla ? 0u : 1u;
-    for (std::size_t o = 0; o < ops.size(); ++o) {
-      if (ops[o].num_terms == 1 &&
-          ops[o].terms[0].qubit ==
-              (anc_slot == 0 ? gate.q0 : gate.q1) &&
-          !ops[o].terms[0].x && ops[o].terms[0].z) {
+    for (std::size_t o = 0; o < ops_at(l1.verif, target_gate); ++o) {
+      const sim::FaultOp op = sim::fault_op(gate, o);
+      if (op.num_terms == 1 &&
+          op.terms[0].qubit == (anc_slot == 0 ? gate.q0 : gate.q1) &&
+          !op.terms[0].x && op.terms[0].z) {
         z_op = static_cast<int>(o);
         break;
       }

@@ -1,6 +1,7 @@
-// Cross-validation of the two independent propagation paths: the
-// synthesis-time event enumerator (protocol.cpp's propagate_with_fault)
-// and the run-time executor. For faults that trigger nothing, both must
+// Cross-validation of the two propagation paths: the synthesis-time
+// event enumerator (`enumerate_single_fault_events`, which runs every
+// segment straight through) and the run-time executor (which follows the
+// protocol's branches). For faults that trigger nothing, both must
 // produce identical residuals; for triggering faults the executor must
 // leave a correctable residual.
 #include <gtest/gtest.h>
@@ -38,9 +39,11 @@ TEST_P(ExecutorCrossCheck, SilentFaultsMatchEventEnumeration) {
   std::size_t corrected = 0;
 
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    const auto sites = sim::enumerate_fault_sites(*segments[s]);
-    for (const auto& site : sites) {
-      for (std::size_t op = 0; op < site.ops.size(); ++op, ++index) {
+    const auto& gates = segments[s]->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      const std::size_t num_ops =
+          sim::num_fault_ops(sim::location_kind(gates[g].kind));
+      for (std::size_t op = 0; op < num_ops; ++op, ++index) {
         ASSERT_LT(index, events.size());
         const FaultEvent& event = events[index];
 
@@ -52,7 +55,7 @@ TEST_P(ExecutorCrossCheck, SilentFaultsMatchEventEnumeration) {
         bool injected = false;
         const auto run = executor.run([&](const SiteRef& ref) -> int {
           if (!injected && ref.segment == segments[s] &&
-              ref.gate_index == site.gate_index) {
+              ref.gate_index == g) {
             injected = true;
             return static_cast<int>(op);
           }

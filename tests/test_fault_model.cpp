@@ -29,12 +29,12 @@ using qec::LogicalBasis;
 /// Number of fault operators at the location after the circuit's only
 /// gate.
 std::size_t ops_after(const circuit::Circuit& c) {
-  return sim::enumerate_fault_sites(c)[0].ops.size();
+  return sim::num_fault_ops(sim::location_kind(c.gates()[0].kind));
 }
 
 /// Fault operator `i` at the location after the circuit's only gate.
 sim::FaultOp op_after(const circuit::Circuit& c, std::size_t i) {
-  return sim::enumerate_fault_sites(c)[0].ops.at(i);
+  return sim::fault_op(c.gates()[0], i);
 }
 
 char pauli_at(const sim::PauliFrame& frame, std::size_t q) {

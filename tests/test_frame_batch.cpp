@@ -223,15 +223,15 @@ Circuit random_deterministic_circuit(std::mt19937_64& rng,
 using FaultPlan = std::map<std::size_t, std::size_t>;
 
 std::vector<FaultPlan> random_fault_plans(std::mt19937_64& rng,
-                                          const std::vector<FaultSite>& sites,
-                                          std::size_t shots,
+                                          const Circuit& c, std::size_t shots,
                                           double fault_probability) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::vector<FaultPlan> plans(shots);
   for (std::size_t shot = 0; shot < shots; ++shot) {
-    for (std::size_t g = 0; g < sites.size(); ++g) {
+    for (std::size_t g = 0; g < c.gates().size(); ++g) {
       if (unit(rng) < fault_probability) {
-        plans[shot][g] = rng() % sites[g].ops.size();
+        plans[shot][g] =
+            rng() % num_fault_ops(location_kind(c.gates()[g].kind));
       }
     }
   }
@@ -243,8 +243,7 @@ TEST(FrameBatchCrossCheck, MatchesScalarFrameBitForBit) {
   constexpr std::size_t kShots = 130;  // Exercises full and partial words.
   for (int trial = 0; trial < 25; ++trial) {
     const Circuit c = random_circuit(rng, 6, 40);
-    const auto sites = enumerate_fault_sites(c);
-    const auto plans = random_fault_plans(rng, sites, kShots, 0.15);
+    const auto plans = random_fault_plans(rng, c, kShots, 0.15);
 
     // Batched: all lanes at once.
     FrameBatch batch(c, kShots);
@@ -252,7 +251,8 @@ TEST(FrameBatchCrossCheck, MatchesScalarFrameBitForBit) {
       batch.apply_gate(c.gates()[g]);
       for (std::size_t shot = 0; shot < kShots; ++shot) {
         if (const auto it = plans[shot].find(g); it != plans[shot].end()) {
-          batch.apply_fault(sites[g].ops[it->second], c.gates()[g], shot);
+          batch.apply_fault(fault_op(c.gates()[g], it->second), c.gates()[g],
+                            shot);
         }
       }
     }
@@ -263,7 +263,8 @@ TEST(FrameBatchCrossCheck, MatchesScalarFrameBitForBit) {
       for (std::size_t g = 0; g < c.gates().size(); ++g) {
         apply_gate(frame, c.gates()[g]);
         if (const auto it = plans[shot].find(g); it != plans[shot].end()) {
-          apply_fault(frame, sites[g].ops[it->second], c.gates()[g]);
+          apply_fault(frame, fault_op(c.gates()[g], it->second),
+                      c.gates()[g]);
         }
       }
       const PauliFrame lane = batch.extract_frame(shot);
@@ -288,8 +289,7 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
   constexpr std::size_t kShots = 64;
   for (int trial = 0; trial < 10; ++trial) {
     const Circuit c = random_deterministic_circuit(rng, 5, 30);
-    const auto sites = enumerate_fault_sites(c);
-    const auto plans = random_fault_plans(rng, sites, kShots, 0.08);
+    const auto plans = random_fault_plans(rng, c, kShots, 0.08);
     const std::uint64_t tableau_seed = rng();
 
     FrameBatch batch(c, kShots);
@@ -297,7 +297,8 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
       batch.apply_gate(c.gates()[g]);
       for (std::size_t shot = 0; shot < kShots; ++shot) {
         if (const auto it = plans[shot].find(g); it != plans[shot].end()) {
-          batch.apply_fault(sites[g].ops[it->second], c.gates()[g], shot);
+          batch.apply_fault(fault_op(c.gates()[g], it->second), c.gates()[g],
+                            shot);
         }
       }
     }
@@ -315,7 +316,7 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
         const Gate& gate = c.gates()[g];
         tableau.apply_gate(gate, run_rng, outcomes);
         if (const auto it = plans[shot].find(g); it != plans[shot].end()) {
-          const FaultOp& op = sites[g].ops[it->second];
+          const FaultOp op = fault_op(gate, it->second);
           for (int t = 0; t < op.num_terms; ++t) {
             const auto& term = op.terms[static_cast<std::size_t>(t)];
             if (term.x) {

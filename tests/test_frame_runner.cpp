@@ -35,8 +35,9 @@ TEST_P(WordDecode, MatchesScalarDecodeLaneByLane) {
   // The executor's global site numbering.
   std::vector<std::uint32_t> num_ops;
   for (const Executor::Segment& segment : executor.segments()) {
-    for (const sim::FaultSite& site : segment.sites) {
-      num_ops.push_back(static_cast<std::uint32_t>(site.ops.size()));
+    for (const circuit::Gate& gate : segment.circuit->gates()) {
+      num_ops.push_back(static_cast<std::uint32_t>(
+          sim::num_fault_ops(sim::location_kind(gate.kind))));
     }
   }
   const auto num_sites = static_cast<std::uint32_t>(num_ops.size());

@@ -117,11 +117,11 @@ TEST(Hooks, YFaultOnAncillaSetsSyndromeAndFlag) {
       }
     }
     ASSERT_NE(target_gate, SIZE_MAX) << name;
-    const auto sites = sim::enumerate_fault_sites(l1.verif);
     const auto& gate = l1.verif.gates()[target_gate];
     int y_op = -1;
-    for (std::size_t o = 0; o < sites[target_gate].ops.size(); ++o) {
-      const auto& op = sites[target_gate].ops[o];
+    for (std::size_t o = 0;
+         o < sim::num_fault_ops(sim::location_kind(gate.kind)); ++o) {
+      const sim::FaultOp op = sim::fault_op(gate, o);
       if (op.num_terms == 1 && op.terms[0].qubit == flagged->ancilla &&
           op.terms[0].x && op.terms[0].z) {
         y_op = static_cast<int>(o);
@@ -129,7 +129,6 @@ TEST(Hooks, YFaultOnAncillaSetsSyndromeAndFlag) {
       }
     }
     ASSERT_GE(y_op, 0) << name;
-    (void)gate;
 
     const Executor executor(protocol);
     bool injected = false;

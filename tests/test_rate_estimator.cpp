@@ -97,16 +97,17 @@ TEST(RateEstimator, SingleFaultSectorMatchesDirectEnumeration) {
   std::uint64_t cases = 0;
   for (const circuit::Circuit* segment :
        canonical_segments(fixture.protocol)) {
-    sites_total += fixture.executor.segment(*segment).sites.size();
+    sites_total += segment->gates().size();
   }
   for (const circuit::Circuit* segment :
        canonical_segments(fixture.protocol)) {
-    const auto& sites = fixture.executor.segment(*segment).sites;
-    for (std::size_t g = 0; g < sites.size(); ++g) {
-      const double site_weight =
-          1.0 / static_cast<double>(sites_total) /
-          static_cast<double>(sites[g].ops.size());
-      for (std::size_t op = 0; op < sites[g].ops.size(); ++op) {
+    const auto& gates = segment->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      const std::size_t num_ops =
+          sim::num_fault_ops(sim::location_kind(gates[g].kind));
+      const double site_weight = 1.0 / static_cast<double>(sites_total) /
+                                 static_cast<double>(num_ops);
+      for (std::size_t op = 0; op < num_ops; ++op) {
         ++cases;
         if (scalar_planted_fail(fixture.executor, fixture.decoder,
                                 {{segment, g, op}})) {
@@ -146,9 +147,10 @@ TEST(RateEstimator, TwoFaultSectorMatchesDirectEnumeration) {
   std::vector<Site> sites;
   for (const circuit::Circuit* segment :
        canonical_segments(fixture.protocol)) {
-    const auto& fault_sites = fixture.executor.segment(*segment).sites;
-    for (std::size_t g = 0; g < fault_sites.size(); ++g) {
-      sites.push_back({segment, g, fault_sites[g].ops.size()});
+    const auto& gates = segment->gates();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      sites.push_back(
+          {segment, g, sim::num_fault_ops(sim::location_kind(gates[g].kind))});
     }
   }
   const double n = static_cast<double>(sites.size());

@@ -382,6 +382,33 @@ TEST_F(SamplerTest, CountsRejectWhatTheBatchRejects) {
   EXPECT_THROW(sample_protocol_counts(*executor_, *decoder_, 1.0, 10, 1),
                std::invalid_argument);
 
+  // A NaN rate is refused by every entry point with the message of an
+  // out-of-range one, uniform or per kind.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string bad_q = "sample_protocol_batch: q must be in (0,1)";
+  const std::string bad_rates = "sample_protocol_batch: rates must be in [0,1)";
+  sim::NoiseParams nan_rate = sim::NoiseParams::e1_1(0.01);
+  nan_rate.rates[2] = nan;
+  const auto expect_refused = [](const std::string& expected, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted a NaN rate: " << expected;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  };
+  const Executor& ex = *executor_;
+  const decoder::PerfectDecoder& dec = *decoder_;
+  expect_refused(bad_q, [&] { sample_protocol_batch(ex, dec, nan, 10, 1); });
+  expect_refused(bad_q, [&] { sample_protocol_counts(ex, dec, nan, 10, 1); });
+  expect_refused(bad_q,
+                 [&] { sample_protocol_batch_scalar(ex, dec, nan, 10, 1); });
+  expect_refused(bad_rates,
+                 [&] { sample_protocol_batch(ex, dec, nan_rate, 10, 1); });
+  expect_refused(bad_rates, [&] {
+    sample_protocol_batch_scalar(ex, dec, nan_rate, 10, 1);
+  });
+
   // Layouts that disagree with the protocol, each rejected by both
   // entry points with a message naming the entry point.
   const FrameBatchLayout good = compute_frame_batch_layout(protocol_);

@@ -1053,6 +1053,34 @@ TEST_F(ServeTcpTest, FailedReloadDegradesHealthButKeepsServing) {
   EXPECT_EQ(recovered.find("degraded"), std::string::npos) << recovered;
 }
 
+TEST_F(ServeTcpTest, StoreChangedDuringReloadIsSeenAsChanged) {
+  TempDir store_dir;
+  {
+    compile::ArtifactStore store(store_dir.path.string());
+    store.put(*artifact_);
+  }
+  ReloadableService reloadable(store_dir.path.string(), {});
+  // The reload's artifact read stalls after its store handle has read
+  // the index; the store gains an artifact inside that window.
+  util::fault::set_plan("store.read:delay=300ms@1");
+  std::thread writer([&] {
+    while (util::fault::hit_count("store.read") < 1) {
+      std::this_thread::yield();
+    }
+    compile::ArtifactStore store(store_dir.path.string());
+    store.put(linear_variant());
+  });
+  reloadable.force_reload();
+  writer.join();
+  util::fault::clear_plan();
+  // The swapped-in service was built from the old index, so the next
+  // check must see the store as changed and pick the new artifact up.
+  EXPECT_TRUE(reloadable.reload_if_changed());
+  const std::string codes =
+      reloadable.service()->handle_request(R"({"op":"codes"})");
+  EXPECT_NE(codes.find("Steane@linear"), std::string::npos) << codes;
+}
+
 }  // namespace
 }  // namespace ftsp::serve
 

@@ -184,13 +184,12 @@ TEST_P(FrameVsTableau, FlipPredictionsMatch) {
   c.cnot(3, 5);
   c.measure_z(5);
 
-  const auto sites = enumerate_fault_sites(c);
   std::uniform_int_distribution<std::size_t> pick_gate(0,
                                                        c.gates().size() - 1);
   const std::size_t gate = pick_gate(rng);
-  const auto& ops = sites[gate].ops;
-  std::uniform_int_distribution<std::size_t> pick_op(0, ops.size() - 1);
-  const auto& op = ops[pick_op(rng)];
+  std::uniform_int_distribution<std::size_t> pick_op(
+      0, num_fault_ops(location_kind(c.gates()[gate].kind)) - 1);
+  const FaultOp op = fault_op(c.gates()[gate], pick_op(rng));
 
   // Frame prediction.
   PauliFrame frame(c);
