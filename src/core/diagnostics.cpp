@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "f2/gauss.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 
@@ -40,7 +41,7 @@ TwoFaultSurvey survey_two_faults(const Executor& executor, std::size_t t,
                                  std::size_t samples, std::uint64_t seed) {
   const Protocol& protocol = executor.protocol();
   const qec::StateContext& state = *protocol.state;
-  std::mt19937_64 rng(seed);
+  util::Mt64 rng(seed);
 
   // Flatten the always-executed fault locations for uniform pair
   // sampling.

@@ -13,14 +13,15 @@
 // hands the injector the entry of the segment it runs and the gate. A
 // shard's result is three per-word lane masks (x fail, z fail, hook
 // termination); only a caller that keeps per-shot records hands the
-// runner a `Trajectory` array to fill.
+// runner a `Trajectory` array to fill, and only a caller that asks gets
+// the lanes that ran each segment.
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "core/samplers.hpp"
 #include "decoder/lookup_decoder.hpp"
 #include "sim/frame_batch.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core::detail {
 
@@ -117,10 +119,11 @@ inline std::uint64_t count_lanes(const std::vector<std::uint64_t>& mask) {
   return count;
 }
 
-/// Iterates the set lanes of `mask` in ascending shot order.
+/// Iterates the set lanes of the `words`-word `mask` in ascending shot
+/// order.
 template <typename Fn>
-void for_each_lane(const std::vector<std::uint64_t>& mask, Fn&& fn) {
-  for (std::size_t w = 0; w < mask.size(); ++w) {
+void for_each_lane(const std::uint64_t* mask, std::size_t words, Fn&& fn) {
+  for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t bits = mask[w];
     while (bits != 0) {
       fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
@@ -151,7 +154,7 @@ struct BernoulliInjector {
   const KindMaskTables& masks;
   Trajectory* out;
   // ftsp-lint: allow(det-unseeded-rng) member decl; ctor seeds it with the shard seed
-  std::mt19937_64 rng;
+  util::Mt64 rng;
   std::uint64_t total_faults = 0;
 
   BernoulliInjector(const sim::NoiseParams& q_in,
@@ -160,9 +163,8 @@ struct BernoulliInjector {
       : q(q_in), masks(masks_in), out(out_in), rng(seed) {}
 
   void inject(sim::FrameBatch& frame, const Executor::Segment&, std::size_t,
-              const circuit::Gate& gate,
-              const std::vector<std::uint64_t>& mask, std::size_t w0,
-              std::size_t w1) {
+              const circuit::Gate& gate, const std::uint64_t* mask,
+              std::size_t w0, std::size_t w1) {
     const sim::LocationKind location = sim::location_kind(gate.kind);
     const auto kind = static_cast<std::size_t>(location);
     if (q.rates[kind] <= 0.0) {
@@ -241,12 +243,11 @@ struct PlantedInjector {
 
   void inject(sim::FrameBatch& frame, const Executor::Segment& segment,
               std::size_t gate_index, const circuit::Gate& gate,
-              const std::vector<std::uint64_t>& mask, std::size_t,
-              std::size_t) {
+              const std::uint64_t* mask, std::size_t, std::size_t) {
     const std::size_t s = segment.site_base + gate_index;
     for (std::uint32_t i = plan.offsets[s]; i < plan.offsets[s + 1]; ++i) {
       const SitePlan::Fault& fault = plan.faults[i];
-      if (sim::get_lane(mask.data(), fault.lane)) {
+      if (sim::get_lane(mask, fault.lane)) {
         frame.apply_fault(sim::fault_op(gate, fault.op), gate, fault.lane);
       }
     }
@@ -262,7 +263,8 @@ struct PlantedInjector {
 /// together with the gate's entry in the Executor's segment table.
 /// The result is the per-word `x_fails`, `z_fails` and `hooked` masks;
 /// with a non-null `out`, `run` also fills one `Trajectory` per shot
-/// (fail bits, hook bit and site counts).
+/// (fail bits, hook bit and site counts), and after
+/// `record_segment_lanes` it keeps the lanes that ran each segment.
 template <typename Injector>
 class ShardRunner {
  public:
@@ -302,7 +304,7 @@ class ShardRunner {
     // Every lane runs prep and the first verification.
     const Executor::Segment& prep = executor_.segment(protocol.prep);
     KindCounts every_lane = prep.site_counts;
-    run_segment(prep, active, verif_frame_);
+    run_segment(prep, active.data(), verif_frame_);
     bool first = true;
     for (const auto* layer : {&protocol.layer1, &protocol.layer2}) {
       if (!layer->has_value() || !mask_any(active)) {
@@ -312,7 +314,7 @@ class ShardRunner {
       if (first) {
         add_counts(every_lane, verif.site_counts);
       } else {
-        add_sites(verif, active);
+        add_sites(verif, active.data());
       }
       first = false;
       run_layer(**layer, verif, active);
@@ -339,6 +341,18 @@ class ShardRunner {
     return *qec::basis_failure(basis, &x_fails_, &z_fails_);
   }
 
+  /// Call before `run` to keep, per segment of the Executor's table, the
+  /// mask of the lanes that ran it.
+  void record_segment_lanes() {
+    segment_lanes_.assign(executor_.segments().size() * words_, 0);
+  }
+  /// Segment s's lanes are words [s * words, (s + 1) * words), in the
+  /// Executor's table order. Empty unless `record_segment_lanes` was
+  /// called.
+  const std::vector<std::uint64_t>& segment_lanes() const {
+    return segment_lanes_;
+  }
+
  private:
   static void add_counts(KindCounts& into, const KindCounts& counts) {
     for (std::size_t k = 0; k < sim::kNumLocationKinds; ++k) {
@@ -349,11 +363,11 @@ class ShardRunner {
   /// Adds the site counts of `segment` to the records of the lanes in
   /// `mask`.
   void add_sites(const Executor::Segment& segment,
-                 const std::vector<std::uint64_t>& mask) {
+                 const std::uint64_t* mask) {
     if (out_ == nullptr) {
       return;
     }
-    for_each_lane(mask, [&](std::size_t shot) {
+    for_each_lane(mask, words_, [&](std::size_t shot) {
       add_counts(out_[shot].sites, segment.site_counts);
     });
   }
@@ -363,8 +377,7 @@ class ShardRunner {
   /// fault injection, then copies the data error back out — masked, so
   /// lanes outside `mask` are untouched (their word lanes compute garbage
   /// that is simply discarded).
-  void run_segment(const Executor::Segment& segment,
-                   const std::vector<std::uint64_t>& mask,
+  void run_segment(const Executor::Segment& segment, const std::uint64_t* mask,
                    sim::FrameBatch& frame) {
     const circuit::Circuit& c = *segment.circuit;
     // Restrict all word loops (including the reset) to the nonzero span
@@ -380,6 +393,14 @@ class ShardRunner {
       --w1;
     }
     const std::size_t span = w1 - w0;
+    if (!segment_lanes_.empty()) {
+      const auto index = static_cast<std::size_t>(
+          &segment - executor_.segments().data());
+      std::uint64_t* ran = segment_lanes_.data() + index * words_;
+      for (std::size_t w = w0; w < w1; ++w) {
+        ran[w] |= mask[w];
+      }
+    }
     frame.reset(c.num_qubits(), c.num_cbits(), shots_, w0, w1);
     for (std::size_t q = 0; q < n_; ++q) {
       std::memcpy(frame.x_row(q) + w0, data_x_.data() + q * words_ + w0,
@@ -406,56 +427,120 @@ class ShardRunner {
     }
   }
 
+  /// Scratch of one flat outcome grouping: group g has outcome key
+  /// `keys[g]` and lane mask `masks[g * words, (g + 1) * words)`; `slots`
+  /// is an open-addressing table from key to g + 1 (0 = empty).
+  struct OutcomeGroups {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> masks;
+    std::vector<std::uint32_t> slots;
+    std::vector<std::uint32_t> order;
+  };
+
+  /// The group of `key` in `groups`, added with an empty mask if new.
+  std::uint32_t group_of(OutcomeGroups& groups, std::uint64_t key) {
+    if (2 * (groups.keys.size() + 1) > groups.slots.size()) {
+      // Keep the table at most half full: rehash into twice the slots.
+      groups.slots.assign(std::max<std::size_t>(64, 2 * groups.slots.size()),
+                          0);
+      for (std::uint32_t g = 0; g < groups.keys.size(); ++g) {
+        groups.slots[probe(groups, groups.keys[g])] = g + 1;
+      }
+    }
+    const std::size_t slot = probe(groups, key);
+    if (groups.slots[slot] == 0) {
+      groups.slots[slot] = static_cast<std::uint32_t>(groups.keys.size()) + 1;
+      groups.keys.push_back(key);
+      groups.masks.resize(groups.masks.size() + words_, 0);
+    }
+    return groups.slots[slot] - 1;
+  }
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  static std::size_t probe(const OutcomeGroups& groups, std::uint64_t key) {
+    const std::size_t mask = groups.slots.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    while (groups.slots[slot] != 0 &&
+           groups.keys[groups.slots[slot] - 1] != key) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
   /// Groups the lanes of `lanes` by their full outcome vector in
   /// `frame` and invokes `fn(outcome, group_mask)` per distinct outcome,
   /// in deterministic (lex) order. Outcome vectors fit one word for
-  /// every realistic protocol, so the grouping key is a packed uint64
-  /// (no per-lane heap traffic) with a BitVec fallback beyond 64 bits.
+  /// every realistic protocol: each batch word's outcome rows are read
+  /// once, the lanes sharing a packed key are split off together, and
+  /// groups live in `groups`' flat table (no per-lane heap traffic). A
+  /// BitVec-keyed map serves vectors beyond 64 bits.
   template <typename Fn>
   void for_each_outcome_group(const sim::FrameBatch& frame,
-                              const std::vector<std::uint64_t>& lanes,
-                              Fn&& fn) {
+                              const std::uint64_t* lanes,
+                              OutcomeGroups& groups, Fn&& fn) {
     const std::size_t cbits = frame.num_cbits();
     if (cbits <= 64) {
-      std::map<std::uint64_t, std::vector<std::uint64_t>> groups;
-      for_each_lane(lanes, [&](std::size_t shot) {
-        std::uint64_t key = 0;
+      groups.keys.clear();
+      groups.masks.clear();
+      std::fill(groups.slots.begin(), groups.slots.end(), 0);
+      std::array<std::uint64_t, 64> rows{};
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t rest = lanes[w];
+        if (rest == 0) {
+          continue;
+        }
         for (std::size_t c = 0; c < cbits; ++c) {
-          key |= std::uint64_t{frame.outcome_bit(c, shot)} << c;
+          rows[c] = frame.outcome_row(c)[w];
         }
-        auto [it, inserted] = groups.try_emplace(key);
-        if (inserted) {
-          it->second.assign(words_, 0);
+        while (rest != 0) {
+          const int b = std::countr_zero(rest);
+          std::uint64_t key = 0;
+          std::uint64_t same = rest;
+          for (std::size_t c = 0; c < cbits; ++c) {
+            const std::uint64_t bit = (rows[c] >> b) & 1;
+            key |= bit << c;
+            same &= ~(rows[c] ^ (0 - bit));
+          }
+          groups.masks[group_of(groups, key) * words_ + w] = same;
+          rest &= ~same;
         }
-        sim::set_lane(it->second.data(), shot);
-      });
-      for (const auto& [key, group_mask] : groups) {
+      }
+      groups.order.resize(groups.keys.size());
+      for (std::uint32_t g = 0; g < groups.order.size(); ++g) {
+        groups.order[g] = g;
+      }
+      std::sort(groups.order.begin(), groups.order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return groups.keys[a] < groups.keys[b];
+                });
+      for (const std::uint32_t g : groups.order) {
         f2::BitVec outcome(cbits);
         for (std::size_t c = 0; c < cbits; ++c) {
-          if ((key >> c) & 1) {
+          if ((groups.keys[g] >> c) & 1) {
             outcome.set(c);
           }
         }
-        fn(outcome, group_mask);
+        fn(outcome, groups.masks.data() + g * words_);
       }
     } else {
       std::map<f2::BitVec, std::vector<std::uint64_t>, f2::BitVecLexLess>
-          groups;
-      for_each_lane(lanes, [&](std::size_t shot) {
+          wide;
+      for_each_lane(lanes, words_, [&](std::size_t shot) {
         f2::BitVec outcome(cbits);
         for (std::size_t c = 0; c < cbits; ++c) {
           if (frame.outcome_bit(c, shot)) {
             outcome.set(c);
           }
         }
-        auto [it, inserted] = groups.try_emplace(std::move(outcome));
+        auto [it, inserted] = wide.try_emplace(std::move(outcome));
         if (inserted) {
           it->second.assign(words_, 0);
         }
         sim::set_lane(it->second.data(), shot);
       });
-      for (const auto& [outcome, group_mask] : groups) {
-        fn(outcome, group_mask);
+      for (const auto& [outcome, group_mask] : wide) {
+        fn(outcome, group_mask.data());
       }
     }
   }
@@ -463,7 +548,7 @@ class ShardRunner {
   void run_layer(const CompiledLayer& layer, const Executor::Segment& verif,
                  std::vector<std::uint64_t>& active) {
     sim::FrameBatch& frame = verif_frame_;
-    run_segment(verif, active, frame);
+    run_segment(verif, active.data(), frame);
     const std::size_t cbits = layer.verif.num_cbits();
 
     std::vector<std::uint64_t> triggered(words_, 0);
@@ -487,9 +572,8 @@ class ShardRunner {
     // deterministic.
     std::vector<std::uint64_t> hooked(words_, 0);
     for_each_outcome_group(
-        frame, triggered,
-        [&](const f2::BitVec& outcome,
-            const std::vector<std::uint64_t>& group_mask) {
+        frame, triggered.data(), verif_groups_,
+        [&](const f2::BitVec& outcome, const std::uint64_t* group_mask) {
           const bool hook = (outcome & layer.flag_mask).any();
           if (const auto it = layer.branches.find(outcome);
               it != layer.branches.end()) {
@@ -508,7 +592,7 @@ class ShardRunner {
   }
 
   void run_branch(const CompiledBranch& branch,
-                  const std::vector<std::uint64_t>& group_mask) {
+                  const std::uint64_t* group_mask) {
     sim::FrameBatch& frame = branch_frame_;
     const Executor::Segment& segment = executor_.segment(branch.circ);
     add_sites(segment, group_mask);
@@ -517,9 +601,8 @@ class ShardRunner {
         branch.corrected_type == qec::PauliType::X ? data_x_ : data_z_;
     // One recovery lookup per distinct extended syndrome, not per lane.
     for_each_outcome_group(
-        frame, group_mask,
-        [&](const f2::BitVec& extended,
-            const std::vector<std::uint64_t>& mask) {
+        frame, group_mask, branch_groups_,
+        [&](const f2::BitVec& extended, const std::uint64_t* mask) {
           if (const auto rec = branch.plan.recoveries.find(extended);
               rec != branch.plan.recoveries.end()) {
             // Word-parallel: XOR the recovery into every group lane.
@@ -608,11 +691,15 @@ class ShardRunner {
   std::vector<std::uint64_t> x_fails_;
   std::vector<std::uint64_t> z_fails_;
   std::vector<std::uint64_t> hooked_;
-  // Scratch batches recycled across segments (branch runs happen while
-  // the verification frame's outcomes are still being consumed, hence
-  // two).
+  // Per-segment lane masks, when requested.
+  std::vector<std::uint64_t> segment_lanes_;
+  // Scratch batches and outcome groupings recycled across segments
+  // (branch runs happen while the verification frame's outcomes and
+  // groups are still being consumed, hence two of each).
   sim::FrameBatch verif_frame_{0, 0, 0};
   sim::FrameBatch branch_frame_{0, 0, 0};
+  OutcomeGroups verif_groups_;
+  OutcomeGroups branch_groups_;
 };
 
 }  // namespace ftsp::core::detail

@@ -5,6 +5,7 @@
 
 #include "f2/gauss.hpp"
 #include "sim/faults.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 
@@ -56,7 +57,7 @@ MeasurePrepStats sample_measure_prep(const MeasurementBasedPrep& prep,
                                      std::uint64_t seed) {
   const std::size_t n = state.num_qubits();
   const bool zero_basis = state.basis() == qec::LogicalBasis::Zero;
-  std::mt19937_64 rng(seed);
+  util::Mt64 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
   MeasurePrepStats stats;

@@ -1,11 +1,13 @@
 #include "core/nondet.hpp"
 
+#include <random>
+
 #include "sim/faults.hpp"
 
 namespace ftsp::core {
 
 NonDetAttempt run_nondet_attempt(const Protocol& protocol, double p,
-                                 std::mt19937_64& rng) {
+                                 util::Mt64& rng) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   const std::size_t n = protocol.num_data_qubits();
 
@@ -38,7 +40,7 @@ NonDetAttempt run_nondet_attempt(const Protocol& protocol, double p,
 NonDetStats sample_nondet(const Protocol& protocol,
                           const decoder::PerfectDecoder& decoder, double p,
                           std::size_t shots, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  util::Mt64 rng(seed);
   NonDetStats stats;
   stats.shots = shots;
   std::size_t failures = 0;

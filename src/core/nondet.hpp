@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "core/protocol.hpp"
 #include "decoder/lookup_decoder.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 
@@ -19,7 +19,7 @@ struct NonDetAttempt {
 
 /// One post-selected attempt under E1_1 noise of strength p.
 NonDetAttempt run_nondet_attempt(const Protocol& protocol, double p,
-                                 std::mt19937_64& rng);
+                                 util::Mt64& rng);
 
 /// Monte-Carlo statistics of the repeat-until-success scheme.
 struct NonDetStats {

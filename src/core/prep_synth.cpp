@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -15,6 +14,7 @@
 #include "core/synth_cache.hpp"
 #include "f2/gauss.hpp"
 #include "sat/cnf_builder.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 
@@ -193,7 +193,7 @@ std::optional<circuit::Circuit> fan_out(const ReverseProblem& problem,
 /// yields chain/tree CNOT structures whose spread errors are largely
 /// stabilizer-equivalent to low-weight errors.
 std::optional<circuit::Circuit> greedy_reverse_prep(
-    const ReverseProblem& problem, std::mt19937_64& rng) {
+    const ReverseProblem& problem, util::Mt64& rng) {
   const std::size_t n = problem.num_qubits();
   BitMatrix m = problem.start();
   std::vector<Move> ops;
@@ -326,7 +326,7 @@ circuit::Circuit synthesize_prep(const qec::StateContext& state,
 
   // Greedy reverse synthesis with randomized tie-breaking usually beats
   // the fan-out; keep the best CNOT count over the configured tries.
-  std::mt19937_64 rng(options.seed);
+  util::Mt64 rng(options.seed);
   const std::size_t tries = std::max<std::size_t>(options.shuffle_tries, 1);
   for (std::size_t t = 0; t < tries; ++t) {
     if (auto candidate = greedy_reverse_prep(problem, rng)) {

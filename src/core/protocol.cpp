@@ -1,7 +1,6 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -9,6 +8,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 
@@ -77,7 +77,7 @@ std::vector<std::size_t> choose_measurement_order(
     return best;
   }
   std::vector<std::vector<std::size_t>> candidates;
-  std::mt19937_64 rng(support.hash());
+  util::Mt64 rng(support.hash());
   if (constrained) {
     const auto starts = support.ones();
     for (std::size_t start : starts) {

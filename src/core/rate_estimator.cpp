@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <random>
 #include <stdexcept>
 
 #include "core/frame_runner.hpp"
 #include "obs/registry.hpp"
+#include "util/mt64.hpp"
 #include "util/parallel.hpp"
 
 namespace ftsp::core {
@@ -35,7 +35,7 @@ constexpr double kTailEpsilon = 1e-12;
 
 /// Lemire's multiply-shift bounded draw (matches the batched sampler's
 /// op-choice draw; the O(n / 2^64) bias is far below sampling noise).
-std::uint64_t bounded_draw(std::mt19937_64& rng, std::uint64_t n) {
+std::uint64_t bounded_draw(util::Mt64& rng, std::uint64_t n) {
   return static_cast<std::uint64_t>(
       (static_cast<detail::uint128>(rng()) * n) >> 64);
 }
@@ -45,17 +45,22 @@ std::uint64_t bounded_draw(std::mt19937_64& rng, std::uint64_t n) {
 /// fixed location set the sector decomposition is defined over.
 struct SiteIndex {
   std::vector<sim::LocationKind> kinds;  ///< Per global site.
+  std::vector<std::uint32_t> segment_of;  ///< Per global site.
+  std::size_t num_segments = 0;
   std::array<std::vector<std::uint32_t>, sim::kNumLocationKinds> by_kind;
   sim::SectorModel::KindCounts counts{};
 
-  explicit SiteIndex(const Executor& executor) {
-    for (const Executor::Segment& segment : executor.segments()) {
-      for (const circuit::Gate& gate : segment.circuit->gates()) {
+  explicit SiteIndex(const Executor& executor)
+      : num_segments(executor.segments().size()) {
+    for (std::uint32_t s = 0; s < num_segments; ++s) {
+      for (const circuit::Gate& gate :
+           executor.segments()[s].circuit->gates()) {
         const sim::LocationKind kind = sim::location_kind(gate.kind);
         const auto k = static_cast<std::size_t>(kind);
         by_kind[k].push_back(static_cast<std::uint32_t>(kinds.size()));
         ++counts[k];
         kinds.push_back(kind);
+        segment_of.push_back(s);
       }
     }
   }
@@ -65,30 +70,44 @@ struct SiteIndex {
   }
 };
 
+/// The `Wave::case_lanes` entry of a case known to fail without a lane.
+constexpr std::uint32_t kKnownFail = ~std::uint32_t{0};
+
 /// One planted batch: a flat fault plan plus its accumulated result.
-/// Exhaustive waves carry per-lane case weights; sampled waves count
-/// plain fails.
+/// An exhaustive wave covers a chunk of `cases` consecutive cases and
+/// lists, in case order, the weight of each case that may fail with the
+/// lane that simulates it or kKnownFail (cases known to pass are only
+/// counted). Sampled waves (`cases == 0`) count plain fails over
+/// `shots` lanes.
 struct Wave {
   Plan plan;
-  std::size_t shots = 0;
-  std::vector<double> case_weights;  ///< Exhaustive waves only.
+  std::size_t shots = 0;  ///< Lanes to run.
+  std::size_t cases = 0;
+  std::vector<double> case_weights;
+  std::vector<std::uint32_t> case_lanes;
+  /// Keep each lane's fail bit and the lanes that ran each segment.
+  bool keep_lanes = false;
+  std::vector<std::uint64_t> lane_fails;
+  std::vector<std::uint64_t> segment_lanes;
   double weighted_fails = 0.0;
   std::uint64_t fails = 0;
 };
 
-/// Counts one batch of planted waves (and their lanes) into the rate
-/// estimator's telemetry series. Observation-only: the estimate math
-/// never reads these.
+/// Counts one batch of planted waves that run lanes (and their lanes)
+/// into the rate estimator's telemetry series. Observation-only: the
+/// estimate math never reads these.
 void record_wave_batch(const std::vector<Wave>& waves) {
   static obs::Counter& wave_count =
       obs::Registry::instance().counter("rate.wave.count");
   static obs::Counter& shot_count =
       obs::Registry::instance().counter("rate.shot.count");
+  std::uint64_t run = 0;
   std::uint64_t shots = 0;
   for (const Wave& wave : waves) {
+    run += wave.shots > 0 ? 1 : 0;
     shots += wave.shots;
   }
-  wave_count.add(waves.size());
+  wave_count.add(run);
   shot_count.add(shots);
 }
 
@@ -114,20 +133,39 @@ class WaveRunner {
   }
 
   void run_wave(Wave& wave) const {
+    if (wave.shots == 0) {
+      fold_cases(wave, nullptr);
+      return;
+    }
     const detail::SitePlan plan(wave.plan, index_.kinds.size());
     wave.plan = Plan{};
     detail::PlantedInjector injector{plan};
     detail::ShardRunner<detail::PlantedInjector> runner(
         executor_, tables_, wave.shots, nullptr, injector, options_.layout);
+    if (wave.keep_lanes) {
+      runner.record_segment_lanes();
+    }
     runner.run();
     const auto& fails = runner.fails(executor_.protocol().basis);
-    if (wave.case_weights.empty()) {
+    if (wave.cases == 0) {
       wave.fails = detail::count_lanes(fails);
       return;
     }
-    detail::for_each_lane(fails, [&](std::size_t lane) {
-      wave.weighted_fails += wave.case_weights[lane];
-    });
+    fold_cases(wave, fails.data());
+    if (wave.keep_lanes) {
+      wave.lane_fails = fails;
+      wave.segment_lanes = runner.segment_lanes();
+    }
+  }
+
+  /// Sums the weights of a wave's failing cases in case order.
+  static void fold_cases(Wave& wave, const std::uint64_t* fails) {
+    for (std::size_t c = 0; c < wave.case_lanes.size(); ++c) {
+      const std::uint32_t lane = wave.case_lanes[c];
+      if (lane == kKnownFail || sim::get_lane(fails, lane)) {
+        wave.weighted_fails += wave.case_weights[c];
+      }
+    }
   }
 
   /// Runs a batch of waves over the configured thread count. Results
@@ -158,29 +196,61 @@ struct CaseFault {
   std::uint32_t op = 0;
 };
 
+/// What the two-fault rule reads from the k = 0 and k = 1 sectors: per
+/// case, in enumeration order (the noiseless case first), its fail bit
+/// and whether its lane ran each segment of the Executor's table.
+struct LaneTable {
+  std::size_t num_segments = 0;
+  std::vector<std::uint8_t> fails;  ///< Per case.
+  std::vector<std::uint8_t> ran;    ///< [case * num_segments + segment].
+
+  void append(const Wave& wave) {
+    const std::size_t words = wave.lane_fails.size();
+    for (std::size_t lane = 0; lane < wave.shots; ++lane) {
+      fails.push_back(sim::get_lane(wave.lane_fails.data(), lane));
+      for (std::size_t s = 0; s < num_segments; ++s) {
+        ran.push_back(
+            sim::get_lane(wave.segment_lanes.data() + s * words, lane));
+      }
+    }
+  }
+
+  bool ran_segment(std::size_t c, std::uint32_t segment) const {
+    return ran[c * num_segments + segment] != 0;
+  }
+};
+
 /// Chunks enumerated cases into bounded waves and runs them a group of
 /// `runner.wave_group()` waves at a time, so an exhaustive sector holds
-/// one group's fault plans and case weights, not the whole sector's.
-/// `weighted_fails` sums the waves' results in enumeration order.
+/// one group's fault plans, case weights and states, not the whole
+/// sector's. A wave runs only the cases added with `add`; `add_known`
+/// cases take the fail bit they are given. `weighted_fails` sums each
+/// chunk's failing cases in case order, then the chunks in order. With
+/// a non-null `table`, every lane's fail bit and segments are appended
+/// to it (for sectors whose cases are all run).
 struct WaveBuilder {
   const WaveRunner& runner;
   std::size_t chunk;
+  LaneTable* table = nullptr;
   std::vector<Wave> waves;
   double weighted_fails = 0.0;
 
   void add(const CaseFault* faults, std::size_t k, double weight) {
-    if (waves.empty() || waves.back().shots == chunk) {
-      if (waves.size() == runner.wave_group()) {
-        flush();
-      }
-      waves.emplace_back();
-    }
-    Wave& wave = waves.back();
+    Wave& wave = next_case();
     const auto lane = static_cast<std::uint32_t>(wave.shots++);
     for (std::size_t i = 0; i < k; ++i) {
       wave.plan.push_back({faults[i].site, lane, faults[i].op});
     }
     wave.case_weights.push_back(weight);
+    wave.case_lanes.push_back(lane);
+  }
+
+  void add_known(bool fail, double weight) {
+    Wave& wave = next_case();
+    if (fail) {
+      wave.case_weights.push_back(weight);
+      wave.case_lanes.push_back(kKnownFail);
+    }
   }
 
   /// Runs the pending waves and folds their results.
@@ -188,8 +258,68 @@ struct WaveBuilder {
     runner.run_waves(waves);
     for (const Wave& wave : waves) {
       weighted_fails += wave.weighted_fails;
+      if (table != nullptr) {
+        table->append(wave);
+      }
     }
     waves.clear();
+  }
+
+ private:
+  Wave& next_case() {
+    if (waves.empty() || waves.back().cases == chunk) {
+      if (waves.size() == runner.wave_group()) {
+        flush();
+      }
+      waves.emplace_back().keep_lanes = table != nullptr;
+    }
+    ++waves.back().cases;
+    return waves.back();
+  }
+};
+
+/// Resolves a two-fault case from the k = 0 and k = 1 lanes when it can.
+/// A planted fault fires only if its lane runs the fault's segment, and
+/// a dead fault leaves the lane exactly as if it had not been planted.
+/// Global sites are in time order along every lane, so for faults
+/// a (site i) and b (site j > i): a fires iff the noiseless lane runs
+/// i's segment; then b fires iff the lane of a alone runs j's segment.
+/// Only when both fire must the case be simulated; otherwise it equals
+/// the lane of a alone, or, when a is dead, the lane of b alone (which
+/// is the noiseless lane when b is dead too).
+struct TwoFaultRule {
+  const SiteIndex& index;
+  const LaneTable& table;
+  /// Per faultable site, the table case of its op 0 (after the
+  /// noiseless case, in k = 1 enumeration order).
+  std::vector<std::uint32_t> single_case;
+
+  TwoFaultRule(const SiteIndex& index_in, const sim::SectorModel& model,
+               const LaneTable& table_in)
+      : index(index_in), table(table_in), single_case(index_in.kinds.size()) {
+    std::uint32_t next = 1;
+    for (std::uint32_t site = 0; site < single_case.size(); ++site) {
+      if (model.odds(index.kinds[site]) > 0.0) {
+        single_case[site] = next;
+        next += index.num_ops(site);
+      }
+    }
+    if (next != table.fails.size()) {
+      throw std::logic_error("TwoFaultRule: lane table does not match k = 1");
+    }
+  }
+
+  /// `equivalent_case`'s answer when both faults fire.
+  static constexpr std::uint32_t kBothFire = ~std::uint32_t{0};
+
+  /// The table case with the same outcome, or kBothFire.
+  std::uint32_t equivalent_case(const CaseFault& a, const CaseFault& b) const {
+    if (table.ran_segment(0, index.segment_of[a.site])) {
+      const std::uint32_t alone = single_case[a.site] + a.op;
+      return table.ran_segment(alone, index.segment_of[b.site]) ? kBothFire
+                                                                : alone;
+    }
+    return single_case[b.site] + b.op;
   }
 };
 
@@ -280,7 +410,7 @@ std::uint64_t count_cases(const SiteIndex& index,
 /// then a uniform fault op per chosen site.
 void plant_sampled_lane(const SiteIndex& index,
                         const std::vector<sim::SectorModel::KindSplit>& cdf,
-                        std::uint32_t lane, std::mt19937_64& rng,
+                        std::uint32_t lane, util::Mt64& rng,
                         Plan& plan, std::vector<std::uint32_t>& scratch) {
   const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
   const auto it = std::lower_bound(
@@ -365,7 +495,7 @@ std::vector<Wave> build_sampled_waves(const SiteIndex& index,
     shots -= count;
     Wave wave;
     wave.shots = count;
-    std::mt19937_64 rng(wave_seed(options.seed, data.k, data.next_wave++));
+    util::Mt64 rng(wave_seed(options.seed, data.k, data.next_wave++));
     for (std::uint32_t lane = 0; lane < count; ++lane) {
       plant_sampled_lane(index, data.split_cdf, lane, rng, wave.plan,
                          scratch);
@@ -458,37 +588,55 @@ std::vector<RateEstimate> run_estimator(
   // --- Exhaustive sectors: k = 0 (one noiseless lane) and every k <=
   // kMaxExhaustiveK whose case count fits the budget. Each sector owns
   // its waves, so the weighted fail sums attribute cleanly.
-  std::size_t first_sampled_k = 1;
-  for (std::size_t k = 0;
-       k <= std::min(kMaxExhaustiveK, covered_k); ++k) {
-    std::uint64_t cases = 1;
-    if (k > 0) {
-      if (anchor_weights[k] <= 0.0) {
-        break;
-      }
-      cases = count_cases(index, model, k);
-      if (cases == 0 || cases > kExhaustiveBudget) {
-        break;
-      }
+  std::vector<std::uint64_t> exhaustive_cases{1};
+  for (std::size_t k = 1; k <= std::min(kMaxExhaustiveK, covered_k); ++k) {
+    if (anchor_weights[k] <= 0.0) {
+      break;
     }
+    const std::uint64_t cases = count_cases(index, model, k);
+    if (cases == 0 || cases > kExhaustiveBudget) {
+      break;
+    }
+    exhaustive_cases.push_back(cases);
+  }
+  // An exhaustive k = 2 runs only the cases whose two faults both fire
+  // and reads the rest from the k = 0 and k = 1 lanes, which then keep
+  // their per-lane results in `table`.
+  const bool pairs = exhaustive_cases.size() > 2;
+  LaneTable table{index.num_segments, {}, {}};
+  for (std::size_t k = 0; k < exhaustive_cases.size(); ++k) {
     SectorData data;
     data.k = static_cast<std::uint32_t>(k);
     data.exhaustive = true;
-    data.cases = cases;
-    WaveBuilder builder{runner, options.chunk_shots, {}};
+    data.cases = exhaustive_cases[k];
+    WaveBuilder builder{runner, options.chunk_shots,
+                        pairs && k < 2 ? &table : nullptr, {}};
     if (k == 0) {
       const CaseFault none{};
       builder.add(&none, 0, 1.0);
-    } else {
-      for_each_case(index, model, k,
+    } else if (k == 1) {
+      for_each_case(index, model, 1,
                     [&](const CaseFault* faults, std::size_t nk,
                         double weight) { builder.add(faults, nk, weight); });
+    } else {
+      const TwoFaultRule rule(index, model, table);
+      for_each_case(index, model, 2,
+                    [&](const CaseFault* faults, std::size_t nk,
+                        double weight) {
+                      const std::uint32_t same =
+                          rule.equivalent_case(faults[0], faults[1]);
+                      if (same == TwoFaultRule::kBothFire) {
+                        builder.add(faults, nk, weight);
+                      } else {
+                        builder.add_known(table.fails[same] != 0, weight);
+                      }
+                    });
     }
     builder.flush();
     data.exact_fail_rate = builder.weighted_fails;
     sectors.push_back(std::move(data));
-    first_sampled_k = k + 1;
   }
+  const std::size_t first_sampled_k = exhaustive_cases.size();
 
   // --- Sampled sectors: initial allocation.
   const std::size_t budget = options.max_shots;

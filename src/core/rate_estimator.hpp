@@ -18,7 +18,10 @@ namespace ftsp::core {
 /// rest with adaptively allocated per-sector shot budgets, and combines
 /// everything into an unbiased estimate with Clopper-Pearson intervals.
 /// At low p this replaces the ~1/p_L shots of naive Monte Carlo with a
-/// few exact sector sums plus small conditioned samples.
+/// few exact sector sums plus small conditioned samples. The k = 2 sum
+/// runs a lane only for the cases whose two faults both fire; every
+/// other case has the outcome of a k = 1 or noiseless lane, which the
+/// lower sectors keep.
 struct RateOptions {
   /// Stop once std_error <= rel_err * p_logical (or the budget runs out).
   double rel_err = 0.05;
@@ -50,7 +53,9 @@ struct SectorEstimate {
   std::uint32_t num_faults = 0;  ///< k.
   double weight = 0.0;           ///< P(K = k) at the estimate's rates.
   bool exhaustive = false;
-  std::uint64_t cases = 0;  ///< Planted cases enumerated (exhaustive).
+  /// Cases the exhaustive sum covers, whether run on a lane or
+  /// resolved from a lower sector's lane (0 for sampled sectors).
+  std::uint64_t cases = 0;
   std::uint64_t shots = 0;  ///< Monte-Carlo lanes run (sampled sectors).
   std::uint64_t fails = 0;  ///< Monte-Carlo fail count.
   /// Conditional logical-failure probability f_k = P(fail | K = k).
@@ -72,7 +77,8 @@ struct RateEstimate {
   double tail_weight = 0.0;
   std::vector<SectorEstimate> sectors;
   std::uint64_t mc_shots = 0;          ///< Total Monte-Carlo lanes run.
-  std::uint64_t exhaustive_cases = 0;  ///< Total planted cases enumerated.
+  /// Total cases of the exhaustive sectors (`SectorEstimate::cases`).
+  std::uint64_t exhaustive_cases = 0;
   /// Shots a naive Monte-Carlo sampler would need for the same std
   /// error: p(1-p) / var. +inf when var == 0 (fully exhaustive).
   double equivalent_naive_shots = 0.0;

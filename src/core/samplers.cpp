@@ -6,9 +6,11 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "core/frame_runner.hpp"
 #include "sim/frame_batch.hpp"
+#include "util/mt64.hpp"
 #include "util/parallel.hpp"
 
 namespace ftsp::core {
@@ -90,12 +92,13 @@ Estimate estimate_over(std::span<const TrajectoryBatch* const> batches,
   return from_weight_sums(sum, sum_sq, static_cast<double>(total));
 }
 
-void validate_options(const sim::NoiseParams& q,
-                      const SamplerOptions& options) {
-  sim::validate_rates(q, "sample_protocol_batch");
+/// Rejects bad rates and shard sizes in the name of `caller`.
+void validate_options(const sim::NoiseParams& q, const SamplerOptions& options,
+                      const char* caller) {
+  sim::validate_rates(q, caller);
   if (options.shard_shots == 0) {
-    throw std::invalid_argument(
-        "sample_protocol_batch: shard_shots must be positive");
+    throw std::invalid_argument(std::string(caller) +
+                                ": shard_shots must be positive");
   }
 }
 
@@ -169,7 +172,7 @@ TrajectoryBatch sample_protocol_batch(const Executor& executor,
                                       const sim::NoiseParams& q,
                                       std::size_t shots, std::uint64_t seed,
                                       const SamplerOptions& options) {
-  validate_options(q, options);
+  validate_options(q, options, "sample_protocol_batch");
   TrajectoryBatch batch;
   batch.q = q;
   batch.basis = executor.protocol().basis;
@@ -196,9 +199,9 @@ SampleCounts sample_protocol_counts(const Executor& executor,
                                     double q, std::size_t shots,
                                     std::uint64_t seed,
                                     const SamplerOptions& options) {
-  sim::validate_uniform_rate(q, "sample_protocol_batch", "q");
+  sim::validate_uniform_rate(q, "sample_protocol_counts", "q");
   const sim::NoiseParams rates = sim::NoiseParams::e1_1(q);
-  validate_options(rates, options);
+  validate_options(rates, options, "sample_protocol_counts");
   SampleCounts total;
   total.basis = executor.protocol().basis;
   total.shots = shots;
@@ -222,8 +225,8 @@ SampleCounts sample_protocol_counts(const Executor& executor,
 TrajectoryBatch sample_protocol_batch_scalar(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     const sim::NoiseParams& q, std::size_t shots, std::uint64_t seed) {
-  sim::validate_rates(q, "sample_protocol_batch");
-  std::mt19937_64 rng(seed);
+  sim::validate_rates(q, "sample_protocol_batch_scalar");
+  util::Mt64 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
   TrajectoryBatch batch;
@@ -255,7 +258,7 @@ TrajectoryBatch sample_protocol_batch_scalar(
 TrajectoryBatch sample_protocol_batch_scalar(
     const Executor& executor, const decoder::PerfectDecoder& decoder,
     double q, std::size_t shots, std::uint64_t seed) {
-  sim::validate_uniform_rate(q, "sample_protocol_batch", "q");
+  sim::validate_uniform_rate(q, "sample_protocol_batch_scalar", "q");
   return sample_protocol_batch_scalar(executor, decoder,
                                       sim::NoiseParams::e1_1(q), shots, seed);
 }

@@ -6,6 +6,7 @@
 #include "f2/gauss.hpp"
 #include "sat/cnf_builder.hpp"
 #include "sat/solver.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::qec {
 
@@ -288,7 +289,7 @@ std::optional<CssCode> random_css_search(std::size_t n, std::size_t k,
                                          std::uint64_t seed,
                                          std::size_t max_tries) {
   const std::size_t rz = n - k - rx;
-  std::mt19937_64 rng(seed);
+  util::Mt64 rng(seed);
   std::uniform_int_distribution<int> bit(0, 1);
 
   for (std::size_t attempt = 0; attempt < max_tries; ++attempt) {

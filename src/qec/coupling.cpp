@@ -219,7 +219,7 @@ namespace {
 bool extend_walk(const std::vector<f2::BitVec>& adjacency,
                  const BitVec& support, BitVec& visited,
                  std::vector<std::size_t>& path, std::size_t target_length,
-                 std::mt19937_64* rng) {
+                 util::Mt64* rng) {
   if (path.size() == target_length) {
     return true;
   }
@@ -247,7 +247,7 @@ bool extend_walk(const std::vector<f2::BitVec>& adjacency,
 }  // namespace
 
 std::vector<std::size_t> CouplingMap::walk_order_from(
-    const BitVec& support, std::size_t start, std::mt19937_64* rng) const {
+    const BitVec& support, std::size_t start, util::Mt64* rng) const {
   if (support.size() != num_sites()) {
     throw std::invalid_argument("coupling map: support size mismatch");
   }

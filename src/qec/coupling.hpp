@@ -2,12 +2,12 @@
 
 #include <cstddef>
 #include <memory>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "f2/bit_vec.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::qec {
 
@@ -97,7 +97,7 @@ class CouplingMap {
   /// randomized order search). Empty when no walk starts there.
   std::vector<std::size_t> walk_order_from(const f2::BitVec& support,
                                            std::size_t start,
-                                           std::mt19937_64* rng) const;
+                                           util::Mt64* rng) const;
 
   /// Canonical structure fingerprint: "kN-<16 hex digits>" over the site
   /// count and sorted edge list only (the name does not participate), so

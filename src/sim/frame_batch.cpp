@@ -157,7 +157,7 @@ void FrameBatch::clear() {
   std::fill(outcomes_.begin(), outcomes_.end(), 0);
 }
 
-std::uint64_t bernoulli_word(std::mt19937_64& rng, double p) {
+std::uint64_t bernoulli_word(util::Mt64& rng, double p) {
   if (p <= 0.0) {
     return 0;
   }
@@ -167,7 +167,7 @@ std::uint64_t bernoulli_word(std::mt19937_64& rng, double p) {
   return bernoulli_word_from_log1mp(rng, std::log1p(-p));
 }
 
-std::uint64_t bernoulli_word_from_log1mp(std::mt19937_64& rng,
+std::uint64_t bernoulli_word_from_log1mp(util::Mt64& rng,
                                          double log1mp) {
   // Geometric gap sampling: the distance to the next success under
   // independent Bernoulli(p) trials is floor(log(u) / log(1 - p)).

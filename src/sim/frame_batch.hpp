@@ -3,12 +3,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "sim/faults.hpp"
 #include "sim/pauli_frame.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::sim {
 
@@ -142,12 +142,12 @@ class FrameBatch {
 /// probability p). Uses geometric gap sampling, so the cost is
 /// O(1 + 64 p) RNG draws instead of 64 — the bulk fault-mask generator
 /// for batched sampling at realistic (small) fault rates.
-std::uint64_t bernoulli_word(std::mt19937_64& rng, double p);
+std::uint64_t bernoulli_word(util::Mt64& rng, double p);
 
 /// As `bernoulli_word` but takes the precomputed log1p(-p); hot loops
 /// hoist that transcendental out of the per-word call. Requires
 /// p in (0,1), i.e. log1mp finite and negative.
-std::uint64_t bernoulli_word_from_log1mp(std::mt19937_64& rng,
+std::uint64_t bernoulli_word_from_log1mp(util::Mt64& rng,
                                          double log1mp);
 
 /// Fastest mask generator: draws the word's popcount from a precomputed
@@ -161,7 +161,7 @@ class BernoulliWordTable {
 
   explicit BernoulliWordTable(double p);
 
-  std::uint64_t draw(std::mt19937_64& rng) const {
+  std::uint64_t draw(util::Mt64& rng) const {
     if (always_zero_) {
       return 0;
     }

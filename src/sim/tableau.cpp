@@ -110,7 +110,7 @@ bool Tableau::z_is_deterministic(std::size_t q) const {
   return true;
 }
 
-bool Tableau::measure_z(std::size_t q, std::mt19937_64& rng) {
+bool Tableau::measure_z(std::size_t q, util::Mt64& rng) {
   std::size_t p = 2 * n_;
   for (std::size_t i = n_; i < 2 * n_; ++i) {
     if (x_[i].get(q)) {
@@ -158,25 +158,25 @@ bool Tableau::measure_z(std::size_t q, std::mt19937_64& rng) {
   return phase == 2;
 }
 
-bool Tableau::measure_x(std::size_t q, std::mt19937_64& rng) {
+bool Tableau::measure_x(std::size_t q, util::Mt64& rng) {
   apply_h(q);
   const bool outcome = measure_z(q, rng);
   apply_h(q);
   return outcome;
 }
 
-void Tableau::prep_z(std::size_t q, std::mt19937_64& rng) {
+void Tableau::prep_z(std::size_t q, util::Mt64& rng) {
   if (measure_z(q, rng)) {
     apply_x(q);
   }
 }
 
-void Tableau::prep_x(std::size_t q, std::mt19937_64& rng) {
+void Tableau::prep_x(std::size_t q, util::Mt64& rng) {
   prep_z(q, rng);
   apply_h(q);
 }
 
-void Tableau::apply_gate(const Gate& gate, std::mt19937_64& rng,
+void Tableau::apply_gate(const Gate& gate, util::Mt64& rng,
                          std::vector<bool>& outcomes) {
   switch (gate.kind) {
     case GateKind::Cnot:
@@ -207,7 +207,7 @@ void Tableau::apply_gate(const Gate& gate, std::mt19937_64& rng,
 }
 
 std::vector<bool> Tableau::run(const circuit::Circuit& c,
-                               std::mt19937_64& rng) {
+                               util::Mt64& rng) {
   if (c.num_qubits() != n_) {
     throw std::invalid_argument("Tableau::run: qubit count mismatch");
   }

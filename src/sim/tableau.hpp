@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "f2/bit_vec.hpp"
 #include "qec/pauli.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::sim {
 
@@ -32,23 +32,23 @@ class Tableau {
   void apply_z(std::size_t q);
 
   /// Measures qubit q in the Z basis; random outcomes use `rng`.
-  bool measure_z(std::size_t q, std::mt19937_64& rng);
-  bool measure_x(std::size_t q, std::mt19937_64& rng);
+  bool measure_z(std::size_t q, util::Mt64& rng);
+  bool measure_x(std::size_t q, util::Mt64& rng);
 
   /// True iff the outcome of a Z measurement on q would be deterministic.
   bool z_is_deterministic(std::size_t q) const;
 
   /// Resets qubit q to |0> (respectively |+>).
-  void prep_z(std::size_t q, std::mt19937_64& rng);
-  void prep_x(std::size_t q, std::mt19937_64& rng);
+  void prep_z(std::size_t q, util::Mt64& rng);
+  void prep_x(std::size_t q, util::Mt64& rng);
 
   /// Applies one circuit gate; measurement outcomes are appended to
   /// `outcomes` indexed by the gate's classical bit.
-  void apply_gate(const circuit::Gate& gate, std::mt19937_64& rng,
+  void apply_gate(const circuit::Gate& gate, util::Mt64& rng,
                   std::vector<bool>& outcomes);
 
   /// Runs a circuit from the current state; returns measured bits.
-  std::vector<bool> run(const circuit::Circuit& c, std::mt19937_64& rng);
+  std::vector<bool> run(const circuit::Circuit& c, util::Mt64& rng);
 
   /// True iff the current state is a +1 eigenstate of the Pauli operator
   /// `p` (i.e. p is in the stabilizer group with positive sign).

@@ -1,4 +1,5 @@
 #include "util/fault_inject.hpp"
+#include "util/mt64.hpp"
 
 #include <atomic>
 #include <cstdio>
@@ -32,9 +33,11 @@ struct SiteState {
 };
 
 struct Plan {
+  explicit Plan(std::uint64_t seed) : rng(seed) {}
+
   std::map<std::string, SiteState, std::less<>> sites;
-  // ftsp-lint: allow(det-unseeded-rng) parse_plan() seeds it from FTSP_FAULTS_SEED
-  std::mt19937_64 rng;
+  // ftsp-lint: allow(det-unseeded-rng) member decl; the constructor seeds it from FTSP_FAULTS_SEED
+  util::Mt64 rng;
 };
 
 [[noreturn]] void parse_fail(const std::string& plan,
@@ -63,8 +66,7 @@ std::uint64_t parse_uint(const std::string& plan, const std::string& text,
 /// duplicates are rejected loudly so a typo'd schedule can't silently
 /// drop half its faults.
 Plan parse_plan(const std::string& plan, std::uint64_t seed) {
-  Plan parsed;
-  parsed.rng.seed(seed);
+  Plan parsed(seed);
   std::size_t pos = 0;
   while (pos < plan.size()) {
     std::size_t end = plan.find(',', pos);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "qec/code_io.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::qec {
 namespace {
@@ -166,7 +167,7 @@ bool reference_connected(const CouplingMap& map, const BitVec& support) {
 }
 
 TEST(CouplingMap, ConnectedSubsetMatchesBruteForce) {
-  std::mt19937_64 rng(1234);
+  util::Mt64 rng(1234);
   for (std::size_t trial = 0; trial < 200; ++trial) {
     const std::size_t n = 2 + rng() % 9;
     std::vector<std::pair<std::size_t, std::size_t>> edges;
@@ -221,7 +222,7 @@ TEST(CouplingMap, WalkOrderIsAHamiltonianPath) {
   EXPECT_THROW(star.walk_order(all4), std::invalid_argument);
 
   // Randomized walks are still valid walks.
-  std::mt19937_64 rng(7);
+  util::Mt64 rng(7);
   for (int t = 0; t < 20; ++t) {
     const auto starts = support.ones();
     const auto walk =

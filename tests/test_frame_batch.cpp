@@ -9,6 +9,7 @@
 
 #include "sim/pauli_frame.hpp"
 #include "sim/tableau.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::sim {
 namespace {
@@ -82,7 +83,7 @@ TEST(FrameBatch, DepositExtractRoundTrips) {
 
 // ------------------------------------------------- randomized crosschecks
 
-Circuit random_circuit(std::mt19937_64& rng, std::size_t num_qubits,
+Circuit random_circuit(util::Mt64& rng, std::size_t num_qubits,
                        std::size_t num_gates) {
   Circuit c(num_qubits);
   std::uniform_int_distribution<std::size_t> qubit(0, num_qubits - 1);
@@ -126,12 +127,12 @@ Circuit random_circuit(std::mt19937_64& rng, std::size_t num_qubits,
 /// makes the faulted-vs-noiseless tableau comparison below sample-exact:
 /// with a random collapse, the two runs need not land in the same
 /// physical branch.
-Circuit random_deterministic_circuit(std::mt19937_64& rng,
+Circuit random_deterministic_circuit(util::Mt64& rng,
                                      std::size_t num_qubits,
                                      std::size_t num_gates) {
   Circuit c(num_qubits);
   Tableau shadow(num_qubits);
-  std::mt19937_64 shadow_rng(rng());
+  util::Mt64 shadow_rng(rng());
   std::vector<bool> ignored;
   std::uniform_int_distribution<std::size_t> qubit(0, num_qubits - 1);
   std::uniform_int_distribution<int> kind(0, 5);
@@ -222,7 +223,7 @@ Circuit random_deterministic_circuit(std::mt19937_64& rng,
 /// One random fault plan per lane: gate index -> fault-op index.
 using FaultPlan = std::map<std::size_t, std::size_t>;
 
-std::vector<FaultPlan> random_fault_plans(std::mt19937_64& rng,
+std::vector<FaultPlan> random_fault_plans(util::Mt64& rng,
                                           const Circuit& c, std::size_t shots,
                                           double fault_probability) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -239,7 +240,7 @@ std::vector<FaultPlan> random_fault_plans(std::mt19937_64& rng,
 }
 
 TEST(FrameBatchCrossCheck, MatchesScalarFrameBitForBit) {
-  std::mt19937_64 rng(0xF8A3E);
+  util::Mt64 rng(0xF8A3E);
   constexpr std::size_t kShots = 130;  // Exercises full and partial words.
   for (int trial = 0; trial < 25; ++trial) {
     const Circuit c = random_circuit(rng, 6, 40);
@@ -285,7 +286,7 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
   // synthesized circuit has this shape), running the tableau with the
   // fault injected as explicit Pauli gates gives outcome vectors whose
   // XOR against the noiseless outcomes must equal the frame's flip bits.
-  std::mt19937_64 rng(0xBEEF);
+  util::Mt64 rng(0xBEEF);
   constexpr std::size_t kShots = 64;
   for (int trial = 0; trial < 10; ++trial) {
     const Circuit c = random_deterministic_circuit(rng, 5, 30);
@@ -304,12 +305,12 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
     }
 
     // Noiseless tableau reference.
-    std::mt19937_64 ref_rng(tableau_seed);
+    util::Mt64 ref_rng(tableau_seed);
     Tableau reference(c.num_qubits());
     const std::vector<bool> ref_outcomes = reference.run(c, ref_rng);
 
     for (std::size_t shot = 0; shot < kShots; ++shot) {
-      std::mt19937_64 run_rng(tableau_seed);
+      util::Mt64 run_rng(tableau_seed);
       Tableau tableau(c.num_qubits());
       std::vector<bool> outcomes(c.num_cbits(), false);
       for (std::size_t g = 0; g < c.gates().size(); ++g) {
@@ -343,7 +344,7 @@ TEST(FrameBatchCrossCheck, OutcomeFlipsMatchTableau) {
 // --------------------------------------------------------- bernoulli_word
 
 TEST(BernoulliWord, EdgeProbabilities) {
-  std::mt19937_64 rng(1);
+  util::Mt64 rng(1);
   EXPECT_EQ(bernoulli_word(rng, 0.0), 0u);
   EXPECT_EQ(bernoulli_word(rng, -1.0), 0u);
   EXPECT_EQ(bernoulli_word(rng, 1.0), ~std::uint64_t{0});
@@ -351,7 +352,7 @@ TEST(BernoulliWord, EdgeProbabilities) {
 }
 
 TEST(BernoulliWord, MatchesExpectedDensity) {
-  std::mt19937_64 rng(42);
+  util::Mt64 rng(42);
   for (const double p : {0.003, 0.05, 0.3, 0.7}) {
     constexpr int kWords = 4000;
     std::size_t total = 0;
@@ -367,8 +368,8 @@ TEST(BernoulliWord, MatchesExpectedDensity) {
 }
 
 TEST(BernoulliWord, DeterministicForSeed) {
-  std::mt19937_64 a(7);
-  std::mt19937_64 b(7);
+  util::Mt64 a(7);
+  util::Mt64 b(7);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(bernoulli_word(a, 0.1), bernoulli_word(b, 0.1));
   }

@@ -12,6 +12,7 @@
 #include "core/samplers.hpp"
 #include "qec/code_library.hpp"
 #include "sim/tableau.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -27,7 +28,7 @@ TEST(Integration, SteaneFullPipeline) {
 
   // 2. The preparation makes |0>_L on the tableau simulator.
   sim::Tableau tableau(protocol.prep.num_qubits());
-  std::mt19937_64 rng(1);
+  util::Mt64 rng(1);
   tableau.run(protocol.prep, rng);
   qec::Pauli zl(code.num_qubits());
   zl.z = code.logical_z().row(0);

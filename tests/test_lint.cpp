@@ -132,6 +132,8 @@ TEST(LintDeterminism, UnseededRng) {
   expect_clean("det_unseeded_rng/accept", "det-unseeded-rng");
   expect_finding("det_unseeded_rng/reject", "det-unseeded-rng",
                  "default-constructed");
+  expect_finding("det_unseeded_rng/reject", "det-unseeded-rng",
+                 "default-constructed Mt64");
 }
 
 TEST(LintDeterminism, UnorderedSerialize) {

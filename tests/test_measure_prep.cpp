@@ -10,6 +10,7 @@
 #include "f2/gauss.hpp"
 #include "qec/code_library.hpp"
 #include "sim/tableau.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -50,7 +51,7 @@ TEST(MeasurePrep, NoiselessRunPreparesLogicalZero) {
   const auto prep = synthesize_measure_prep(state);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     sim::Tableau tableau(prep.circuit.num_qubits());
-    std::mt19937_64 rng(seed);
+    util::Mt64 rng(seed);
     const auto outcomes = tableau.run(prep.circuit, rng);
     for (std::size_t i = 0; i < prep.gadgets.size(); ++i) {
       if (outcomes[static_cast<std::size_t>(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "qec/code_library.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -21,7 +22,7 @@ class NonDetTest : public ::testing::Test {
 };
 
 TEST_F(NonDetTest, NoNoiseAlwaysAccepts) {
-  std::mt19937_64 rng(0);
+  util::Mt64 rng(0);
   for (int i = 0; i < 20; ++i) {
     const auto attempt = run_nondet_attempt(protocol_, 0.0, rng);
     EXPECT_TRUE(attempt.accepted);
@@ -30,7 +31,7 @@ TEST_F(NonDetTest, NoNoiseAlwaysAccepts) {
 }
 
 TEST_F(NonDetTest, HeavyNoiseOftenRejects) {
-  std::mt19937_64 rng(1);
+  util::Mt64 rng(1);
   std::size_t rejected = 0;
   for (int i = 0; i < 300; ++i) {
     if (!run_nondet_attempt(protocol_, 0.2, rng).accepted) {

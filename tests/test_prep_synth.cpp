@@ -6,6 +6,7 @@
 
 #include "qec/code_library.hpp"
 #include "sim/tableau.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::core {
 namespace {
@@ -18,7 +19,7 @@ using qec::PauliType;
 void expect_prepares_state(const circuit::Circuit& prep,
                            const qec::StateContext& state) {
   sim::Tableau tableau(prep.num_qubits());
-  std::mt19937_64 rng(99);
+  util::Mt64 rng(99);
   tableau.run(prep, rng);
   const std::size_t n = state.num_qubits();
   const auto& xgens = state.stabilizer_generators(PauliType::X);

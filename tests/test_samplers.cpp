@@ -383,10 +383,14 @@ TEST_F(SamplerTest, CountsRejectWhatTheBatchRejects) {
                std::invalid_argument);
 
   // A NaN rate is refused by every entry point with the message of an
-  // out-of-range one, uniform or per kind.
+  // out-of-range one, uniform or per kind, naming that entry point.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::string bad_q = "sample_protocol_batch: q must be in (0,1)";
-  const std::string bad_rates = "sample_protocol_batch: rates must be in [0,1)";
+  const auto bad_q = [](const std::string& caller) {
+    return caller + ": q must be in (0,1)";
+  };
+  const auto bad_rates = [](const std::string& caller) {
+    return caller + ": rates must be in [0,1)";
+  };
   sim::NoiseParams nan_rate = sim::NoiseParams::e1_1(0.01);
   nan_rate.rates[2] = nan;
   const auto expect_refused = [](const std::string& expected, auto&& call) {
@@ -399,13 +403,15 @@ TEST_F(SamplerTest, CountsRejectWhatTheBatchRejects) {
   };
   const Executor& ex = *executor_;
   const decoder::PerfectDecoder& dec = *decoder_;
-  expect_refused(bad_q, [&] { sample_protocol_batch(ex, dec, nan, 10, 1); });
-  expect_refused(bad_q, [&] { sample_protocol_counts(ex, dec, nan, 10, 1); });
-  expect_refused(bad_q,
+  expect_refused(bad_q("sample_protocol_batch"),
+                 [&] { sample_protocol_batch(ex, dec, nan, 10, 1); });
+  expect_refused(bad_q("sample_protocol_counts"),
+                 [&] { sample_protocol_counts(ex, dec, nan, 10, 1); });
+  expect_refused(bad_q("sample_protocol_batch_scalar"),
                  [&] { sample_protocol_batch_scalar(ex, dec, nan, 10, 1); });
-  expect_refused(bad_rates,
+  expect_refused(bad_rates("sample_protocol_batch"),
                  [&] { sample_protocol_batch(ex, dec, nan_rate, 10, 1); });
-  expect_refused(bad_rates, [&] {
+  expect_refused(bad_rates("sample_protocol_batch_scalar"), [&] {
     sample_protocol_batch_scalar(ex, dec, nan_rate, 10, 1);
   });
 

@@ -6,6 +6,7 @@
 
 #include "sim/faults.hpp"
 #include "sim/pauli_frame.hpp"
+#include "util/mt64.hpp"
 
 namespace ftsp::sim {
 namespace {
@@ -23,7 +24,7 @@ TEST(Tableau, InitialStateIsAllZeros) {
 
 TEST(Tableau, MinusStateNotStabilizedPositively) {
   Tableau t(1);
-  std::mt19937_64 rng(1);
+  util::Mt64 rng(1);
   t.apply_x(0);  // |1>: stabilized by -Z.
   EXPECT_FALSE(t.stabilizes(Pauli::from_string("Z")));
   (void)rng;
@@ -77,7 +78,7 @@ TEST(Tableau, PauliGatesFlipSigns) {
 
 TEST(Tableau, MeasureZDeterministicOnBasisState) {
   Tableau t(2);
-  std::mt19937_64 rng(42);
+  util::Mt64 rng(42);
   t.apply_x(0);
   EXPECT_TRUE(t.z_is_deterministic(0));
   EXPECT_TRUE(t.measure_z(0, rng));   // |1> -> outcome 1.
@@ -88,7 +89,7 @@ TEST(Tableau, MeasurePlusIsRandomButCollapses) {
   std::size_t ones = 0;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Tableau t(1);
-    std::mt19937_64 rng(seed);
+    util::Mt64 rng(seed);
     t.apply_h(0);
     EXPECT_FALSE(t.z_is_deterministic(0));
     const bool first = t.measure_z(0, rng);
@@ -104,7 +105,7 @@ TEST(Tableau, MeasurePlusIsRandomButCollapses) {
 TEST(Tableau, BellMeasurementsAreCorrelated) {
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     Tableau t(2);
-    std::mt19937_64 rng(seed);
+    util::Mt64 rng(seed);
     t.apply_h(0);
     t.apply_cnot(0, 1);
     EXPECT_EQ(t.measure_z(0, rng), t.measure_z(1, rng));
@@ -113,7 +114,7 @@ TEST(Tableau, BellMeasurementsAreCorrelated) {
 
 TEST(Tableau, MeasureXOnPlusIsDeterministic) {
   Tableau t(1);
-  std::mt19937_64 rng(7);
+  util::Mt64 rng(7);
   t.apply_h(0);
   EXPECT_FALSE(t.measure_x(0, rng));
   t.apply_z(0);  // Now |->.
@@ -122,7 +123,7 @@ TEST(Tableau, MeasureXOnPlusIsDeterministic) {
 
 TEST(Tableau, PrepResetsToBasisState) {
   Tableau t(1);
-  std::mt19937_64 rng(3);
+  util::Mt64 rng(3);
   t.apply_h(0);
   t.prep_z(0, rng);
   EXPECT_TRUE(t.stabilizes(Pauli::from_string("Z")));
@@ -132,7 +133,7 @@ TEST(Tableau, PrepResetsToBasisState) {
 
 TEST(Tableau, RunChecksQubitCount) {
   Tableau t(2);
-  std::mt19937_64 rng(0);
+  util::Mt64 rng(0);
   const Circuit c(3);
   EXPECT_THROW(t.run(c, rng), std::invalid_argument);
 }
@@ -148,7 +149,7 @@ TEST(Tableau, StabilizerMeasurementCircuitIsDeterministic) {
   c.measure_z(2);
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Tableau t(3);
-    std::mt19937_64 rng(seed);
+    util::Mt64 rng(seed);
     const auto outcomes = t.run(c, rng);
     EXPECT_FALSE(outcomes[0]);
   }
@@ -161,7 +162,7 @@ TEST(Tableau, StabilizerMeasurementCircuitIsDeterministic) {
 class FrameVsTableau : public ::testing::TestWithParam<int> {};
 
 TEST_P(FrameVsTableau, FlipPredictionsMatch) {
-  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 101 + 17);
+  util::Mt64 rng(static_cast<std::uint64_t>(GetParam()) * 101 + 17);
 
   // GHZ-4 preparation + two ancilla-based stabilizer measurements (ZZ on
   // 0,1 and XXXX via H conjugation is omitted — keep Z type for
@@ -202,7 +203,7 @@ TEST_P(FrameVsTableau, FlipPredictionsMatch) {
 
   // Tableau ground truth (outcomes deterministic for this circuit).
   Tableau t(6);
-  std::mt19937_64 trng(1);
+  util::Mt64 trng(1);
   std::vector<bool> outcomes(c.num_cbits(), false);
   for (std::size_t g = 0; g < c.gates().size(); ++g) {
     t.apply_gate(c.gates()[g], trng, outcomes);

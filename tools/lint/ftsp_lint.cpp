@@ -79,8 +79,8 @@ constexpr RuleInfo kRules[] = {
      "no global/nondeterministic randomness (std::rand, srand, "
      "random_device, default_random_engine) in library code"},
     {"det-unseeded-rng",
-     "every mt19937/mt19937_64 must be constructed with an explicit "
-     "seed expression"},
+     "every Mt64/mt19937/mt19937_64 must be constructed with an "
+     "explicit seed expression"},
     {"det-unordered-serialize",
      "deterministic-layer files that serialize (ByteWriter / "
      "core/serialize.hpp) must not hold unordered containers — "
@@ -561,7 +561,7 @@ void rule_det_unseeded_rng(Context& ctx) {
     }
     for (std::size_t i = 0; i < file.code.size(); ++i) {
       const std::string& line = file.code[i];
-      for (std::string_view type : {"mt19937_64", "mt19937"}) {
+      for (std::string_view type : {"Mt64", "mt19937_64", "mt19937"}) {
         std::size_t pos = 0;
         bool flagged = false;
         while (!flagged &&
@@ -573,7 +573,7 @@ void rule_det_unseeded_rng(Context& ctx) {
             ++pos;
             continue;
           }
-          // `mt19937 name;` or `mt19937 name{}` — a declaration with no
+          // `Mt64 name;` or `Mt64 name{}` — a declaration with no
           // seed expression. References/pointers and seeded forms pass.
           while (j < line.size() && line[j] == ' ') {
             ++j;
